@@ -63,7 +63,7 @@ sums = divergence_witness(1.0, params)
 print("  displacement on the iso ladder: norm series partial sums reach %.1e"
       " after %d terms (diverges for every nonzero label)"
       % (sums[-1], sums.size - 1))
-m = nilpotent_matrix(params.ladder())
+m = nilpotent_matrix(params)
 print("  annihilation states on the new ladder: ||m^%d||=%g, ||m^%d||=%g"
       % (params.k - 1, np.linalg.norm(np.linalg.matrix_power(m, params.k - 1)),
          params.k, np.linalg.norm(np.linalg.matrix_power(m, params.k))))

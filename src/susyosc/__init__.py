@@ -69,7 +69,6 @@ from .ladder import (
     natural_up_coeff,
     nilpotent_matrix,
     pha_product_check,
-    stencil_matrix_element,
     stencil_projection,
 )
 from .coherent import (
@@ -85,7 +84,6 @@ from .coherent import (
     identity_resolution_check,
     kernel,
     mean_energy,
-    measure_density,
     measure_fn,
     moment_check,
     moment_strip,

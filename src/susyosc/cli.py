@@ -41,7 +41,6 @@ from .errors import (
     UsageError,
 )
 from .ladder import (
-    LadderCoeffs,
     apply_stencil,
     build_operator_stencil,
     commutator_check,
@@ -179,7 +178,7 @@ def _refuse_family(flag: str, z: complex, params: CSParams, out: str) -> int:
               "series diverges for every nonzero label (partial sums "
               "written to %s)" % out, file=sys.stderr)
     else:
-        m = nilpotent_matrix(params.ladder())
+        m = nilpotent_matrix(params)
         power = np.eye(params.k)
         norms = []
         for _ in range(params.k):
@@ -245,19 +244,13 @@ def _check(checks, suite, name, value, threshold):
 
 
 def _suite_states(system, checks):
-    states = system.all_states
-    worst = 0.0
-    for i, si in enumerate(states):
-        for sj in states[i:]:
-            want = 1.0 if sj is si else 0.0
-            worst = max(worst, abs(system.inner(si, sj) - want))
-    _check(checks, "states", "orthonormality", worst, 1e-6)
+    _check(checks, "states", "orthonormality", system.orthonormality_deviation(), 1e-6)
     _check(checks, "states", "eigen_residual",
-           max(system.residual(st) for st in states), 1e-4)
+           max(system.residual(st) for st in system.all_states), 1e-4)
 
 
 def _suite_ladder(system, checks):
-    params = LadderCoeffs.from_spec(system.spec)
+    params = CSParams.from_spec(system.spec)
     gsol = g_for_system(system, "eps0", phi_rel_floor=1e-8)
     op = build_operator_stencil(gsol)
     w = system.weights

@@ -36,12 +36,12 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    InvalidSpecError,
     QuadratureError,
     SeriesError,
     TruncationError,
     UsageError,
 )
+from .gridops import simpson_weights
 from .ladder import LadderCoeffs
 from .specfun import digamma, gamma_fn, hyp0f2, integral_zero_inf, mellin_moment
 
@@ -80,33 +80,8 @@ def _check_family(family: str):
 # Parameters
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CSParams:
-    """Spectral data the coefficient laws depend on.
-
-    gap is E_0 - eps_0; together with k it fixes both ladders, since the
-    iso levels are n + 1/2 and the new ones eps_0 + j, j = 0..k-1.
-    """
-    gap: float
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
-        if not self.gap > self.k - 1:
-            raise InvalidSpecError(
-                "gap must exceed k-1 = %d, got %g" % (self.k - 1, self.gap))
-
-    @classmethod
-    def from_spec(cls, spec) -> "CSParams":
-        return cls(gap=float(spec.e_gap), k=int(spec.k))
-
-    @property
-    def eps0(self) -> float:
-        return _E0 - self.gap
-
-    def ladder(self) -> LadderCoeffs:
-        return LadderCoeffs(gap=self.gap, k=self.k)
+# the coherent-state layer's name for the shared (gap, k) type
+CSParams = LadderCoeffs
 
 
 def _docs_weight(params: CSParams, j: int) -> float:
@@ -161,25 +136,28 @@ class CoherentState:
         return self.e_bottom + np.arange(self.coeffs.size, dtype=float)
 
 
-def _iso_term_ratio(family: str, params: CSParams):
-    """t_{n+1}/t_n divided by |z|^2 for the probability weights t_n."""
+def _iso_step(family: str, params: CSParams):
+    """s(n) with c_{n+1} = c_n z / sqrt(s(n)) on the iso ladder.
+
+    aocs_iso: s(n) = (n+1)(a+1+n)(a-k+1+n), a = gap;  lin_iso: s(n) = n+1.
+    The probability weights t_n = |c_n/c_0|^2 then step by |z|^2 / s(n).
+    """
     a, k = params.gap, params.k
     if family == Family.AOCS_ISO:
-        return lambda n: 1.0 / ((n + 1.0) * (a + 1.0 + n) * (a - k + 1.0 + n))
-    return lambda n: 1.0 / (n + 1.0)
+        return lambda n: (n + 1.0) * (a + 1.0 + n) * (a - k + 1.0 + n)
+    return lambda n: n + 1.0
 
 
-def _iso_levels_needed(family: str, w: float, c0sq: float, params: CSParams,
-                       n_max: int):
+def _iso_levels_needed(step, w: float, c0sq: float, n_max: int):
     """Smallest N with the dropped probability mass provably below 1e-12.
 
     The weights decay faster than geometrically, so once the step ratio q
     falls below 1 the tail is bounded by t_{N+1} / (1 - q)."""
-    ratio = _iso_term_ratio(family, params)
     t = 1.0
     for n in range(_HARD_CAP + 1):
-        t_next = t * w * ratio(n)
-        q = w * ratio(n + 1)
+        # multiplying by the reciprocal fixes the rounding of the stored tail
+        t_next = t * w * (1.0 / step(n))
+        q = w * (1.0 / step(n + 1))
         if q < 1.0 and c0sq * t_next / (1.0 - q) < _TAIL_BOUND:
             needed = max(n, _MIN_LEVELS)
             if needed > n_max:
@@ -230,16 +208,14 @@ def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> Co
 
     if family == Family.AOCS_ISO:
         c0sq = 1.0 / hyp0f2(a + 1.0, a - k + 1.0, w)
-        step = lambda c, n: c * z / math.sqrt((n + 1.0) * (a + 1.0 + n) * (a - k + 1.0 + n))
     else:
         c0sq = math.exp(-w)
-        step = lambda c, n: c * z / math.sqrt(n + 1.0)
-
-    levels, tail = _iso_levels_needed(family, w, c0sq, params, n_max)
+    step = _iso_step(family, params)
+    levels, tail = _iso_levels_needed(step, w, c0sq, n_max)
     coeffs = np.empty(levels + 1, dtype=complex)
     coeffs[0] = math.sqrt(c0sq)
     for n in range(levels):
-        coeffs[n + 1] = step(coeffs[n], n)
+        coeffs[n + 1] = coeffs[n] * z / math.sqrt(step(n))
     return CoherentState(family, z, params, coeffs, tail)
 
 
@@ -285,19 +261,10 @@ def annihilation_check(cs: CoherentState) -> float:
         raise UsageError(
             "annihilation_check applies to aocs_iso or lin_iso states, not %r"
             % (cs.family,))
-    a, k = cs.params.gap, cs.params.k
-    lad = cs.params.ladder()
-    if cs.family == Family.AOCS_ISO:
-        down = lad.iso_down
-    else:
-        down = lambda n: math.sqrt(n)
+    down = cs.params.iso_down if cs.family == Family.AOCS_ISO else math.sqrt
     c = cs.coeffs
     top = c.size - 1
-    if cs.family == Family.AOCS_ISO:
-        c_past = c[top] * cs.z / math.sqrt(
-            (top + 1.0) * (a + 1.0 + top) * (a - k + 1.0 + top))
-    else:
-        c_past = c[top] * cs.z / math.sqrt(top + 1.0)
+    c_past = c[top] * cs.z / math.sqrt(_iso_step(cs.family, cs.params)(top))
     extended = np.append(c, c_past)
     image = extended[1:] * np.array([down(n + 1) for n in range(top + 1)])
     resid = image - cs.z * c
@@ -594,11 +561,7 @@ def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
 def _log_simpson(lo: float, hi: float, n_intervals: int):
     """Simpson nodes/weights on a log axis; weights absorb dy/y = dv."""
     v = np.linspace(math.log(lo), math.log(hi), n_intervals + 1)
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    w *= (v[1] - v[0]) / 3.0
-    return np.exp(v), w
+    return np.exp(v), simpson_weights(n_intervals + 1, v[1] - v[0])
 
 
 def _laplace_sum(rates: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -704,13 +667,8 @@ class MeasureFn:
 
 
 def measure_fn(family: str, params: CSParams, rtol: float = 1e-6) -> MeasureFn:
-    """Build (and cache) the radial measure of one family tag."""
+    """Build a new MeasureFn, the radial measure of one family tag."""
     return MeasureFn(family=family, params=params, rtol=rtol)
-
-
-def measure_density(m: MeasureFn, r):
-    """mu(r) for r > 0; thin wrapper over MeasureFn.density."""
-    return m.density(r)
 
 
 def moment_strip(m: MeasureFn):

@@ -59,35 +59,3 @@ def largest_run(mask: np.ndarray) -> tuple[int, int]:
     if not runs:
         raise DomainError("mask has no True entries")
     return max(runs, key=lambda r: r[1] - r[0])
-
-
-def trapezoid_sum(f: np.ndarray, h: float) -> float:
-    """Plain trapezoid integral over the whole array."""
-    f = np.asarray(f, dtype=float)
-    return float(h * (np.sum(f) - 0.5 * (f[0] + f[-1])))
-
-
-def fill_gaps_poly(x: np.ndarray, f: np.ndarray, valid: np.ndarray,
-                   degree: int = 5, side_points: int = 6) -> np.ndarray:
-    """Fill interior gaps of f by local polynomial fits through the flanks.
-
-    Gaps that touch the first or last valid run are left as NaN; only holes
-    with enough valid neighbours on both sides are bridged. Used to carry a
-    smooth quantity across windows that were masked for numerical reasons.
-    """
-    out = np.array(f, dtype=float, copy=True)
-    runs = contiguous_runs(valid)
-    for (a_end, b_start) in zip([r[1] for r in runs[:-1]], [r[0] for r in runs[1:]]):
-        left = np.arange(max(0, a_end - side_points), a_end)
-        right = np.arange(b_start, min(len(f), b_start + side_points))
-        left = left[valid[left]]
-        right = right[valid[right]]
-        if len(left) < 2 or len(right) < 2:
-            continue
-        support = np.concatenate((left, right))
-        deg = min(degree, len(support) - 1)
-        x0 = x[support].mean()
-        coef = np.polyfit(x[support] - x0, f[support], deg)
-        hole = np.arange(a_end, b_start)
-        out[hole] = np.polyval(coef, x[hole] - x0)
-    return out

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, InsufficientSupportError
+from .errors import (
+    ConstructionError,
+    DomainError,
+    InsufficientSupportError,
+    InvalidSpecError,
+)
 from .gridops import deriv1, largest_run
 from .painleve import Assignment, GSolution
 from .susy import GridState
@@ -41,26 +46,27 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class LadderCoeffs:
-    """Action coefficients of the third-order ladder on the eigenbasis.
+    """Spectral data (gap, k) and the third-order ladder action it fixes.
 
     gap is E_0 - eps_0, the distance from the old ground energy down to the
     bottom of the new ladder; the spectrum is E_n = n + 1/2 on the iso ladder
     and eps_j = eps_0 + j, j = 0..k-1, on the new one. gap > k - 1 always
     holds for a valid system, which keeps every radicand below non-negative.
+    The coherent-state layer uses the same type under the name CSParams.
     """
     gap: float
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("k must be >= 1, got %r" % (self.k,))
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.gap > self.k - 1:
-            raise DomainError(
+            raise InvalidSpecError(
                 "gap must exceed k-1 = %d, got %g" % (self.k - 1, self.gap))
 
     @classmethod
     def from_spec(cls, spec) -> "LadderCoeffs":
-        return cls(gap=spec.e_gap, k=spec.k)
+        return cls(gap=float(spec.e_gap), k=int(spec.k))
 
     @property
     def eps0(self) -> float:
@@ -413,24 +419,6 @@ def _support_slice(image: np.ndarray, band: int) -> slice:
     return slice(lo, hi)
 
 
-def stencil_matrix_element(op: OperatorStencil, bra, ket, weights,
-                           energy=None, direction: str = "down",
-                           band: int = 5) -> float:
-    """<bra | l ket> by quadrature over the stencil support.
-
-    The composed stencil erodes a few points at each support edge and the
-    residual error concentrates there, so an extra band is excluded beyond
-    the NaN region before integrating. The integral runs over the support
-    window only; states with appreciable mass outside it lose that mass, so
-    for coefficient comparisons prefer stencil_projection, which divides by
-    the bra norm over the same window and cancels the truncation.
-    """
-    image = apply_stencil(op, ket, energy=energy, direction=direction)
-    bv = bra.values if isinstance(bra, GridState) else np.asarray(bra, dtype=float)
-    sl = _support_slice(image, band)
-    return float(np.sum(weights[sl] * bv[sl] * image[sl]))
-
-
 def stencil_projection(op: OperatorStencil, bra, ket, weights,
                        energy=None, direction: str = "down",
                        band: int = 5) -> float:
@@ -438,7 +426,10 @@ def stencil_projection(op: OperatorStencil, bra, ket, weights,
 
     Numerator and denominator share the support window W, so if the image is
     proportional to bra pointwise the result is the proportionality constant
-    independent of how much of either state the window cuts off.
+    independent of how much of either state the window cuts off. The
+    composed stencil erodes a few points at each support edge and the
+    residual error concentrates there, so an extra band is excluded beyond
+    the NaN region.
     """
     image = apply_stencil(op, ket, energy=energy, direction=direction)
     bv = bra.values if isinstance(bra, GridState) else np.asarray(bra, dtype=float)

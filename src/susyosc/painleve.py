@@ -121,7 +121,7 @@ def g_from_extremal(state_values, x, *, dstate_values=None,
     prefer the analytic route whenever it exists.
 
     Points where |phi| falls below phi_rel_floor * max|phi| are outside the
-    window; detected nodes (sign changes inside the window) mask everything
+    window; detected nodes (sign changes next to the window) mask everything
     within guard_x of the crossing, since 1/phi makes every downstream
     stencil untrustworthy there.
     """
@@ -147,9 +147,10 @@ def g_from_extremal(state_values, x, *, dstate_values=None,
         valid[:2] = False
         valid[-2:] = False
 
-    # nodes: sign changes between points that are both inside the window
+    # nodes: sign changes with at least one bracketing point inside the
+    # window; the sample nearest a node may sit below the floor
     nodes = []
-    sign_change = (phi[:-1] * phi[1:] < 0.0) & window[:-1] & window[1:]
+    sign_change = (phi[:-1] * phi[1:] < 0.0) & (window[:-1] | window[1:])
     for i in np.flatnonzero(sign_change):
         # linear interpolation of the crossing
         x0 = x[i] - phi[i] * (x[i + 1] - x[i]) / (phi[i + 1] - phi[i])

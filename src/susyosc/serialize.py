@@ -120,11 +120,6 @@ def system_document(system: SusySystem) -> dict:
     """
     spec = system.spec
     states = system.all_states
-    worst = 0.0
-    for i, si in enumerate(states):
-        for sj in states[i:]:
-            want = 1.0 if sj is si else 0.0
-            worst = max(worst, abs(system.inner(si, sj) - want))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "susy_system",
@@ -144,7 +139,7 @@ def system_document(system: SusySystem) -> dict:
             "energies_iso_head": [st.energy for st in system.iso_states[:8]],
         },
         "checks": {
-            "orthonormality_max_dev": worst,
+            "orthonormality_max_dev": system.orthonormality_deviation(),
             "residual_max": max(system.residual(st) for st in states),
             "norm_agreement_iso": [st.norm_agreement for st in system.iso_states],
             "residual_check_new": [st.residual_check for st in system.new_states],

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, SeriesError
+from .gridops import simpson_weights
 
 _SERIES_CAP = 100_000
 _SERIES_EPS = 1e-16
@@ -188,26 +189,15 @@ class QuadratureRule:
 
 
 def simpson_rule(a: float, b: float, n_intervals: int) -> QuadratureRule:
-    if n_intervals % 2 != 0:
-        raise DomainError("simpson_rule needs an even interval count")
-    x = np.linspace(a, b, n_intervals + 1)
-    h = (b - a) / n_intervals
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return QuadratureRule("simpson", n_intervals + 1, (a, b), x, w * (h / 3.0))
+    w = simpson_weights(n_intervals + 1, (b - a) / n_intervals)
+    return QuadratureRule("simpson", n_intervals + 1, (a, b),
+                          np.linspace(a, b, n_intervals + 1), w)
 
 
 def semi_infinite_rule(n_intervals: int) -> QuadratureRule:
     """Simpson in u on [0, 1) pushed through t = u / (1 - u)."""
-    if n_intervals % 2 != 0:
-        raise DomainError("semi_infinite_rule needs an even interval count")
+    w = simpson_weights(n_intervals + 1, 1.0 / n_intervals)[:-1]
     u = np.linspace(0.0, 1.0, n_intervals + 1)[:-1]
-    h = 1.0 / n_intervals
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    w = w[:-1] * (h / 3.0)
     jac = 1.0 / (1.0 - u) ** 2
     return QuadratureRule("semi_infinite", n_intervals, (0.0, math.inf), u / (1.0 - u), w * jac)
 

@@ -522,6 +522,16 @@ class SusySystem:
     def all_states(self):
         return list(self.new_states) + list(self.iso_states)
 
+    def orthonormality_deviation(self) -> float:
+        """max |<a|b> - delta_ab| over every pair of stored states."""
+        states = self.all_states
+        worst = 0.0
+        for i, si in enumerate(states):
+            for sj in states[i:]:
+                want = 1.0 if sj is si else 0.0
+                worst = max(worst, abs(self.inner(si, sj) - want))
+        return worst
+
 
 def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     """Seeds, potential, and the full stored state family in one pass."""

@@ -34,7 +34,6 @@ from susyosc import (
     probabilities,
     wavefunction,
 )
-from susyosc.coherent import measure_density
 from susyosc.ladder import apply_stencil, build_operator_stencil, stencil_projection
 
 _K4 = SystemSpec(k=4, eps_top=-2.8, nu=-0.9)
@@ -158,7 +157,7 @@ def test_06_measure_moments_and_positivity(report):
         for f in (0.25, 0.5, 0.75):
             got, want = moment_check(m, lo + f * (hi - lo))
             worst = max(worst, abs(got / want - 1.0))
-        min_density = min(min_density, float(np.min(measure_density(m, radii))))
+        min_density = min(min_density, float(np.min(m.density(radii))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and min_density >= 0.0 and elapsed < 60.0
     report("measure moments + positivity", ok,

@@ -25,6 +25,7 @@ from susyosc.errors import (
 from susyosc import (
     CSParams,
     Family,
+    LadderCoeffs,
     MeasureFamily,
     annihilation_check,
     bessel_k,
@@ -35,7 +36,6 @@ from susyosc import (
     identity_resolution_check,
     kernel,
     mean_energy,
-    measure_density,
     measure_fn,
     moment_check,
     moment_strip,
@@ -65,10 +65,17 @@ def mu3_k4(k4_params):
 # ----------------------------------------------------------------------
 
 def test_params_validation():
-    with pytest.raises(InvalidSpecError):
-        CSParams(gap=6.3, k=0)
-    with pytest.raises(InvalidSpecError):
-        CSParams(gap=2.0, k=3)          # gap must exceed k - 1
+    # one (gap, k) type serves the coherent-state and the ladder layer
+    assert CSParams is LadderCoeffs
+    for cls in (CSParams, LadderCoeffs):
+        with pytest.raises(InvalidSpecError):
+            cls(gap=6.3, k=0)
+        with pytest.raises(InvalidSpecError):
+            cls(gap=2.0, k=3)           # gap must exceed k - 1
+        with pytest.raises(InvalidSpecError):
+            cls(gap=1.5, k=3)
+        with pytest.raises(InvalidSpecError):
+            cls(gap=6.3, k=4.0)         # k must be an integer
     p = CSParams(gap=6.3, k=4)
     assert p.eps0 == pytest.approx(-5.8)
 
@@ -397,9 +404,9 @@ def test_moment_outside_strip_refused(mu2_k4):
 def test_densities_positive(mu1_k4, mu2_k4, mu3_k4):
     rs = np.logspace(-2.0, 1.0, 100)
     for m in (mu1_k4, mu2_k4, mu3_k4):
-        assert np.all(measure_density(m, rs) > 0.0)
+        assert np.all(m.density(rs) > 0.0)
     with pytest.raises(DomainError):
-        measure_density(mu1_k4, 0.0)
+        mu1_k4.density(0.0)
     with pytest.raises(DomainError):
         mu1_k4.profile(-0.5)
 

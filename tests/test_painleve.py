@@ -91,6 +91,24 @@ def test_half_assignment_masks_state_nodes(k4_system):
     assert np.all(np.isnan(gs.g[~gs.valid]))
 
 
+def test_node_next_to_window_floor_is_guarded():
+    """A node whose nearest sample sits below phi_rel_floor must still be
+    found: at this spec the outer node at x ~ -1.53 has one bracketing
+    sample under the floor, and leaving it unguarded puts a pole of g
+    inside the residual and round-trip samples."""
+    spec = SystemSpec(k=3, eps_top=-1.8092494830396715, nu=0.786189938131377,
+                      n_points=4201)
+    system = build_system(spec, n_max=0)
+    gs = g_for_system(system, "half")
+    assert len(gs.nodes) == 3
+    assert min(gs.nodes) == pytest.approx(-1.53, abs=0.01)
+    asg = gs.assignment
+    assert piv_residual(gs, asg.a, asg.b).max < 1e-5
+    v = potential_from_g(gs, asg.e1)
+    m = np.isfinite(v)
+    assert np.max(np.abs(v[m] - system.potential[m])) < 1e-5
+
+
 def test_eps0_assignment_is_nodeless(k4_system):
     gs = g_for_system(k4_system, "eps0")
     assert gs.nodes == []

@@ -114,6 +114,8 @@ def test_quadrature_rule_validation():
     with pytest.raises(DomainError):
         simpson_rule(0.0, 1.0, 7)     # odd interval count
     with pytest.raises(DomainError):
+        semi_infinite_rule(7)
+    with pytest.raises(DomainError):
         QuadratureRule("tiny", 4, (0.0, 1.0), np.linspace(0, 1, 5),
                        np.ones(5) / 5.0)
 
