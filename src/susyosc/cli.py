@@ -511,12 +511,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientSupportError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except SusyOscError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        # structured fields of SeriesError, QuadratureError and TruncationError
+        for name in ("terms_used", "partial_sum", "nodes_used", "required", "cap"):
+            if getattr(exc, name, None) is not None:
+                print("  %s: %s" % (name, getattr(exc, name)), file=sys.stderr)
+        return 3 if isinstance(exc, InsufficientSupportError) else 2
 
 
 if __name__ == "__main__":

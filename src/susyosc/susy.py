@@ -7,14 +7,15 @@ from a single nodeless top seed by repeated application of the oscillator
 lowering operator. The partner potential and its bound states are Wronskian
 ratios of those seeds.
 
-Wronskian derivatives are taken analytically: every derivative of a seed (or
-of an oscillator eigenstate) is a polynomial combination
-
-    u^(m) = alpha_m(x; eps) u + beta_m(x; eps) u'
-
-with alpha/beta generated by the recurrence alpha_{m+1} = alpha_m' +
-(x^2 - 2 eps) beta_m, beta_{m+1} = alpha_m + beta_m', which follows from the
-Schrodinger equation itself.
+Wronskian derivatives are taken analytically. Every column (seed or
+oscillator eigenstate) solves u'' = (x^2 - 2 eps) u, so Leibniz's rule gives
+its derivative rows u^(m+2) = (x^2 - 2 eps) u^(m) + 2 m x u^(m-1) +
+m (m - 1) u^(m-2) straight on the grid. A system keeps one table of rows
+m = 0..k+1 and of the seed-block minors over them, each computed once: W, W'
+and W'' are minors, an iso numerator W(u_0..u_{k-1}, psi_n) and its
+derivative are Laplace expansions along the psi_n column with the same
+minors as cofactors for every n, and a new state's numerator is a
+(k-1)-column determinant of the same rows.
 
 Seeds, eigenstates and determinants are evaluated in extended precision
 (x86 long double) and cast to float64 only after the final Wronskian ratios.
@@ -25,11 +26,12 @@ point-to-point jitter in the states there, extended-precision entries do not.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from .gridops import deriv2, simpson_weights
@@ -144,6 +146,11 @@ class SeedFamily:
     def k(self) -> int:
         return len(self.energies)
 
+    @functools.cached_property
+    def _table(self) -> "_RowTable":
+        # shared by potential and every state; the family is read-only once built
+        return _RowTable(self)
+
 
 def build_seed_chain(spec: SystemSpec, x=None) -> SeedFamily:
     """Top seed from the closed form, the rest by the lowering operator.
@@ -179,6 +186,18 @@ def build_seed_chain(spec: SystemSpec, x=None) -> SeedFamily:
 # Oscillator eigenstates
 # ----------------------------------------------------------------------
 
+def _oscillator_ladder(x):
+    """(psi_n, psi_n') for n = 0, 1, 2, ... by the stable recurrence."""
+    p_prev = np.zeros_like(x)
+    p = math.pi ** (-0.25) * np.exp(-x * x / 2.0)
+    n = 0
+    while True:
+        yield p, -x * p + math.sqrt(2.0 * n) * p_prev
+        p_next = x * math.sqrt(2.0 / (n + 1.0)) * p - math.sqrt(n / (n + 1.0)) * p_prev
+        p_prev, p = p, p_next
+        n += 1
+
+
 def oscillator_eigenstate(n: int, x):
     """Normalized harmonic oscillator state psi_n via the stable recurrence."""
     psi, _ = oscillator_eigenstate_pair(n, x)
@@ -192,29 +211,38 @@ def oscillator_eigenstate_pair(n: int, x):
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
-    p_prev = np.zeros_like(x)
-    p = math.pi ** (-0.25) * np.exp(-x * x / 2.0)
-    for m in range(int(n)):
-        p_next = x * math.sqrt(2.0 / (m + 1.0)) * p - math.sqrt(m / (m + 1.0)) * p_prev
-        p_prev, p = p, p_next
-    dp = -x * p + math.sqrt(2.0 * n) * p_prev
-    return p, dp
+    return next(itertools.islice(_oscillator_ladder(x), int(n), None))
 
 
 # ----------------------------------------------------------------------
-# Wronskians with analytic derivatives
+# Wronskians from Leibniz rows and shared seed minors
 # ----------------------------------------------------------------------
 
-def _alpha_beta_rows(eps: float, max_order: int):
-    """Polynomials (alpha_m, beta_m) with u^(m) = alpha_m u + beta_m u'."""
-    alpha = Polynomial([1.0])
-    beta = Polynomial([0.0])
-    pot = Polynomial([-2.0 * eps, 0.0, 1.0])   # x^2 - 2 eps
-    rows = [(alpha, beta)]
-    for _ in range(max_order):
-        alpha, beta = alpha.deriv() + pot * beta, alpha + beta.deriv()
-        rows.append((alpha, beta))
-    return rows
+def _leibniz_rows(values, derivs, energies, x, max_order: int) -> np.ndarray:
+    """Rows u^(m), m = 0..max_order >= 1, of (c, n) columns at energies (c,).
+
+    u^(m+2) = (x^2 - 2 eps) u^(m) + 2 m x u^(m-1) + m (m - 1) u^(m-2).
+    """
+    q = x * x - 2.0 * np.asarray(energies, dtype=float)[:, None]
+    # two zero rows below u^(0) stand in for the terms that m = 0, 1 drop
+    out = np.zeros((max_order + 3,) + np.shape(values), dtype=np.result_type(x, values))
+    out[2], out[3] = values, derivs
+    for m in range(max_order - 1):
+        out[m + 4] = q * out[m + 2] + (2.0 * m) * x * out[m + 1] + (m * (m - 1.0)) * out[m]
+    return out[2:]
+
+
+def _derivative_rowsets(rows, order: int) -> list:
+    """Row sets whose determinants sum to the order-th derivative of det(rows).
+
+    Each derivative raises one row index; raising onto a present index
+    repeats a row and drops out. Raised sets stay ascending.
+    """
+    sets = [tuple(rows)]
+    for _ in range(order):
+        sets = [rs[:i] + (m + 1,) + rs[i + 1:] for rs in sets
+                for i, m in enumerate(rs) if m + 1 not in rs]
+    return sets
 
 
 def _batched_det(mat: np.ndarray) -> np.ndarray:
@@ -222,7 +250,7 @@ def _batched_det(mat: np.ndarray) -> np.ndarray:
 
     numpy's LAPACK path only handles float64, so extended-precision stacks go
     through a plain Gaussian elimination with partial pivoting. The matrices
-    here are at most 6x6, the loop is over matrix size, not over the stack.
+    here are at most k x k, the loop is over matrix size, not over the stack.
     """
     if mat.dtype == np.float64:
         return np.linalg.det(mat)
@@ -248,71 +276,59 @@ def _batched_det(mat: np.ndarray) -> np.ndarray:
     return det * m[:, r - 1, r - 1]
 
 
-class _WronskianEngine:
-    """Determinants of derivative-row matrices for a fixed column family.
+class _RowTable:
+    """Leibniz rows u_j^(m), m = 0..k+1, and the determinants of one system.
 
-    Columns are (values, derivs, energy) triples on a common grid; row m of
-    the matrix is the m-th derivative of each column, expressed through the
-    alpha/beta polynomials. Row-set derivatives follow from shifting one row
-    index up wherever the shift does not collide with an existing row.
-    Entries inherit the column dtype, so extended-precision seeds keep their
-    extra digits through the determinant.
+    Determinants are memoized: the seed Wronskian and its derivatives, and
+    every cofactor of the Laplace expansion along the psi_n column (seed
+    minors, at most 2k+1 of the C(k+2, k)), are computed once and shared by
+    all n. psi_n comes from one oscillator ladder that steps forward as n
+    grows.
     """
 
-    def __init__(self, x, columns, max_order):
-        self.x = np.asarray(x)
-        self.n_cols = len(columns)
-        dtype = np.result_type(self.x, *(np.asarray(c[0]) for c in columns))
-        self._entry = np.empty((max_order + 1, self.n_cols, self.x.size), dtype=dtype)
-        for c, (val, der, eps) in enumerate(columns):
-            for m, (al, be) in enumerate(_alpha_beta_rows(eps, max_order)):
-                self._entry[m, c] = al(self.x) * val + be(self.x) * der
+    def __init__(self, seeds: "SeedFamily"):
+        self.x = seeds.x
+        self.k = seeds.k
+        self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies,
+                                  self.x, self.k + 1)
+        self._dets = {}
+        self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x), -1, None
 
-    def det(self, rows) -> np.ndarray:
-        rows = list(rows)
-        if len(rows) != self.n_cols:
-            raise DomainError("row count must match column count")
-        if self.n_cols == 1:
-            return self._entry[rows[0], 0].copy()
-        mat = self._entry[rows]                      # (r, c, n)
-        return _batched_det(np.moveaxis(mat, 2, 0))  # (n, r, c) -> (n,)
-
-    @staticmethod
-    def shifted_rowsets(rows):
-        rows = list(rows)
-        present = set(rows)
-        out = []
-        for i, m in enumerate(rows):
-            if m + 1 not in present:
-                out.append(rows[:i] + [m + 1] + rows[i + 1:])
+    def det(self, rows, cols=None, order: int = 0) -> np.ndarray:
+        """order-th derivative of det over ascending rows and seed cols (default all)."""
+        cols = tuple(range(self.k) if cols is None else cols)
+        out = 0
+        for rs in _derivative_rowsets(rows, order):
+            if (rs, cols) not in self._dets:
+                mat = self.rows[np.ix_(rs, cols)]   # (r, c, n)
+                self._dets[rs, cols] = _batched_det(np.moveaxis(mat, 2, 0))
+            out = out + self._dets[rs, cols]
         return out
 
-    def det_derivative(self, rows) -> np.ndarray:
-        out = np.zeros(self.x.size, dtype=self._entry.dtype)
-        for rs in self.shifted_rowsets(rows):
-            out += self.det(rs)
-        return out
+    def psi_rows(self, n: int) -> np.ndarray:
+        """Leibniz rows psi_n^(m), m = 0..k+1, shape (k+2, n_points)."""
+        if n < self._psi_n:
+            self._ladder, self._psi_n = _oscillator_ladder(self.x), -1
+        while self._psi_n < n:
+            self._psi = next(self._ladder)
+            self._psi_n += 1
+        psi, dpsi = self._psi
+        return _leibniz_rows(psi[None], dpsi[None], [n + 0.5], self.x, self.k + 1)[:, 0]
 
-    def det_second_derivative(self, rows) -> np.ndarray:
-        out = np.zeros(self.x.size, dtype=self._entry.dtype)
-        for rs in self.shifted_rowsets(rows):
-            for rs2 in self.shifted_rowsets(rs):
-                out += self.det(rs2)
-        return out
-
-
-def _seed_columns(seeds: SeedFamily):
-    return [(seeds.values[j], seeds.derivs[j], seeds.energies[j])
-            for j in range(seeds.k)]
+    def iso_numerator(self, n: int):
+        """W(u_0..u_{k-1}, psi_n) and its derivative, expanded along psi_n."""
+        psi = self.psi_rows(n)
+        return [sum((-1.0) ** (p + self.k) * psi[r] * self.det(rs[:p] + rs[p + 1:])
+                    for rs in _derivative_rowsets(range(self.k + 1), order)
+                    for p, r in enumerate(rs))
+                for order in (0, 1)]
 
 
 def _denominator_data(seeds: SeedFamily):
     """(W, W'/W) for the seed Wronskian, shared by every state of a system."""
-    eng = _WronskianEngine(seeds.x, _seed_columns(seeds), seeds.k)
-    rows = list(range(seeds.k))
-    denom = eng.det(rows)
-    dlog_den = eng.det_derivative(rows) / denom
-    return denom, dlog_den
+    rows = tuple(range(seeds.k))
+    denom = seeds._table.det(rows)
+    return denom, seeds._table.det(rows, order=1) / denom
 
 
 def wronskian(seeds: SeedFamily, x=None) -> np.ndarray:
@@ -325,8 +341,7 @@ def wronskian(seeds: SeedFamily, x=None) -> np.ndarray:
     if x is not None and not np.array_equal(np.asarray(x, dtype=float),
                                             np.asarray(seeds.x, dtype=float)):
         raise DomainError("seed family was built on a different grid; rebuild the chain")
-    eng = _WronskianEngine(seeds.x, _seed_columns(seeds), seeds.k - 1)
-    return np.asarray(eng.det(list(range(seeds.k))), dtype=float)
+    return np.asarray(seeds._table.det(tuple(range(seeds.k))), dtype=float)
 
 
 def potential(seeds: SeedFamily):
@@ -335,20 +350,16 @@ def potential(seeds: SeedFamily):
     Raises SingularPotentialError if W crosses or touches zero anywhere on
     the grid, since the partner then has a singularity.
     """
-    k = seeds.k
-    eng = _WronskianEngine(seeds.x, _seed_columns(seeds), k + 1)
-    rows = list(range(k))
-    w = eng.det(rows)
+    table = seeds._table
+    rows = tuple(range(seeds.k))
+    w = table.det(rows)
     if np.any(w[:-1] * w[1:] <= 0.0) or np.any(np.abs(w) < 1e-280):
         raise SingularPotentialError("seed Wronskian vanishes inside the grid")
-    w1 = eng.det_derivative(rows)
-    w2 = eng.det_second_derivative(rows)
     # (ln W)'' = W''/W - (W'/W)^2, formed from ratios to keep the dynamic
     # range of W itself out of the subtraction
-    r1 = w1 / w
-    r2 = w2 / w
-    x = seeds.x
-    return np.asarray(x * x / 2.0 - (r2 - r1 * r1), dtype=float)
+    r1 = table.det(rows, order=1) / w
+    r2 = table.det(rows, order=2) / w
+    return np.asarray(seeds.x * seeds.x / 2.0 - (r2 - r1 * r1), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +386,11 @@ class GridState:
     residual_check: float = float("nan")   # eigen-equation residual (new only)
 
 
-def _normalize_with_convention(raw: np.ndarray, raw_deriv: np.ndarray, weights: np.ndarray):
+def _normalize_with_convention(seeds: SeedFamily, numer, dnumer, den, weights: np.ndarray):
+    """numer/W and its derivative, normalized and in the sign convention."""
+    denom, dlog_den = den if den is not None else _denominator_data(seeds)
+    raw = numer / denom
+    raw_deriv = dnumer / denom - dlog_den * raw
     nrm = math.sqrt(float(np.sum(weights * raw * raw)))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConstructionError("state has zero or non-finite norm")
@@ -404,8 +419,8 @@ def iso_state(seeds: SeedFamily, n: int, weights=None, den=None) -> GridState:
 
     The raw Crum map is W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}); its L2 norm
     must match the closed form 2^{k/2} prod_j sqrt(E_n - eps_j) or the
-    construction is rejected. den is the optional (W, W'/W) pair from
-    _denominator_data, shared when many states are built at once.
+    construction is rejected. den is an optional (W, W'/W) pair; by default
+    it comes from the seeds' shared table, like the numerator.
     """
     if n < 0 or n != int(n):
         raise DomainError("iso_state level must be a non-negative integer")
@@ -415,16 +430,8 @@ def iso_state(seeds: SeedFamily, n: int, weights=None, den=None) -> GridState:
     if weights is None:
         weights = simpson_weights(x.size, float(x[1] - x[0]))
     energy = n + 0.5
-    psi, dpsi = oscillator_eigenstate_pair(n, x)
-    cols = _seed_columns(seeds) + [(psi, dpsi, energy)]
-    eng = _WronskianEngine(x, cols, k + 1)
-    rows = list(range(k + 1))
-    numer = eng.det(rows)
-    dnumer = eng.det_derivative(rows)
-    denom, dlog_den = den if den is not None else _denominator_data(seeds)
-    raw = numer / denom
-    draw = dnumer / denom - dlog_den * raw
-    vals, ders, nrm, flip = _normalize_with_convention(raw, draw, weights)
+    numer, dnumer = seeds._table.iso_numerator(n)
+    vals, ders, nrm, flip = _normalize_with_convention(seeds, numer, dnumer, den, weights)
     analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(energy - seeds.energies)))
     agreement = abs(nrm / analytic - 1.0)
     if agreement > 1e-6:
@@ -449,20 +456,11 @@ def new_state(seeds: SeedFamily, j: int, weights=None, potential_values=None,
     x = seeds.x
     if weights is None:
         weights = simpson_weights(x.size, float(x[1] - x[0]))
-    denom, dlog_den = den if den is not None else _denominator_data(seeds)
-    if k == 1:
-        raw = 1.0 / denom
-        draw = -dlog_den * raw
-    else:
-        cols = [(seeds.values[i], seeds.derivs[i], seeds.energies[i])
-                for i in range(k) if i != j]
-        eng = _WronskianEngine(x, cols, k - 1)
-        rows = list(range(k - 1))
-        numer = eng.det(rows)
-        dnumer = eng.det_derivative(rows)
-        raw = numer / denom
-        draw = dnumer / denom - dlog_den * raw
-    vals, ders, _, flip = _normalize_with_convention(raw, draw, weights)
+    rows, cols = tuple(range(k - 1)), [i for i in range(k) if i != j]
+    # k = 1 leaves the empty determinant, 1
+    numer, dnumer = (seeds._table.det(rows, cols), seeds._table.det(rows, cols, 1)) \
+        if k > 1 else (1.0, 0.0)
+    vals, ders, _, flip = _normalize_with_convention(seeds, numer, dnumer, den, weights)
     energy = float(seeds.energies[j])
     if potential_values is None:
         potential_values = potential(seeds)
@@ -541,9 +539,7 @@ def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     x = np.asarray(seeds.x, dtype=float)
     weights = simpson_weights(x.size, spec.h)
     v = potential(seeds)
-    den = _denominator_data(seeds)
-    iso = [iso_state(seeds, n, weights, den=den) for n in range(n_max + 1)]
-    new = [new_state(seeds, j, weights, potential_values=v, den=den)
-           for j in range(spec.k)]
+    iso = [iso_state(seeds, n, weights) for n in range(n_max + 1)]
+    new = [new_state(seeds, j, weights, potential_values=v) for j in range(spec.k)]
     return SusySystem(spec=spec, x=x, weights=weights, potential=v,
                       iso_states=iso, new_states=new, n_max=n_max)

@@ -7,8 +7,9 @@ emitted files can be asserted directly against tmp_path.
 import numpy as np
 import pytest
 
+from susyosc import cli
 from susyosc.cli import main, parse_z
-from susyosc.errors import UsageError
+from susyosc.errors import QuadratureError, SeriesError, TruncationError, UsageError
 from susyosc.serialize import canonical_json, load_json, load_system
 
 _K1_FLAGS = ["--k", "1", "--eps-top", "-1.0", "--nu", "0.5"]
@@ -210,3 +211,20 @@ def test_radial_grid_validation(tmp_path):
               + ["--measure", "mu1", "--npoints", "1",
                  "--out", str(tmp_path / "d.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("exc, fields", [
+    (SeriesError("series stalled", terms_used=500, partial_sum=2.5),
+     ["  terms_used: 500", "  partial_sum: 2.5"]),
+    (QuadratureError("tail unsettled", nodes_used=8192), ["  nodes_used: 8192"]),
+    (TruncationError("tail bound unmet", required=61, cap=48),
+     ["  required: 61", "  cap: 48"]),
+])
+def test_structured_error_fields_reach_stderr(monkeypatch, capsys, exc, fields):
+    def failing(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_measure", failing)
+    assert main(["measure"] + _K1_FLAGS) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: %s" % exc
+    assert err[1:] == fields

@@ -6,9 +6,11 @@ and the defining ODE, so agreement is meaningful rather than circular.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from numpy.polynomial import Hermite, Polynomial
 
 from susyosc.errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from susyosc.gridops import deriv1, deriv2, simpson_weights
@@ -133,6 +135,44 @@ def test_batched_det_handles_pivoting():
     assert float(_batched_det(m)[0]) == -6.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_laplace_numerator_matches_full_determinant(k):
+    """Iso numerator and its derivative: cofactor expansion vs elimination.
+
+    The shared table expands W(u_0..u_{k-1}, psi_n) along the psi_n column;
+    the direct route eliminates the whole (k+1)x(k+1) row matrix.
+    """
+    table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
+    for n in (12, 0, 3, 31):
+        full = np.concatenate([table.rows, table.psi_rows(n)[:, None]], axis=1)
+        numer_rows, dnumer_rows = list(range(k + 1)), list(range(k)) + [k + 1]
+        for got, rows in zip(table.iso_numerator(n), (numer_rows, dnumer_rows)):
+            want = _batched_det(np.moveaxis(full[rows], 2, 0))
+            assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) < 1e-12
+
+
+def test_psi_rows_match_hermite_closed_form():
+    """psi_n^(m), m <= 6: Leibniz rows vs differentiating H_n(x) e^{-x^2/2}.
+
+    Each derivative maps the polynomial prefactor P to P' - x P. Levels go
+    down as well as up, so the table's psi ladder restarts on the way.
+    """
+    seeds = build_seed_chain(SystemSpec(k=5, eps_top=-1.7, nu=0.4))
+    x = np.asarray(seeds.x, dtype=float)
+    inner = np.abs(x) <= 6.0
+    gauss = np.exp(-x[inner] ** 2 / 2.0)
+    for n in (9, 0, 16, 4, 1):
+        rows = np.asarray(seeds._table.psi_rows(n), dtype=float)
+        assert rows.shape[0] == 7
+        prefactor = Hermite.basis(n).convert(kind=Polynomial) \
+            / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+        for m in range(7):
+            want = prefactor(x[inner]) * gauss
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(rows[m][inner] - want)) < 1e-12 * scale
+            prefactor = prefactor.deriv() - Polynomial([0.0, 1.0]) * prefactor
+
+
 def test_wronskian_order_one_is_the_seed(k1_spec):
     seeds = build_seed_chain(k1_spec)
     w = wronskian(seeds)
@@ -216,6 +256,24 @@ def test_states_vanish_at_grid_edges(k4_system):
     for st in (k4_system.state("iso", 0), k4_system.state("new", 0)):
         edge = max(abs(st.values[0]), abs(st.values[-1]))
         assert edge < 1e-8 * np.max(np.abs(st.values))
+
+
+@pytest.mark.parametrize("k, eps_top, nu, n_max, failing_n", [
+    (6, -2.8, -0.9, 32, 30),
+    (8, -5.0, 0.2, 16, 8),
+])
+def test_iso_norm_gate_refuses_out_of_envelope(k, eps_top, nu, n_max, failing_n):
+    """Past the envelope the build stops at the first state over the gate.
+
+    The refusal names the level and the measured disagreement, so the
+    caller learns what failed and by how much.
+    """
+    with pytest.raises(ConstructionError) as info:
+        build_system(SystemSpec(k=k, eps_top=eps_top, nu=nu), n_max=n_max)
+    found = re.search(r"iso state n=(\d+): .* by ([0-9.eE+-]+)$", str(info.value))
+    assert found is not None, str(info.value)
+    assert int(found.group(1)) == failing_n
+    assert float(found.group(2)) > 1e-6
 
 
 def test_build_system_rejects_negative_cap(k1_spec):
