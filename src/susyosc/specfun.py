@@ -6,9 +6,13 @@ Pochhammer symbols, the confluent series 1F1 and 0F2, the modified Bessel
 function K_nu through its real integral representation, the Tricomi U
 function, and Mellin moments on (0, inf).
 
-Series are summed by term recurrence with compensated accumulation. All
-quadrature is composite Simpson under an explicit change of variables, with
-node doubling until two successive estimates agree. Nothing here accepts
+Series are summed by term recurrence with compensated accumulation, and
+each point stops on its own: a scalar runs a plain loop on Python numbers,
+and an array is summed in order of |x| with its converged leading points
+retired, so a grid pays for the terms each point needs rather than for those
+of its largest |x|. All quadrature is composite Simpson under an explicit
+change of variables, with node doubling until two successive estimates
+agree. Nothing here accepts
 complex arguments; callers that need a series at complex argument carry
 their own loop.
 """
@@ -16,6 +20,7 @@ their own loop.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,39 +109,109 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
     """Sum_{n>=0} t_n with t_0 = 1 and t_{n+1} = t_n * term_ratio(n) * x_factor.
 
     term_ratio(n) returns the rational part of t_{n+1}/t_n; the x power is
-    folded in by the caller. x may be a scalar or an ndarray; termination
-    waits for the largest |term|/|sum| across the array to stay below the
-    floor for a stretch of consecutive terms. The input float dtype is
-    preserved, so extended-precision arguments sum in extended precision.
+    folded in by the caller. x may be a scalar or an ndarray of any shape.
+    The input float dtype is preserved, so extended-precision arguments sum
+    in extended precision.
+
+    A point stops once its own |term|/|sum| has stayed below the floor for
+    _SERIES_QUIET consecutive terms; a NaN never counts as quiet. A 0-d x
+    runs the loop on a Python float (float64) or on a numpy scalar of its
+    dtype. An array is summed in order of |x|: the leading points that have
+    all been quiet for the last _SERIES_QUIET terms retire, and only the
+    remaining suffix pays for further terms. Both paths do the same
+    arithmetic per point.
     """
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
-    scalar = x.ndim == 0
     eps = _SERIES_EPS if x.dtype == np.float64 else 1.5 * float(np.finfo(x.dtype).eps)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    comp = np.zeros_like(x)   # compensated summation carry
+    if x.ndim == 0:
+        return _sum_scalar(term_ratio, x, eps, cap, label)
+    return _sum_array(term_ratio, x, eps, cap, label)
+
+
+def _sum_scalar(term_ratio, x, eps, cap, label):
+    num = float if x.dtype == np.float64 else x.dtype.type
+    xv = num(x)
+    term = total = num(1.0)
+    comp = num(0.0)   # compensated summation carry
     quiet = 0
     for n in range(cap):
-        term = term * x * term_ratio(n)
+        term = term * xv * term_ratio(n)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        denom = np.maximum(np.abs(total), 1e-300)
-        if np.max(np.abs(term) / denom) < eps:
+        if abs(term) / max(abs(total), 1e-300) < eps:
             quiet += 1
             if quiet >= _SERIES_QUIET:
-                if not scalar:
-                    return total
-                return float(total) if total.dtype == np.float64 else total[()]
+                return float(total) if num is float else total
         else:
             quiet = 0
     raise SeriesError(
         "%s did not converge within %d terms" % (label, cap),
         terms_used=cap,
-        partial_sum=float(np.max(np.abs(total))),
+        partial_sum=float(abs(total)),
+    )
+
+
+def _sum_array(term_ratio, x, eps, cap, label):
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    if not flat.size:
+        return out.reshape(x.shape)
+    order = np.argsort(np.abs(flat), kind="stable")   # NaN sorts last
+    xs = flat[order]
+    size = xs.size
+    eps, floor = xs.dtype.type(eps), xs.dtype.type(1e-300)
+    term, total = np.ones_like(xs), np.ones_like(xs)
+    comp, y, t = np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)
+    # quiet flags and a False sentinel: argmin over the active suffix is the
+    # length of its quiet prefix
+    quiet = np.zeros(size + 1, dtype=bool)
+    # (n, quiet-prefix end) with increasing ends: the first entry holds the
+    # least end over the last _SERIES_QUIET terms, and every point before it
+    # has been quiet for all of them
+    window = deque()
+    start, sliced = 0, -1
+    for n in range(cap):
+        if sliced != start:
+            tv, xv, cv, yv, qv, sv, wv = (
+                b[start:size] for b in (term, xs, comp, y, quiet, total, t))
+            qs, sliced = quiet[start:], start
+        # the plain loop's operations in its order: term = term * x * ratio;
+        # y = term - comp; t = total + y; comp = (t - total) - y; total = t
+        np.multiply(tv, xv, out=tv)
+        np.multiply(tv, term_ratio(n), out=tv)
+        np.subtract(tv, cv, out=yv)
+        np.add(sv, yv, out=wv)
+        np.subtract(wv, sv, out=cv)
+        np.subtract(cv, yv, out=cv)
+        total, t, sv, wv = t, total, wv, sv
+        # quiet: |term| / max(|total|, 1e-300) < eps, with the old total's
+        # buffer as scratch
+        np.abs(sv, out=wv)
+        np.maximum(wv, floor, out=wv)
+        np.abs(tv, out=yv)
+        np.divide(yv, wv, out=yv)
+        np.less(yv, eps, out=qv)
+        end = start + int(qs.argmin())
+        while window and window[-1][1] >= end:
+            window.pop()
+        window.append((n, end))
+        if window[0][0] <= n - _SERIES_QUIET:
+            window.popleft()
+        if n + 1 >= _SERIES_QUIET and window[0][1] > start:
+            done = window[0][1]
+            out[order[start:done]] = sv[:done - start]
+            if done == size:
+                return out.reshape(x.shape)
+            start = done
+    out[order[start:]] = sv
+    raise SeriesError(
+        "%s did not converge within %d terms" % (label, cap),
+        terms_used=cap,
+        partial_sum=float(np.max(np.abs(out))),
     )
 
 

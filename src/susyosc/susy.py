@@ -386,9 +386,9 @@ class GridState:
     residual_check: float = float("nan")   # eigen-equation residual (new only)
 
 
-def _normalize_with_convention(seeds: SeedFamily, numer, dnumer, den, weights: np.ndarray):
+def _normalize_with_convention(seeds: SeedFamily, numer, dnumer, weights: np.ndarray):
     """numer/W and its derivative, normalized and in the sign convention."""
-    denom, dlog_den = den if den is not None else _denominator_data(seeds)
+    denom, dlog_den = _denominator_data(seeds)
     raw = numer / denom
     raw_deriv = dnumer / denom - dlog_den * raw
     nrm = math.sqrt(float(np.sum(weights * raw * raw)))
@@ -414,13 +414,13 @@ def _normalize_with_convention(seeds: SeedFamily, numer, dnumer, den, weights: n
     return vals, ders, nrm, flip
 
 
-def iso_state(seeds: SeedFamily, n: int, weights=None, den=None) -> GridState:
+def iso_state(seeds: SeedFamily, n: int, weights=None) -> GridState:
     """Partner state at energy E_n = n + 1/2, image of oscillator level n.
 
     The raw Crum map is W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}); its L2 norm
     must match the closed form 2^{k/2} prod_j sqrt(E_n - eps_j) or the
-    construction is rejected. den is an optional (W, W'/W) pair; by default
-    it comes from the seeds' shared table, like the numerator.
+    construction is rejected. Numerator and W both come from the seeds'
+    shared table.
     """
     if n < 0 or n != int(n):
         raise DomainError("iso_state level must be a non-negative integer")
@@ -431,7 +431,7 @@ def iso_state(seeds: SeedFamily, n: int, weights=None, den=None) -> GridState:
         weights = simpson_weights(x.size, float(x[1] - x[0]))
     energy = n + 0.5
     numer, dnumer = seeds._table.iso_numerator(n)
-    vals, ders, nrm, flip = _normalize_with_convention(seeds, numer, dnumer, den, weights)
+    vals, ders, nrm, flip = _normalize_with_convention(seeds, numer, dnumer, weights)
     analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(energy - seeds.energies)))
     agreement = abs(nrm / analytic - 1.0)
     if agreement > 1e-6:
@@ -441,8 +441,7 @@ def iso_state(seeds: SeedFamily, n: int, weights=None, den=None) -> GridState:
                      subspace="iso", index=n, sign_flip=flip, norm_agreement=agreement)
 
 
-def new_state(seeds: SeedFamily, j: int, weights=None, potential_values=None,
-              den=None) -> GridState:
+def new_state(seeds: SeedFamily, j: int, weights=None, potential_values=None) -> GridState:
     """Bound state created at eps_j, absent from the oscillator spectrum.
 
     For k = 1 this is 1/u_0; in general the numerator is the Wronskian of the
@@ -460,7 +459,7 @@ def new_state(seeds: SeedFamily, j: int, weights=None, potential_values=None,
     # k = 1 leaves the empty determinant, 1
     numer, dnumer = (seeds._table.det(rows, cols), seeds._table.det(rows, cols, 1)) \
         if k > 1 else (1.0, 0.0)
-    vals, ders, _, flip = _normalize_with_convention(seeds, numer, dnumer, den, weights)
+    vals, ders, _, flip = _normalize_with_convention(seeds, numer, dnumer, weights)
     energy = float(seeds.energies[j])
     if potential_values is None:
         potential_values = potential(seeds)

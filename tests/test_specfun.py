@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyosc.errors import DomainError, QuadratureError
+from susyosc.errors import DomainError, QuadratureError, SeriesError
 from susyosc.specfun import (
+    _SERIES_QUIET,
     QuadratureRule,
+    _sum_series,
     bessel_k,
     digamma,
     gamma_fn,
@@ -102,6 +104,37 @@ def test_hyp0f2_rejects_bad_parameters():
         hyp0f2(-1.0, 2.0, 1.0)
     with pytest.raises(DomainError):
         hyp0f2(2.0, 1.0, -0.5)
+
+
+def _reference_sum(term_ratio, x, eps):
+    """The array loop before points retired: all run until the slowest is quiet."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    comp = np.zeros_like(x)
+    n = quiet = 0
+    while quiet < _SERIES_QUIET:
+        term = term * x * term_ratio(n)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        denom = np.maximum(np.abs(total), 1e-300)
+        quiet = quiet + 1 if np.max(np.abs(term) / denom) < eps else 0
+        n += 1
+    return total
+
+
+def test_array_series_matches_whole_array_loop_bitwise():
+    # shuffled, 2-D and of both signs, so the |x| sort and the scatter back
+    # into input order and shape are both exercised
+    rng = np.random.default_rng(11)
+    x = rng.permutation(np.linspace(-60.0, 110.0, 391).astype(np.longdouble)).reshape(17, 23)
+    eps = 1.5 * float(np.finfo(np.longdouble).eps)
+    for a, c in ((0.3, 0.5), (-2.7, 0.5), (1.8, 2.5)):
+        got = hyp1f1(a, c, x)
+        want = _reference_sum(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, eps)
+        assert got.dtype == np.longdouble and got.shape == x.shape
+        assert np.array_equal(got, want)
 
 
 def test_simpson_rule_exact_on_cubics():
@@ -194,6 +227,27 @@ def test_mellin_moment_gamma_and_nontrivial():
     assert abs(got / 1.5446858458505938 - 1.0) < 1e-9
     got = mellin_moment(lambda x: np.exp(-x) / (1.0 + x), 1.6)
     assert abs(got / 0.41641130295467471 - 1.0) < 1e-8
+
+
+def test_series_nan_point_never_counts_as_quiet():
+    ratio = lambda n: 1.0 / (n + 1.0)
+    for x in (np.array([0.5, np.nan]), np.nan):
+        with pytest.raises(SeriesError) as info:
+            _sum_series(ratio, x, cap=300)
+        assert info.value.terms_used == 300
+
+
+def test_series_return_types():
+    assert type(hyp1f1(0.3, 0.5, 2.0)) is float
+    assert type(hyp0f2(2.5, 1.5, np.float64(0.8))) is float
+    assert type(hyp1f1(0.3, 0.5, 3)) is float
+    got = hyp1f1(0.3, 0.5, np.longdouble(2.0))
+    assert type(got) is np.longdouble
+    assert got == hyp1f1(0.3, 0.5, np.array([2.0], dtype=np.longdouble))[0]
+    grid = np.linspace(0.0, 5.0, 12).reshape(3, 4)
+    got = hyp0f2(2.5, 1.5, grid)
+    assert got.shape == (3, 4) and got.dtype == np.float64
+    assert np.array_equal(got.ravel(), [hyp0f2(2.5, 1.5, w) for w in grid.ravel()])
 
 
 def test_semi_infinite_rule_positive_weights():
