@@ -43,7 +43,8 @@ from .errors import (
 )
 from .gridops import simpson_weights
 from .ladder import LadderCoeffs
-from .specfun import digamma, gamma_fn, hyp0f2, integral_zero_inf, mellin_moment
+from .specfun import (digamma, gamma_fn, hyp0f2, integral_zero_inf, mellin_moment,
+                      tricomi_u)
 
 _E0 = 0.5
 _TAIL_BOUND = 1e-12
@@ -94,6 +95,9 @@ def _docs_weight(params: CSParams, j: int) -> float:
 def _lin_new_weight(params: CSParams, j: int) -> float:
     """1 / ((j!)^2 Gamma(gap - j)), the lin_new probability weight."""
     return 1.0 / (math.factorial(j) ** 2 * gamma_fn(params.gap - j))
+
+
+_NEW_WEIGHT = {Family.DOCS_NEW: _docs_weight, Family.LIN_NEW: _lin_new_weight}
 
 
 def _finite_sum(params: CSParams, w, weight_fn):
@@ -193,17 +197,12 @@ def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> Co
     w = abs(z) ** 2
     a, k = params.gap, params.k
 
-    if family == Family.DOCS_NEW:
-        nz = 1.0 / math.sqrt(_finite_sum(params, w, _docs_weight).real)
-        coeffs = np.array([nz * z ** j * math.sqrt(_docs_weight(params, j))
+    if family in Family.NEW:
+        weight = _NEW_WEIGHT[family]
+        base = z if family == Family.DOCS_NEW else 1j * z
+        norm = 1.0 / math.sqrt(_finite_sum(params, w, weight).real)
+        coeffs = np.array([norm * base ** j * math.sqrt(weight(params, j))
                            for j in range(k)], dtype=complex)
-        return CoherentState(family, z, params, coeffs, 0.0)
-
-    if family == Family.LIN_NEW:
-        cz = 1.0 / math.sqrt(_finite_sum(params, w, _lin_new_weight).real)
-        coeffs = np.array([cz * (1j * z) ** j / math.factorial(j)
-                           / math.sqrt(gamma_fn(a - j)) for j in range(k)],
-                          dtype=complex)
         return CoherentState(family, z, params, coeffs, 0.0)
 
     if family == Family.AOCS_ISO:
@@ -239,12 +238,9 @@ def mean_energy(cs: CoherentState) -> float:
     if cs.family == Family.AOCS_ISO:
         ratio = hyp0f2(a + 2.0, a - k + 2.0, w) / hyp0f2(a + 1.0, a - k + 1.0, w)
         return _E0 + w / ((a + 1.0) * (a - k + 1.0)) * ratio
-    if cs.family == Family.DOCS_NEW:
-        weight = _docs_weight
-    else:
-        weight = _lin_new_weight
-    s0 = sum(weight(cs.params, j) * w ** j for j in range(k))
-    s1 = sum(j * weight(cs.params, j) * w ** j for j in range(k))
+    weight = _NEW_WEIGHT[cs.family]
+    s0 = _finite_sum(cs.params, w, weight)
+    s1 = _finite_sum(cs.params, w, lambda params, j: j * weight(params, j))
     return cs.params.eps0 + s1 / s0
 
 
@@ -285,33 +281,15 @@ def kernel(family: str, z_prime, z, params: CSParams) -> complex:
         return complex(cmath.exp(w - 0.5 * (abs(zp) ** 2 + abs(z) ** 2)))
     a, k = params.gap, params.k
     if family == Family.AOCS_ISO:
-        num = _hyp0f2_complex(a + 1.0, a - k + 1.0, w)
+        num = hyp0f2(a + 1.0, a - k + 1.0, w)
         den = hyp0f2(a + 1.0, a - k + 1.0, abs(zp) ** 2) \
             * hyp0f2(a + 1.0, a - k + 1.0, abs(z) ** 2)
         return complex(num / math.sqrt(den))
-    weight = _docs_weight if family == Family.DOCS_NEW else _lin_new_weight
+    weight = _NEW_WEIGHT[family]
     num = _finite_sum(params, w, weight)
     den = _finite_sum(params, abs(zp) ** 2, weight).real \
         * _finite_sum(params, abs(z) ** 2, weight).real
     return complex(num / math.sqrt(den))
-
-
-def _hyp0f2_complex(b1: float, b2: float, w: complex, cap: int = 400) -> complex:
-    """0F2(; b1, b2; w) for complex w, same stop rule as the real series."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    quiet = 0
-    for n in range(cap):
-        term = term * w / ((b1 + n) * (b2 + n) * (n + 1.0))
-        total += term
-        if abs(term) < 1e-16 * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise SeriesError("complex 0F2 did not converge within %d terms" % cap,
-                      terms_used=cap, partial_sum=abs(total))
 
 
 def evolve(cs: CoherentState, t: float):
@@ -339,7 +317,9 @@ def divergence_witness(z, params: CSParams, n_terms: int = 200) -> np.ndarray:
     all partial sums would stay at 1, which is why that label is excluded:
     the extremal state itself is the only member of the family). The sums
     are cut once they pass 1e30, far beyond any divergence threshold a
-    caller could reasonably probe.
+    caller could reasonably probe. The loop is its own, not
+    specfun._sum_series, because it returns the partial sums of a series
+    that loop could only refuse.
     """
     z = complex(z)
     if z == 0:
@@ -401,7 +381,8 @@ def wavefunction(cs: CoherentState, system):
 # beta-like kernel (t/(1+t))^{gap+1} / t of the confluent second-kind
 # function at unit second parameter. The weights are cached on a fixed
 # log-spaced grid; f1/f2 record the disagreement between two resolutions,
-# f3 is checked against an independent nested-quadrature evaluation. The
+# f3 is checked against its closed form Gamma(gap+1)^2 U(gap+1, 1; x), from
+# specfun.tricomi_u's endpoint-substituted Laplace integral. The
 # Laplace caches are unreliable once e^{-x rate} varies below the smallest
 # grid rate, so small x is handled by series instead: f1 and f2 tend to
 # finite limits there, while f3 grows logarithmically and switches to the
@@ -498,32 +479,6 @@ def _g_mu2(params: CSParams, y: np.ndarray) -> np.ndarray:
     return pref * amp * _scaled_tail(lam, c)
 
 
-def _mu3_nested(params: CSParams, x, rtol: float = 1e-8) -> np.ndarray:
-    """f3(x) = Gamma(gap+1) int_0^inf t^gap (t+x)^{-gap-1} e^{-t} dt.
-
-    Direct nested quadrature of the positive binomial-kernel integral,
-    kept as the independent route the Laplace cache is validated against.
-    Reliable for moderate x; near x = 0 the integrand develops a 1/t
-    stretch the node-doubling rule cannot resolve, which is exactly why
-    profile() switches to the series there.
-    """
-    a = params.gap + 1.0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xv.size)
-    for start in range(0, xv.size, _CHUNK):
-        xc = xv[start:start + _CHUNK]
-
-        def integrand(t):
-            t = t[:, None]
-            base = np.where(t > 0.0, t, 1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = np.exp(-t) * base ** (a - 1.0) * (xc[None, :] + t) ** (-a)
-            return np.where(t > 0.0, val, 0.0)
-
-        out[start:start + _CHUNK] = integral_zero_inf(integrand, rtol=rtol)
-    return gamma_fn(a) * out
-
-
 def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
     """f3(x) for 0 < x < 1 by the log-case confluent series,
 
@@ -531,7 +486,9 @@ def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
             * [ln x + psi(a+k) - 2 psi(k+1)],   a = gap + 1.
 
     The logarithm makes the x -> 0 end exact where quadrature routes fail;
-    mild cancellation keeps it accurate up to x of order one.
+    mild cancellation keeps it accurate up to x of order one. The loop is
+    its own, not specfun._sum_series, because the digamma bracket makes this
+    no term-ratio series.
     """
     a = params.gap + 1.0
     if np.any(x <= 0.0):
@@ -583,8 +540,8 @@ class MeasureFn:
     density(r) is the full mu_i including the family norm series. The
     Laplace weights are cached on a log grid; cache_agreement records the
     relative disagreement of the cache against its validation route
-    (a second resolution for mu1/mu2, the nested binomial-kernel integral
-    for mu3) and must stay below rtol.
+    (a second resolution for mu1/mu2, Gamma(gap+1)^2 U(gap+1, 1; x) by
+    specfun.tricomi_u for mu3) and must stay below rtol.
     """
     family: str
     params: CSParams
@@ -601,7 +558,7 @@ class MeasureFn:
             nodes, w = _log_simpson(_T_WINDOW[0], _T_WINDOW[1], _Y_LEVELS[-1])
             self._rates = nodes
             self._weights = gamma_fn(a) * w * (nodes / (1.0 + nodes)) ** a
-            ref = _mu3_nested(self.params, _MU3_PROBES)
+            ref = gamma_fn(a) ** 2 * tricomi_u(a, _MU3_PROBES, rtol=1e-8)
             got = _laplace_sum(self._rates, self._weights, _MU3_PROBES)
             self.cache_agreement = float(np.max(np.abs(got / ref - 1.0)))
         else:

@@ -10,11 +10,10 @@ Series are summed by term recurrence with compensated accumulation, and
 each point stops on its own: a scalar runs a plain loop on Python numbers,
 and an array is summed in order of |x| with its converged leading points
 retired, so a grid pays for the terms each point needs rather than for those
-of its largest |x|. All quadrature is composite Simpson under an explicit
-change of variables, with node doubling until two successive estimates
-agree. Nothing here accepts
-complex arguments; callers that need a series at complex argument carry
-their own loop.
+of its largest |x|. This is the package's one loop for term-ratio series;
+it takes real or complex arguments, so 1F1 and 0F2 accept complex x. All
+quadrature is composite Simpson under an explicit change of variables, with
+node doubling until two successive estimates agree.
 """
 
 from __future__ import annotations
@@ -114,24 +113,26 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
     in extended precision.
 
     A point stops once its own |term|/|sum| has stayed below the floor for
-    _SERIES_QUIET consecutive terms; a NaN never counts as quiet. A 0-d x
-    runs the loop on a Python float (float64) or on a numpy scalar of its
-    dtype. An array is summed in order of |x|: the leading points that have
-    all been quiet for the last _SERIES_QUIET terms retire, and only the
-    remaining suffix pays for further terms. Both paths do the same
-    arithmetic per point.
+    _SERIES_QUIET consecutive terms; a NaN never counts as quiet. A complex
+    dtype is kept as well, with the floor of its real precision. A 0-d x
+    runs the loop on a Python float or complex (64-bit parts) or on a numpy
+    scalar of its dtype. An array is summed in order of |x|: the leading
+    points that have all been quiet for the last _SERIES_QUIET terms retire,
+    and only the remaining suffix pays for further terms. Both paths do the
+    same arithmetic per point.
     """
     x = np.asarray(x)
-    if x.dtype.kind != "f":
+    if x.dtype.kind not in "fc":
         x = x.astype(float)
-    eps = _SERIES_EPS if x.dtype == np.float64 else 1.5 * float(np.finfo(x.dtype).eps)
+    wide = x.dtype in (np.float64, np.complex128)
+    eps = _SERIES_EPS if wide else 1.5 * float(np.finfo(x.dtype).eps)
     if x.ndim == 0:
         return _sum_scalar(term_ratio, x, eps, cap, label)
     return _sum_array(term_ratio, x, eps, cap, label)
 
 
 def _sum_scalar(term_ratio, x, eps, cap, label):
-    num = float if x.dtype == np.float64 else x.dtype.type
+    num = {np.float64: float, np.complex128: complex}.get(x.dtype.type, x.dtype.type)
     xv = num(x)
     term = total = num(1.0)
     comp = num(0.0)   # compensated summation carry
@@ -145,7 +146,7 @@ def _sum_scalar(term_ratio, x, eps, cap, label):
         if abs(term) / max(abs(total), 1e-300) < eps:
             quiet += 1
             if quiet >= _SERIES_QUIET:
-                return float(total) if num is float else total
+                return num(total)
         else:
             quiet = 0
     raise SeriesError(
@@ -174,6 +175,7 @@ def _sum_array(term_ratio, x, eps, cap, label):
     # has been quiet for all of them
     window = deque()
     start, sliced = 0, -1
+    cplx = xs.dtype.kind == "c"
     for n in range(cap):
         if sliced != start:
             tv, xv, cv, yv, qv, sv, wv = (
@@ -181,7 +183,14 @@ def _sum_array(term_ratio, x, eps, cap, label):
             qs, sliced = quiet[start:], start
         # the plain loop's operations in its order: term = term * x * ratio;
         # y = term - comp; t = total + y; comp = (t - total) - y; total = t
-        np.multiply(tv, xv, out=tv)
+        if cplx:
+            # each real product rounded on its own, as in a Python complex
+            # multiply; numpy's complex loop may fuse them into FMAs
+            re = tv.real * xv.real - tv.imag * xv.imag
+            tv.imag[...] = tv.real * xv.imag + tv.imag * xv.real
+            tv.real[...] = re
+        else:
+            np.multiply(tv, xv, out=tv)
         np.multiply(tv, term_ratio(n), out=tv)
         np.subtract(tv, cv, out=yv)
         np.add(sv, yv, out=wv)
@@ -215,21 +224,37 @@ def _sum_array(term_ratio, x, eps, cap, label):
     )
 
 
+def _finite_arg(x, label):
+    """x as an array, refused at once if any entry is NaN or infinite."""
+    x = np.asarray(x)
+    if not np.isfinite(x).all():
+        raise DomainError("%s argument x must be finite, got %s" % (label, x[~np.isfinite(x)][0]))
+    return x
+
+
 def hyp1f1(a: float, c: float, x):
     """Confluent hypergeometric 1F1(a; c; x) by direct series.
 
-    x may be a scalar or ndarray. c must not be a non-positive integer.
+    x may be a real or complex scalar or ndarray, and must be finite. c must
+    not be a non-positive integer.
     """
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
+    x = _finite_arg(x, "hyp1f1")
     return _sum_series(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, label="hyp1f1")
 
 
 def hyp0f2(b1: float, b2: float, x):
-    """Generalized hypergeometric 0F2(; b1, b2; x) for b1, b2 > 0 and x >= 0."""
+    """Generalized hypergeometric 0F2(; b1, b2; x) for b1, b2 > 0.
+
+    x may be a real or complex scalar or ndarray, and must be finite. A real
+    x must be >= 0, the radial axis r^2 of the measures; a complex x may
+    have any phase, as the overlap argument conj(z') z of the kernel does.
+    """
     if b1 <= 0.0 or b2 <= 0.0:
         raise DomainError("hyp0f2 needs positive lower parameters, got (%g, %g)" % (b1, b2))
-    if np.any(np.asarray(x) < 0.0):
+    x = _finite_arg(x, "hyp0f2")
+    if x.dtype.kind != "c" and np.any(x < 0.0):
         raise DomainError("hyp0f2 argument must be non-negative")
     return _sum_series(lambda n: 1.0 / ((b1 + n) * (b2 + n) * (n + 1.0)), x, label="hyp0f2")
 
@@ -362,8 +387,10 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
 
         U(a, 1; x) = (1 / Gamma(a)) int_0^inf e^{-x t} t^{a-1} (1 + t)^{-a} dt.
 
-    The integral is scaled by t = s/x; for a < 1 the endpoint power is then
-    absorbed with s = w^{1/a} so the transformed integrand stays bounded.
+    The integral is scaled by t = s/x, and the endpoint power s^{a-1} is
+    absorbed with s = v^m, m = 2/a for a < 2 (else 1), the rule of
+    coherent._scaled_tail: the integrand then rises linearly from zero.
+    Gamma(a)^2 U(a, 1; x) is the lin_new measure profile f3 at a = gap + 1.
     x may be an ndarray.
     """
     a = float(a)
@@ -374,26 +401,22 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
     xv = np.atleast_1d(x_arr)
     if np.any(xv <= 0.0):
         raise DomainError("tricomi_u needs x > 0")
-    pref = xv ** (-a) / gamma_fn(a)
+    m = 1.0 if a >= 2.0 else 2.0 / a
+    power = m * a - 1.0
 
-    if a >= 1.0:
-        def integrand(s):
-            s = s[:, None]
-            with np.errstate(over="ignore"):
-                out = np.exp(-s) * np.where(s > 0.0, s, 1.0) ** (a - 1.0) \
-                    * (1.0 + s / xv[None, :]) ** (-a)
-            return np.where(s > 0.0, out, 1.0 if a == 1.0 else 0.0)
-    else:
-        inv = 1.0 / a
-
-        def integrand(w):
-            w = w[:, None]
-            s = np.where(w > 0.0, w, 1.0) ** inv
-            out = inv * np.exp(-s) * (1.0 + s / xv[None, :]) ** (-a)
-            return np.where(w > 0.0, out, inv)
+    def integrand(v):
+        v = v[:, None]
+        vp = np.where(v > 0.0, v, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = vp ** m
+            decay = np.exp(-s)
+            val = np.where(decay > 0.0,
+                           m * decay * vp ** power * (1.0 + s / xv[None, :]) ** (-a),
+                           0.0)
+        return np.where(v > 0.0, val, 0.0)
 
     integral = integral_zero_inf(integrand, rtol=rtol)
-    out = pref * np.atleast_1d(integral)
+    out = xv ** (-a) / gamma_fn(a) * np.atleast_1d(integral)
     return float(out[0]) if scalar else out.reshape(x_arr.shape)
 
 

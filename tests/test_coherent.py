@@ -375,6 +375,14 @@ def test_mu3_profile_against_confluent_u(mu3_k4, k4_params):
         assert mu3_k4.profile(x) == pytest.approx(want, rel=1e-10)
 
 
+def test_mu3_builds_for_small_gaps_k1():
+    # gap + 1 just above 1 leaves a weak endpoint power in the validation
+    # integral; a route without the endpoint substitution fails to settle
+    for i in range(1, 20):
+        m = measure_fn(MeasureFamily.MU3, CSParams(gap=0.05 * i, k=1))
+        assert m.cache_agreement <= m.rtol
+
+
 def test_moment_strips(mu1_k4, mu2_k4, mu3_k4):
     assert moment_strip(mu1_k4) == (0.0, math.inf)
     assert moment_strip(mu2_k4) == (0.0, 5.0)
