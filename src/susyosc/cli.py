@@ -66,22 +66,26 @@ _FAMILY_FLAGS = {
     "lin-new": Family.LIN_NEW,
 }
 _REJECTED_FAMILIES = ("docs-iso", "aocs-new")
-_MEASURE_FLAGS = {"mu1": MeasureFamily.MU1, "mu2": MeasureFamily.MU2,
-                  "mu3": MeasureFamily.MU3}
 
 
 def parse_z(text: str) -> complex:
-    """R@theta (radians) or re,im rectangular; a bare number is real."""
+    """R@theta (radians) or re,im rectangular; a bare number is real.
+
+    A label with a NaN or infinite part is refused."""
     try:
         if "@" in text:
             mod, phase = text.split("@", 1)
-            return float(mod) * cmath.exp(1j * float(phase))
-        if "," in text:
+            z = float(mod) * cmath.exp(1j * float(phase))
+        elif "," in text:
             re, im = text.split(",", 1)
-            return complex(float(re), float(im))
-        return complex(float(text), 0.0)
+            z = complex(float(re), float(im))
+        else:
+            z = complex(float(text), 0.0)
     except ValueError:
         raise UsageError("cannot parse label %r; use R@theta or re,im" % (text,))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise UsageError("--z label %r is not finite" % (text,))
+    return z
 
 
 def _add_spec_args(p: argparse.ArgumentParser):
@@ -256,16 +260,13 @@ def _suite_ladder(system, checks):
     w = system.weights
     # the stored states carry their own sign convention, so the projection
     # is compared in magnitude; the sign is a relative-phase gauge
+    pairs = [("iso", n) for n in range(1, min(4, system.n_max + 1))] \
+        + [("new", j) for j in range(1, system.spec.k)]
     worst = 0.0
-    for n in range(1, min(4, system.n_max + 1)):
-        got = stencil_projection(op, system.state("iso", n - 1),
-                                 system.state("iso", n), w)
-        ref = natural_down_coeff(n, "iso", params)
-        worst = max(worst, abs(abs(got) / ref - 1.0))
-    for j in range(1, system.spec.k):
-        got = stencil_projection(op, system.state("new", j - 1),
-                                 system.state("new", j), w)
-        ref = natural_down_coeff(j, "new", params)
+    for subspace, n in pairs:
+        got = stencil_projection(op, system.state(subspace, n - 1),
+                                 system.state(subspace, n), w)
+        ref = natural_down_coeff(n, subspace, params)
         worst = max(worst, abs(abs(got) / ref - 1.0))
     _check(checks, "ladder", "stencil_vs_table", worst, 1e-3)
 
@@ -319,14 +320,14 @@ def _moment_probes(m):
 def _suite_measures(system, checks):
     params = CSParams.from_spec(system.spec)
     radii = np.linspace(0.1, 5.0, 25)
-    for flag, fam in sorted(_MEASURE_FLAGS.items()):
+    for fam in MeasureFamily.ALL:
         m = measure_fn(fam, params)
         worst = 0.0
         for s in _moment_probes(m):
             got, want = moment_check(m, s)
             worst = max(worst, abs(got / want - 1.0))
-        _check(checks, "measures", "moments_%s" % flag, worst, 1e-3)
-        _check(checks, "measures", "positivity_%s" % flag,
+        _check(checks, "measures", "moments_%s" % fam, worst, 1e-3)
+        _check(checks, "measures", "positivity_%s" % fam,
                float(-np.min(m.density(radii))), 0.0)
     for family in Family.ALL:
         tol = 1e-8 if family == Family.LIN_ISO else 5e-3
@@ -409,8 +410,9 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _r_grid(args) -> np.ndarray:
-    if args.rmax <= 0:
-        raise UsageError("--rmax must be positive")
+    if not (args.rmax > 0 and math.isfinite(args.rmax * args.rmax)):
+        raise UsageError("--rmax must be positive and finite, with a finite "
+                         "square, got %r" % (args.rmax,))
     if args.npoints < 2:
         raise UsageError("--npoints must be at least 2")
     return np.linspace(args.rmax / args.npoints, args.rmax, args.npoints)
@@ -422,8 +424,8 @@ def cmd_measure(args) -> int:
     r = _r_grid(args)
     x = r * r
     cols = [r]
-    for flag in ("mu1", "mu2", "mu3"):
-        cols.append(measure_fn(_MEASURE_FLAGS[flag], params).profile(x))
+    for fam in MeasureFamily.ALL:
+        cols.append(measure_fn(fam, params).profile(x))
     write_csv(args.out, ["r", "f1", "f2", "f3"], cols)
     print("wrote %s: measure profiles on %d radii up to r=%g"
           % (args.out, r.size, args.rmax))
@@ -433,7 +435,7 @@ def cmd_measure(args) -> int:
 def cmd_density(args) -> int:
     spec = _spec_from_args(args)
     params = CSParams.from_spec(spec)
-    m = measure_fn(_MEASURE_FLAGS[args.measure], params)
+    m = measure_fn(args.measure, params)
     r = _r_grid(args)
     write_csv(args.out, ["r", "density"], [r, m.density(r)])
     print("wrote %s: %s density on %d radii" % (args.out, args.measure, r.size))
@@ -498,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="tabulate one radial measure density")
     _add_spec_args(p)
-    p.add_argument("--measure", required=True, choices=sorted(_MEASURE_FLAGS))
+    p.add_argument("--measure", required=True, choices=MeasureFamily.ALL)
     p.add_argument("--rmax", type=float, default=6.0)
     p.add_argument("--npoints", type=int, default=120)
     p.add_argument("--out", default="density.csv")

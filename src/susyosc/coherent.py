@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gridops import simpson_weights
 from .ladder import LadderCoeffs
-from .specfun import (digamma, gamma_fn, hyp0f2, integral_zero_inf, mellin_moment,
+from .specfun import (digamma, gamma_fn, hyp0f2, laplace_power_integral, mellin_moment,
                       tricomi_u)
 
 _E0 = 0.5
@@ -107,6 +107,15 @@ def _finite_sum(params: CSParams, w, weight_fn):
     for j in range(params.k):
         total = total + weight_fn(params, j) * power
         power = power * w
+    return total
+
+
+def _norm_sum(params: CSParams, w: float, family: str) -> float:
+    """S(|z|^2) of a new-ladder family, refused once it overflows."""
+    total = _finite_sum(params, w, _NEW_WEIGHT[family]).real
+    if not math.isfinite(total):
+        raise DomainError("label with |z|^2=%g overflows the %s norm series"
+                          % (w, family))
     return total
 
 
@@ -176,6 +185,19 @@ def _iso_levels_needed(step, w: float, c0sq: float, n_max: int):
         required=required, cap=n_max)
 
 
+def _label(z):
+    """(z, |z|^2) for a coherent-state label, refused unless both are finite."""
+    z = complex(z)
+    try:
+        w = abs(z) ** 2
+    except OverflowError:
+        w = math.inf
+    if not math.isfinite(w):
+        raise DomainError("label z=%r must be finite, with |z|^2 inside the float "
+                          "range" % (z,))
+    return z, w
+
+
 def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> CoherentState:
     """Coefficient vector of one coherent state.
 
@@ -190,17 +212,17 @@ def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> Co
     the first level where the dropped probability mass is provably below
     1e-12; if that needs more than n_max levels a TruncationError reports
     the required length. Normalization scalars are taken from the closed
-    forms, so sum |c|^2 = 1 - truncation_tail.
+    forms, so sum |c|^2 = 1 - truncation_tail. A label that is not finite,
+    or whose |z|^2 or new-ladder norm series overflows, raises DomainError.
     """
     _check_family(family)
-    z = complex(z)
-    w = abs(z) ** 2
+    z, w = _label(z)
     a, k = params.gap, params.k
 
     if family in Family.NEW:
         weight = _NEW_WEIGHT[family]
         base = z if family == Family.DOCS_NEW else 1j * z
-        norm = 1.0 / math.sqrt(_finite_sum(params, w, weight).real)
+        norm = 1.0 / math.sqrt(_norm_sum(params, w, family))
         coeffs = np.array([norm * base ** j * math.sqrt(weight(params, j))
                            for j in range(k)], dtype=complex)
         return CoherentState(family, z, params, coeffs, 0.0)
@@ -273,22 +295,20 @@ def kernel(family: str, z_prime, z, params: CSParams) -> complex:
     Every family reduces to S(conj(z') z) / sqrt(S(|z'|^2) S(|z|^2)) where S
     is the family's norm series (0F2 for aocs_iso, the finite sums for the
     new families, exp for lin_iso); equal to the coefficient inner product.
+    Both labels are refused as in construct_cs.
     """
     _check_family(family)
-    zp, z = complex(z_prime), complex(z)
+    (zp, wp), (z, wz) = _label(z_prime), _label(z)
     w = np.conj(zp) * z
     if family == Family.LIN_ISO:
-        return complex(cmath.exp(w - 0.5 * (abs(zp) ** 2 + abs(z) ** 2)))
+        return complex(cmath.exp(w - 0.5 * (wp + wz)))
     a, k = params.gap, params.k
     if family == Family.AOCS_ISO:
         num = hyp0f2(a + 1.0, a - k + 1.0, w)
-        den = hyp0f2(a + 1.0, a - k + 1.0, abs(zp) ** 2) \
-            * hyp0f2(a + 1.0, a - k + 1.0, abs(z) ** 2)
+        den = hyp0f2(a + 1.0, a - k + 1.0, wp) * hyp0f2(a + 1.0, a - k + 1.0, wz)
         return complex(num / math.sqrt(den))
-    weight = _NEW_WEIGHT[family]
-    num = _finite_sum(params, w, weight)
-    den = _finite_sum(params, abs(zp) ** 2, weight).real \
-        * _finite_sum(params, abs(z) ** 2, weight).real
+    den = _norm_sum(params, wp, family) * _norm_sum(params, wz, family)
+    num = _finite_sum(params, w, _NEW_WEIGHT[family])
     return complex(num / math.sqrt(den))
 
 
@@ -321,11 +341,10 @@ def divergence_witness(z, params: CSParams, n_terms: int = 200) -> np.ndarray:
     specfun._sum_series, because it returns the partial sums of a series
     that loop could only refuse.
     """
-    z = complex(z)
+    z, w = _label(z)
     if z == 0:
         raise DomainError("divergence witness needs z != 0")
     a, k = params.gap, params.k
-    w = abs(z) ** 2
     term = 1.0
     sums = [1.0]
     for n in range(int(n_terms)):
@@ -380,103 +399,52 @@ def wavefunction(cs: CoherentState, system):
 # integral int_1^inf e^{-cp} (p^2-1)^lam dp. For f3 the density is the
 # beta-like kernel (t/(1+t))^{gap+1} / t of the confluent second-kind
 # function at unit second parameter. The weights are cached on a fixed
-# log-spaced grid; f1/f2 record the disagreement between two resolutions,
-# f3 is checked against its closed form Gamma(gap+1)^2 U(gap+1, 1; x), from
-# specfun.tricomi_u's endpoint-substituted Laplace integral. The
-# Laplace caches are unreliable once e^{-x rate} varies below the smallest
+# log-spaced grid, g evaluated once per cache; f1/f2 record the
+# disagreement against half that y resolution, f3 is checked against its
+# closed form Gamma(gap+1)^2 U(gap+1, 1; x). specfun.laplace_power_integral
+# computes both g and U. The Laplace caches are unreliable once e^{-x rate} varies below the smallest
 # grid rate, so small x is handled by series instead: f1 and f2 tend to
 # finite limits there, while f3 grows logarithmically and switches to the
 # log-case Kummer series below _MU3_SWITCH.
 
 _Y_WINDOW = (1e-9, 1.0e15)
 _T_WINDOW = (1e-12, 200.0)
-_Y_LEVELS = (4096, 8192)
+_LOG_INTERVALS = 8192
 _CHUNK = 512
 _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
 _MU3_SWITCH = 0.5
 
 
-def _scaled_tail(lam: float, c: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """int_0^inf e^{-c q} q^lam (q + 2)^lam dq for a batch of c > 0.
+def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
+    """Positive convolution factor g of f1 or f2 on the y grid.
 
-    The substitution q = u/c makes the decay scale uniform across the batch.
-    The remaining u = 0 power u^lam would ruin the node-doubling rule for
-    fractional lam (Simpson degrades to O(h^{1+lam}), which for small lam
-    escalates the node count past memory limits), so u = v^m with
-    m = 2 / (1 + lam) is substituted on top: the transformed integrand rises
-    linearly from zero for every lam > -1 and its residual fractional power
-    sits at order m (lam + 1) + 1 = 3 or higher. For lam >= 2 the plain
-    integrand is already smooth enough and the substitution would only slow
-    the tail decay, so it is skipped.
-
-    equals e^c Gamma(lam+1) (2/c)^{lam+1/2} K_{lam+1/2}(c) / sqrt(pi), the
-    Bessel-tail closed form, which the test suite uses as the cross-route.
-    """
-    if lam <= -1.0:
-        raise DomainError("tail integral needs lam > -1, got %g" % lam)
-    m = 1.0 if lam >= 2.0 else 2.0 / (1.0 + lam)
-    power = m * (lam + 1.0) - 1.0
-    c = np.asarray(c, dtype=float)
-    out = np.empty_like(c)
-    for start in range(0, c.size, _CHUNK):
-        cc = c[start:start + _CHUNK]
-
-        def integrand(v):
-            v = v[:, None]
-            vp = np.where(v > 0.0, v, 1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = vp ** m
-                decay = np.exp(-u)
-                val = np.where(decay > 0.0,
-                               m * decay * vp ** power
-                               * (u / cc[None, :] + 2.0) ** lam,
-                               0.0)
-            return np.where(v > 0.0, val, 0.0)
-
-        out[start:start + _CHUNK] = integral_zero_inf(integrand, rtol=rtol)
-    return out * c ** (-(lam + 1.0))
-
-
-def _g_mu1(params: CSParams, y: np.ndarray) -> np.ndarray:
-    """Positive convolution factor for f1: carries Gamma(gap+s)Gamma(gap-k+s).
-
-    g(y) = 2 sqrt(pi)/Gamma(k+1/2) * y^gap * int_1^inf e^{-2 sqrt(y) p}
-    (p^2-1)^{k-1/2} dp, the Bessel tail at order k and argument 2 sqrt(y).
-    """
-    lam = params.k - 0.5
-    c = 2.0 * np.sqrt(y)
-    pref = 2.0 * math.sqrt(math.pi) / gamma_fn(params.k + 0.5)
-    # amplitude in log form: y^gap alone can overflow at the top of the y
-    # window long before the product with e^{-c} stops being negligible
-    amp = np.exp(params.gap * np.log(y) - c)
-    return pref * amp * _scaled_tail(lam, c)
-
-
-def _g_mu2(params: CSParams, y: np.ndarray) -> np.ndarray:
-    """Positive convolution factor for f2: carries Gamma(k+1-s)Gamma(gap+1-s).
-
-    Bessel tail at order |gap - k| and argument 2/sqrt(y). The exponent of
-    (p^2 - 1) flips sign with gap - k + 1/2, and exactly one branch applies:
-    lam = gap-k-1/2 with prefactor y^{-(gap+1)} for gap-k > -1/2, else
-    lam = k-gap-1/2 with y^{-(k+1)} on the remaining strip gap-k > -1.
+    g(y) = 2 sqrt(pi)/Gamma(lam+1) * y^power * int_1^inf e^{-c p}
+    (p^2-1)^lam dp, whose Bessel tail is e^{-c} c^{-(lam+1)} times
+    laplace_power_integral(lam, 2, lam; c). mu1 carries
+    Gamma(gap+s)Gamma(gap-k+s): lam = k-1/2, power = gap, c = 2 sqrt(y).
+    mu2 carries Gamma(k+1-s)Gamma(gap+1-s) with c = 2/sqrt(y); the exponent
+    of (p^2 - 1) flips sign with gap - k + 1/2, and exactly one branch
+    applies: lam = gap-k-1/2 with power -(gap+1) for gap-k > -1/2, else
+    lam = k-gap-1/2 with power -(k+1) on the remaining strip gap-k > -1.
     """
     a, k = params.gap, params.k
-    if a - k == -0.5:
+    if family == MeasureFamily.MU1:
+        lam, power, c = k - 0.5, a, 2.0 * np.sqrt(y)
+    elif a - k == -0.5:
         raise DomainError(
             "the branch representations exclude gap - k = -1/2 exactly "
             "(half-integer Bessel order); perturb the system parameters")
-    if a - k > -0.5:
-        lam = a - k - 0.5
-        power = -(a + 1.0)
-        pref = 2.0 * math.sqrt(math.pi) / gamma_fn(a - k + 0.5)
+    elif a - k > -0.5:
+        lam, power, c = a - k - 0.5, -(a + 1.0), 2.0 / np.sqrt(y)
     else:
-        lam = k - a - 0.5
-        power = -(k + 1.0)
-        pref = 2.0 * math.sqrt(math.pi) / gamma_fn(k - a + 0.5)
-    c = 2.0 / np.sqrt(y)
+        lam, power, c = k - a - 0.5, -(k + 1.0), 2.0 / np.sqrt(y)
+    pref = 2.0 * math.sqrt(math.pi) / gamma_fn(lam + 1.0)
+    # amplitude in log form: y^power alone can overflow at an end of the y
+    # window long before the product with e^{-c} stops being negligible
     amp = np.exp(power * np.log(y) - c)
-    return pref * amp * _scaled_tail(lam, c)
+    tail = laplace_power_integral(lam, 2.0, lam, c, rtol=1e-9) * c ** (-(lam + 1.0))
+    return pref * amp * tail
 
 
 def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
@@ -538,10 +506,11 @@ class MeasureFn:
 
     profile(x) is the Mellin-carrying factor f_i on the x = r^2 axis;
     density(r) is the full mu_i including the family norm series. The
-    Laplace weights are cached on a log grid; cache_agreement records the
-    relative disagreement of the cache against its validation route
-    (a second resolution for mu1/mu2, Gamma(gap+1)^2 U(gap+1, 1; x) by
-    specfun.tricomi_u for mu3) and must stay below rtol.
+    Laplace weights are cached on a log grid, the mu1/mu2 factor evaluated
+    once; cache_agreement records the relative disagreement of the cache
+    against its validation route (the even grid nodes for mu1/mu2,
+    Gamma(gap+1)^2 U(gap+1, 1; x) by specfun.tricomi_u for mu3) and must
+    stay below rtol.
     """
     family: str
     params: CSParams
@@ -555,31 +524,28 @@ class MeasureFn:
             raise UsageError("unknown measure family %r" % (self.family,))
         if self.family == MeasureFamily.MU3:
             a = self.params.gap + 1.0
-            nodes, w = _log_simpson(_T_WINDOW[0], _T_WINDOW[1], _Y_LEVELS[-1])
+            nodes, w = _log_simpson(_T_WINDOW[0], _T_WINDOW[1], _LOG_INTERVALS)
             self._rates = nodes
             self._weights = gamma_fn(a) * w * (nodes / (1.0 + nodes)) ** a
             ref = gamma_fn(a) ** 2 * tricomi_u(a, _MU3_PROBES, rtol=1e-8)
             got = _laplace_sum(self._rates, self._weights, _MU3_PROBES)
             self.cache_agreement = float(np.max(np.abs(got / ref - 1.0)))
         else:
-            g_eval = _g_mu1 if self.family == MeasureFamily.MU1 else _g_mu2
-            coarse = None
-            for n in _Y_LEVELS:
-                nodes, w = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], n)
-                rates = 1.0 / nodes
-                weights = w * g_eval(self.params, nodes)
-                if coarse is not None:
-                    a = _laplace_sum(*coarse, _CACHE_PROBES)
-                    b = _laplace_sum(rates, weights, _CACHE_PROBES)
-                    gap = np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
-                    self.cache_agreement = float(np.max(gap))
-                coarse = (rates, weights)
-            self._rates, self._weights = coarse
+            nodes, w = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS)
+            g = _bessel_factor(self.family, self.params, nodes)
+            self._rates, self._weights = 1.0 / nodes, w * g
+            # validation on the even nodes with half-resolution Simpson
+            # weights, so the gap is the y-resolution error alone
+            _, w_half = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS // 2)
+            half = _laplace_sum(self._rates[::2], w_half * g[::2], _CACHE_PROBES)
+            full = _laplace_sum(self._rates, self._weights, _CACHE_PROBES)
+            gap = np.abs(half - full) / np.maximum(np.abs(full), 1e-300)
+            self.cache_agreement = float(np.max(gap))
         if self.cache_agreement > self.rtol:
             raise QuadratureError(
                 "Laplace cache for %s disagrees with its validation route (%g)"
                 % (self.family, self.cache_agreement),
-                nodes_used=_Y_LEVELS[-1], last_estimate=None,
+                nodes_used=_LOG_INTERVALS, last_estimate=None,
                 last_change=self.cache_agreement)
 
     def profile(self, x):

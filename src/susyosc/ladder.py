@@ -207,6 +207,25 @@ def linearized_coeff(direction: str, level: int, subspace: str,
     return LinearizedCoeff(magnitude=math.sqrt(params.gap - level - 1), phase=1j)
 
 
+def _commutator_diagonal(params: LadderCoeffs, subspace: str, count: int, top: int):
+    """ell^- ell^+ - ell^+ ell^- on levels 0..count-1 of one ladder.
+
+    A product that would step past level top, or below level 0, is zero.
+    """
+    out = np.empty(count)
+    for n in range(count):
+        up_then_down = 0.0
+        if n < top:
+            up_then_down = (linearized_coeff("up", n, subspace, params).value
+                            * linearized_coeff("down", n + 1, subspace, params).value)
+        down_then_up = 0.0
+        if n > 0:
+            down_then_up = (linearized_coeff("down", n, subspace, params).value
+                            * linearized_coeff("up", n - 1, subspace, params).value)
+        out[n] = complex(up_then_down - down_then_up).real
+    return out
+
+
 def commutator_check(params: LadderCoeffs, n_max: int = 8):
     """[ell^-, ell^+] on each basis vector, from the coefficient products.
 
@@ -215,27 +234,8 @@ def commutator_check(params: LadderCoeffs, n_max: int = 8):
     algebra, giving eps_0 + 1 - E_0 and E_0 + 1 - eps_0 - k respectively,
     with 1 in between.
     """
-    iso = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        up_then_down = (linearized_coeff("up", n, "iso", params).value
-                        * linearized_coeff("down", n + 1, "iso", params).value)
-        down_then_up = 0.0
-        if n > 0:
-            down_then_up = (linearized_coeff("down", n, "iso", params).value
-                            * linearized_coeff("up", n - 1, "iso", params).value)
-        iso[n] = (up_then_down - down_then_up).real
-    new = np.empty(params.k)
-    for j in range(params.k):
-        up_then_down = 0.0
-        if j < params.k - 1:
-            up_then_down = (linearized_coeff("up", j, "new", params).value
-                            * linearized_coeff("down", j + 1, "new", params).value)
-        down_then_up = 0.0
-        if j > 0:
-            down_then_up = (linearized_coeff("down", j, "new", params).value
-                            * linearized_coeff("up", j - 1, "new", params).value)
-        new[j] = complex(up_then_down - down_then_up).real
-    return iso, new
+    return (_commutator_diagonal(params, "iso", n_max + 1, n_max + 1),
+            _commutator_diagonal(params, "new", params.k, params.k - 1))
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The whole construction downstream (seed solutions, orthogonality measures,
 moment checks) reduces to a short list of primitives: the Gamma function,
 Pochhammer symbols, the confluent series 1F1 and 0F2, the modified Bessel
-function K_nu through its real integral representation, the Tricomi U
-function, and Mellin moments on (0, inf).
+function K_nu through its real integral representation, one Laplace-type
+integral for the Tricomi U function and the mu1/mu2 measure factors, and
+Mellin moments on (0, inf).
 
 Series are summed by term recurrence with compensated accumulation, and
 each point stops on its own: a scalar runs a plain loop on Python numbers,
@@ -31,6 +32,7 @@ _SERIES_CAP = 100_000
 _SERIES_EPS = 1e-16
 _SERIES_QUIET = 50       # consecutive negligible terms required before stopping
 _MAX_NODES = 2 ** 20
+_CHUNK = 512            # values of c per shared node-doubling run
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +342,7 @@ def integral_interval(f, a: float, b: float, rtol: float = 1e-10, max_nodes: int
 
 
 # ----------------------------------------------------------------------
-# Bessel K and Tricomi U through their real integral representations
+# Bessel K, the Laplace-type integral and Tricomi U
 # ----------------------------------------------------------------------
 
 def bessel_k(nu: float, z, rtol: float = 1e-10):
@@ -382,42 +384,61 @@ def bessel_k(nu: float, z, rtol: float = 1e-10):
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
 
+def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10):
+    """int_0^inf e^{-s} s^p (b + s/c)^q ds for p > -1, b > 0 and a batch of c > 0.
+
+    The endpoint power s^p would ruin the node-doubling rule for fractional p
+    (Simpson degrades to O(h^{1+p}), which for small p escalates the node
+    count past memory limits), so s = v^m with m = 2 / (1 + p) is substituted:
+    the transformed integrand rises linearly from zero for every p > -1 and
+    its residual fractional power sits at order m (p + 1) + 1 = 3 or higher.
+    For p >= 2 the plain integrand is already smooth enough and the
+    substitution would only slow the tail decay, so it is skipped. c may be
+    an ndarray; _CHUNK values of c at a time share their nodes.
+    """
+    p = float(p)
+    if p <= -1.0:
+        raise DomainError("Laplace integral needs p > -1 (tricomi_u: a > 0), got p=%g" % p)
+    c_arr = np.asarray(c, dtype=float)
+    cv = c_arr.ravel()
+    if np.any(cv <= 0.0):
+        raise DomainError("laplace_power_integral needs c > 0")
+    m = 1.0 if p >= 2.0 else 2.0 / (1.0 + p)
+    power = m * (p + 1.0) - 1.0
+    out = np.empty_like(cv)
+    for start in range(0, cv.size, _CHUNK):
+        cc = cv[start:start + _CHUNK]
+
+        def integrand(v):
+            v = v[:, None]
+            vp = np.where(v > 0.0, v, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = vp ** m
+                decay = np.exp(-s)
+                val = np.where(decay > 0.0,
+                               m * decay * vp ** power * (s / cc[None, :] + b) ** q,
+                               0.0)
+            return np.where(v > 0.0, val, 0.0)
+
+        out[start:start + _CHUNK] = integral_zero_inf(integrand, rtol=rtol)
+    return out.reshape(c_arr.shape)
+
+
 def tricomi_u(a: float, x, rtol: float = 1e-10):
     """Tricomi confluent U(a, 1; x) for a > 0, x > 0, from the Laplace integral
 
         U(a, 1; x) = (1 / Gamma(a)) int_0^inf e^{-x t} t^{a-1} (1 + t)^{-a} dt.
 
-    The integral is scaled by t = s/x, and the endpoint power s^{a-1} is
-    absorbed with s = v^m, m = 2/a for a < 2 (else 1), the rule of
-    coherent._scaled_tail: the integrand then rises linearly from zero.
-    Gamma(a)^2 U(a, 1; x) is the lin_new measure profile f3 at a = gap + 1.
-    x may be an ndarray.
+    The scaling t = s/x turns it into x^{-a} / Gamma(a) times
+    laplace_power_integral(a - 1, 1, -a; x), whose endpoint substitution
+    absorbs the power s^{a-1}. Gamma(a)^2 U(a, 1; x) is the lin_new measure
+    profile f3 at a = gap + 1. x may be an ndarray.
     """
     a = float(a)
-    if a <= 0.0:
-        raise DomainError("tricomi_u integral representation needs a > 0")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xv = np.atleast_1d(x_arr)
-    if np.any(xv <= 0.0):
-        raise DomainError("tricomi_u needs x > 0")
-    m = 1.0 if a >= 2.0 else 2.0 / a
-    power = m * a - 1.0
-
-    def integrand(v):
-        v = v[:, None]
-        vp = np.where(v > 0.0, v, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = vp ** m
-            decay = np.exp(-s)
-            val = np.where(decay > 0.0,
-                           m * decay * vp ** power * (1.0 + s / xv[None, :]) ** (-a),
-                           0.0)
-        return np.where(v > 0.0, val, 0.0)
-
-    integral = integral_zero_inf(integrand, rtol=rtol)
-    out = xv ** (-a) / gamma_fn(a) * np.atleast_1d(integral)
-    return float(out[0]) if scalar else out.reshape(x_arr.shape)
+    integral = laplace_power_integral(a - 1.0, 1.0, -a, x_arr, rtol=rtol)
+    out = x_arr ** (-a) / gamma_fn(a) * integral
+    return float(out) if x_arr.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -437,24 +458,18 @@ def mellin_moment(f, s: float, rtol: float = 1e-8) -> float:
     if s <= 0.0:
         raise DomainError("mellin_moment needs s > 0, got %g" % s)
 
-    # arguments handed to f stay strictly inside (e^-690, e^690) so callers
-    # never see an exact 0 or inf; the true v is kept in the weight exponent
-    def upper(v):
-        fv = np.asarray(f(np.exp(np.minimum(v, 690.0))), dtype=float)
+    # x = e^{sign v}: arguments handed to f stay strictly inside
+    # (e^-690, e^690) so callers never see an exact 0 or inf; the true v is
+    # kept in the weight exponent
+    def half(v, sign):
+        fv = np.asarray(f(np.exp(sign * np.minimum(v, 690.0))), dtype=float)
         out = np.zeros_like(fv)
         m = fv != 0.0
         # multiply in log space so a huge x^{s} never meets a tiny f(x) head on
         with np.errstate(over="ignore"):
-            out[m] = np.sign(fv[m]) * np.exp(s * v[m] + np.log(np.abs(fv[m])))
+            out[m] = np.sign(fv[m]) * np.exp(sign * s * v[m] + np.log(np.abs(fv[m])))
         return out
 
-    def lower(v):
-        fv = np.asarray(f(np.exp(-np.minimum(v, 690.0))), dtype=float)
-        out = np.zeros_like(fv)
-        m = fv != 0.0
-        out[m] = np.sign(fv[m]) * np.exp(-s * v[m] + np.log(np.abs(fv[m])))
-        return out
-
-    hi = integral_zero_inf(upper, rtol=rtol)
-    lo = integral_zero_inf(lower, rtol=rtol)
+    hi = integral_zero_inf(lambda v: half(v, 1.0), rtol=rtol)
+    lo = integral_zero_inf(lambda v: half(v, -1.0), rtol=rtol)
     return float(hi + lo)

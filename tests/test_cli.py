@@ -30,6 +30,9 @@ def test_parse_z_forms():
     assert parse_z("2.5") == complex(2.5, 0.0)
     with pytest.raises(UsageError):
         parse_z("nope@@1")
+    for text in ("nan", "inf", "nan,0", "1@nan", "inf@0"):
+        with pytest.raises(UsageError, match="not finite"):
+            parse_z(text)
 
 
 def test_build_round_trip(k1_doc):
@@ -211,6 +214,22 @@ def test_radial_grid_validation(tmp_path):
               + ["--measure", "mu1", "--npoints", "1",
                  "--out", str(tmp_path / "d.csv")])
     assert rc == 2
+
+
+def test_non_finite_radius_refused(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["measure"] + _K1_FLAGS + ["--rmax", "nan", "--out", str(out)]) == 2
+    assert "--rmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_label_refused(tmp_path, capsys):
+    out = tmp_path / "cs.json"
+    rc = main(["cs", "--k", "2", "--eps-top", "-1.3", "--nu", "0",
+               "--family", "docs-new", "--z=1e200", "--out", str(out)])
+    assert rc == 2
+    assert "|z|^2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc, fields", [

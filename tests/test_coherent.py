@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyosc.coherent import _scaled_tail
 from susyosc.errors import (
     DomainError,
     InvalidSpecError,
     TruncationError,
     UsageError,
 )
+from susyosc.specfun import laplace_power_integral
 from susyosc import (
     CSParams,
     Family,
@@ -247,6 +247,25 @@ def test_kernel_bounded_by_one(zp, z):
         assert abs(kernel(fam, zp, z, params)) <= 1.0 + 1e-12
 
 
+def test_non_finite_and_overflowing_labels_refused(k4_params):
+    for z in (complex("inf"), complex("nan"), 1e200):
+        for fam in Family.ALL:
+            with pytest.raises(DomainError):
+                construct_cs(fam, z, k4_params)
+            with pytest.raises(DomainError):
+                kernel(fam, 0.5, z, k4_params)
+            with pytest.raises(DomainError):
+                kernel(fam, z, 0.5, k4_params)
+        with pytest.raises(DomainError):
+            divergence_witness(z, k4_params)
+    # |z|^2 fits, but |z|^6 overflows the k = 4 norm series of the new ladder
+    for fam in Family.NEW:
+        with pytest.raises(DomainError):
+            construct_cs(fam, 1e150, k4_params)
+        with pytest.raises(DomainError):
+            kernel(fam, 1e150, 0.5, k4_params)
+
+
 # ----------------------------------------------------------------------
 # Time evolution
 # ----------------------------------------------------------------------
@@ -323,12 +342,15 @@ def test_wavefunction_needs_enough_basis_states(k4_system, k4_params):
 # ----------------------------------------------------------------------
 
 def test_scaled_tail_matches_bessel_identity():
-    # e^c Gamma(lam+1) (2/c)^{lam+1/2} K_{lam+1/2}(c) / sqrt(pi); the two
-    # routes share nothing (node-doubling quadrature vs the K recurrence),
-    # and the lam values cover both substitution branches and both mu2 signs
+    # int_0^inf e^{-cq} q^lam (q+2)^lam dq, the tail integral of the mu1/mu2
+    # factors, equals e^c Gamma(lam+1) (2/c)^{lam+1/2} K_{lam+1/2}(c) / sqrt(pi);
+    # the two routes share nothing (the endpoint-substituted Laplace integral
+    # vs the K representation), and the lam values cover both substitution
+    # branches and both mu2 signs
     for lam in (-0.8, 0.3, 1.8, 3.5):
         for c in (0.5, 2.0, 10.0):
-            got = float(_scaled_tail(lam, np.array([c]))[0])
+            got = float(laplace_power_integral(lam, 2.0, lam, np.array([c]), rtol=1e-9)[0]) \
+                * c ** (-(lam + 1.0))
             want = math.exp(c) * gamma_fn(lam + 1.0) * (2.0 / c) ** (lam + 0.5) \
                 * bessel_k(lam + 0.5, c) / math.sqrt(math.pi)
             assert abs(got / want - 1.0) < 1e-8
@@ -336,7 +358,9 @@ def test_scaled_tail_matches_bessel_identity():
 
 def test_scaled_tail_domain():
     with pytest.raises(DomainError):
-        _scaled_tail(-1.0, np.array([1.0]))
+        laplace_power_integral(-1.0, 2.0, -1.0, np.array([1.0]))
+    with pytest.raises(DomainError):
+        laplace_power_integral(0.5, 2.0, 0.5, np.array([1.0, 0.0]))
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +383,60 @@ def test_measure_profiles_frozen(mu1_k4, mu2_k4, mu3_k4):
     assert np.allclose(mu1_k4.profile(xs), f1, rtol=1e-6)
     assert np.allclose(mu2_k4.profile(xs), f2, rtol=1e-6)
     assert np.allclose(mu3_k4.profile(xs), f3, rtol=1e-6)
+
+
+# profile(r^2) and density(r) at _FROZEN_RADII for gap 6.3 (k = 4) and gap
+# 1.5 (k = 1), frozen from the construction; a change to the tail quadrature
+# or the cache grid may move them by rounding only
+_FROZEN_RADII = np.array([0.3, 0.6, 1.0, 1.7, 2.5, 4.0])
+_FROZEN_MEASURES = {
+    ("mu1", 4, "profile"): [
+        232.45653054728197, 224.10428522772747, 206.95678899458525,
+        168.96192374894974, 125.2935167841436, 64.01574765129499],
+    ("mu1", 4, "density"): [
+        0.021768658651256864, 0.021222323680018446, 0.020121298124690337,
+        0.0177328623980429, 0.014999349886408992, 0.01093081045949583],
+    ("mu2", 4, "profile"): [
+        3258.166075800086, 137.63012422702198, 4.451763744675377,
+        0.05928248889799829, 0.0018553426179229336, 2.1774919371301035e-05],
+    ("mu2", 4, "density"): [
+        2.603407022780733, 0.6907973948760917, 0.18779933563949025,
+        0.037920225826141914, 0.010306642224121133, 0.0018649395932055783],
+    ("mu3", 4, "profile"): [
+        521.8295598199727, 90.06232201874678, 11.71076579941589,
+        0.5261676923180371, 0.025238673088555735, 0.00023995103051582898],
+    ("mu3", 4, "density"): [
+        1.2548901062380449, 0.531818734623568, 0.26019045543805963,
+        0.09488094799676164, 0.03052109714045577, 0.0038229439911422643],
+    ("mu1", 1, "profile"): [
+        0.8560407412914632, 0.5031799369995893, 0.2642331024210625,
+        0.09553037567331546, 0.03334295417611691, 0.005647778515186584],
+    ("mu1", 1, "density"): [
+        0.23687314297661952, 0.14927623457260442, 0.09154240678791475,
+        0.04919516777065146, 0.03014196111184316, 0.016361867976689256],
+    ("mu2", 1, "profile"): [
+        0.9177438903247326, 0.4596735135187546, 0.186674147693291,
+        0.05156137014201702, 0.01681334767077786, 0.0036635733327963706],
+    ("mu2", 1, "density"): [
+        0.32962996822274626, 0.16510288681999388, 0.06704854591881283,
+        0.018519516153270646, 0.006038921442969734, 0.00131586118306281],
+    ("mu3", 1, "profile"): [
+        1.4458919606444403, 0.5113993433032921, 0.1680042512740435,
+        0.03548209771911074, 0.008778378200375232, 0.001234900574481021],
+    ("mu3", 1, "density"): [
+        0.5193271522320989, 0.18368147264107648, 0.060342799982197604,
+        0.012744255632678062, 0.0031529673558633718, 0.0004435444805635227],
+}
+
+
+def test_measure_values_frozen_tight(mu1_k4, mu2_k4, mu3_k4, k1_params):
+    built = {(m.family, 4): m for m in (mu1_k4, mu2_k4, mu3_k4)}
+    for fam in MeasureFamily.ALL:
+        built[fam, 1] = measure_fn(fam, k1_params)
+    for (fam, k, what), want in _FROZEN_MEASURES.items():
+        m = built[fam, k]
+        got = m.profile(_FROZEN_RADII ** 2) if what == "profile" else m.density(_FROZEN_RADII)
+        assert np.max(np.abs(got / np.array(want) - 1.0)) < 1e-12, (fam, k, what)
 
 
 def test_mu1_profile_frozen_k1(k1_params):

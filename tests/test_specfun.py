@@ -260,12 +260,13 @@ def test_tricomi_u_power_tail():
 
 
 def test_tricomi_u_matches_mpmath():
-    # both sides of a = 2, where the endpoint substitution switches off, and
-    # a just above 1, where the plain integrand's endpoint power is weakest
+    # both sides of a = 3, where the endpoint substitution switches off, a in
+    # [2, 3), which it reaches through the shared rule p = a - 1 < 2, and a
+    # just above 1, where the plain integrand's endpoint power is weakest
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     xs = np.array([0.5, 1.0, 4.0, 25.0, 100.0])
-    for a in (0.3, 0.7, 1.0, 1.05, 1.2, 1.6, 2.0, 3.5, 7.3, 15.0):
+    for a in (0.3, 0.7, 1.0, 1.05, 1.2, 1.6, 2.0, 2.5, 2.9, 3.5, 7.3, 15.0):
         got = tricomi_u(a, xs)
         want = np.array([float(mpmath.hyperu(a, 1, x)) for x in xs])
         assert np.max(np.abs(got / want - 1.0)) < 1e-9
