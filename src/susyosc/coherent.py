@@ -500,9 +500,9 @@ def _laplace_sum(rates: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.nd
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureFn:
-    """One radial measure, positive by construction.
+    """One radial measure, positive by construction, and immutable.
 
     profile(x) is the Mellin-carrying factor f_i on the x = r^2 axis;
     density(r) is the full mu_i including the family norm series. The
@@ -510,43 +510,48 @@ class MeasureFn:
     once; cache_agreement records the relative disagreement of the cache
     against its validation route (the even grid nodes for mu1/mu2,
     Gamma(gap+1)^2 U(gap+1, 1; x) by specfun.tricomi_u for mu3) and must
-    stay below rtol.
+    stay below rtol. The fields cannot be reassigned and the cached arrays
+    are read-only, so measure_fn can hand one instance to every caller.
     """
     family: str
     params: CSParams
     rtol: float = 1e-6
     cache_agreement: float = field(init=False, default=0.0)
-    _rates: np.ndarray = field(init=False, repr=False, default=None)
-    _weights: np.ndarray = field(init=False, repr=False, default=None)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.family not in MeasureFamily.ALL:
             raise UsageError("unknown measure family %r" % (self.family,))
         if self.family == MeasureFamily.MU3:
             a = self.params.gap + 1.0
-            nodes, w = _log_simpson(_T_WINDOW[0], _T_WINDOW[1], _LOG_INTERVALS)
-            self._rates = nodes
-            self._weights = gamma_fn(a) * w * (nodes / (1.0 + nodes)) ** a
+            rates, w = _log_simpson(_T_WINDOW[0], _T_WINDOW[1], _LOG_INTERVALS)
+            weights = gamma_fn(a) * w * (rates / (1.0 + rates)) ** a
             ref = gamma_fn(a) ** 2 * tricomi_u(a, _MU3_PROBES, rtol=1e-8)
-            got = _laplace_sum(self._rates, self._weights, _MU3_PROBES)
-            self.cache_agreement = float(np.max(np.abs(got / ref - 1.0)))
+            got = _laplace_sum(rates, weights, _MU3_PROBES)
+            agreement = float(np.max(np.abs(got / ref - 1.0)))
         else:
             nodes, w = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS)
             g = _bessel_factor(self.family, self.params, nodes)
-            self._rates, self._weights = 1.0 / nodes, w * g
+            rates, weights = 1.0 / nodes, w * g
             # validation on the even nodes with half-resolution Simpson
             # weights, so the gap is the y-resolution error alone
             _, w_half = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS // 2)
-            half = _laplace_sum(self._rates[::2], w_half * g[::2], _CACHE_PROBES)
-            full = _laplace_sum(self._rates, self._weights, _CACHE_PROBES)
+            half = _laplace_sum(rates[::2], w_half * g[::2], _CACHE_PROBES)
+            full = _laplace_sum(rates, weights, _CACHE_PROBES)
             gap = np.abs(half - full) / np.maximum(np.abs(full), 1e-300)
-            self.cache_agreement = float(np.max(gap))
-        if self.cache_agreement > self.rtol:
+            agreement = float(np.max(gap))
+        if agreement > self.rtol:
             raise QuadratureError(
                 "Laplace cache for %s disagrees with its validation route (%g)"
-                % (self.family, self.cache_agreement),
+                % (self.family, agreement),
                 nodes_used=_LOG_INTERVALS, last_estimate=None,
-                last_change=self.cache_agreement)
+                last_change=agreement)
+        rates.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "cache_agreement", agreement)
+        object.__setattr__(self, "_rates", rates)
+        object.__setattr__(self, "_weights", weights)
 
     def profile(self, x):
         """f_i(x) with x = r^2; accepts scalars or arrays."""
@@ -567,7 +572,12 @@ class MeasureFn:
         return float(out[0]) if scalar else out.reshape(x_arr.shape)
 
     def density(self, r):
-        """mu_i(r) >= 0 for r > 0."""
+        """mu_i(r) >= 0 for r > 0.
+
+        A radius where the value is not finite (the profile underflows to
+        zero while the norm series overflows, or 0F2 itself overflows) is
+        refused with DomainError rather than returned as NaN.
+        """
         r_arr = np.asarray(r, dtype=float)
         scalar = r_arr.ndim == 0
         rv = np.atleast_1d(r_arr).astype(float)
@@ -575,23 +585,41 @@ class MeasureFn:
             raise DomainError("measure density needs r > 0")
         x = rv * rv
         a, k = self.params.gap, self.params.k
-        if self.family == MeasureFamily.MU1:
-            series = hyp0f2(a + 1.0, a - k + 1.0, x)
-            scale = 1.0 / (math.pi * gamma_fn(a + 1.0) * gamma_fn(a - k + 1.0))
-        elif self.family == MeasureFamily.MU2:
-            series = _finite_sum(self.params, x, _docs_weight)
-            scale = 1.0 / (math.pi * gamma_fn(a) * gamma_fn(float(k)))
-        else:
-            series = _finite_sum(self.params, x, _lin_new_weight)
-            scale = 1.0 / math.pi
-        out = self.profile(x) * series * scale
-        out = np.atleast_1d(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.family == MeasureFamily.MU1:
+                series = hyp0f2(a + 1.0, a - k + 1.0, x)
+                scale = 1.0 / (math.pi * gamma_fn(a + 1.0) * gamma_fn(a - k + 1.0))
+            elif self.family == MeasureFamily.MU2:
+                series = _finite_sum(self.params, x, _docs_weight)
+                scale = 1.0 / (math.pi * gamma_fn(a) * gamma_fn(float(k)))
+            else:
+                series = _finite_sum(self.params, x, _lin_new_weight)
+                scale = 1.0 / math.pi
+            out = np.atleast_1d(self.profile(x) * series * scale)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise DomainError("%s density is not finite at r=%g"
+                              % (self.family, rv[bad][0]))
         return float(out[0]) if scalar else out.reshape(r_arr.shape)
 
 
+# one shared, immutable MeasureFn per (family, params, rtol); the oldest
+# entry goes once the store is full, and a refused build is never stored
+_MEASURES = {}
+_MEASURES_CAP = 64
+
+
 def measure_fn(family: str, params: CSParams, rtol: float = 1e-6) -> MeasureFn:
-    """Build a new MeasureFn, the radial measure of one family tag."""
-    return MeasureFn(family=family, params=params, rtol=rtol)
+    """The radial measure of one family tag: one shared, immutable MeasureFn
+    per (family, params, rtol), built on the first call for its key."""
+    key = (family, params, float(rtol))
+    m = _MEASURES.get(key)
+    if m is None:
+        m = MeasureFn(family=family, params=params, rtol=float(rtol))
+        if len(_MEASURES) >= _MEASURES_CAP:
+            del _MEASURES[next(iter(_MEASURES))]
+        _MEASURES[key] = m
+    return m
 
 
 def moment_strip(m: MeasureFn):

@@ -14,11 +14,14 @@ retired, so a grid pays for the terms each point needs rather than for those
 of its largest |x|. This is the package's one loop for term-ratio series;
 it takes real or complex arguments, so 1F1 and 0F2 accept complex x. All
 quadrature is composite Simpson under an explicit change of variables, with
-node doubling until two successive estimates agree.
+node doubling until two successive estimates agree; each level's nodes are
+the even nodes of the next, so a doubling run evaluates its integrand once
+per node and every later level only on its new odd nodes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -135,27 +138,39 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
 
 def _sum_scalar(term_ratio, x, eps, cap, label):
     num = {np.float64: float, np.complex128: complex}.get(x.dtype.type, x.dtype.type)
+    finite = {float: math.isfinite, complex: cmath.isfinite}.get(num, np.isfinite)
     xv = num(x)
     term = total = num(1.0)
     comp = num(0.0)   # compensated summation carry
     quiet = 0
-    for n in range(cap):
-        term = term * xv * term_ratio(n)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) / max(abs(total), 1e-300) < eps:
-            quiet += 1
-            if quiet >= _SERIES_QUIET:
-                return num(total)
-        else:
-            quiet = 0
-    raise SeriesError(
-        "%s did not converge within %d terms" % (label, cap),
-        terms_used=cap,
-        partial_sum=float(abs(total)),
-    )
+    # blocks of _SERIES_QUIET terms keep the finiteness test off the per-term path
+    for block in range(0, cap, _SERIES_QUIET):
+        for n in range(block, min(block + _SERIES_QUIET, cap)):
+            term = term * xv * term_ratio(n)
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if abs(term) / max(abs(total), 1e-300) < eps:
+                quiet += 1
+                if quiet >= _SERIES_QUIET:
+                    return num(total)
+            else:
+                quiet = 0
+        if not finite(total):
+            raise _series_error(label, n + 1, cap, float(abs(total)))
+    raise _series_error(label, cap, cap, float(abs(total)))
+
+
+def _series_error(label, terms, cap, partial):
+    """The refusal of a series that hit its cap or whose partial sum is no
+    longer finite; an overflowed sum turns NaN, which is never quiet and
+    never finite again, so waiting for the cap would change no answer."""
+    if terms < cap:
+        why = "partial sum is not finite after %d terms" % terms
+    else:
+        why = "did not converge within %d terms" % cap
+    return SeriesError("%s %s" % (label, why), terms_used=terms, partial_sum=partial)
 
 
 def _sum_array(term_ratio, x, eps, cap, label):
@@ -212,18 +227,18 @@ def _sum_array(term_ratio, x, eps, cap, label):
         window.append((n, end))
         if window[0][0] <= n - _SERIES_QUIET:
             window.popleft()
+        # retired points were quiet, hence finite; test the active suffix
+        if (n + 1) % _SERIES_QUIET == 0 and not np.isfinite(sv).all():
+            out[order[start:]] = sv
+            raise _series_error(label, n + 1, cap, float(np.max(np.abs(out))))
         if n + 1 >= _SERIES_QUIET and window[0][1] > start:
             done = window[0][1]
             out[order[start:done]] = sv[:done - start]
             if done == size:
                 return out.reshape(x.shape)
             start = done
-    out[order[start:]] = sv
-    raise SeriesError(
-        "%s did not converge within %d terms" % (label, cap),
-        terms_used=cap,
-        partial_sum=float(np.max(np.abs(out))),
-    )
+    out[order[start:]] = total[start:]
+    raise _series_error(label, cap, cap, float(np.max(np.abs(out))))
 
 
 def _finite_arg(x, label):
@@ -305,11 +320,22 @@ def semi_infinite_rule(n_intervals: int) -> QuadratureRule:
 
 
 def _doubling(make_rule, f, rtol, max_nodes, what):
+    # each rule's nodes are the even nodes of the next one, so a level only
+    # evaluates f on its new odd nodes and reuses the values it already has
     n = 32
     prev = None
     est = None
+    vals = None
     while n <= max_nodes:
-        est = make_rule(n).apply(f)
+        rule = make_rule(n)
+        if vals is None:
+            vals = np.asarray(f(rule.nodes), dtype=float)
+        else:
+            new = np.asarray(f(rule.nodes[1::2]), dtype=float)
+            full = np.empty((rule.nodes.size,) + new.shape[1:])
+            full[0::2], full[1::2] = vals, new
+            vals = full
+        est = np.tensordot(rule.weights, vals, axes=(0, 0))
         if prev is not None:
             scale = np.max(np.abs(est))
             tol = rtol * np.maximum(np.abs(est), 1e-9 * scale) + 1e-300
@@ -330,7 +356,10 @@ def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
 
     f must accept an ndarray of nodes and may return extra trailing axes
     (a batch of integrands sharing the nodes); integration runs along the
-    first axis. The integrand has to vanish at infinity.
+    first axis. The integrand has to vanish at infinity. Each doubling
+    evaluates f only on the new odd nodes and reuses the previous level's
+    values on the even ones, so f sees every node once and should not make
+    a node's value depend on the rest of its batch.
     """
     return _doubling(semi_infinite_rule, f, rtol, max_nodes, "semi-infinite integral")
 

@@ -232,6 +232,19 @@ def test_overflowing_label_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_density_refuses_non_finite_values(tmp_path, capsys):
+    # mu2: 0 * inf at the far radii; mu1: 0F2 overflows and is refused at once
+    for measure, said in (("mu2", "mu2 density is not finite"),
+                          ("mu1", "hyp0f2 partial sum is not finite")):
+        out = tmp_path / ("density_%s.csv" % measure)
+        rc = main(["density"] + _K4_FLAGS + ["--measure", measure,
+                                             "--rmax", "1e100", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert said in err and "Traceback" not in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("exc, fields", [
     (SeriesError("series stalled", terms_used=500, partial_sum=2.5),
      ["  terms_used: 500", "  partial_sum: 2.5"]),

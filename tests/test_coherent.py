@@ -8,6 +8,7 @@ code with the Laplace-cache construction.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -520,6 +521,46 @@ def test_mu2_branch_boundary_excluded():
     # gap - k = -1/2 sits exactly between the two integral representations
     with pytest.raises(DomainError):
         measure_fn(MeasureFamily.MU2, CSParams(gap=3.5, k=4))
+
+
+def test_measure_fn_shares_one_instance_per_key(mu1_k4, mu2_k4, k4_params, k1_params):
+    assert measure_fn(MeasureFamily.MU1, k4_params) is mu1_k4
+    assert measure_fn(MeasureFamily.MU1, CSParams(gap=k4_params.gap, k=4)) is mu1_k4
+    assert measure_fn(MeasureFamily.MU1, k4_params, 1e-6) is mu1_k4
+    assert measure_fn(MeasureFamily.MU1, k4_params, rtol=1e-6) is mu1_k4
+    others = [mu2_k4, measure_fn(MeasureFamily.MU1, k1_params),
+              measure_fn(MeasureFamily.MU1, k4_params, rtol=1e-5)]
+    assert all(m is not mu1_k4 for m in others)
+    assert others[2].rtol == 1e-5
+    assert np.array_equal(others[2].profile(2.0), mu1_k4.profile(2.0))
+
+
+def test_shared_measure_is_immutable(mu1_k4, mu3_k4):
+    for m in (mu1_k4, mu3_k4):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.rtol = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.cache_agreement = 0.0
+        for arr in (m._weights, m._rates):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_refused_measure_not_stored():
+    # gap - k = -1/2: refused on every call, never served from the store
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            measure_fn(MeasureFamily.MU2, CSParams(gap=3.5, k=4))
+
+
+def test_density_refuses_non_finite_value(mu2_k4, mu3_k4):
+    # the profile underflows to 0 while the degree-(k-1) norm series
+    # overflows; the product would be NaN
+    for m in (mu2_k4, mu3_k4):
+        with pytest.raises(DomainError, match="%s density is not finite at r=1e\\+100"
+                           % m.family):
+            m.density(np.array([1.0, 1e100, 2e100]))
+        assert m.density(1.0) > 0.0
 
 
 # ----------------------------------------------------------------------

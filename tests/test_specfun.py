@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susyosc import specfun
 from susyosc.errors import DomainError, QuadratureError, SeriesError
 from susyosc.specfun import (
+    _SERIES_CAP,
     _SERIES_QUIET,
     QuadratureRule,
     _sum_series,
@@ -280,11 +282,22 @@ def test_mellin_moment_gamma_and_nontrivial():
 
 
 def test_series_nan_point_never_counts_as_quiet():
+    # a NaN point is never returned as converged; its total is not finite,
+    # so the refusal comes at the first finiteness test, not at the cap
     ratio = lambda n: 1.0 / (n + 1.0)
     for x in (np.array([0.5, np.nan]), np.nan):
         with pytest.raises(SeriesError) as info:
             _sum_series(ratio, x, cap=300)
-        assert info.value.terms_used == 300
+        assert info.value.terms_used == _SERIES_QUIET
+        assert math.isnan(info.value.partial_sum)
+
+
+def test_series_cap_reached_on_a_retiring_term():
+    # 0.5 retires on term 64 of e^x; with the cap there the refusal must
+    # still be a SeriesError carrying the unconverged 60.0 partial sum
+    with pytest.raises(SeriesError) as info:
+        _sum_series(lambda n: 1.0 / (n + 1.0), np.array([0.5, 60.0]), cap=64)
+    assert info.value.terms_used == 64 and info.value.partial_sum > 1e20
 
 
 def test_series_return_types():
@@ -304,3 +317,89 @@ def test_semi_infinite_rule_positive_weights():
     rule = semi_infinite_rule(64)
     assert np.all(rule.weights > 0.0)
     assert np.all(np.isfinite(rule.nodes))
+
+
+def test_overflowing_series_refused_at_once():
+    # an overflowed partial sum turns NaN and can never settle; the refusal
+    # comes within _SERIES_QUIET terms of the overflow instead of at the cap
+    for x in (1e200, 1e200 + 1e100j, np.array([0.5, 3.0, 1e200, 2.0])):
+        with np.errstate(all="ignore"), \
+                pytest.raises(SeriesError, match="not finite") as info:
+            hyp0f2(2.5, 1.5, x)
+        assert info.value.terms_used <= 2 * _SERIES_QUIET < _SERIES_CAP
+        assert math.isnan(info.value.partial_sum)
+
+
+# ----------------------------------------------------------------------
+# Node doubling: each node evaluated once, estimates as rule by rule
+# ----------------------------------------------------------------------
+
+def _reference_doubling(make_rule, f, rtol, max_nodes=2 ** 20):
+    """The rule-by-rule loop: every level applies its whole rule to f."""
+    n, prev = 32, None
+    while n <= max_nodes:
+        est = make_rule(n).apply(f)
+        if prev is not None:
+            scale = np.max(np.abs(est))
+            tol = rtol * np.maximum(np.abs(est), 1e-9 * scale) + 1e-300
+            if np.all(np.abs(est - prev) <= tol):
+                return est
+        prev = est
+        n *= 2
+    raise AssertionError("reference loop did not settle")
+
+
+def test_doubled_rules_keep_the_coarse_nodes_bitwise():
+    n = 32
+    while n <= 2 ** 14:
+        assert np.array_equal(semi_infinite_rule(2 * n).nodes[::2], semi_infinite_rule(n).nodes)
+        for a, b in ((0.0, 1.0), (0.0, math.pi), (-1.3, 2.7), (1e-3, 47.11)):
+            assert np.array_equal(simpson_rule(a, b, 2 * n).nodes[::2],
+                                  simpson_rule(a, b, n).nodes)
+        n *= 2
+
+
+def _counting(f):
+    seen = []
+
+    def g(t):
+        seen.append(np.array(t, copy=True))
+        return f(t)
+    return g, seen
+
+
+def test_doubling_evaluates_each_node_once():
+    # the nodes handed to f over the whole run are the final rule's, once each
+    for f in (lambda t: np.exp(-t) / (1.0 + t * t),
+              lambda t: np.exp(-t[:, None] * np.array([0.5, 1.0, 3.0]))):
+        g, seen = _counting(f)
+        integral_zero_inf(g)
+        nodes = np.concatenate(seen)
+        assert len(seen) >= 3
+        assert np.array_equal(np.sort(nodes), semi_infinite_rule(nodes.size).nodes)
+        g, seen = _counting(f)
+        integral_interval(g, 0.0, 3.0)
+        nodes = np.concatenate(seen)
+        assert len(seen) >= 3
+        assert np.array_equal(np.sort(nodes), simpson_rule(0.0, 3.0, nodes.size - 1).nodes)
+
+
+def test_doubling_estimates_bitwise_as_rule_by_rule(monkeypatch):
+    def batched(t):
+        return np.stack([t ** 2.5 * np.exp(-t), np.exp(-t) / (1.0 + t)], axis=-1)
+
+    for f in (lambda t: t ** 3 * np.exp(-t), batched):
+        want = _reference_doubling(semi_infinite_rule, f, 1e-10)
+        assert np.array_equal(integral_zero_inf(f), want)
+    for a, b in ((0.0, math.pi), (-1.3, 2.7)):
+        want = _reference_doubling(lambda n: simpson_rule(a, b, n), np.sin, 1e-10)
+        assert np.array_equal(integral_interval(np.sin, a, b), want)
+    z = np.array([0.1, 0.7, 3.0, 14.0])
+    xs = np.array([0.5, 1.0, 25.0])
+    got = [bessel_k(2.3, z), bessel_k(0.3, 1.7), tricomi_u(2.5, xs), tricomi_u(1.05, xs)]
+    # the same public routines with the rule-by-rule loop underneath
+    monkeypatch.setattr(specfun, "integral_zero_inf",
+                        lambda f, rtol=1e-10: _reference_doubling(semi_infinite_rule, f, rtol))
+    want = [bessel_k(2.3, z), bessel_k(0.3, 1.7), tricomi_u(2.5, xs), tricomi_u(1.05, xs)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
