@@ -24,10 +24,8 @@ from .specfun import (
     gamma_fn,
     hyp0f2,
     hyp1f1,
-    integral_interval,
     integral_zero_inf,
     mellin_moment,
-    pochhammer,
     tricomi_u,
 )
 from .susy import (
@@ -50,7 +48,6 @@ from .painleve import (
     ResidualStats,
     assignment_for,
     companion_extremal_states,
-    default_assignment,
     extremal_roots,
     g_from_extremal,
     g_for_system,

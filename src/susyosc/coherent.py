@@ -412,6 +412,7 @@ _T_WINDOW = (1e-12, 200.0)
 _LOG_INTERVALS = 8192
 _CHUNK = 512
 _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
+_CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
 _MU3_SWITCH = 0.5
 
@@ -424,17 +425,14 @@ def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
     laplace_power_integral(lam, 2, lam; c). mu1 carries
     Gamma(gap+s)Gamma(gap-k+s): lam = k-1/2, power = gap, c = 2 sqrt(y).
     mu2 carries Gamma(k+1-s)Gamma(gap+1-s) with c = 2/sqrt(y); the exponent
-    of (p^2 - 1) flips sign with gap - k + 1/2, and exactly one branch
-    applies: lam = gap-k-1/2 with power -(gap+1) for gap-k > -1/2, else
-    lam = k-gap-1/2 with power -(k+1) on the remaining strip gap-k > -1.
+    of (p^2 - 1) flips sign with gap - k + 1/2: lam = gap-k-1/2 with power
+    -(gap+1) for gap-k > -1/2, else lam = k-gap-1/2 with power -(k+1) on the
+    remaining strip -1 < gap-k <= -1/2. Its end gap-k = -1/2 is the K_{1/2}
+    factor at lam = 0, where the first branch's lam = -1 is not integrable.
     """
     a, k = params.gap, params.k
     if family == MeasureFamily.MU1:
         lam, power, c = k - 0.5, a, 2.0 * np.sqrt(y)
-    elif a - k == -0.5:
-        raise DomainError(
-            "the branch representations exclude gap - k = -1/2 exactly "
-            "(half-integer Bessel order); perturb the system parameters")
     elif a - k > -0.5:
         lam, power, c = a - k - 0.5, -(a + 1.0), 2.0 / np.sqrt(y)
     else:
@@ -510,12 +508,13 @@ class MeasureFn:
     once; cache_agreement records the relative disagreement of the cache
     against its validation route (the even grid nodes for mu1/mu2,
     Gamma(gap+1)^2 U(gap+1, 1; x) by specfun.tricomi_u for mu3) and must
-    stay below rtol. The fields cannot be reassigned and the cached arrays
-    are read-only, so measure_fn can hand one instance to every caller.
+    stay below rtol, a fixed 1e-6 that callers can read but not set. The
+    fields cannot be reassigned and the cached arrays are read-only, so
+    measure_fn can hand one instance to every caller.
     """
     family: str
     params: CSParams
-    rtol: float = 1e-6
+    rtol: float = field(init=False, default=_CACHE_RTOL)
     cache_agreement: float = field(init=False, default=0.0)
     _rates: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -603,19 +602,19 @@ class MeasureFn:
         return float(out[0]) if scalar else out.reshape(r_arr.shape)
 
 
-# one shared, immutable MeasureFn per (family, params, rtol); the oldest
-# entry goes once the store is full, and a refused build is never stored
+# one shared, immutable MeasureFn per (family, params); the oldest entry
+# goes once the store is full, and a refused build is never stored
 _MEASURES = {}
 _MEASURES_CAP = 64
 
 
-def measure_fn(family: str, params: CSParams, rtol: float = 1e-6) -> MeasureFn:
+def measure_fn(family: str, params: CSParams) -> MeasureFn:
     """The radial measure of one family tag: one shared, immutable MeasureFn
-    per (family, params, rtol), built on the first call for its key."""
-    key = (family, params, float(rtol))
+    per (family, params), built on the first call for its key."""
+    key = (family, params)
     m = _MEASURES.get(key)
     if m is None:
-        m = MeasureFn(family=family, params=params, rtol=float(rtol))
+        m = MeasureFn(family=family, params=params)
         if len(_MEASURES) >= _MEASURES_CAP:
             del _MEASURES[next(iter(_MEASURES))]
         _MEASURES[key] = m

@@ -78,10 +78,6 @@ def assignment_for(spec: SystemSpec, which: str = "half") -> Assignment:
     return Assignment(e1=e1, e2=rest[0], e3=rest[1])
 
 
-def default_assignment(spec: SystemSpec) -> Assignment:
-    return assignment_for(spec, "half")
-
-
 @dataclass
 class GSolution:
     """Sampled transcendent with its validity bookkeeping.

@@ -1,8 +1,8 @@
 """Special functions and semi-infinite quadrature.
 
 The whole construction downstream (seed solutions, orthogonality measures,
-moment checks) reduces to a short list of primitives: the Gamma function,
-Pochhammer symbols, the confluent series 1F1 and 0F2, the modified Bessel
+moment checks) reduces to a short list of primitives: the Gamma and digamma
+functions, the confluent series 1F1 and 0F2, the modified Bessel
 function K_nu through its real integral representation, one Laplace-type
 integral for the Tricomi U function and the mu1/mu2 measure factors, and
 Mellin moments on (0, inf).
@@ -12,11 +12,12 @@ each point stops on its own: a scalar runs a plain loop on Python numbers,
 and an array is summed in order of |x| with its converged leading points
 retired, so a grid pays for the terms each point needs rather than for those
 of its largest |x|. This is the package's one loop for term-ratio series;
-it takes real or complex arguments, so 1F1 and 0F2 accept complex x. All
-quadrature is composite Simpson under an explicit change of variables, with
-node doubling until two successive estimates agree; each level's nodes are
-the even nodes of the next, so a doubling run evaluates its integrand once
-per node and every later level only on its new odd nodes.
+it takes real or complex arguments, so 1F1 and 0F2 accept complex x.
+Every adaptive integral runs over (0, inf) in integral_zero_inf, the
+package's one node-doubling loop: composite Simpson in u = t / (1 + t),
+doubling the nodes until two successive estimates agree. Each level's nodes
+are the even nodes of the next, so a doubling run evaluates its integrand
+once per node and every later level only on its new odd nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +75,6 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
 
 
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n as a plain product; n must be a non-negative integer."""
-    if n < 0 or n != int(n):
-        raise DomainError("pochhammer needs integer n >= 0, got %r" % (n,))
-    out = 1.0
-    for i in range(int(n)):
-        out *= x + i
-    return out
-
-
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for real x, poles excluded.
 
@@ -133,7 +123,10 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
     eps = _SERIES_EPS if wide else 1.5 * float(np.finfo(x.dtype).eps)
     if x.ndim == 0:
         return _sum_scalar(term_ratio, x, eps, cap, label)
-    return _sum_array(term_ratio, x, eps, cap, label)
+    # a point that overflows is refused with SeriesError, without numpy's
+    # overflow and invalid-value warnings from the terms on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sum_array(term_ratio, x, eps, cap, label)
 
 
 def _sum_scalar(term_ratio, x, eps, cap, label):
@@ -280,62 +273,42 @@ def hyp0f2(b1: float, b2: float, x):
 # Quadrature
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of one concrete quadrature, for bookkeeping.
+def _semi_infinite_rule(n_intervals: int):
+    """(nodes, weights) of Simpson in u on [0, 1) pushed through t = u / (1 - u).
 
-    kind is either "simpson" (closed interval) or "semi_infinite"
-    (t = u/(1-u) mapped Simpson; the u = 1 endpoint is dropped, so the
-    integrand is assumed to vanish at infinity).
+    The u = 1 endpoint is dropped, so the integrand is assumed to vanish at
+    infinity.
     """
-    kind: str
-    node_count: int
-    domain: tuple
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise DomainError("quadrature rule needs at least 16 nodes")
-        if np.any(self.weights <= 0.0):
-            raise DomainError("quadrature weights must be positive")
-
-    def apply(self, f):
-        vals = np.asarray(f(self.nodes), dtype=float)
-        return np.tensordot(self.weights, vals, axes=(0, 0))
-
-
-def simpson_rule(a: float, b: float, n_intervals: int) -> QuadratureRule:
-    w = simpson_weights(n_intervals + 1, (b - a) / n_intervals)
-    return QuadratureRule("simpson", n_intervals + 1, (a, b),
-                          np.linspace(a, b, n_intervals + 1), w)
-
-
-def semi_infinite_rule(n_intervals: int) -> QuadratureRule:
-    """Simpson in u on [0, 1) pushed through t = u / (1 - u)."""
+    if n_intervals < 16:
+        raise DomainError("quadrature rule needs at least 16 nodes")
     w = simpson_weights(n_intervals + 1, 1.0 / n_intervals)[:-1]
     u = np.linspace(0.0, 1.0, n_intervals + 1)[:-1]
-    jac = 1.0 / (1.0 - u) ** 2
-    return QuadratureRule("semi_infinite", n_intervals, (0.0, math.inf), u / (1.0 - u), w * jac)
+    return u / (1.0 - u), w * (1.0 / (1.0 - u) ** 2)
 
 
-def _doubling(make_rule, f, rtol, max_nodes, what):
-    # each rule's nodes are the even nodes of the next one, so a level only
-    # evaluates f on its new odd nodes and reuses the values it already has
+def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
+    """Integral of f over (0, inf) with node doubling until agreement.
+
+    f must accept an ndarray of nodes and may return extra trailing axes
+    (a batch of integrands sharing the nodes); integration runs along the
+    first axis. The integrand has to vanish at infinity. Each rule's nodes
+    are the even nodes of the next one, so each doubling evaluates f only on
+    the new odd nodes and reuses the previous level's values on the even
+    ones: f sees every node once and should not make a node's value depend
+    on the rest of its batch.
+    """
     n = 32
-    prev = None
-    est = None
-    vals = None
+    prev = est = vals = None
     while n <= max_nodes:
-        rule = make_rule(n)
+        nodes, weights = _semi_infinite_rule(n)
         if vals is None:
-            vals = np.asarray(f(rule.nodes), dtype=float)
+            vals = np.asarray(f(nodes), dtype=float)
         else:
-            new = np.asarray(f(rule.nodes[1::2]), dtype=float)
-            full = np.empty((rule.nodes.size,) + new.shape[1:])
+            new = np.asarray(f(nodes[1::2]), dtype=float)
+            full = np.empty((nodes.size,) + new.shape[1:])
             full[0::2], full[1::2] = vals, new
             vals = full
-        est = np.tensordot(rule.weights, vals, axes=(0, 0))
+        est = np.tensordot(weights, vals, axes=(0, 0))
         if prev is not None:
             scale = np.max(np.abs(est))
             tol = rtol * np.maximum(np.abs(est), 1e-9 * scale) + 1e-300
@@ -344,30 +317,11 @@ def _doubling(make_rule, f, rtol, max_nodes, what):
         prev = est
         n *= 2
     raise QuadratureError(
-        "%s did not settle below rtol=%g within %d nodes" % (what, rtol, max_nodes),
+        "semi-infinite integral did not settle below rtol=%g within %d nodes" % (rtol, max_nodes),
         nodes_used=n // 2,
         last_estimate=est,
         last_change=None if prev is None else float(np.max(np.abs(est - prev))),
     )
-
-
-def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
-    """Integral of f over (0, inf) with node doubling until agreement.
-
-    f must accept an ndarray of nodes and may return extra trailing axes
-    (a batch of integrands sharing the nodes); integration runs along the
-    first axis. The integrand has to vanish at infinity. Each doubling
-    evaluates f only on the new odd nodes and reuses the previous level's
-    values on the even ones, so f sees every node once and should not make
-    a node's value depend on the rest of its batch.
-    """
-    return _doubling(semi_infinite_rule, f, rtol, max_nodes, "semi-infinite integral")
-
-
-def integral_interval(f, a: float, b: float, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
-    """Adaptive-by-doubling Simpson integral of f over [a, b]."""
-    return _doubling(lambda n: simpson_rule(a, b, n), f, rtol, max_nodes,
-                     "interval integral on [%g, %g]" % (a, b))
 
 
 # ----------------------------------------------------------------------

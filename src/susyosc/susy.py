@@ -331,16 +331,10 @@ def _denominator_data(seeds: SeedFamily):
     return denom, seeds._table.det(rows, order=1) / denom
 
 
-def wronskian(seeds: SeedFamily, x=None) -> np.ndarray:
-    """W(u_0, ..., u_{k-1}) sampled on the seeds' grid.
-
-    If x is given it must be the grid the family was built on; to evaluate
-    elsewhere, rebuild the chain on the desired points first
-    (build_seed_chain(spec, x)).
+def wronskian(seeds: SeedFamily) -> np.ndarray:
+    """W(u_0, ..., u_{k-1}) sampled on the seeds' grid; to evaluate elsewhere,
+    rebuild the chain on the desired points first (build_seed_chain(spec, x)).
     """
-    if x is not None and not np.array_equal(np.asarray(x, dtype=float),
-                                            np.asarray(seeds.x, dtype=float)):
-        raise DomainError("seed family was built on a different grid; rebuild the chain")
     return np.asarray(seeds._table.det(tuple(range(seeds.k))), dtype=float)
 
 
@@ -414,7 +408,7 @@ def _normalize_with_convention(seeds: SeedFamily, numer, dnumer, weights: np.nda
     return vals, ders, nrm, flip
 
 
-def iso_state(seeds: SeedFamily, n: int, weights=None) -> GridState:
+def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
     """Partner state at energy E_n = n + 1/2, image of oscillator level n.
 
     The raw Crum map is W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}); its L2 norm
@@ -426,9 +420,6 @@ def iso_state(seeds: SeedFamily, n: int, weights=None) -> GridState:
         raise DomainError("iso_state level must be a non-negative integer")
     n = int(n)
     k = seeds.k
-    x = seeds.x
-    if weights is None:
-        weights = simpson_weights(x.size, float(x[1] - x[0]))
     energy = n + 0.5
     numer, dnumer = seeds._table.iso_numerator(n)
     vals, ders, nrm, flip = _normalize_with_convention(seeds, numer, dnumer, weights)
@@ -441,7 +432,8 @@ def iso_state(seeds: SeedFamily, n: int, weights=None) -> GridState:
                      subspace="iso", index=n, sign_flip=flip, norm_agreement=agreement)
 
 
-def new_state(seeds: SeedFamily, j: int, weights=None, potential_values=None) -> GridState:
+def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
+              potential_values: np.ndarray) -> GridState:
     """Bound state created at eps_j, absent from the oscillator spectrum.
 
     For k = 1 this is 1/u_0; in general the numerator is the Wronskian of the
@@ -452,18 +444,13 @@ def new_state(seeds: SeedFamily, j: int, weights=None, potential_values=None) ->
     k = seeds.k
     if j < 0 or j >= k:
         raise DomainError("new_state index out of range 0..k-1")
-    x = seeds.x
-    if weights is None:
-        weights = simpson_weights(x.size, float(x[1] - x[0]))
     rows, cols = tuple(range(k - 1)), [i for i in range(k) if i != j]
     # k = 1 leaves the empty determinant, 1
     numer, dnumer = (seeds._table.det(rows, cols), seeds._table.det(rows, cols, 1)) \
         if k > 1 else (1.0, 0.0)
     vals, ders, _, flip = _normalize_with_convention(seeds, numer, dnumer, weights)
     energy = float(seeds.energies[j])
-    if potential_values is None:
-        potential_values = potential(seeds)
-    res = hamiltonian_residual(vals, energy, potential_values, x[1] - x[0], weights)
+    res = hamiltonian_residual(vals, energy, potential_values, seeds.x[1] - seeds.x[0], weights)
     if res > 1e-4:
         raise ConstructionError(
             "new state j=%d fails the eigenvalue equation (residual %.3g)" % (j, res))
@@ -539,6 +526,6 @@ def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     weights = simpson_weights(x.size, spec.h)
     v = potential(seeds)
     iso = [iso_state(seeds, n, weights) for n in range(n_max + 1)]
-    new = [new_state(seeds, j, weights, potential_values=v) for j in range(spec.k)]
+    new = [new_state(seeds, j, weights, v) for j in range(spec.k)]
     return SusySystem(spec=spec, x=x, weights=weights, potential=v,
                       iso_states=iso, new_states=new, n_max=n_max)

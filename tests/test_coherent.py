@@ -22,6 +22,7 @@ from susyosc.errors import (
     TruncationError,
     UsageError,
 )
+from susyosc import coherent
 from susyosc.specfun import laplace_power_integral
 from susyosc import (
     CSParams,
@@ -517,22 +518,23 @@ def test_mu2_second_branch():
     assert abs(computed / expected - 1.0) < 1e-3
 
 
-def test_mu2_branch_boundary_excluded():
-    # gap - k = -1/2 sits exactly between the two integral representations
-    with pytest.raises(DomainError):
-        measure_fn(MeasureFamily.MU2, CSParams(gap=3.5, k=4))
+def test_mu2_branch_boundary_builds():
+    # gap - k = -1/2 (eps_top = 0) is the second branch's K_{1/2} factor
+    for params, orders in ((CSParams(gap=3.5, k=4), (1.0, 2.0, 3.0)),
+                           (CSParams(gap=0.5, k=1), (0.5, 1.0))):
+        m = measure_fn(MeasureFamily.MU2, params)
+        assert m.cache_agreement < 1e-10
+        for s in orders:
+            computed, expected = moment_check(m, s)
+            assert abs(computed / expected - 1.0) < 1e-6
 
 
 def test_measure_fn_shares_one_instance_per_key(mu1_k4, mu2_k4, k4_params, k1_params):
     assert measure_fn(MeasureFamily.MU1, k4_params) is mu1_k4
     assert measure_fn(MeasureFamily.MU1, CSParams(gap=k4_params.gap, k=4)) is mu1_k4
-    assert measure_fn(MeasureFamily.MU1, k4_params, 1e-6) is mu1_k4
-    assert measure_fn(MeasureFamily.MU1, k4_params, rtol=1e-6) is mu1_k4
-    others = [mu2_k4, measure_fn(MeasureFamily.MU1, k1_params),
-              measure_fn(MeasureFamily.MU1, k4_params, rtol=1e-5)]
+    others = [mu2_k4, measure_fn(MeasureFamily.MU1, k1_params)]
     assert all(m is not mu1_k4 for m in others)
-    assert others[2].rtol == 1e-5
-    assert np.array_equal(others[2].profile(2.0), mu1_k4.profile(2.0))
+    assert all(m.rtol == 1e-6 for m in others + [mu1_k4])
 
 
 def test_shared_measure_is_immutable(mu1_k4, mu3_k4):
@@ -546,11 +548,21 @@ def test_shared_measure_is_immutable(mu1_k4, mu3_k4):
                 arr[0] = 1.0
 
 
-def test_refused_measure_not_stored():
-    # gap - k = -1/2: refused on every call, never served from the store
+def test_refused_measure_not_stored(monkeypatch):
+    # a refused build raises on every call and is never served from the store
+    builds = []
+
+    def refuse(*args):
+        builds.append(args)
+        raise DomainError("forced refusal")
+
+    monkeypatch.setattr(coherent, "_bessel_factor", refuse)
+    params = CSParams(gap=2.7, k=2)
     for _ in range(2):
-        with pytest.raises(DomainError):
-            measure_fn(MeasureFamily.MU2, CSParams(gap=3.5, k=4))
+        with pytest.raises(DomainError, match="forced refusal"):
+            measure_fn(MeasureFamily.MU2, params)
+    assert len(builds) == 2
+    assert (MeasureFamily.MU2, params) not in coherent._MEASURES
 
 
 def test_density_refuses_non_finite_value(mu2_k4, mu3_k4):

@@ -16,7 +16,6 @@ from susyosc.painleve import (
     GSolution,
     assignment_for,
     companion_extremal_states,
-    default_assignment,
     extremal_roots,
     g_for_system,
     g_from_extremal,
@@ -40,7 +39,6 @@ def test_assignment_parameters(k4_spec):
     assert np.allclose((eps0.e1, eps0.e2, eps0.e3), (-5.8, 0.5, -1.8))
     assert abs(eps0.a - 9.3) < 1e-12
     assert abs(eps0.b - (-10.58)) < 1e-12
-    assert default_assignment(k4_spec) == half
 
 
 def test_assignment_refusals(k4_spec):

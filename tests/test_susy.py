@@ -177,8 +177,6 @@ def test_wronskian_order_one_is_the_seed(k1_spec):
     seeds = build_seed_chain(k1_spec)
     w = wronskian(seeds)
     assert np.array_equal(w, np.asarray(seeds.values[0], dtype=float))
-    with pytest.raises(DomainError):
-        wronskian(seeds, x=np.linspace(-1.0, 1.0, seeds.x.size))
 
 
 def test_potential_order_one_closed_form(k1_spec):
