@@ -56,14 +56,12 @@ from .painleve import (
 )
 from .ladder import (
     LadderCoeffs,
-    LinearizedCoeff,
     OperatorStencil,
     apply_stencil,
     build_operator_stencil,
     commutator_check,
     linearized_coeff,
     natural_down_coeff,
-    natural_up_coeff,
     nilpotent_matrix,
     pha_product_check,
     stencil_projection,

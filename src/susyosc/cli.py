@@ -49,7 +49,7 @@ from .ladder import (
     pha_product_check,
     stencil_projection,
 )
-from .painleve import assignment_for, g_for_system, piv_residual
+from .painleve import g_for_system, piv_residual
 from .serialize import (
     SCHEMA_VERSION,
     load_system,
@@ -137,8 +137,7 @@ def cmd_painleve(args) -> int:
     gsol = g_for_system(system, which)
     assign = gsol.assignment
     a = assign.a + args.perturb_a
-    stats = piv_residual(gsol, a, assign.b, keep_per_point=True,
-                         min_fraction=args.min_fraction)
+    stats = piv_residual(gsol, a, assign.b, min_fraction=args.min_fraction)
     passed = stats.max <= args.tol
     if args.csv:
         write_csv(args.csv, ["x", "g", "residual"],

@@ -19,11 +19,11 @@ mu1/mu2, a binomial kernel for mu3), so every density value is a sum of
 non-negative terms. moment_check then compares quadrature moments of those
 profiles against the Gamma products they must reproduce.
 
-Labels z are complex; polar input (modulus, phase) is accepted through the
-z_polar property and the command-line layer. Coefficients are
-stored over the subspace basis, length k for the new families and a per-z
-truncation length for the iso families chosen so the dropped probability
-mass stays below 1e-12.
+Labels z are complex numbers; the command-line layer also reads them in
+polar form R@theta. Coefficients are stored over the subspace basis, length
+k for the new families and a per-z truncation length for the iso families,
+chosen so the dropped probability mass stays below 1e-12 with at most
+_HARD_CAP levels.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from .specfun import (digamma, gamma_fn, hyp0f2, laplace_power_integral, mellin_
 
 _E0 = 0.5
 _TAIL_BOUND = 1e-12
-_HARD_CAP = 256
+_HARD_CAP = 256          # most iso levels a state may store
+_STEP_LIMIT = 4096       # most levels the weight recursion steps to size a refusal
 _MIN_LEVELS = 2          # keep at least (1, 0, 0) so z = 0 still has shape
 _MOMENT_RTOL = 1e-7
 
@@ -136,11 +137,6 @@ class CoherentState:
         return "iso" if self.family in Family.ISO else "new"
 
     @property
-    def z_polar(self):
-        """(modulus, phase) polar form of the label."""
-        return abs(self.z), cmath.phase(self.z)
-
-    @property
     def e_bottom(self) -> float:
         return _E0 if self.subspace == "iso" else self.params.eps0
 
@@ -161,28 +157,35 @@ def _iso_step(family: str, params: CSParams):
     return lambda n: n + 1.0
 
 
-def _iso_levels_needed(step, w: float, c0sq: float, n_max: int):
+def _iso_levels_needed(step, w: float, c0sq: float):
     """Smallest N with the dropped probability mass provably below 1e-12.
 
     The weights decay faster than geometrically, so once the step ratio q
-    falls below 1 the tail is bounded by t_{N+1} / (1 - q)."""
+    falls below 1 the tail is bounded by t_{N+1} / (1 - q). An N above
+    _HARD_CAP is refused with TruncationError, which reports the N found by
+    stepping on past the cap, or a lower bound for it: the level where the
+    weight has overflowed and can no longer pass the test, or _STEP_LIMIT."""
     t = 1.0
-    for n in range(_HARD_CAP + 1):
+    for n in range(_STEP_LIMIT):
         # multiplying by the reciprocal fixes the rounding of the stored tail
         t_next = t * w * (1.0 / step(n))
         q = w * (1.0 / step(n + 1))
-        if q < 1.0 and c0sq * t_next / (1.0 - q) < _TAIL_BOUND:
-            needed = max(n, _MIN_LEVELS)
-            if needed > n_max:
+        if q < 1.0:
+            if c0sq * t_next / (1.0 - q) < _TAIL_BOUND:
+                needed = max(n, _MIN_LEVELS)
+                if needed > _HARD_CAP:
+                    raise TruncationError(
+                        "tail bound %g needs %d levels, more than the cap of %d"
+                        % (_TAIL_BOUND, needed, _HARD_CAP), required=needed, cap=_HARD_CAP)
+                return needed, c0sq * t_next / (1.0 - q)
+            if not math.isfinite(t_next):
                 break
-            tail = c0sq * t_next / (1.0 - q)
-            return needed, tail
         t = t_next
-    required = max(n, _MIN_LEVELS)
+    else:
+        n = _STEP_LIMIT
     raise TruncationError(
-        "tail bound %g not reached within n_max=%d levels (needs about %d)"
-        % (_TAIL_BOUND, n_max, required),
-        required=required, cap=n_max)
+        "tail bound %g needs at least %d levels, more than the cap of %d"
+        % (_TAIL_BOUND, n, _HARD_CAP), required=n, cap=_HARD_CAP)
 
 
 def _label(z):
@@ -198,7 +201,7 @@ def _label(z):
     return z, w
 
 
-def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> CoherentState:
+def construct_cs(family: str, z, params: CSParams) -> CoherentState:
     """Coefficient vector of one coherent state.
 
     aocs_iso:  c_n = c_0 z^n / sqrt(n!) * sqrt(rho_n),
@@ -210,10 +213,11 @@ def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> Co
 
     The new-family vectors are exact at length k. The iso vectors stop at
     the first level where the dropped probability mass is provably below
-    1e-12; if that needs more than n_max levels a TruncationError reports
-    the required length. Normalization scalars are taken from the closed
-    forms, so sum |c|^2 = 1 - truncation_tail. A label that is not finite,
-    or whose |z|^2 or new-ladder norm series overflows, raises DomainError.
+    1e-12; if that needs more than _HARD_CAP levels a TruncationError
+    reports the required length. Normalization scalars are taken from the
+    closed forms, so sum |c|^2 = 1 - truncation_tail. A label that is not
+    finite, or whose |z|^2 or new-ladder norm series overflows, raises
+    DomainError.
     """
     _check_family(family)
     z, w = _label(z)
@@ -232,7 +236,7 @@ def construct_cs(family: str, z, params: CSParams, n_max: int = _HARD_CAP) -> Co
     else:
         c0sq = math.exp(-w)
     step = _iso_step(family, params)
-    levels, tail = _iso_levels_needed(step, w, c0sq, n_max)
+    levels, tail = _iso_levels_needed(step, w, c0sq)
     coeffs = np.empty(levels + 1, dtype=complex)
     coeffs[0] = math.sqrt(c0sq)
     for n in range(levels):
@@ -325,7 +329,7 @@ def evolve(cs: CoherentState, t: float):
     return moved, phase
 
 
-def divergence_witness(z, params: CSParams, n_terms: int = 200) -> np.ndarray:
+def divergence_witness(z, params: CSParams) -> np.ndarray:
     """Partial sums of the norm series behind the iso-ladder no-go result.
 
     Displacing the iso extremal state with the factorized operator gives a
@@ -336,8 +340,8 @@ def divergence_witness(z, params: CSParams, n_terms: int = 200) -> np.ndarray:
     grow without bound, so the series diverges for every z != 0 (at z = 0
     all partial sums would stay at 1, which is why that label is excluded:
     the extremal state itself is the only member of the family). The sums
-    are cut once they pass 1e30, far beyond any divergence threshold a
-    caller could reasonably probe. The loop is its own, not
+    stop after 200 terms, or once they pass 1e30, far beyond any divergence
+    threshold a caller could reasonably probe. The loop is its own, not
     specfun._sum_series, because it returns the partial sums of a series
     that loop could only refuse.
     """
@@ -347,7 +351,7 @@ def divergence_witness(z, params: CSParams, n_terms: int = 200) -> np.ndarray:
     a, k = params.gap, params.k
     term = 1.0
     sums = [1.0]
-    for n in range(int(n_terms)):
+    for n in range(200):
         term *= (a + 1.0 + n) * (a - k + 1.0 + n) * w / (n + 1.0)
         sums.append(sums[-1] + term)
         if sums[-1] > 1e30:
@@ -445,7 +449,7 @@ def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
     return pref * amp * tail
 
 
-def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
+def _mu3_series(params: CSParams, x: np.ndarray) -> np.ndarray:
     """f3(x) for 0 < x < 1 by the log-case confluent series,
 
     f3(x) = -Gamma(a) sum_k (a)_k x^k / (k!)^2
@@ -465,7 +469,7 @@ def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
     coeff = np.ones_like(x)
     total = np.zeros_like(x)
     quiet = 0
-    for k in range(cap):
+    for k in range(400):
         term = coeff * (lx + psi_a - 2.0 * psi_k)
         total = total + term
         if np.all(np.abs(term) <= 1e-16 * np.abs(total) + 1e-300):
@@ -477,8 +481,8 @@ def _mu3_series(params: CSParams, x: np.ndarray, cap: int = 400) -> np.ndarray:
         coeff = coeff * (a + k) * x / ((k + 1.0) ** 2)
         psi_a += 1.0 / (a + k)
         psi_k += 1.0 / (k + 1.0)
-    raise SeriesError("mu3 profile series did not converge within %d terms" % cap,
-                      terms_used=cap, partial_sum=float(np.max(np.abs(total))))
+    raise SeriesError("mu3 profile series did not converge within 400 terms",
+                      terms_used=400, partial_sum=float(np.max(np.abs(total))))
 
 
 def _log_simpson(lo: float, hi: float, n_intervals: int):
@@ -662,28 +666,25 @@ _MEASURE_FOR = {
 }
 
 
-def identity_resolution_check(family: str, params: CSParams, n_max: int = None) -> float:
+def identity_resolution_check(family: str, params: CSParams) -> float:
     """Worst diagonal deviation of the family's identity resolution.
 
     After the angular integration the identity claim collapses to one
     radial moment condition per basis slot; the off-diagonal terms vanish
-    analytically. Returns max over slots of |computed/expected - 1|. For
-    lin_iso the measure is the flat Gaussian e^{-r^2}/pi and the condition
-    is the factorial moment of e^{-x}.
+    analytically. Returns max over slots of |computed/expected - 1|, over
+    slots 0..10 for lin_iso, 0..4 for aocs_iso and the whole new ladder for
+    docs_new and lin_new. For lin_iso the measure is the flat Gaussian
+    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}.
     """
     _check_family(family)
     if family == Family.LIN_ISO:
-        count = 11 if n_max is None else n_max + 1
         worst = 0.0
-        for n in range(count):
+        for n in range(11):
             got = mellin_moment(lambda x: np.exp(-x), n + 1.0, rtol=1e-10)
             worst = max(worst, abs(got / math.factorial(n) - 1.0))
         return worst
     m = measure_fn(_MEASURE_FOR[family], params)
-    if family == Family.AOCS_ISO:
-        count = 5 if n_max is None else n_max + 1
-    else:
-        count = params.k
+    count = 5 if family == Family.AOCS_ISO else params.k
     worst = 0.0
     for n in range(count):
         computed, expected = moment_check(m, n + 1.0)

@@ -34,7 +34,7 @@ from .errors import (
     InvalidSpecError,
 )
 from .gridops import deriv1, largest_run
-from .painleve import Assignment, GSolution
+from .painleve import GSolution
 from .susy import GridState
 
 _SQRT2 = math.sqrt(2.0)
@@ -114,21 +114,6 @@ def natural_down_coeff(level: int, subspace: str, params: LadderCoeffs) -> float
     raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
 
 
-def natural_up_coeff(level: int, subspace: str, params: LadderCoeffs) -> float:
-    """Coefficient of l^+, the down coefficient one step above.
-
-    On the new ladder the top state is annihilated: the j = k-1 coefficient
-    is new_down(k) = 0 by the (k - j) factor.
-    """
-    if subspace == "iso":
-        return params.iso_down(level + 1)
-    if subspace == "new":
-        if level >= params.k:
-            raise DomainError("new level out of range 0..k-1")
-        return params.new_down(level + 1)
-    raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
-
-
 def pha_product_check(params: LadderCoeffs, level: int, subspace: str = "iso"):
     """(computed, expected) for the product rule at one ladder position.
 
@@ -161,30 +146,17 @@ def nilpotent_matrix(params: LadderCoeffs) -> np.ndarray:
 # Linearized ladder
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearizedCoeff:
-    """Magnitude and phase tag of a linearized ladder coefficient.
-
-    The new-subspace radicands eps_j - E_0 are negative, so those steps
-    carry phase i; probabilities and energies never see it, and the i^j in
-    the displaced-state coefficients is exactly this phase accumulating.
-    """
-    magnitude: float
-    phase: complex = 1.0
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * self.phase
-
-
 def linearized_coeff(direction: str, level: int, subspace: str,
-                     params: LadderCoeffs) -> LinearizedCoeff:
+                     params: LadderCoeffs) -> complex:
     """Action coefficient of ell^- / ell^+ at one ladder position.
 
     iso: ell^- |n> = sqrt(n) |n-1>, ell^+ |n> = sqrt(n+1) |n+1>.
     new: ell^- |eps_j> = sqrt(eps_j - E_0) |eps_{j-1}> for j >= 1 and
     ell^+ |eps_j> = sqrt(eps_{j+1} - E_0) |eps_{j+1}> for j <= k-2, with the
-    boundary states annihilated.
+    boundary states annihilated. The new-subspace radicands eps_j - E_0 are
+    negative, so those steps carry phase i; probabilities and energies never
+    see it, and the i^j in the displaced-state coefficients is exactly this
+    phase accumulating.
     """
     if direction not in ("up", "down"):
         raise DomainError("direction must be 'up' or 'down'")
@@ -192,19 +164,14 @@ def linearized_coeff(direction: str, level: int, subspace: str,
         raise DomainError("level must be a non-negative integer")
     level = int(level)
     if subspace == "iso":
-        mag = math.sqrt(level) if direction == "down" else math.sqrt(level + 1)
-        return LinearizedCoeff(magnitude=mag)
+        return complex(math.sqrt(level) if direction == "down" else math.sqrt(level + 1))
     if subspace != "new":
         raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
     if level >= params.k:
         raise DomainError("new level out of range 0..k-1")
     if direction == "down":
-        if level == 0:
-            return LinearizedCoeff(magnitude=0.0)
-        return LinearizedCoeff(magnitude=math.sqrt(params.gap - level), phase=1j)
-    if level == params.k - 1:
-        return LinearizedCoeff(magnitude=0.0)
-    return LinearizedCoeff(magnitude=math.sqrt(params.gap - level - 1), phase=1j)
+        return 0j if level == 0 else math.sqrt(params.gap - level) * 1j
+    return 0j if level == params.k - 1 else math.sqrt(params.gap - level - 1) * 1j
 
 
 def _commutator_diagonal(params: LadderCoeffs, subspace: str, count: int, top: int):
@@ -216,25 +183,25 @@ def _commutator_diagonal(params: LadderCoeffs, subspace: str, count: int, top: i
     for n in range(count):
         up_then_down = 0.0
         if n < top:
-            up_then_down = (linearized_coeff("up", n, subspace, params).value
-                            * linearized_coeff("down", n + 1, subspace, params).value)
+            up_then_down = (linearized_coeff("up", n, subspace, params)
+                            * linearized_coeff("down", n + 1, subspace, params))
         down_then_up = 0.0
         if n > 0:
-            down_then_up = (linearized_coeff("down", n, subspace, params).value
-                            * linearized_coeff("up", n - 1, subspace, params).value)
+            down_then_up = (linearized_coeff("down", n, subspace, params)
+                            * linearized_coeff("up", n - 1, subspace, params))
         out[n] = complex(up_then_down - down_then_up).real
     return out
 
 
-def commutator_check(params: LadderCoeffs, n_max: int = 8):
+def commutator_check(params: LadderCoeffs):
     """[ell^-, ell^+] on each basis vector, from the coefficient products.
 
-    Returns (iso_values, new_values). On the iso ladder every value is 1;
-    on the new ladder the bottom and top states break the Heisenberg-Weyl
-    algebra, giving eps_0 + 1 - E_0 and E_0 + 1 - eps_0 - k respectively,
-    with 1 in between.
+    Returns (iso_values, new_values), the iso ladder on levels 0..8 and the
+    whole new ladder. On the iso ladder every value is 1; on the new ladder
+    the bottom and top states break the Heisenberg-Weyl algebra, giving
+    eps_0 + 1 - E_0 and E_0 + 1 - eps_0 - k respectively, with 1 in between.
     """
-    return (_commutator_diagonal(params, "iso", n_max + 1, n_max + 1),
+    return (_commutator_diagonal(params, "iso", 9, 9),
             _commutator_diagonal(params, "new", params.k, params.k - 1))
 
 
@@ -271,22 +238,11 @@ class OperatorStencil:
         return self.x[self.sl]
 
 
-def _roots_triplet(eps_roots):
-    if isinstance(eps_roots, Assignment):
-        return eps_roots.e1, eps_roots.e2, eps_roots.e3
-    roots = tuple(float(e) for e in eps_roots)
-    if len(roots) != 3:
-        raise DomainError("eps_roots must be three factorization energies")
-    return roots
-
-
-def build_operator_stencil(g, eps_roots=None, x=None, valid=None,
-                           min_fraction: float = 0.5) -> OperatorStencil:
+def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     """Sample the third-order operator coefficients from a g solution.
 
-    g may be a GSolution (grid, mask and assignment come along) or a bare
-    array with x, valid and eps_roots supplied. The support is the largest
-    contiguous unmasked run; if it holds less than min_fraction of the
+    The solution brings its grid, mask and assignment. The support is the
+    largest contiguous unmasked run; if it holds less than half of the
     unmasked points the sample is too fragmented to represent the operator.
 
     Two practical notes. A nodeless extremal state (the eps0 assignment)
@@ -297,27 +253,14 @@ def build_operator_stencil(g, eps_roots=None, x=None, valid=None,
     clean well below the default display floor, and the wider window keeps
     state tails inside the integrals.
     """
-    if isinstance(g, GSolution):
-        if x is None:
-            x = g.x
-        if valid is None:
-            valid = g.valid
-        if eps_roots is None and g.assignment is not None:
-            eps_roots = g.assignment
-        g = g.g
-    if eps_roots is None:
-        raise DomainError("eps_roots required when g carries no assignment")
-    e1, e2, e3 = _roots_triplet(eps_roots)
-    a = e2 + e3 - 2.0 * e1 - 1.0
-    g = np.asarray(g, dtype=float)
-    if x is None:
-        raise DomainError("grid required for a bare g array")
-    x = np.asarray(x, dtype=float)
-    if valid is None:
-        valid = np.isfinite(g)
+    asg = gsol.assignment
+    if asg is None:
+        raise DomainError("the stencil needs the assignment stored on the solution")
+    a, e1 = asg.a, asg.e1
+    x, g, valid = gsol.x, gsol.g, gsol.valid
     lo, hi = largest_run(valid)
     n_valid = int(np.count_nonzero(valid))
-    if n_valid == 0 or (hi - lo) < min_fraction * n_valid:
+    if n_valid == 0 or (hi - lo) < 0.5 * n_valid:
         raise InsufficientSupportError(
             "largest contiguous g run holds %d of %d unmasked points"
             % (hi - lo, n_valid))
@@ -360,29 +303,16 @@ def _pair_derivative(op: OperatorStencil, pair, energy: float):
             c0 + deriv1(c1, h_step))
 
 
-def apply_stencil(op: OperatorStencil, state, energy=None, direction: str = "down"):
+def apply_stencil(op: OperatorStencil, state: GridState, direction: str = "down"):
     """Image of an eigenfunction under the stencil operator, on the full grid.
 
-    state is a GridState (its analytic derivative is used) or a plain array
-    sampled on op.x (its derivative is then taken numerically). energy
-    defaults to the GridState energy. Points the composed stencils cannot
-    reach are NaN; the image is exactly linear in the state.
+    The state's analytic derivative and its energy are used. Points the
+    composed stencils cannot reach are NaN; the image is exactly linear in
+    the state.
     """
     if direction not in ("up", "down"):
         raise DomainError("direction must be 'up' or 'down'")
-    if isinstance(state, GridState):
-        phi_full = state.values
-        dphi_full = state.derivs
-        if energy is None:
-            energy = state.energy
-    else:
-        phi_full = np.asarray(state, dtype=float)
-        if phi_full.shape != op.x.shape:
-            raise DomainError("state must be sampled on the stencil grid")
-        dphi_full = deriv1(phi_full, op.h_step)
-        if energy is None:
-            raise DomainError("energy required for a bare state array")
-    energy = float(energy)
+    energy = float(state.energy)
     ones = np.ones(op.xs.size)
     zeros = np.zeros(op.xs.size)
     base = (ones, zeros)
@@ -403,37 +333,36 @@ def apply_stencil(op: OperatorStencil, state, energy=None, direction: str = "dow
         out0 = (op.f * mid0 - dmid[0]) / _SQRT2
         out1 = (op.f * mid1 - dmid[1]) / _SQRT2
     image = np.full(op.x.size, np.nan)
-    image[op.sl] = out0 * phi_full[op.sl] + out1 * dphi_full[op.sl]
+    image[op.sl] = out0 * state.values[op.sl] + out1 * state.derivs[op.sl]
     return image
 
 
-def _support_slice(image: np.ndarray, band: int) -> slice:
+def _support_slice(image: np.ndarray) -> slice:
     finite = np.isfinite(image)
     if not np.any(finite):
         raise InsufficientSupportError("stencil image has no finite points")
     lo, hi = largest_run(finite)
-    lo += band
-    hi -= band
+    lo += 5
+    hi -= 5
     if hi - lo < 3:
         raise InsufficientSupportError("stencil support too narrow after edge bands")
     return slice(lo, hi)
 
 
-def stencil_projection(op: OperatorStencil, bra, ket, weights,
-                       energy=None, direction: str = "down",
-                       band: int = 5) -> float:
+def stencil_projection(op: OperatorStencil, bra: GridState, ket: GridState, weights,
+                       direction: str = "down") -> float:
     """Projection coefficient <bra | l ket>_W / <bra | bra>_W.
 
     Numerator and denominator share the support window W, so if the image is
     proportional to bra pointwise the result is the proportionality constant
     independent of how much of either state the window cuts off. The
     composed stencil erodes a few points at each support edge and the
-    residual error concentrates there, so an extra band is excluded beyond
-    the NaN region.
+    residual error concentrates there, so a band of 5 more points is
+    excluded beyond the NaN region.
     """
-    image = apply_stencil(op, ket, energy=energy, direction=direction)
-    bv = bra.values if isinstance(bra, GridState) else np.asarray(bra, dtype=float)
-    sl = _support_slice(image, band)
+    image = apply_stencil(op, ket, direction=direction)
+    bv = bra.values
+    sl = _support_slice(image)
     den = float(np.sum(weights[sl] * bv[sl] * bv[sl]))
     if den == 0.0:
         raise DomainError("bra state vanishes on the stencil support")

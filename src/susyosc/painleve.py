@@ -11,8 +11,10 @@ which solves the Painleve IV equation
     g'' = g'^2 / (2 g) + (3/2) g^3 + 4 x g^2 + 2 (x^2 - a) g + b / g
 
 with a = e2 + e3 - 2 e1 - 1 and b = -2 (e2 - e3)^2. The other two extremal
-states can be rebuilt from g alone, which is the consistency handle the
-verification suite leans on.
+states can be rebuilt from g alone (companion_extremal_states), an
+independent route that the test suite compares with the stored states;
+the command line judges g by its equation residual (`susyosc painleve`)
+and by the ladder stencil built from it (`susyosc verify`).
 
 States with nodes still produce valid transcendents away from the nodes; the
 extraction therefore masks a guard band around every detected node plus the
@@ -102,24 +104,19 @@ class GSolution:
         return 1.0 - float(np.count_nonzero(self.valid)) / max(1, int(np.count_nonzero(self.window)))
 
 
-def g_from_extremal(state_values, x, *, dstate_values=None,
-                    phi_rel_floor: float = DEFAULT_PHI_FLOOR,
-                    guard_x: float = DEFAULT_GUARD_X,
-                    assignment: Assignment | None = None) -> GSolution:
+def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
+                    phi_rel_floor: float = DEFAULT_PHI_FLOOR) -> GSolution:
     """Extract g = -x - phi'/phi from a sampled extremal state.
 
-    When the caller owns an analytic derivative of the state (every state a
-    built system stores does), pass it as dstate_values: the logarithmic
-    derivative is then exact up to rounding. For bare samples the five-point
-    stencil is used instead; that path amplifies any point-to-point noise in
-    phi by 1/h, which for higher-order systems (Wronskian cancellation grows
-    like x^{k(k-1)} eps) visibly pollutes the transcendent in the tails, so
-    prefer the analytic route whenever it exists.
+    dstate_values is the state's analytic derivative (every state a built
+    system stores carries one), so the logarithmic derivative is exact up
+    to rounding; a stencil derivative would amplify the point-to-point
+    noise of phi by 1/h and pollute the transcendent in the tails.
 
     Points where |phi| falls below phi_rel_floor * max|phi| are outside the
     window; detected nodes (sign changes next to the window) mask everything
-    within guard_x of the crossing, since 1/phi makes every downstream
-    stencil untrustworthy there.
+    within DEFAULT_GUARD_X of the crossing, since 1/phi makes every
+    downstream stencil untrustworthy there.
     """
     phi = np.asarray(state_values, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -129,19 +126,12 @@ def g_from_extremal(state_values, x, *, dstate_values=None,
     if amax == 0.0:
         raise DomainError("state is identically zero")
     window = np.abs(phi) >= phi_rel_floor * amax
-    h = x[1] - x[0]
-    if dstate_values is not None:
-        dphi = np.asarray(dstate_values, dtype=float)
-        if dphi.shape != phi.shape:
-            raise DomainError("state and derivative shapes differ")
-    else:
-        dphi = deriv1(phi, h)
+    dphi = np.asarray(dstate_values, dtype=float)
+    if dphi.shape != phi.shape:
+        raise DomainError("state and derivative shapes differ")
     with np.errstate(divide="ignore", invalid="ignore"):
         g = -x - dphi / phi
     valid = window & np.isfinite(g)
-    if dstate_values is None:
-        valid[:2] = False
-        valid[-2:] = False
 
     # nodes: sign changes with at least one bracketing point inside the
     # window; the sample nearest a node may sit below the floor
@@ -151,21 +141,19 @@ def g_from_extremal(state_values, x, *, dstate_values=None,
         # linear interpolation of the crossing
         x0 = x[i] - phi[i] * (x[i + 1] - x[i]) / (phi[i + 1] - phi[i])
         nodes.append(float(x0))
-        valid &= np.abs(x - x0) > guard_x
+        valid &= np.abs(x - x0) > DEFAULT_GUARD_X
     g = np.where(valid, g, np.nan)
     return GSolution(x=x, g=g, valid=valid, window=window, nodes=nodes,
                      assignment=assignment)
 
 
-def g_for_system(system: SusySystem, which: str = "half", **kwargs) -> GSolution:
-    """Convenience: pick the extremal state of a built system and extract g."""
+def g_for_system(system: SusySystem, which: str = "half",
+                 phi_rel_floor: float = DEFAULT_PHI_FLOOR) -> GSolution:
+    """Pick the extremal state of a built system and extract g from it."""
     assign = assignment_for(system.spec, which)
-    if which == "half":
-        state = system.state("iso", 0)
-    else:
-        state = system.state("new", 0)
-    kwargs.setdefault("dstate_values", state.derivs)
-    return g_from_extremal(state.values, system.x, assignment=assign, **kwargs)
+    state = system.state("iso" if which == "half" else "new", 0)
+    return g_from_extremal(state.values, system.x, dstate_values=state.derivs,
+                           assignment=assign, phi_rel_floor=phi_rel_floor)
 
 
 @dataclass
@@ -174,26 +162,25 @@ class ResidualStats:
     mean: float
     n_evaluated: int
     n_skipped_floor: int
-    per_point: np.ndarray | None = None
+    per_point: np.ndarray   # relative residual on the grid, NaN where not evaluated
 
 
 def piv_residual(gsol: GSolution, a: float, b: float, *,
-                 g_floor: float = DEFAULT_G_FLOOR,
-                 min_fraction: float = 0.5,
-                 keep_per_point: bool = False) -> ResidualStats:
+                 min_fraction: float = 0.5) -> ResidualStats:
     """Pointwise relative residual of the Painleve IV equation.
 
     At each usable point the residual |g'' - rhs| is normalized by the
     largest participating term, which keeps the statistic meaningful both
     near zeros of g (where b/g blows up) and in flat stretches. Points with
-    |g| below g_floor are skipped and counted. If fewer than min_fraction of
-    the window survives for evaluation, the sample is declared too thin.
+    |g| below DEFAULT_G_FLOOR are skipped and counted. If fewer than
+    min_fraction of the window survives for evaluation, the sample is
+    declared too thin.
     """
     x, g, h = gsol.x, gsol.g, gsol.h
     d1 = _masked_deriv(g, gsol.valid, h, order=1)
     d2 = _masked_deriv(g, gsol.valid, h, order=2)
     usable = gsol.valid & np.isfinite(d1) & np.isfinite(d2)
-    skipped = usable & (np.abs(g) < g_floor)
+    skipped = usable & (np.abs(g) < DEFAULT_G_FLOOR)
     usable &= ~skipped
 
     n_window = int(np.count_nonzero(gsol.window[2:-2]))
@@ -214,10 +201,8 @@ def piv_residual(gsol: GSolution, a: float, b: float, *,
     lhs = d2[usable]
     scale = np.maximum(np.max(np.abs(terms), axis=0), np.abs(lhs))
     rel = np.abs(lhs - rhs) / scale
-    per_point = None
-    if keep_per_point:
-        per_point = np.full_like(g, np.nan)
-        per_point[usable] = rel
+    per_point = np.full_like(g, np.nan)
+    per_point[usable] = rel
     return ResidualStats(max=float(np.max(rel)), mean=float(np.mean(rel)),
                          n_evaluated=int(np.count_nonzero(usable)),
                          n_skipped_floor=int(np.count_nonzero(skipped)),
@@ -248,16 +233,16 @@ def potential_from_g(gsol: GSolution, e1: float) -> np.ndarray:
         return x * x / 2.0 - d1 / 2.0 + g * g / 2.0 + x * g + e1 - 0.5
 
 
-def companion_extremal_states(gsol: GSolution, *, g_floor: float = DEFAULT_G_FLOOR,
-                              guard_x: float = 0.1):
+def companion_extremal_states(gsol: GSolution):
     """Rebuild the extremal states at e2 and e3 from g on one segment.
 
     phi_{e2} ~ (g'/(2g) - g/2 - d/g - x) * sqrt|g| * exp( int (g/2 - d/g) ),
     phi_{e3} the same with d -> -d, where d = e2 - e3. The log-derivative
     part of the exponent integrates in closed form to (1/2) ln|g|; only the
     regular part is accumulated by trapezoid. Zeros of g split the domain, so
-    everything is built on the largest usable segment, and both outputs are
-    L2-normalized there.
+    everything is built on the largest usable segment, at least 0.1 away
+    from every zero of g and with |g| above DEFAULT_G_FLOOR, and both
+    outputs are L2-normalized there.
 
     Returns (x_segment, phi_e2, phi_e3, slice).
     """
@@ -265,7 +250,7 @@ def companion_extremal_states(gsol: GSolution, *, g_floor: float = DEFAULT_G_FLO
         raise DomainError("companion states need the assignment stored on the solution")
     d = gsol.assignment.e2 - gsol.assignment.e3
     x, g, h = gsol.x, gsol.g, gsol.h
-    ok = gsol.valid & (np.abs(np.where(np.isfinite(g), g, 0.0)) > g_floor)
+    ok = gsol.valid & (np.abs(np.where(np.isfinite(g), g, 0.0)) > DEFAULT_G_FLOOR)
     # widen the exclusion around zeros of g slightly; 1/g integrands are the
     # worst behaved objects in the package
     zero_x = []
@@ -276,7 +261,7 @@ def companion_extremal_states(gsol: GSolution, *, g_floor: float = DEFAULT_G_FLO
             x0 = x[a + i] - seg[i] * h / (seg[i + 1] - seg[i])
             zero_x.append(float(x0))
     for x0 in zero_x:
-        ok &= np.abs(x - x0) > guard_x
+        ok &= np.abs(x - x0) > 0.1
     a, b = largest_run(ok)
     if b - a < 24:
         raise InsufficientSupportError("largest zero-free segment has only %d points" % (b - a))

@@ -109,30 +109,30 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
 
     A point stops once its own |term|/|sum| has stayed below the floor for
     _SERIES_QUIET consecutive terms; a NaN never counts as quiet. A complex
-    dtype is kept as well, with the floor of its real precision. A 0-d x
-    runs the loop on a Python float or complex (64-bit parts) or on a numpy
-    scalar of its dtype. An array is summed in order of |x|: the leading
-    points that have all been quiet for the last _SERIES_QUIET terms retire,
-    and only the remaining suffix pays for further terms. Both paths do the
-    same arithmetic per point.
+    dtype is kept as well, with the floor of its real precision. A 0-d x of
+    a 64-bit dtype runs the loop on a Python float or complex; any other x
+    is summed as an array in order of |x|: the leading points that have all
+    been quiet for the last _SERIES_QUIET terms retire, and only the
+    remaining suffix pays for further terms. Both paths do the same
+    arithmetic per point.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
         x = x.astype(float)
     wide = x.dtype in (np.float64, np.complex128)
     eps = _SERIES_EPS if wide else 1.5 * float(np.finfo(x.dtype).eps)
-    if x.ndim == 0:
-        return _sum_scalar(term_ratio, x, eps, cap, label)
+    if wide and x.ndim == 0:
+        return _sum_scalar(term_ratio, x.item(), eps, cap, label)
     # a point that overflows is refused with SeriesError, without numpy's
-    # overflow and invalid-value warnings from the terms on the way there
+    # overflow and invalid-value warnings from the terms on the way there;
+    # a 0-d x of another dtype comes back as a scalar of that dtype
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_array(term_ratio, x, eps, cap, label)
+        return _sum_array(term_ratio, x, eps, cap, label)[()]
 
 
-def _sum_scalar(term_ratio, x, eps, cap, label):
-    num = {np.float64: float, np.complex128: complex}.get(x.dtype.type, x.dtype.type)
-    finite = {float: math.isfinite, complex: cmath.isfinite}.get(num, np.isfinite)
-    xv = num(x)
+def _sum_scalar(term_ratio, xv, eps, cap, label):
+    num = type(xv)
+    finite = math.isfinite if num is float else cmath.isfinite
     term = total = num(1.0)
     comp = num(0.0)   # compensated summation carry
     quiet = 0
@@ -147,7 +147,7 @@ def _sum_scalar(term_ratio, x, eps, cap, label):
             if abs(term) / max(abs(total), 1e-300) < eps:
                 quiet += 1
                 if quiet >= _SERIES_QUIET:
-                    return num(total)
+                    return total
             else:
                 quiet = 0
         if not finite(total):
@@ -286,7 +286,7 @@ def _semi_infinite_rule(n_intervals: int):
     return u / (1.0 - u), w * (1.0 / (1.0 - u) ** 2)
 
 
-def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
+def integral_zero_inf(f, rtol: float = 1e-10):
     """Integral of f over (0, inf) with node doubling until agreement.
 
     f must accept an ndarray of nodes and may return extra trailing axes
@@ -295,11 +295,11 @@ def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
     are the even nodes of the next one, so each doubling evaluates f only on
     the new odd nodes and reuses the previous level's values on the even
     ones: f sees every node once and should not make a node's value depend
-    on the rest of its batch.
+    on the rest of its batch. The rule stops doubling at _MAX_NODES.
     """
     n = 32
     prev = est = vals = None
-    while n <= max_nodes:
+    while n <= _MAX_NODES:
         nodes, weights = _semi_infinite_rule(n)
         if vals is None:
             vals = np.asarray(f(nodes), dtype=float)
@@ -317,7 +317,7 @@ def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
         prev = est
         n *= 2
     raise QuadratureError(
-        "semi-infinite integral did not settle below rtol=%g within %d nodes" % (rtol, max_nodes),
+        "semi-infinite integral did not settle below rtol=%g within %d nodes" % (rtol, _MAX_NODES),
         nodes_used=n // 2,
         last_estimate=est,
         last_change=None if prev is None else float(np.max(np.abs(est - prev))),
@@ -328,7 +328,7 @@ def integral_zero_inf(f, rtol: float = 1e-10, max_nodes: int = _MAX_NODES):
 # Bessel K, the Laplace-type integral and Tricomi U
 # ----------------------------------------------------------------------
 
-def bessel_k(nu: float, z, rtol: float = 1e-10):
+def bessel_k(nu: float, z):
     """Modified Bessel K_nu(z) for real order and z > 0.
 
     Uses K_nu = K_|nu| and the representation
@@ -362,7 +362,7 @@ def bessel_k(nu: float, z, rtol: float = 1e-10):
             out = np.exp(-w * w) * base ** (2.0 * nu) * (w * w / zv[None, :] + 2.0) ** (nu - 0.5)
         return np.where(w > 0.0, out, 0.0 if nu > 0.0 else out)
 
-    integral = integral_zero_inf(integrand, rtol=rtol)
+    integral = integral_zero_inf(integrand)
     out = pref * np.atleast_1d(integral)
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 

@@ -152,17 +152,16 @@ class SeedFamily:
         return _RowTable(self)
 
 
-def build_seed_chain(spec: SystemSpec, x=None) -> SeedFamily:
-    """Top seed from the closed form, the rest by the lowering operator.
+def build_seed_chain(spec: SystemSpec) -> SeedFamily:
+    """Top seed from the closed form, the rest by the lowering operator, on
+    the spec's grid.
 
     a^- = (d/dx + x)/sqrt(2) drops the factorization energy by one per step,
     so a single (eps_top, nu) pair fixes the whole family. The top seed must
     be nodeless on the grid; a sign change means the spec escaped its
     constraints and the construction would be singular.
     """
-    if x is None:
-        x = spec.grid()
-    x = np.asarray(x, dtype=float).astype(_WORK_DTYPE)
+    x = spec.grid().astype(_WORK_DTYPE)
     u, du = seed_solution(x, spec.eps_top, spec.nu)
     if np.any(u[:-1] * u[1:] < 0.0) or np.any(u == 0.0):
         raise InvalidSpecError("top seed changes sign on the grid; chain would be singular")
@@ -332,9 +331,7 @@ def _denominator_data(seeds: SeedFamily):
 
 
 def wronskian(seeds: SeedFamily) -> np.ndarray:
-    """W(u_0, ..., u_{k-1}) sampled on the seeds' grid; to evaluate elsewhere,
-    rebuild the chain on the desired points first (build_seed_chain(spec, x)).
-    """
+    """W(u_0, ..., u_{k-1}) sampled on the seeds' grid."""
     return np.asarray(seeds._table.det(tuple(range(seeds.k))), dtype=float)
 
 
@@ -458,10 +455,11 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
                      subspace="new", index=j, sign_flip=flip, residual_check=res)
 
 
-def hamiltonian_residual(values, energy, potential_values, h, weights, trim: int = 5) -> float:
-    """Relative L2 residual of (-1/2 phi'' + V phi - E phi) over the interior."""
+def hamiltonian_residual(values, energy, potential_values, h, weights) -> float:
+    """Relative L2 residual of (-1/2 phi'' + V phi - E phi) over the interior,
+    5 points in from each end."""
     d2 = deriv2(np.asarray(values, dtype=float), h)
-    sl = slice(trim, -trim)
+    sl = slice(5, -5)
     res = -0.5 * d2[sl] + (potential_values[sl] - energy) * values[sl]
     num = float(np.sum(weights[sl] * res * res))
     den = float(np.sum(weights[sl] * values[sl] * values[sl]))
@@ -493,10 +491,8 @@ class SusySystem:
                 return st
         raise DomainError("no stored %s state with index %d" % (subspace, index))
 
-    def inner(self, a, b) -> float:
-        av = a.values if isinstance(a, GridState) else a
-        bv = b.values if isinstance(b, GridState) else b
-        return float(np.sum(self.weights * av * bv))
+    def inner(self, a: GridState, b: GridState) -> float:
+        return float(np.sum(self.weights * a.values * b.values))
 
     def residual(self, state: GridState) -> float:
         return hamiltonian_residual(state.values, state.energy, self.potential,

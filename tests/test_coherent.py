@@ -119,20 +119,24 @@ def test_probability_budget(k4_params):
             assert cs.coeffs.size == k4_params.k
 
 
-def test_truncation_error_reports_requirement(k4_params):
+def test_truncation_error_reports_requirement(k4_params, monkeypatch):
+    # |z|^2 = 225: the Poisson weights need about 340 levels, past the cap
     with pytest.raises(TruncationError) as exc:
-        construct_cs(Family.LIN_ISO, 4.0, k4_params, n_max=5)
-    assert exc.value.required > 5
-    # the reported requirement is actually enough
-    cs = construct_cs(Family.LIN_ISO, 4.0, k4_params, n_max=exc.value.required)
-    assert cs.coeffs.size <= exc.value.required + 1
+        construct_cs(Family.LIN_ISO, 15.0, k4_params)
+    assert exc.value.cap == 256 < exc.value.required
+    # the reported requirement is exactly enough
+    monkeypatch.setattr(coherent, "_HARD_CAP", exc.value.required)
+    cs = construct_cs(Family.LIN_ISO, 15.0, k4_params)
+    assert cs.coeffs.size == exc.value.required + 1
+    assert abs(float(np.sum(probabilities(cs))) + cs.truncation_tail - 1.0) < 1e-10
 
 
-def test_polar_label(k4_params):
-    cs = construct_cs(Family.LIN_NEW, 1.5 * cmath.exp(-4.93j), k4_params)
-    mod, ph = cs.z_polar
-    assert mod == pytest.approx(1.5)
-    assert ph == pytest.approx(-4.93 + 2.0 * math.pi)
+def test_truncation_lower_bound_once_weights_overflow(k4_params):
+    # at |z|^2 = 900 the weights overflow while still rising: the refusal
+    # names a lower bound above the cap, never the cap itself
+    with pytest.raises(TruncationError, match="at least") as exc:
+        construct_cs(Family.LIN_ISO, 30.0, k4_params)
+    assert 256 < exc.value.required < 900
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ code paths (spectral bookkeeping vs. transcendent coefficients plus grid
 quadrature), so their agreement on matrix elements is a real cross-check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from susyosc.errors import DomainError, InsufficientSupportError, InvalidSpecError
+from susyosc.gridops import largest_run
 from susyosc.ladder import (
     LadderCoeffs,
     apply_stencil,
@@ -18,7 +20,6 @@ from susyosc.ladder import (
     commutator_check,
     linearized_coeff,
     natural_down_coeff,
-    natural_up_coeff,
     nilpotent_matrix,
     pha_product_check,
     stencil_projection,
@@ -73,9 +74,15 @@ def test_new_down_values(k4_coeffs):
 
 
 def test_up_is_down_shifted(k4_coeffs):
+    """The linearized raising coefficient is the lowering one a step above;
+    the top of the new ladder is annihilated."""
     for n in range(5):
-        assert natural_up_coeff(n, "iso", k4_coeffs) == k4_coeffs.iso_down(n + 1)
-    assert natural_up_coeff(3, "new", k4_coeffs) == 0.0   # top of the new ladder
+        assert linearized_coeff("up", n, "iso", k4_coeffs) \
+            == linearized_coeff("down", n + 1, "iso", k4_coeffs)
+    for j in range(3):
+        assert linearized_coeff("up", j, "new", k4_coeffs) \
+            == linearized_coeff("down", j + 1, "new", k4_coeffs)
+    assert linearized_coeff("up", 3, "new", k4_coeffs) == 0.0
     with pytest.raises(DomainError):
         natural_down_coeff(4, "new", k4_coeffs)
     with pytest.raises(DomainError):
@@ -111,17 +118,17 @@ def test_linearized_iso_matches_oscillator(k4_coeffs):
     for n in range(6):
         down = linearized_coeff("down", n, "iso", k4_coeffs)
         up = linearized_coeff("up", n, "iso", k4_coeffs)
-        assert abs(down.value - math.sqrt(n)) < 1e-15
-        assert abs(up.value - math.sqrt(n + 1)) < 1e-15
+        assert abs(down - math.sqrt(n)) < 1e-15
+        assert abs(up - math.sqrt(n + 1)) < 1e-15
 
 
 def test_linearized_new_coefficients(k4_coeffs):
-    assert linearized_coeff("down", 0, "new", k4_coeffs).magnitude == 0.0
-    assert linearized_coeff("up", 3, "new", k4_coeffs).magnitude == 0.0
+    assert linearized_coeff("down", 0, "new", k4_coeffs) == 0.0
+    assert linearized_coeff("up", 3, "new", k4_coeffs) == 0.0
     for j in range(1, 4):
         c = linearized_coeff("down", j, "new", k4_coeffs)
-        assert c.phase == 1j
-        assert abs(c.magnitude - math.sqrt(6.3 - j)) < 1e-14
+        assert c.real == 0.0           # the step carries phase i
+        assert abs(c.imag - math.sqrt(6.3 - j)) < 1e-14
     with pytest.raises(DomainError):
         linearized_coeff("down", 4, "new", k4_coeffs)
     with pytest.raises(DomainError):
@@ -159,6 +166,8 @@ def test_stencil_up_direction(k4_system, k4_coeffs, k4_stencil):
         got = stencil_projection(k4_stencil, k4_system.state("iso", n),
                                  k4_system.state("iso", n - 1), w, direction="up")
         assert abs(abs(got) / k4_coeffs.iso_down(n) - 1.0) < 1e-3
+    with pytest.raises(DomainError):
+        apply_stencil(k4_stencil, k4_system.state("iso", 1), direction="sideways")
 
 
 def test_stencil_annihilates_ladder_bottoms(k4_system, k4_stencil):
@@ -177,33 +186,21 @@ def test_stencil_annihilates_ladder_bottoms(k4_system, k4_stencil):
     assert support_norm(apply_stencil(k4_stencil, top, direction="up")) / scale < 1e-3
 
 
-def test_stencil_accepts_bare_arrays(k4_system, k4_stencil):
-    """A plain sampled state (derivative taken numerically) agrees with the
-    GridState route to stencil accuracy."""
-    st = k4_system.state("iso", 2)
-    via_state = apply_stencil(k4_stencil, st)
-    via_array = apply_stencil(k4_stencil, st.values.copy(), energy=st.energy)
-    m = np.isfinite(via_state) & np.isfinite(via_array)
-    scale = np.max(np.abs(via_state[m]))
-    assert np.max(np.abs(via_state[m] - via_array[m])) / scale < 1e-5
-    with pytest.raises(DomainError):
-        apply_stencil(k4_stencil, st.values)         # bare array needs energy
-    with pytest.raises(DomainError):
-        apply_stencil(k4_stencil, st, direction="sideways")
-
-
 def test_stencil_requires_contiguous_support(k4_system):
-    """The noded ground-image transcendent fragments the support; demanding
-    most unmasked points in one run must then be refused."""
+    """The noded ground-image transcendent fragments the support, leaving
+    just over half of its unmasked points in one run; one more masked band
+    splits that run, and the stencil must then be refused."""
     gsol = g_for_system(k4_system, "half")
+    build_operator_stencil(gsol)
+    lo, hi = largest_run(gsol.valid)
+    valid = gsol.valid.copy()
+    valid[(lo + hi) // 2 - 5:(lo + hi) // 2 + 5] = False
     with pytest.raises(InsufficientSupportError):
-        build_operator_stencil(gsol, min_fraction=0.9)
+        build_operator_stencil(dataclasses.replace(gsol, valid=valid))
 
 
-def test_stencil_needs_roots_for_bare_input(k4_system):
+def test_stencil_needs_assignment(k4_system):
     gsol = g_for_system(k4_system, "eps0")
+    assert abs(build_operator_stencil(gsol).a - 9.3) < 1e-12
     with pytest.raises(DomainError):
-        build_operator_stencil(gsol.g, x=k4_system.x)
-    op = build_operator_stencil(gsol.g, eps_roots=(-5.8, 0.5, -1.8),
-                                x=k4_system.x)
-    assert abs(op.a - 9.3) < 1e-12
+        build_operator_stencil(dataclasses.replace(gsol, assignment=None))

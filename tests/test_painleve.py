@@ -7,6 +7,8 @@ shrink it under grid refinement at the stencil's order, and rebuild both the
 potential and the companion extremal states from g alone.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,8 +144,7 @@ def test_companion_states_rebuilt_from_g(k4_system, k1_system):
 
 
 def test_companion_needs_assignment(k1_system):
-    st = k1_system.state("iso", 0)
-    gs = g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs)
+    gs = dataclasses.replace(g_for_system(k1_system, "half"), assignment=None)
     with pytest.raises(DomainError):
         companion_extremal_states(gs)
 
@@ -172,36 +173,31 @@ def test_residual_floor_skip_bookkeeping():
     g = x.copy()
     valid = np.ones(x.size, dtype=bool)
     gs = GSolution(x=x, g=g, valid=valid, window=valid)
-    stats = piv_residual(gs, 0.0, 0.0, g_floor=1e-2, min_fraction=0.1)
+    stats = piv_residual(gs, 0.0, 0.0, min_fraction=0.1)
     assert stats.n_skipped_floor >= 1
+    assert np.isnan(stats.per_point[100])        # g(0) = 0 sits under the floor
     assert stats.n_evaluated + stats.n_skipped_floor <= x.size
 
 
 def test_extraction_input_validation(k1_system):
     st = k1_system.state("iso", 0)
+    asg = assignment_for(k1_system.spec, "half")
     with pytest.raises(DomainError):
-        g_from_extremal(st.values[:-1], k1_system.x)
+        g_from_extremal(st.values[:-1], k1_system.x, dstate_values=st.derivs[:-1],
+                        assignment=asg)
     with pytest.raises(DomainError):
-        g_from_extremal(np.zeros_like(k1_system.x), k1_system.x)
+        g_from_extremal(np.zeros_like(k1_system.x), k1_system.x, dstate_values=st.derivs,
+                        assignment=asg)
     with pytest.raises(DomainError):
-        g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs[:-1])
-
-
-def test_stencil_extraction_from_bare_samples(k1_system):
-    """Without an analytic derivative the five-point stencil path is used;
-    the transcendent still passes the equation, just with a softer ceiling."""
-    st = k1_system.state("iso", 0)
-    gs = g_from_extremal(st.values, k1_system.x,
-                         assignment=assignment_for(k1_system.spec, "half"))
-    assert not gs.valid[0] and not gs.valid[-1]
-    stats = piv_residual(gs, gs.assignment.a, gs.assignment.b)
-    assert stats.max < 1e-3
+        g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs[:-1],
+                        assignment=asg)
 
 
 def test_node_positions_interpolated(k1_system):
     """Node bookkeeping on a deliberately noded (non-extremal) state."""
     st = k1_system.state("iso", 1)
-    gs = g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs)
+    gs = g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs,
+                         assignment=assignment_for(k1_system.spec, "half"))
     assert len(gs.nodes) == 2
     for x0 in gs.nodes:
         i = np.argmin(np.abs(k1_system.x - x0))

@@ -183,10 +183,12 @@ def test_integral_zero_inf_batched():
     assert np.max(np.abs(got - 1.0)) < 1e-9
 
 
-def test_integral_zero_inf_reports_failure():
+def test_integral_zero_inf_reports_failure(monkeypatch):
     # a node cap too small to settle a slowly decaying integrand
-    with pytest.raises(QuadratureError):
-        integral_zero_inf(lambda t: 1.0 / (1.0 + t) ** 1.01, max_nodes=256)
+    monkeypatch.setattr(specfun, "_MAX_NODES", 256)
+    with pytest.raises(QuadratureError) as info:
+        integral_zero_inf(lambda t: 1.0 / (1.0 + t) ** 1.01)
+    assert info.value.nodes_used == 256
 
 
 def test_bessel_k_reference_values():
@@ -310,6 +312,18 @@ def test_overflowing_array_series_refused_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SeriesError, match="not finite"):
             hyp0f2(2.5, 1.5, np.array([0.5, 1e200]))
+
+
+def test_overflowing_numpy_scalar_series_refused_without_warnings():
+    # 0-d arguments of other float dtypes take the array loop and its errstate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.longdouble(1e300), np.float32(1e30)):
+            with pytest.raises(SeriesError, match="not finite"):
+                hyp0f2(2.5, 1.5, x)
+        got = hyp0f2(2.5, 1.5, np.float32(0.8))
+    assert type(got) is np.float32
+    assert got == hyp0f2(2.5, 1.5, np.array([0.8], dtype=np.float32))[0]
 
 
 # ----------------------------------------------------------------------
