@@ -157,35 +157,53 @@ def _iso_step(family: str, params: CSParams):
     return lambda n: n + 1.0
 
 
-def _iso_levels_needed(step, w: float, c0sq: float):
+def _iso_levels_needed(step, w: float, c0sq: float, log_c0sq: float):
     """Smallest N with the dropped probability mass provably below 1e-12.
 
     The weights decay faster than geometrically, so once the step ratio q
     falls below 1 the tail is bounded by t_{N+1} / (1 - q). An N above
     _HARD_CAP is refused with TruncationError, which reports the N found by
-    stepping on past the cap, or a lower bound for it: the level where the
-    weight has overflowed and can no longer pass the test, or _STEP_LIMIT."""
+    stepping on past the cap. Once the float weight t overflows the steps
+    go on in logs, against log_c0sq = log c0sq (c0sq itself may have
+    underflowed); only a search stopped at _STEP_LIMIT reports a lower
+    bound."""
+    found = None
     t = 1.0
     for n in range(_STEP_LIMIT):
         # multiplying by the reciprocal fixes the rounding of the stored tail
         t_next = t * w * (1.0 / step(n))
+        if not math.isfinite(t_next):
+            found = _iso_level_in_logs(step, w, log_c0sq, n, math.log(t))
+            break
         q = w * (1.0 / step(n + 1))
-        if q < 1.0:
-            if c0sq * t_next / (1.0 - q) < _TAIL_BOUND:
-                needed = max(n, _MIN_LEVELS)
-                if needed > _HARD_CAP:
-                    raise TruncationError(
-                        "tail bound %g needs %d levels, more than the cap of %d"
-                        % (_TAIL_BOUND, needed, _HARD_CAP), required=needed, cap=_HARD_CAP)
-                return needed, c0sq * t_next / (1.0 - q)
-            if not math.isfinite(t_next):
-                break
+        if q < 1.0 and c0sq * t_next / (1.0 - q) < _TAIL_BOUND:
+            found = n, c0sq * t_next / (1.0 - q)
+            break
         t = t_next
-    else:
-        n = _STEP_LIMIT
-    raise TruncationError(
-        "tail bound %g needs at least %d levels, more than the cap of %d"
-        % (_TAIL_BOUND, n, _HARD_CAP), required=n, cap=_HARD_CAP)
+    if found is None:
+        raise TruncationError(
+            "tail bound %g needs at least %d levels, more than the cap of %d"
+            % (_TAIL_BOUND, _STEP_LIMIT, _HARD_CAP), required=_STEP_LIMIT, cap=_HARD_CAP)
+    needed = max(found[0], _MIN_LEVELS)
+    if needed > _HARD_CAP:
+        raise TruncationError(
+            "tail bound %g needs %d levels, more than the cap of %d"
+            % (_TAIL_BOUND, needed, _HARD_CAP), required=needed, cap=_HARD_CAP)
+    return needed, found[1]
+
+
+def _iso_level_in_logs(step, w: float, log_c0sq: float, start: int, log_t: float):
+    """(n, tail) of the first level from start on that passes the tail
+    test of _iso_levels_needed, stepping log t from log t_start = log_t;
+    None if no level below _STEP_LIMIT does."""
+    log_bound = math.log(_TAIL_BOUND)
+    for n in range(start, _STEP_LIMIT):
+        log_t += math.log(w / step(n))
+        q = w / step(n + 1)
+        log_tail = log_c0sq + log_t - math.log1p(-q) if q < 1.0 else math.inf
+        if log_tail < log_bound:
+            return n, math.exp(log_tail)
+    return None
 
 
 def _label(z):
@@ -232,11 +250,12 @@ def construct_cs(family: str, z, params: CSParams) -> CoherentState:
         return CoherentState(family, z, params, coeffs, 0.0)
 
     if family == Family.AOCS_ISO:
-        c0sq = 1.0 / hyp0f2(a + 1.0, a - k + 1.0, w)
+        norm = hyp0f2(a + 1.0, a - k + 1.0, w)
+        c0sq, log_c0sq = 1.0 / norm, -math.log(norm)
     else:
-        c0sq = math.exp(-w)
+        c0sq, log_c0sq = math.exp(-w), -w
     step = _iso_step(family, params)
-    levels, tail = _iso_levels_needed(step, w, c0sq)
+    levels, tail = _iso_levels_needed(step, w, c0sq, log_c0sq)
     coeffs = np.empty(levels + 1, dtype=complex)
     coeffs[0] = math.sqrt(c0sq)
     for n in range(levels):
@@ -410,11 +429,20 @@ def wavefunction(cs: CoherentState, system):
 # grid rate, so small x is handled by series instead: f1 and f2 tend to
 # finite limits there, while f3 grows logarithmically and switches to the
 # log-case Kummer series below _MU3_SWITCH.
+#
+# A cache is validated on its full grid and then stores only the live weight
+# span, from the first to the last nonzero weight, with the rates ascending:
+# the mu1/mu2 amplitude y^power e^{-c} underflows to exact zeros in one run
+# at an end of the y window. _laplace_sum evaluates the profile in blocks of
+# about _BLOCK_ENTRIES decay entries, so one block's decay matrix stays in
+# cache between np.exp and the matrix-vector product, and each block skips
+# the rates whose terms underflow to exactly zero at its smallest x.
 
 _Y_WINDOW = (1e-9, 1.0e15)
 _T_WINDOW = (1e-12, 200.0)
 _LOG_INTERVALS = 8192
-_CHUNK = 512
+_BLOCK_ENTRIES = 1 << 18   # decay entries per block: 2 MB of float64
+_EXP_ZERO = 746.0          # exp(-t) is exactly 0.0 for every t >= 745.14
 _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
@@ -492,13 +520,24 @@ def _log_simpson(lo: float, hi: float, n_intervals: int):
 
 
 def _laplace_sum(rates: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i weights_i e^{-x rates_i} for a batch of x >= 0, chunked."""
-    out = np.empty(x.size, dtype=float)
-    for start in range(0, x.size, _CHUNK):
-        xc = x[start:start + _CHUNK]
-        with np.errstate(over="ignore"):
-            decay = np.exp(-xc[:, None] * rates[None, :])
-        out[start:start + _CHUNK] = decay @ weights
+    """sum_i weights_i e^{-x rates_i} for a batch of x >= 0; rates ascending.
+
+    The batch runs in blocks of _BLOCK_ENTRIES // rates.size values of x.
+    Each block evaluates only the prefix of rates with x_min * rate below
+    _EXP_ZERO, x_min its smallest x: every other term is exactly 0.0 for
+    the whole block, so dropping it changes a sum by regrouping alone, and a
+    block with no live rate returns exact zeros.
+    """
+    out = np.zeros(x.size, dtype=float)
+    rows = max(1, _BLOCK_ENTRIES // rates.size)
+    for start in range(0, x.size, rows):
+        xb = x[start:start + rows]
+        x_min = float(xb.min())
+        live = int(np.searchsorted(rates, _EXP_ZERO / x_min)) if x_min > 0.0 else rates.size
+        if live:
+            with np.errstate(over="ignore"):
+                decay = np.exp(-xb[:, None] * rates[None, :live])
+            out[start:start + rows] = decay @ weights[:live]
     return out
 
 
@@ -512,9 +551,12 @@ class MeasureFn:
     once; cache_agreement records the relative disagreement of the cache
     against its validation route (the even grid nodes for mu1/mu2,
     Gamma(gap+1)^2 U(gap+1, 1; x) by specfun.tricomi_u for mu3) and must
-    stay below rtol, a fixed 1e-6 that callers can read but not set. The
-    fields cannot be reassigned and the cached arrays are read-only, so
-    measure_fn can hand one instance to every caller.
+    stay below rtol, a fixed 1e-6 that callers can read but not set. After
+    validation the cache keeps only its live weight span, the first to the
+    last nonzero weight, with the rates ascending, and profile sums it in
+    cache-sized blocks that skip the rates whose terms underflow to zero
+    (_laplace_sum). The fields cannot be reassigned and the cached arrays
+    are read-only, so measure_fn can hand one instance to every caller.
     """
     family: str
     params: CSParams
@@ -536,11 +578,12 @@ class MeasureFn:
         else:
             nodes, w = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS)
             g = _bessel_factor(self.family, self.params, nodes)
-            rates, weights = 1.0 / nodes, w * g
+            # rate = 1/y, reversed to ascend
+            rates, weights = 1.0 / nodes[::-1], (w * g)[::-1]
             # validation on the even nodes with half-resolution Simpson
             # weights, so the gap is the y-resolution error alone
             _, w_half = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS // 2)
-            half = _laplace_sum(rates[::2], w_half * g[::2], _CACHE_PROBES)
+            half = _laplace_sum(rates[::2], (w_half * g[::2])[::-1], _CACHE_PROBES)
             full = _laplace_sum(rates, weights, _CACHE_PROBES)
             gap = np.abs(half - full) / np.maximum(np.abs(full), 1e-300)
             agreement = float(np.max(gap))
@@ -550,6 +593,9 @@ class MeasureFn:
                 % (self.family, agreement),
                 nodes_used=_LOG_INTERVALS, last_estimate=None,
                 last_change=agreement)
+        nonzero = weights != 0.0
+        span = slice(int(nonzero.argmax()), nonzero.size - int(nonzero[::-1].argmax()))
+        rates, weights = rates[span].copy(), weights[span].copy()
         rates.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "cache_agreement", agreement)

@@ -131,12 +131,29 @@ def test_truncation_error_reports_requirement(k4_params, monkeypatch):
     assert abs(float(np.sum(probabilities(cs))) + cs.truncation_tail - 1.0) < 1e-10
 
 
+def _lin_iso_levels_in_logs(z):
+    """Smallest N whose lin_iso tail bound e^{-w} w^{N+1} / (N+1)! / (1 - q),
+    q = w/(N+2) < 1, is below 1e-12, from log weights (w = |z|^2)."""
+    w = abs(z) ** 2
+    n = 0
+    while not (w < n + 2 and -w + (n + 1) * math.log(w) - math.lgamma(n + 2)
+               - math.log1p(-w / (n + 2)) < math.log(1e-12)):
+        n += 1
+    return n
+
+
 def test_truncation_lower_bound_once_weights_overflow(k4_params):
-    # at |z|^2 = 900 the weights overflow while still rising: the refusal
-    # names a lower bound above the cap, never the cap itself
-    with pytest.raises(TruncationError, match="at least") as exc:
-        construct_cs(Family.LIN_ISO, 30.0, k4_params)
-    assert 256 < exc.value.required < 900
+    # past |z|^2 of about 713 the float weights overflow while still rising
+    # (and e^{-|z|^2} underflows); the refusal still names the exact need
+    for z, want in ((26.7, 909), (30.0, 1119), (60.0, 4030)):
+        assert _lin_iso_levels_in_logs(z) == want
+        with pytest.raises(TruncationError) as exc:
+            construct_cs(Family.LIN_ISO, z, k4_params)
+        assert exc.value.required == want and exc.value.cap == 256
+        assert "at least" not in str(exc.value)
+    # past the step limit only a lower bound is known
+    with pytest.raises(TruncationError, match="at least 4096 levels"):
+        construct_cs(Family.LIN_ISO, 70.0, k4_params)
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +556,52 @@ def test_measure_fn_shares_one_instance_per_key(mu1_k4, mu2_k4, k4_params, k1_pa
     others = [mu2_k4, measure_fn(MeasureFamily.MU1, k1_params)]
     assert all(m is not mu1_k4 for m in others)
     assert all(m.rtol == 1e-6 for m in others + [mu1_k4])
+
+
+def _laplace_sum_one_block(rates, weights, x):
+    # every rate, one block: the sum as it reads without blocking or skipping
+    with np.errstate(over="ignore"):
+        return np.exp(-x[:, None] * rates[None, :]) @ weights
+
+
+def test_laplace_sum_matches_one_block_reference(mu1_k4, mu2_k4, mu3_k4, k1_params):
+    rng = np.random.default_rng(7)
+    caches = [(m._rates, m._weights)
+              for m in (mu1_k4, mu2_k4, mu3_k4, measure_fn(MeasureFamily.MU1, k1_params))]
+    # weights near the float maximum keep every subnormal decay term a normal
+    # product, so the sums see each term the skip must keep or may drop
+    caches.append((np.geomspace(1e-3, 1e3, 4000), rng.uniform(0.5, 1.5, 4000) * 1e300))
+    for rates, weights in caches:
+        # x * rate across the subnormal band of exp for the smallest, a
+        # middle and the largest rates, with 0, inf and ordinary x
+        band = np.concatenate([np.linspace(700.0, 750.0, 51) / r
+                               for r in (rates[0], rates[rates.size // 2], rates[-1])])
+        mixed = np.concatenate([band, [0.0, np.inf], np.geomspace(1e-3, 1e3, 40)])
+        rng.shuffle(mixed)
+        # a run long enough to fill whole blocks in which every rate is dead
+        dead = np.full(300, 800.0 / rates[0])
+        x = np.concatenate([band, mixed, dead, mixed[::-1]])
+        got = coherent._laplace_sum(rates, weights, x)
+        want = _laplace_sum_one_block(rates, weights, x)
+        zero = want == 0.0
+        # one-value batches put each band x at the bottom of its own block
+        alone = [coherent._laplace_sum(rates, weights, band[i:i + 1])[0]
+                 for i in range(band.size)]
+        assert np.array_equal(np.array(alone) == 0.0, zero[:band.size])
+        assert np.allclose(alone, want[:band.size], rtol=4e-15, atol=0.0)
+        assert np.all(got[zero] == 0.0)
+        assert np.all(got >= 0.0)
+        assert np.max(np.abs(got[~zero] / want[~zero] - 1.0)) <= 4e-15
+        assert zero[x.size - mixed.size - dead.size:x.size - mixed.size].all()
+
+
+def test_measure_caches_store_live_span(mu1_k4, mu2_k4, mu3_k4, k1_params):
+    built = [mu1_k4, mu2_k4, mu3_k4] + [measure_fn(fam, k1_params) for fam in MeasureFamily.ALL]
+    for m in built + list(coherent._MEASURES.values()):
+        assert m._weights[0] != 0.0 and m._weights[-1] != 0.0, m.family
+        assert m._rates.size == m._weights.size
+        assert np.all(np.diff(m._rates) > 0.0), m.family
+        assert not m._rates.flags.writeable and not m._weights.flags.writeable
 
 
 def test_shared_measure_is_immutable(mu1_k4, mu3_k4):
