@@ -565,14 +565,19 @@ class MeasureFn:
     _rates: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
+    # an overflow leaves a non-finite agreement, which the gate refuses
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         if self.family not in MeasureFamily.ALL:
             raise UsageError("unknown measure family %r" % (self.family,))
         if self.family == MeasureFamily.MU3:
             a = self.params.gap + 1.0
+            gamma_a = gamma_fn(a)
+            if not math.isfinite(gamma_a * gamma_a):
+                raise DomainError("mu3 needs a finite Gamma(gap+1)^2, gap=%g" % self.params.gap)
             rates, w = _log_simpson(_T_WINDOW[0], _T_WINDOW[1], _LOG_INTERVALS)
-            weights = gamma_fn(a) * w * (rates / (1.0 + rates)) ** a
-            ref = gamma_fn(a) ** 2 * tricomi_u(a, _MU3_PROBES, rtol=1e-8)
+            weights = gamma_a * w * (rates / (1.0 + rates)) ** a
+            ref = gamma_a ** 2 * tricomi_u(a, _MU3_PROBES, rtol=1e-8)
             got = _laplace_sum(rates, weights, _MU3_PROBES)
             agreement = float(np.max(np.abs(got / ref - 1.0)))
         else:
@@ -587,7 +592,7 @@ class MeasureFn:
             full = _laplace_sum(rates, weights, _CACHE_PROBES)
             gap = np.abs(half - full) / np.maximum(np.abs(full), 1e-300)
             agreement = float(np.max(gap))
-        if agreement > self.rtol:
+        if not agreement <= self.rtol:
             raise QuadratureError(
                 "Laplace cache for %s disagrees with its validation route (%g)"
                 % (self.family, agreement),

@@ -60,10 +60,12 @@ _LANCZOS = (
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, poles excluded."""
+    """Gamma(x) for real x, poles excluded, refused where it overflows."""
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("gamma_fn pole at non-positive integer x=%g" % x)
+    if x > 171.62:
+        raise DomainError("Gamma(%g) overflows float64 (argument above 171.62)" % x)
     if x < 0.5:
         # reflection, keeps the rational approximation on the right half line
         return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
@@ -72,7 +74,11 @@ def gamma_fn(x: float) -> float:
     for i in range(1, len(_LANCZOS)):
         acc += _LANCZOS[i] / (y + i)
     t = y + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
+    try:
+        return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
+    except OverflowError:  # from x ~ 143, t^(y+1/2) overflows before e^{-t} acts
+        half = t ** ((y + 0.5) / 2.0)
+        return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
 
 
 def digamma(x: float) -> float:
@@ -308,7 +314,12 @@ def integral_zero_inf(f, rtol: float = 1e-10):
             full = np.empty((nodes.size,) + new.shape[1:])
             full[0::2], full[1::2] = vals, new
             vals = full
-        est = np.tensordot(weights, vals, axes=(0, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = np.tensordot(weights, vals, axes=(0, 0))
+        if not np.all(np.isfinite(est)):
+            # refused at once: more nodes cannot undo an overflow
+            raise QuadratureError("semi-infinite integral overflowed at %d nodes" % n,
+                                  nodes_used=n, last_estimate=est)
         if prev is not None:
             scale = np.max(np.abs(est))
             tol = rtol * np.maximum(np.abs(est), 1e-9 * scale) + 1e-300

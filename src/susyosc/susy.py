@@ -17,6 +17,12 @@ derivative are Laplace expansions along the psi_n column with the same
 minors as cofactors for every n, and a new state's numerator is a
 (k-1)-column determinant of the same rows.
 
+Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
+ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
+between iso levels n-1, n and +e_j between new levels j-1, j (under either
+Painleve assignment), so s gives every l^- element the positive sign the
+ladder coefficient tables assume.
+
 Seeds, eigenstates and determinants are evaluated in extended precision
 (x86 long double) and cast to float64 only after the final Wronskian ratios.
 The determinants cancel heavily in the far tails, amplifying entry rounding
@@ -323,13 +329,6 @@ class _RowTable:
                 for order in (0, 1)]
 
 
-def _denominator_data(seeds: SeedFamily):
-    """(W, W'/W) for the seed Wronskian, shared by every state of a system."""
-    rows = tuple(range(seeds.k))
-    denom = seeds._table.det(rows)
-    return denom, seeds._table.det(rows, order=1) / denom
-
-
 def wronskian(seeds: SeedFamily) -> np.ndarray:
     """W(u_0, ..., u_{k-1}) sampled on the seeds' grid."""
     return np.asarray(seeds._table.det(tuple(range(seeds.k))), dtype=float)
@@ -361,6 +360,9 @@ def potential(seeds: SeedFamily):
 class GridState:
     """One normalized bound state of the partner Hamiltonian on the grid.
 
+    The stored sign is the coefficient tables' convention, positive l^- on
+    both ladders: s * numerator/W with s = (-1)^n (iso) or +1 (new).
+
     derivs holds the analytic first derivative (from row-shifted Wronskians,
     not finite differences); the eigen-equation residual check is the one
     place second derivatives are taken numerically, on purpose, so it stays
@@ -369,40 +371,23 @@ class GridState:
     values: np.ndarray
     derivs: np.ndarray
     energy: float
-    label: str
     subspace: str          # "iso" or "new"
     index: int
-    sign_flip: int = 1     # stored = sign_flip * (state in its raw Crum gauge)
     norm_agreement: float = float("nan")   # |grid norm / closed form - 1| (iso only)
     residual_check: float = float("nan")   # eigen-equation residual (new only)
 
 
-def _normalize_with_convention(seeds: SeedFamily, numer, dnumer, weights: np.ndarray):
-    """numer/W and its derivative, normalized and in the sign convention."""
-    denom, dlog_den = _denominator_data(seeds)
-    raw = numer / denom
-    raw_deriv = dnumer / denom - dlog_den * raw
+def _normalized(seeds: SeedFamily, numer, dnumer, weights: np.ndarray, sign: float):
+    """sign * numer/W and its derivative, normalized on the grid, and the norm."""
+    rows = tuple(range(seeds.k))
+    denom = seeds._table.det(rows)
+    raw = sign * numer / denom
+    raw_deriv = sign * dnumer / denom - seeds._table.det(rows, order=1) / denom * raw
     nrm = math.sqrt(float(np.sum(weights * raw * raw)))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConstructionError("state has zero or non-finite norm")
     # the ratio work is done; stored states are plain float64
-    vals = np.asarray(raw / nrm, dtype=float)
-    ders = np.asarray(raw_deriv / nrm, dtype=float)
-    amax = np.max(np.abs(vals))
-    # sign convention: the leftmost interior local maximum of |phi| (above a
-    # noise floor) is positive
-    mag = np.abs(vals)
-    floor = 1e-8 * amax
-    flip = 1
-    interior = np.arange(1, len(vals) - 1)
-    is_max = (mag[interior] >= mag[interior - 1]) & (mag[interior] >= mag[interior + 1]) \
-        & (mag[interior] > floor)
-    cand = interior[is_max]
-    if cand.size and vals[cand[0]] < 0.0:
-        flip = -1
-        vals = -vals
-        ders = -ders
-    return vals, ders, nrm, flip
+    return np.asarray(raw / nrm, dtype=float), np.asarray(raw_deriv / nrm, dtype=float), nrm
 
 
 def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
@@ -419,14 +404,14 @@ def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
     k = seeds.k
     energy = n + 0.5
     numer, dnumer = seeds._table.iso_numerator(n)
-    vals, ders, nrm, flip = _normalize_with_convention(seeds, numer, dnumer, weights)
+    vals, ders, nrm = _normalized(seeds, numer, dnumer, weights, (-1.0) ** n)
     analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(energy - seeds.energies)))
     agreement = abs(nrm / analytic - 1.0)
     if agreement > 1e-6:
         raise ConstructionError(
             "iso state n=%d: grid norm disagrees with closed form by %.3g" % (n, agreement))
-    return GridState(values=vals, derivs=ders, energy=energy, label="n=%d" % n,
-                     subspace="iso", index=n, sign_flip=flip, norm_agreement=agreement)
+    return GridState(values=vals, derivs=ders, energy=energy, subspace="iso", index=n,
+                     norm_agreement=agreement)
 
 
 def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
@@ -445,14 +430,14 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
     # k = 1 leaves the empty determinant, 1
     numer, dnumer = (seeds._table.det(rows, cols), seeds._table.det(rows, cols, 1)) \
         if k > 1 else (1.0, 0.0)
-    vals, ders, _, flip = _normalize_with_convention(seeds, numer, dnumer, weights)
+    vals, ders, _ = _normalized(seeds, numer, dnumer, weights, 1.0)
     energy = float(seeds.energies[j])
     res = hamiltonian_residual(vals, energy, potential_values, seeds.x[1] - seeds.x[0], weights)
     if res > 1e-4:
         raise ConstructionError(
             "new state j=%d fails the eigenvalue equation (residual %.3g)" % (j, res))
-    return GridState(values=vals, derivs=ders, energy=energy, label="eps_%d" % j,
-                     subspace="new", index=j, sign_flip=flip, residual_check=res)
+    return GridState(values=vals, derivs=ders, energy=energy, subspace="new", index=j,
+                     residual_check=res)
 
 
 def hamiltonian_residual(values, energy, potential_values, h, weights) -> float:

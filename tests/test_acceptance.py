@@ -124,12 +124,12 @@ def test_05_stencil_matrix_elements(report, k4_system):
         got = stencil_projection(op, k4_system.state("iso", n - 1),
                                  k4_system.state("iso", n), w)
         ref = natural_down_coeff(n, "iso", params)
-        worst = max(worst, abs(abs(got) / ref - 1.0))
+        worst = max(worst, abs(got / ref - 1.0))
     for j in range(1, k4_system.spec.k):
         got = stencil_projection(op, k4_system.state("new", j - 1),
                                  k4_system.state("new", j), w)
         ref = natural_down_coeff(j, "new", params)
-        worst = max(worst, abs(abs(got) / ref - 1.0))
+        worst = max(worst, abs(got / ref - 1.0))
 
     def support_norm(image):
         good = np.isfinite(image)

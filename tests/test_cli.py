@@ -245,6 +245,19 @@ def test_density_refuses_non_finite_values(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_overflowing_gamma_refused_as_invalid_input(tmp_path, capsys):
+    # gap 100: Gamma(gap+1)^2 overflows; gap 143: so does t^(y+1/2) inside
+    # the direct Lanczos form of Gamma(gap+1)
+    for eps_top in ("-99.5", "-142.5"):
+        out = tmp_path / "density.csv"
+        rc = main(["density", "--k", "1", "--eps-top", eps_top, "--nu", "0",
+                   "--measure", "mu3", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Gamma(gap+1)^2" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("exc, fields", [
     (SeriesError("series stalled", terms_used=500, partial_sum=2.5),
      ["  terms_used: 500", "  partial_sum: 2.5"]),

@@ -10,6 +10,7 @@ code with the Laplace-cache construction.
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from susyosc.errors import (
     DomainError,
     InvalidSpecError,
+    QuadratureError,
     TruncationError,
     UsageError,
 )
@@ -29,6 +31,7 @@ from susyosc import (
     Family,
     LadderCoeffs,
     MeasureFamily,
+    MeasureFn,
     annihilation_check,
     bessel_k,
     construct_cs,
@@ -482,6 +485,18 @@ def test_mu3_builds_for_small_gaps_k1():
     for i in range(1, 20):
         m = measure_fn(MeasureFamily.MU3, CSParams(gap=0.05 * i, k=1))
         assert m.cache_agreement <= m.rtol
+
+
+def test_overflowing_caches_refused_without_warnings():
+    # mu1: y^gap overflows at the top of the y window, so the validation gap
+    # reads NaN; mu3: Gamma(gap+1)^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gap in (100.0, 170.0):
+            with pytest.raises(QuadratureError, match="nan"):
+                MeasureFn("mu1", CSParams(gap=gap, k=3))
+        with pytest.raises(DomainError, match="gap=100"):
+            MeasureFn("mu3", CSParams(gap=100.0, k=1))
 
 
 def test_moment_strips(mu1_k4, mu2_k4, mu3_k4):

@@ -5,12 +5,15 @@ code paths (spectral bookkeeping vs. transcendent coefficients plus grid
 quadrature), so their agreement on matrix elements is a real cross-check.
 """
 
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from susyosc import SystemSpec, build_system
+from susyosc.coherent import CSParams, construct_cs, wavefunction
 from susyosc.errors import DomainError, InsufficientSupportError, InvalidSpecError
 from susyosc.gridops import largest_run
 from susyosc.ladder import (
@@ -147,17 +150,91 @@ def test_commutator_values(k4_coeffs, k1_spec):
 
 def test_stencil_projections_match_table(k4_system, k4_coeffs, k4_stencil):
     """Quadrature matrix elements of the sampled operator against the
-    spectral table, both ladders. The stored states fix their own overall
-    sign, so magnitudes are compared; the sign is a relative-phase gauge."""
+    spectral table, both ladders, signed: the stored states carry the
+    tables' convention of positive l^- elements."""
     w = k4_system.weights
     for n in range(1, 6):
         got = stencil_projection(k4_stencil, k4_system.state("iso", n - 1),
                                  k4_system.state("iso", n), w)
-        assert abs(abs(got) / k4_coeffs.iso_down(n) - 1.0) < 1e-3
+        assert abs(got / k4_coeffs.iso_down(n) - 1.0) < 1e-3
     for j in range(1, 4):
         got = stencil_projection(k4_stencil, k4_system.state("new", j - 1),
                                  k4_system.state("new", j), w)
-        assert abs(abs(got) / k4_coeffs.new_down(j) - 1.0) < 1e-3
+        assert abs(got / k4_coeffs.new_down(j) - 1.0) < 1e-3
+
+
+# (eps_top, nu) inside the box the benchmark sweep draws from:
+# eps_top in [-3.5, -0.5], |nu| <= 0.95
+_BOX_SPECS = ((-0.7, 0.6), (-2.2, -0.3), (-3.4, 0.9))
+_LABELS = (0.9 + 0.4j, cmath.rect(1.5, -4.93), 0.3 - 0.2j)
+
+
+@pytest.fixture(scope="module")
+def box_systems():
+    """(system, eps0 stencil) for k = 1..5 at each box spec, on both grids."""
+    out = []
+    for k in range(1, 6):
+        for eps_top, nu in _BOX_SPECS:
+            for n_points in (2101, 4201):
+                system = build_system(
+                    SystemSpec(k=k, eps_top=eps_top, nu=nu, n_points=n_points), n_max=8)
+                gsol = g_for_system(system, "eps0", phi_rel_floor=1e-8)
+                out.append((system, build_operator_stencil(gsol)))
+    return out
+
+
+def _restricted(weights, *arrays):
+    """Weights and arrays on the finite points of every array."""
+    good = np.all([np.isfinite(a) for a in arrays], axis=0)
+    return (weights[good],) + tuple(a[good] for a in arrays)
+
+
+def test_signed_stencil_ratio_on_box_specs(box_systems):
+    """Every stored pair carries a positive l^- element, as the tables
+    assume: iso pairs up to n = 3 and every new pair."""
+    for system, op in box_systems:
+        params = LadderCoeffs.from_spec(system.spec)
+        pairs = [("iso", n) for n in range(1, 4)] \
+            + [("new", j) for j in range(1, system.spec.k)]
+        for subspace, n in pairs:
+            got = stencil_projection(op, system.state(subspace, n - 1),
+                                     system.state(subspace, n), system.weights)
+            assert abs(got / natural_down_coeff(n, subspace, params) - 1.0) < 1e-6, \
+                (system.spec, subspace, n)
+
+
+def test_new_family_expectation_matches_table(box_systems):
+    """<psi_z| l^- psi_z> on the grid, through the stencil, against the
+    table sum sum_j conj(c_{j-1}) c_j e_j, for both new-ladder families."""
+    for system, op in box_systems:
+        params = CSParams.from_spec(system.spec)
+        if params.k == 1:
+            continue   # a single new level: no l^- element to compare
+        images = [apply_stencil(op, st) for st in system.new_states]
+        for family in ("docs_new", "lin_new"):
+            for z in _LABELS:
+                cs = construct_cs(family, z, params)
+                psi, _ = wavefunction(cs, system)
+                w, psi, image = _restricted(system.weights, psi,
+                                            sum(c * im for c, im in zip(cs.coeffs, images)))
+                got = np.sum(w * np.conj(psi) * image) / np.sum(w * np.abs(psi) ** 2)
+                want = sum(np.conj(cs.coeffs[j - 1]) * cs.coeffs[j]
+                           * natural_down_coeff(j, "new", params) for j in range(1, params.k))
+                assert abs(got - want) <= 1e-6 * abs(want), (system.spec, family, z)
+
+
+def test_aocs_iso_annihilated_in_x_space(box_systems):
+    """sum_n c_n l^- phi_n through the grid stencil equals z psi_z on the
+    support, a route that does not use the coefficient recurrence."""
+    for system, op in box_systems:
+        params = CSParams.from_spec(system.spec)
+        for z in _LABELS:
+            cs = construct_cs("aocs_iso", z, params)
+            psi, _ = wavefunction(cs, system)
+            image = sum(c * apply_stencil(op, st) for c, st in zip(cs.coeffs, system.iso_states))
+            w, psi, image = _restricted(system.weights, psi, image)
+            residual = np.sum(w * np.abs(image - z * psi) ** 2) / np.sum(w * np.abs(z * psi) ** 2)
+            assert math.sqrt(residual) <= 1e-4, (system.spec, z)
 
 
 def test_stencil_up_direction(k4_system, k4_coeffs, k4_stencil):
@@ -165,7 +242,7 @@ def test_stencil_up_direction(k4_system, k4_coeffs, k4_stencil):
     for n in range(1, 4):
         got = stencil_projection(k4_stencil, k4_system.state("iso", n),
                                  k4_system.state("iso", n - 1), w, direction="up")
-        assert abs(abs(got) / k4_coeffs.iso_down(n) - 1.0) < 1e-3
+        assert abs(got / k4_coeffs.iso_down(n) - 1.0) < 1e-3
     with pytest.raises(DomainError):
         apply_stencil(k4_stencil, k4_system.state("iso", 1), direction="sideways")
 

@@ -47,6 +47,15 @@ def test_gamma_poles_raise():
             gamma_fn(x)
 
 
+def test_gamma_near_the_float_ceiling():
+    # the direct Lanczos form overflows in t^(y+1/2) from x ~ 143 on; the
+    # coefficient set itself is off by -1.02e-13 at 171 in exact arithmetic
+    for x, tol in ((143.0, 1e-13), (150.0, 1e-13), (171.0, 1.5e-13)):
+        assert abs(gamma_fn(x) / math.gamma(x) - 1.0) < tol
+    with pytest.raises(DomainError, match="overflows"):
+        gamma_fn(172.0)
+
+
 @settings(max_examples=60, derandomize=True)
 @given(st.floats(min_value=0.1, max_value=25.0))
 def test_gamma_recurrence(x):
@@ -189,6 +198,15 @@ def test_integral_zero_inf_reports_failure(monkeypatch):
     with pytest.raises(QuadratureError) as info:
         integral_zero_inf(lambda t: 1.0 / (1.0 + t) ** 1.01)
     assert info.value.nodes_used == 256
+
+
+def test_integral_zero_inf_refuses_overflow_at_once():
+    # more nodes cannot undo an overflow, so the first rule refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="overflowed") as info:
+            integral_zero_inf(lambda t: np.full(t.shape, np.inf))
+    assert info.value.nodes_used == 32
 
 
 def test_bessel_k_reference_values():
