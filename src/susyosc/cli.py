@@ -3,7 +3,9 @@
 Artifacts are JSON documents (canonical formatting, see serialize) and CSV
 tables. Exit codes are part of the contract: 0 success, 1 a requested
 numerical check failed, 2 invalid input / family misuse / malformed
-artifact, 3 the transcendent sample left too few usable points to judge.
+artifact, 3 the transcendent sample left too few usable points to judge,
+4 a valid spec the numerics could not build (a grid state failed its
+closed-form checks, or the seed Wronskian vanishes on the grid).
 
 Labels are written either in polar form R@theta (radians) or rectangular
 re,im; use --z=-0.3,0.5 when the value starts with a minus sign.
@@ -36,7 +38,9 @@ from .coherent import (
     wavefunction,
 )
 from .errors import (
+    ConstructionError,
     InsufficientSupportError,
+    SingularPotentialError,
     SusyOscError,
     UsageError,
 )
@@ -516,7 +520,9 @@ def main(argv=None) -> int:
         for name in ("terms_used", "partial_sum", "nodes_used", "required", "cap"):
             if getattr(exc, name, None) is not None:
                 print("  %s: %s" % (name, getattr(exc, name)), file=sys.stderr)
-        return 3 if isinstance(exc, InsufficientSupportError) else 2
+        if isinstance(exc, InsufficientSupportError):
+            return 3
+        return 4 if isinstance(exc, (ConstructionError, SingularPotentialError)) else 2
 
 
 if __name__ == "__main__":

@@ -157,53 +157,35 @@ def _iso_step(family: str, params: CSParams):
     return lambda n: n + 1.0
 
 
-def _iso_levels_needed(step, w: float, c0sq: float, log_c0sq: float):
+def _iso_levels_needed(step, w: float, log_c0sq: float):
     """Smallest N with the dropped probability mass provably below 1e-12.
 
-    The weights decay faster than geometrically, so once the step ratio q
-    falls below 1 the tail is bounded by t_{N+1} / (1 - q). An N above
-    _HARD_CAP is refused with TruncationError, which reports the N found by
-    stepping on past the cap. Once the float weight t overflows the steps
-    go on in logs, against log_c0sq = log c0sq (c0sq itself may have
-    underflowed); only a search stopped at _STEP_LIMIT reports a lower
-    bound."""
-    found = None
-    t = 1.0
+    The weights t_n = |c_n/c_0|^2 decay faster than geometrically, so once
+    the step ratio q = w / s(N+1) falls below 1 the tail is bounded by
+    c0sq t_{N+1} / (1 - q). The search steps log t from n = 0 against
+    log_c0sq = log c0sq, so a weight that overflows float64 or a c0sq that
+    underflows cannot stop it early. An N above _HARD_CAP is refused with
+    TruncationError, which reports the N found by stepping on past the cap;
+    only a search stopped at _STEP_LIMIT reports a lower bound."""
+    if w == 0.0:
+        return _MIN_LEVELS, 0.0
+    log_w, log_bound, log_t = math.log(w), math.log(_TAIL_BOUND), 0.0
     for n in range(_STEP_LIMIT):
-        # multiplying by the reciprocal fixes the rounding of the stored tail
-        t_next = t * w * (1.0 / step(n))
-        if not math.isfinite(t_next):
-            found = _iso_level_in_logs(step, w, log_c0sq, n, math.log(t))
+        log_t += log_w - math.log(step(n))
+        q = w / step(n + 1)
+        log_tail = log_c0sq + log_t - math.log1p(-q) if q < 1.0 else math.inf
+        if log_tail < log_bound:
             break
-        q = w * (1.0 / step(n + 1))
-        if q < 1.0 and c0sq * t_next / (1.0 - q) < _TAIL_BOUND:
-            found = n, c0sq * t_next / (1.0 - q)
-            break
-        t = t_next
-    if found is None:
+    else:
         raise TruncationError(
             "tail bound %g needs at least %d levels, more than the cap of %d"
             % (_TAIL_BOUND, _STEP_LIMIT, _HARD_CAP), required=_STEP_LIMIT, cap=_HARD_CAP)
-    needed = max(found[0], _MIN_LEVELS)
+    needed = max(n, _MIN_LEVELS)
     if needed > _HARD_CAP:
         raise TruncationError(
             "tail bound %g needs %d levels, more than the cap of %d"
             % (_TAIL_BOUND, needed, _HARD_CAP), required=needed, cap=_HARD_CAP)
-    return needed, found[1]
-
-
-def _iso_level_in_logs(step, w: float, log_c0sq: float, start: int, log_t: float):
-    """(n, tail) of the first level from start on that passes the tail
-    test of _iso_levels_needed, stepping log t from log t_start = log_t;
-    None if no level below _STEP_LIMIT does."""
-    log_bound = math.log(_TAIL_BOUND)
-    for n in range(start, _STEP_LIMIT):
-        log_t += math.log(w / step(n))
-        q = w / step(n + 1)
-        log_tail = log_c0sq + log_t - math.log1p(-q) if q < 1.0 else math.inf
-        if log_tail < log_bound:
-            return n, math.exp(log_tail)
-    return None
+    return needed, math.exp(log_tail)
 
 
 def _label(z):
@@ -255,7 +237,7 @@ def construct_cs(family: str, z, params: CSParams) -> CoherentState:
     else:
         c0sq, log_c0sq = math.exp(-w), -w
     step = _iso_step(family, params)
-    levels, tail = _iso_levels_needed(step, w, c0sq, log_c0sq)
+    levels, tail = _iso_levels_needed(step, w, log_c0sq)
     coeffs = np.empty(levels + 1, dtype=complex)
     coeffs[0] = math.sqrt(c0sq)
     for n in range(levels):

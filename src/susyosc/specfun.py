@@ -1,11 +1,12 @@
 """Special functions and semi-infinite quadrature.
 
 The whole construction downstream (seed solutions, orthogonality measures,
-moment checks) reduces to a short list of primitives: the Gamma and digamma
-functions, the confluent series 1F1 and 0F2, the modified Bessel
-function K_nu through its real integral representation, one Laplace-type
-integral for the Tricomi U function and the mu1/mu2 measure factors, and
-Mellin moments on (0, inf).
+moment checks) reduces to a short list of primitives: the Gamma function
+(math.gamma behind the package's pole and overflow checks), the digamma
+function (math has none, so it is summed here), the confluent series 1F1
+and 0F2, the modified Bessel function K_nu through its real integral
+representation, one Laplace-type integral for the Tricomi U function and the
+mu1/mu2 measure factors, and Mellin moments on (0, inf).
 
 Series are summed by term recurrence with compensated accumulation, and
 each point stops on its own: a scalar runs a plain loop on Python numbers,
@@ -42,43 +43,19 @@ _CHUNK = 512            # values of c per shared node-doubling run
 # Gamma and friends
 # ----------------------------------------------------------------------
 
-# Lanczos rational approximation, g = 7, nine coefficients. Good to about
-# 1e-14 relative over the right half line once the reflection below handles
-# negative arguments.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, poles excluded, refused where it overflows."""
+    """Gamma(x) for real x from math.gamma, poles excluded, refused where it
+    overflows float64; a NaN argument gives NaN."""
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("gamma_fn pole at non-positive integer x=%g" % x)
     if x > 171.62:
         raise DomainError("Gamma(%g) overflows float64 (argument above 171.62)" % x)
-    if x < 0.5:
-        # reflection, keeps the rational approximation on the right half line
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    y = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
-    except OverflowError:  # from x ~ 143, t^(y+1/2) overflows before e^{-t} acts
-        half = t ** ((y + 0.5) / 2.0)
-        return math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
+        return math.gamma(x)
+    except OverflowError:  # 0 < |x| < 5.6e-309
+        raise DomainError("Gamma(%g) overflows float64 (argument next to the pole at 0)"
+                          % x) from None
 
 
 def digamma(x: float) -> float:
@@ -388,7 +365,10 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
     its residual fractional power sits at order m (p + 1) + 1 = 3 or higher.
     For p >= 2 the plain integrand is already smooth enough and the
     substitution would only slow the tail decay, so it is skipped. c may be
-    an ndarray; _CHUNK values of c at a time share their nodes.
+    an ndarray; _CHUNK values of c at a time share their nodes. The slices
+    run in ascending order of their smallest c: for q > 0 the factor
+    (s/c + b)^q is largest at the smallest c, so an integral that overflows
+    is refused by the first slice that runs. The order changes no value.
     """
     p = float(p)
     if p <= -1.0:
@@ -400,7 +380,7 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
     m = 1.0 if p >= 2.0 else 2.0 / (1.0 + p)
     power = m * (p + 1.0) - 1.0
     out = np.empty_like(cv)
-    for start in range(0, cv.size, _CHUNK):
+    for start in sorted(range(0, cv.size, _CHUNK), key=lambda i: cv[i:i + _CHUNK].min()):
         cc = cv[start:start + _CHUNK]
 
         def integrand(v):

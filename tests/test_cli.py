@@ -246,8 +246,7 @@ def test_density_refuses_non_finite_values(tmp_path, capsys):
 
 
 def test_overflowing_gamma_refused_as_invalid_input(tmp_path, capsys):
-    # gap 100: Gamma(gap+1)^2 overflows; gap 143: so does t^(y+1/2) inside
-    # the direct Lanczos form of Gamma(gap+1)
+    # gap 100 and 143: Gamma(gap+1) is finite, its square overflows
     for eps_top in ("-99.5", "-142.5"):
         out = tmp_path / "density.csv"
         rc = main(["density", "--k", "1", "--eps-top", eps_top, "--nu", "0",
@@ -256,6 +255,17 @@ def test_overflowing_gamma_refused_as_invalid_input(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Gamma(gap+1)^2" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_unbuildable_valid_spec_exits_4(tmp_path, capsys):
+    # a valid spec whose iso state n=30 misses its closed-form norm on the
+    # default grid is a numerical failure, not invalid input
+    out = tmp_path / "sys.json"
+    rc = main(["build", "--k", "6", "--eps-top", "-2.8", "--nu", "-0.9", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "n=30" in err and "disagrees with closed form" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("exc, fields", [

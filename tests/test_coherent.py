@@ -148,7 +148,9 @@ def _lin_iso_levels_in_logs(z):
 def test_truncation_lower_bound_once_weights_overflow(k4_params):
     # past |z|^2 of about 713 the float weights overflow while still rising
     # (and e^{-|z|^2} underflows); the refusal still names the exact need
-    for z, want in ((26.7, 909), (30.0, 1119), (60.0, 4030)):
+    # |z|^2 = 700 and 745: e^{-|z|^2} normal and subnormal
+    for z, want in ((26.7, 909), (30.0, 1119), (60.0, 4030),
+                    (math.sqrt(700.0), 894), (math.sqrt(745.0), 945)):
         assert _lin_iso_levels_in_logs(z) == want
         with pytest.raises(TruncationError) as exc:
             construct_cs(Family.LIN_ISO, z, k4_params)
@@ -174,6 +176,16 @@ def test_lin_new_mean_energy_reference_label(k4_params):
     cs = construct_cs(Family.LIN_NEW, 1.5 * cmath.exp(-4.93j), k4_params)
     assert mean_energy(cs) == pytest.approx(-3.6494466361786664, rel=1e-10)
     assert abs(mean_energy(cs) - (-3.64945)) < 1e-4
+
+
+def test_lin_new_state_with_gamma_near_1e244():
+    # gap 143.3, k = 2: C_z^2 sums 1/Gamma(gap) and 1/Gamma(gap - 1), and
+    # Gamma(142.3) ~ 8.4e243 must stay finite
+    params = CSParams(gap=143.3, k=2)
+    cs = construct_cs(Family.LIN_NEW, 1.0, params)
+    want = np.array([1.0, 142.3]) / 143.3
+    assert np.max(np.abs(probabilities(cs) - want)) < 1e-13
+    assert abs(mean_energy(cs) - (-142.8 + 142.3 / 143.3)) < 1e-12
 
 
 def test_aocs_mean_energy_frozen(k4_params):
@@ -489,7 +501,8 @@ def test_mu3_builds_for_small_gaps_k1():
 
 def test_overflowing_caches_refused_without_warnings():
     # mu1: y^gap overflows at the top of the y window, so the validation gap
-    # reads NaN; mu3: Gamma(gap+1)^2 overflows
+    # reads NaN; mu3: Gamma(gap+1)^2 overflows; mu2: (s/c + b)^q overflows
+    # at the smallest c, whose slice runs first, so the first rule refuses
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for gap in (100.0, 170.0):
@@ -497,6 +510,10 @@ def test_overflowing_caches_refused_without_warnings():
                 MeasureFn("mu1", CSParams(gap=gap, k=3))
         with pytest.raises(DomainError, match="gap=100"):
             MeasureFn("mu3", CSParams(gap=100.0, k=1))
+        for params in (CSParams(gap=50.0, k=1), CSParams(gap=40.3, k=3)):
+            with pytest.raises(QuadratureError, match="overflowed") as info:
+                MeasureFn("mu2", params)
+            assert info.value.nodes_used == 32
 
 
 def test_moment_strips(mu1_k4, mu2_k4, mu3_k4):

@@ -48,12 +48,20 @@ def test_gamma_poles_raise():
 
 
 def test_gamma_near_the_float_ceiling():
-    # the direct Lanczos form overflows in t^(y+1/2) from x ~ 143 on; the
-    # coefficient set itself is off by -1.02e-13 at 171 in exact arithmetic
-    for x, tol in ((143.0, 1e-13), (150.0, 1e-13), (171.0, 1.5e-13)):
-        assert abs(gamma_fn(x) / math.gamma(x) - 1.0) < tol
+    # frozen 40-digit mpmath values of Gamma at the float arguments; on
+    # [142.215, 142.369] the power t^(y+1/2) of a Lanczos form overflows to
+    # inf without raising, while Gamma itself is near 1e244
+    for x, want in ((142.22, "5.643778402658161407356924820308152086202e243"),
+                    (142.3, "8.388693393101249167476005263940452084607e243"),
+                    (142.36, "1.129276943365498504709924688392153164725e244"),
+                    (143.0, "2.695364137888162776588507508037290267094e245"),
+                    (150.0, "3.808922637630569726985955243507369335460e260"),
+                    (171.0, "7.257415615307998967396728211129263114717e306")):
+        assert abs(gamma_fn(x) / float(want) - 1.0) < 1e-15
     with pytest.raises(DomainError, match="overflows"):
         gamma_fn(172.0)
+    with pytest.raises(DomainError, match="overflows"):
+        gamma_fn(1e-310)
 
 
 @settings(max_examples=60, derandomize=True)
