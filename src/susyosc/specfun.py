@@ -12,8 +12,11 @@ Series are summed by term recurrence with compensated accumulation, and
 each point stops on its own: a scalar runs a plain loop on Python numbers,
 and an array is summed in order of |x| with its converged leading points
 retired, so a grid pays for the terms each point needs rather than for those
-of its largest |x|. This is the package's one loop for term-ratio series;
-it takes real or complex arguments, so 1F1 and 0F2 accept complex x.
+of its largest |x|. Equal arguments (the mirror points of x^2 on a symmetric
+grid) share one series, and each term tests convergence only on the band
+where the converged prefix can end. This is the package's one loop for
+term-ratio series; it takes real or complex arguments, so 1F1 and 0F2
+accept complex x. A NaN or infinite parameter is refused by name.
 Every adaptive integral runs over (0, inf) in integral_zero_inf, the
 package's one node-doubling loop: composite Simpson in u = t / (1 + t),
 doubling the nodes until two successive estimates agree. Each level's nodes
@@ -35,6 +38,7 @@ from .gridops import simpson_weights
 _SERIES_CAP = 100_000
 _SERIES_EPS = 1e-16
 _SERIES_QUIET = 50       # consecutive negligible terms required before stopping
+_QUIET_BAND = 64         # points past the last quiet-prefix end tested first
 _MAX_NODES = 2 ** 20
 _CHUNK = 512            # values of c per shared node-doubling run
 
@@ -43,10 +47,17 @@ _CHUNK = 512            # values of c per shared node-doubling run
 # Gamma and friends
 # ----------------------------------------------------------------------
 
+def _not_finite(label, name, value):
+    """The refusal of a NaN or infinite scalar parameter, naming it."""
+    return DomainError("%s needs a finite %s, got %s" % (label, name, value))
+
+
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x from math.gamma, poles excluded, refused where it
-    overflows float64; a NaN argument gives NaN."""
+    """Gamma(x) for finite real x from math.gamma, poles excluded, refused
+    where it overflows float64."""
     x = float(x)
+    if not math.isfinite(x):
+        raise _not_finite("gamma_fn", "x", x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("gamma_fn pole at non-positive integer x=%g" % x)
     if x > 171.62:
@@ -62,8 +73,11 @@ def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for real x, poles excluded.
 
     Recurrence pushes the argument to 12 or beyond, then the asymptotic
-    expansion (Bernoulli terms through x^-10) is accurate to ~1e-15."""
+    expansion (Bernoulli terms through x^-10) is accurate to ~1e-15. x must
+    be finite."""
     x = float(x)
+    if not math.isfinite(x):
+        raise _not_finite("digamma", "x", x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("digamma pole at non-positive integer x=%g" % x)
     if x < 0.5:
@@ -94,10 +108,14 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
     _SERIES_QUIET consecutive terms; a NaN never counts as quiet. A complex
     dtype is kept as well, with the floor of its real precision. A 0-d x of
     a 64-bit dtype runs the loop on a Python float or complex; any other x
-    is summed as an array in order of |x|: the leading points that have all
-    been quiet for the last _SERIES_QUIET terms retire, and only the
-    remaining suffix pays for further terms. Both paths do the same
-    arithmetic per point.
+    is summed as an array in order of |x|, one series per distinct value:
+    the leading points that have all been quiet for the last _SERIES_QUIET
+    terms retire, and only the remaining suffix pays for further terms. Each
+    term tests quietness from the first active point up to _QUIET_BAND past
+    the last quiet-prefix end, widening while all of it is quiet, since only
+    the first point that is not quiet counts. Both paths do the same
+    arithmetic per point, so every sum is bitwise that of the plain loop run
+    to the same term.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
@@ -151,29 +169,32 @@ def _series_error(label, terms, cap, partial):
 
 def _sum_array(term_ratio, x, eps, cap, label):
     flat = x.ravel()
-    out = np.empty_like(flat)
     if not flat.size:
-        return out.reshape(x.shape)
-    order = np.argsort(np.abs(flat), kind="stable")   # NaN sorts last
-    xs = flat[order]
+        return np.empty_like(x)
+    # one series per distinct value (a NaN is never equal to another), run
+    # in order of |x| with ties in order of first occurrence; the sums are
+    # kept per distinct value and scattered to every position that holds it
+    values, first, inverse = np.unique(flat, return_index=True, return_inverse=True,
+                                       equal_nan=False)
+    order = np.lexsort((first, np.abs(values)))   # NaN sorts last
+    xs = values[order]
+    sums = np.empty_like(xs)   # indexed as values
     size = xs.size
     eps, floor = xs.dtype.type(eps), xs.dtype.type(1e-300)
     term, total = np.ones_like(xs), np.ones_like(xs)
     comp, y, t = np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)
-    # quiet flags and a False sentinel: argmin over the active suffix is the
-    # length of its quiet prefix
-    quiet = np.zeros(size + 1, dtype=bool)
+    quiet = np.zeros(size, dtype=bool)
     # (n, quiet-prefix end) with increasing ends: the first entry holds the
     # least end over the last _SERIES_QUIET terms, and every point before it
     # has been quiet for all of them
     window = deque()
-    start, sliced = 0, -1
+    start, sliced, end = 0, -1, 0
     cplx = xs.dtype.kind == "c"
     for n in range(cap):
         if sliced != start:
             tv, xv, cv, yv, qv, sv, wv = (
                 b[start:size] for b in (term, xs, comp, y, quiet, total, t))
-            qs, sliced = quiet[start:], start
+            active, sliced = size - start, start
         # the plain loop's operations in its order: term = term * x * ratio;
         # y = term - comp; t = total + y; comp = (t - total) - y; total = t
         if cplx:
@@ -190,14 +211,26 @@ def _sum_array(term_ratio, x, eps, cap, label):
         np.subtract(wv, sv, out=cv)
         np.subtract(cv, yv, out=cv)
         total, t, sv, wv = t, total, wv, sv
-        # quiet: |term| / max(|total|, 1e-300) < eps, with the old total's
-        # buffer as scratch
-        np.abs(sv, out=wv)
-        np.maximum(wv, floor, out=wv)
-        np.abs(tv, out=yv)
-        np.divide(yv, wv, out=yv)
-        np.less(yv, eps, out=qv)
-        end = start + int(qs.argmin())
+        # the quiet-prefix end, from quiet = |term| / max(|total|, 1e-300) < eps
+        # (the old total's buffer is scratch); only the first point that is
+        # not quiet counts, so the test runs from start to the last end plus
+        # _QUIET_BAND, and over a band of doubled reach while all are quiet
+        lo, hi = 0, min(end - start + _QUIET_BAND, active)
+        while True:
+            wb, yb, qb = wv[lo:hi], yv[lo:hi], qv[lo:hi]
+            np.abs(sv[lo:hi], out=wb)
+            np.maximum(wb, floor, out=wb)
+            np.abs(tv[lo:hi], out=yb)
+            np.divide(yb, wb, out=yb)
+            np.less(yb, eps, out=qb)
+            i = int(qb.argmin())
+            if not qb[i]:
+                end = start + lo + i
+                break
+            if hi == active:
+                end = size
+                break
+            lo, hi = hi, min(2 * hi, active)
         while window and window[-1][1] >= end:
             window.pop()
         window.append((n, end))
@@ -205,16 +238,16 @@ def _sum_array(term_ratio, x, eps, cap, label):
             window.popleft()
         # retired points were quiet, hence finite; test the active suffix
         if (n + 1) % _SERIES_QUIET == 0 and not np.isfinite(sv).all():
-            out[order[start:]] = sv
-            raise _series_error(label, n + 1, cap, float(np.max(np.abs(out))))
+            sums[order[start:]] = sv
+            raise _series_error(label, n + 1, cap, float(np.max(np.abs(sums))))
         if n + 1 >= _SERIES_QUIET and window[0][1] > start:
             done = window[0][1]
-            out[order[start:done]] = sv[:done - start]
+            sums[order[start:done]] = sv[:done - start]
             if done == size:
-                return out.reshape(x.shape)
+                return sums[inverse].reshape(x.shape)
             start = done
-    out[order[start:]] = total[start:]
-    raise _series_error(label, cap, cap, float(np.max(np.abs(out))))
+    sums[order[start:]] = total[start:]
+    raise _series_error(label, cap, cap, float(np.max(np.abs(sums))))
 
 
 def _finite_arg(x, label):
@@ -228,9 +261,12 @@ def _finite_arg(x, label):
 def hyp1f1(a: float, c: float, x):
     """Confluent hypergeometric 1F1(a; c; x) by direct series.
 
-    x may be a real or complex scalar or ndarray, and must be finite. c must
-    not be a non-positive integer.
+    x may be a real or complex scalar or ndarray, and must be finite. a and
+    c must be finite, and c not a non-positive integer.
     """
+    for name, value in (("a", a), ("c", c)):
+        if not math.isfinite(value):
+            raise _not_finite("hyp1f1", name, value)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
     x = _finite_arg(x, "hyp1f1")
@@ -243,7 +279,11 @@ def hyp0f2(b1: float, b2: float, x):
     x may be a real or complex scalar or ndarray, and must be finite. A real
     x must be >= 0, the radial axis r^2 of the measures; a complex x may
     have any phase, as the overlap argument conj(z') z of the kernel does.
+    b1 and b2 must be finite.
     """
+    for name, value in (("b1", b1), ("b2", b2)):
+        if not math.isfinite(value):
+            raise _not_finite("hyp0f2", name, value)
     if b1 <= 0.0 or b2 <= 0.0:
         raise DomainError("hyp0f2 needs positive lower parameters, got (%g, %g)" % (b1, b2))
     x = _finite_arg(x, "hyp0f2")

@@ -72,6 +72,9 @@ class SystemSpec:
         self.validate()
 
     def validate(self):
+        for name in ("eps_top", "nu", "x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError("%s must be finite, got %s" % (name, getattr(self, name)))
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.eps_top < 0.5:
@@ -117,8 +120,10 @@ def seed_solution(x, eps: float, nu: float):
                         + 2 nu x Gamma(a3)/Gamma(a1) 1F1(a3, 3/2; x^2) ],
     a1 = (1 - 2 eps)/4, a3 = a1 + 1/2. Normalized so u(0) = 1. The derivative
     uses d/dw 1F1(a, c; w) = (a/c) 1F1(a+1, c+1; w) with w = x^2, so no
-    numerical differentiation enters anywhere.
+    numerical differentiation enters anywhere. eps and nu must be finite.
     """
+    if not (math.isfinite(eps) and math.isfinite(nu)):
+        raise DomainError("seed_solution needs finite eps and nu, got (%s, %s)" % (eps, nu))
     a1 = (1.0 - 2.0 * eps) / 4.0
     a3 = a1 + 0.5
     for a in (a1, a3):

@@ -268,6 +268,20 @@ def test_unbuildable_valid_spec_exits_4(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["build", "--k", "2", "--eps-top=-inf", "--nu", "0"], "eps_top"),
+    (["cs", "--k", "2", "--eps-top=-inf", "--nu", "0", "--family", "lin-new", "--z", "0.5"],
+     "eps_top"),
+    (["build", "--k", "2", "--eps-top", "-1", "--nu", "0", "--xmax=inf"], "x_max"),
+])
+def test_non_finite_spec_refused_by_name(argv, field, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be finite" % field)
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("exc, fields", [
     (SeriesError("series stalled", terms_used=500, partial_sum=2.5),
      ["  terms_used: 500", "  partial_sum: 2.5"]),

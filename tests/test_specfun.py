@@ -151,6 +151,21 @@ def test_series_refuse_non_finite_arguments():
             fn(*args)
 
 
+def test_non_finite_parameters_refused_by_name():
+    calls = (
+        (gamma_fn, (-math.inf,), "gamma_fn needs a finite x, got -inf"),
+        (gamma_fn, (math.nan,), "gamma_fn needs a finite x, got nan"),
+        (digamma, (-math.inf,), "digamma needs a finite x, got -inf"),
+        (hyp1f1, (0.5, -math.inf, 1.0), "hyp1f1 needs a finite c, got -inf"),
+        (hyp1f1, (math.nan, 0.5, 1.0), "hyp1f1 needs a finite a, got nan"),
+        (hyp0f2, (math.inf, 1.5, 1.0), "hyp0f2 needs a finite b1, got inf"),
+        (hyp0f2, (2.5, math.nan, np.array([1.0])), "hyp0f2 needs a finite b2, got nan"),
+    )
+    for fn, args, message in calls:
+        with pytest.raises(DomainError, match="^%s$" % message):
+            fn(*args)
+
+
 def _reference_sum(term_ratio, x, eps):
     """The array loop before points retired: all run until the slowest is quiet."""
     term = np.ones_like(x)
@@ -180,6 +195,71 @@ def test_array_series_matches_whole_array_loop_bitwise():
         want = _reference_sum(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, eps)
         assert got.dtype == np.longdouble and got.shape == x.shape
         assert np.array_equal(got, want)
+
+
+_EPS_LONG = 1.5 * float(np.finfo(np.longdouble).eps)
+
+
+def _ratio_1f1(a, c):
+    return lambda n: (a + n) / ((c + n) * (n + 1.0))
+
+
+@pytest.mark.parametrize("x_max, n_points", [(10.5, 2101), (10.5, 4201),
+                                              (12.5, 2101), (12.5, 4201)])
+def test_seed_argument_grids_match_whole_array_loop_bitwise(x_max, n_points):
+    # w = x^2 on a mirror-symmetric grid repeats most of its values, so each
+    # distinct w is summed once and scattered to both mirror points; the
+    # quiet test runs on a band past the last quiet-prefix end
+    x = np.linspace(-x_max, x_max, n_points).astype(np.longdouble)
+    w = x * x
+    assert np.unique(w).size < w.size
+    for a, c in ((1.65, 0.5), (2.15, 1.5)):   # the top seed's M1 and M3 at eps_top = -2.8
+        got = hyp1f1(a, c, w)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), w, _EPS_LONG))
+
+
+def test_repeated_float_arguments_match_whole_array_loop_bitwise():
+    # repeats of both signs, with -0.0 and +0.0 as one value, shuffled into 2-D
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-45.0, 45.0, 120)
+    x = np.concatenate([base, base[::2], -base[::3], [0.0, -0.0, 0.0, -0.0]])
+    x = rng.permutation(x).reshape(8, -1)
+    for a, c in ((0.3, 0.5), (-2.7, 0.5), (1.8, 2.5)):
+        got = hyp1f1(a, c, x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), x, specfun._SERIES_EPS))
+    got = hyp1f1(0.3, 0.5, np.array([-0.0, 0.0, -0.0]))
+    assert np.array_equal(got, [1.0, 1.0, 1.0])
+
+
+def test_repeated_complex_arguments_match_scalar_loop_bitwise():
+    # the reference loop's numpy complex multiply may fuse its products, so
+    # complex repeats are held to the scalar loop, which rounds each real
+    # product on its own as the array loop does
+    rng = np.random.default_rng(6)
+    z = rng.uniform(-15.0, 15.0, 60) + 1j * rng.uniform(-15.0, 15.0, 60)
+    z = rng.permutation(np.concatenate(
+        [z, z[::2], np.conj(z[::3]), [0j, complex(-0.0, 0.0), complex(0.0, -0.0)]]))
+    for fn, p, q in ((hyp1f1, 0.3, 0.5), (hyp1f1, -2.7, 0.5), (hyp0f2, 2.5, 1.5)):
+        got = fn(p, q, z)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, [fn(p, q, complex(v)) for v in z])
+
+
+def test_repeated_arguments_keep_the_refusal_fields():
+    # an overflow among repeats is refused at the first finiteness test with
+    # a NaN partial sum; a capped run reports the largest partial sum, as
+    # before repeats were summed once (frozen from that loop)
+    with pytest.raises(SeriesError, match="not finite") as info:
+        hyp0f2(2.5, 1.5, np.array([3.0, 1e200, 0.5, 3.0, 1e200, 0.5, 2.0]))
+    assert info.value.terms_used == _SERIES_QUIET and math.isnan(info.value.partial_sum)
+    ratio = lambda n: 1.0 / (n + 1.0)
+    for x, cap, partial in (([60.0, 0.5, -60.0, 60.0, 0.5, -60.0], 64, 8.269784546547296e+25),
+                            ([30.0, 0.5, 30.0, 0.5, 7.0, 7.0], 80, 10686474581524.334)):
+        with pytest.raises(SeriesError, match="did not converge") as info:
+            _sum_series(ratio, np.array(x), cap=cap)
+        assert info.value.terms_used == cap and info.value.partial_sum == partial
 
 
 def test_quadrature_rule_validation():

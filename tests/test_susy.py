@@ -44,6 +44,21 @@ def test_spec_validation():
         SystemSpec(k=2, eps_top=-1.0, nu=0.0, x_min=3.0, x_max=-3.0)
 
 
+def test_spec_refuses_non_finite_fields_by_name():
+    for field, value in (("eps_top", -math.inf), ("nu", math.nan),
+                         ("x_min", -math.inf), ("x_max", math.inf), ("x_max", math.nan)):
+        fields = dict(k=2, eps_top=-1.0, nu=0.0)
+        fields[field] = value
+        with pytest.raises(InvalidSpecError, match="^%s must be finite" % field):
+            SystemSpec(**fields)
+
+
+def test_seed_solution_refuses_non_finite_parameters():
+    for eps, nu in ((math.inf, 0.0), (-math.inf, 0.0), (-1.0, math.nan)):
+        with pytest.raises(DomainError, match="needs finite eps and nu"):
+            seed_solution(np.zeros(3), eps, nu)
+
+
 def test_spec_derived_quantities(k4_spec):
     assert np.allclose(k4_spec.energies, [-5.8, -4.8, -3.8, -2.8])
     assert k4_spec.eps0 == -5.8
