@@ -61,7 +61,7 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .susy import SystemSpec, build_system
+from .susy import DEFAULT_N_MAX, DEFAULT_N_POINTS, DEFAULT_X_MAX, SystemSpec, build_system
 
 _FAMILY_FLAGS = {
     "aocs-iso": Family.AOCS_ISO,
@@ -98,10 +98,10 @@ def _add_spec_args(p: argparse.ArgumentParser):
                    help="highest factorization energy (must stay below 1/2)")
     p.add_argument("--nu", type=float, required=True,
                    help="seed asymmetry parameter, |nu| < 1")
-    p.add_argument("--xmin", type=float, default=-10.5)
-    p.add_argument("--xmax", type=float, default=10.5)
-    p.add_argument("--n", type=int, default=2101, help="grid points (odd)")
-    p.add_argument("--nmax", type=int, default=32, help="stored iso levels")
+    p.add_argument("--xmin", type=float, default=-DEFAULT_X_MAX)
+    p.add_argument("--xmax", type=float, default=DEFAULT_X_MAX)
+    p.add_argument("--n", type=int, default=DEFAULT_N_POINTS, help="grid points (odd)")
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="stored iso levels")
 
 
 def _spec_from_args(args) -> SystemSpec:

@@ -86,34 +86,40 @@ def _check_family(family: str):
 CSParams = LadderCoeffs
 
 
-def _docs_weight(params: CSParams, j: int) -> float:
-    """(gap - j)_j (k - j)_j / j!, the docs_new probability weight."""
+def _new_weights(family: str, params: CSParams) -> list:
+    """Weight row over j < k: (gap-j)_j (k-j)_j / j! for docs_new,
+    1 / ((j!)^2 Gamma(gap-j)) for lin_new."""
     a, k = params.gap, params.k
-    return gamma_fn(a) * gamma_fn(float(k)) \
-        / (gamma_fn(a - j) * gamma_fn(float(k - j)) * math.factorial(j))
+    if family == Family.DOCS_NEW:
+        top = gamma_fn(a) * gamma_fn(float(k))
+        return [top / (gamma_fn(a - j) * gamma_fn(float(k - j)) * math.factorial(j))
+                for j in range(k)]
+    return [1.0 / (math.factorial(j) ** 2 * gamma_fn(a - j)) for j in range(k)]
 
 
-def _lin_new_weight(params: CSParams, j: int) -> float:
-    """1 / ((j!)^2 Gamma(gap - j)), the lin_new probability weight."""
-    return 1.0 / (math.factorial(j) ** 2 * gamma_fn(params.gap - j))
-
-
-_NEW_WEIGHT = {Family.DOCS_NEW: _docs_weight, Family.LIN_NEW: _lin_new_weight}
-
-
-def _finite_sum(params: CSParams, w, weight_fn):
-    """sum_j weight_j w^j over the new ladder; w may be complex or ndarray."""
+def _row_sum(row, w):
+    """sum_j row_j w^j; w may be complex or ndarray."""
     total = 0.0 * w + 0.0
     power = 1.0 + 0.0 * w
-    for j in range(params.k):
-        total = total + weight_fn(params, j) * power
+    for weight in row:
+        total = total + weight * power
         power = power * w
     return total
 
 
-def _norm_sum(params: CSParams, w: float, family: str) -> float:
-    """S(|z|^2) of a new-ladder family, refused once it overflows."""
-    total = _finite_sum(params, w, _NEW_WEIGHT[family]).real
+def _norm_series(family: str, params: CSParams):
+    """S(w): 0F2 for aocs_iso, the sum over the weight row for docs_new and
+    lin_new; formed once per public call, w may be complex or ndarray."""
+    if family == Family.AOCS_ISO:
+        a, k = params.gap, params.k
+        return lambda w: hyp0f2(a + 1.0, a - k + 1.0, w)
+    row = _new_weights(family, params)
+    return lambda w: _row_sum(row, w)
+
+
+def _finite_norm(total, w: float, family: str) -> float:
+    """The real part of S(|z|^2) for a label, refused once it overflows."""
+    total = total.real
     if not math.isfinite(total):
         raise DomainError("label with |z|^2=%g overflows the %s norm series"
                           % (w, family))
@@ -221,18 +227,16 @@ def construct_cs(family: str, z, params: CSParams) -> CoherentState:
     """
     _check_family(family)
     z, w = _label(z)
-    a, k = params.gap, params.k
-
     if family in Family.NEW:
-        weight = _NEW_WEIGHT[family]
+        row = _new_weights(family, params)
         base = z if family == Family.DOCS_NEW else 1j * z
-        norm = 1.0 / math.sqrt(_norm_sum(params, w, family))
-        coeffs = np.array([norm * base ** j * math.sqrt(weight(params, j))
-                           for j in range(k)], dtype=complex)
+        norm = 1.0 / math.sqrt(_finite_norm(_row_sum(row, w), w, family))
+        coeffs = np.array([norm * base ** j * math.sqrt(weight)
+                           for j, weight in enumerate(row)], dtype=complex)
         return CoherentState(family, z, params, coeffs, 0.0)
 
     if family == Family.AOCS_ISO:
-        norm = hyp0f2(a + 1.0, a - k + 1.0, w)
+        norm = _finite_norm(_norm_series(family, params)(w), w, family)
         c0sq, log_c0sq = 1.0 / norm, -math.log(norm)
     else:
         c0sq, log_c0sq = math.exp(-w), -w
@@ -265,10 +269,9 @@ def mean_energy(cs: CoherentState) -> float:
     if cs.family == Family.AOCS_ISO:
         ratio = hyp0f2(a + 2.0, a - k + 2.0, w) / hyp0f2(a + 1.0, a - k + 1.0, w)
         return _E0 + w / ((a + 1.0) * (a - k + 1.0)) * ratio
-    weight = _NEW_WEIGHT[cs.family]
-    s0 = _finite_sum(cs.params, w, weight)
-    s1 = _finite_sum(cs.params, w, lambda params, j: j * weight(params, j))
-    return cs.params.eps0 + s1 / s0
+    row = _new_weights(cs.family, cs.params)
+    s1 = _row_sum([j * weight for j, weight in enumerate(row)], w)
+    return cs.params.eps0 + s1 / _row_sum(row, w)
 
 
 def annihilation_check(cs: CoherentState) -> float:
@@ -307,14 +310,9 @@ def kernel(family: str, z_prime, z, params: CSParams) -> complex:
     w = np.conj(zp) * z
     if family == Family.LIN_ISO:
         return complex(cmath.exp(w - 0.5 * (wp + wz)))
-    a, k = params.gap, params.k
-    if family == Family.AOCS_ISO:
-        num = hyp0f2(a + 1.0, a - k + 1.0, w)
-        den = hyp0f2(a + 1.0, a - k + 1.0, wp) * hyp0f2(a + 1.0, a - k + 1.0, wz)
-        return complex(num / math.sqrt(den))
-    den = _norm_sum(params, wp, family) * _norm_sum(params, wz, family)
-    num = _finite_sum(params, w, _NEW_WEIGHT[family])
-    return complex(num / math.sqrt(den))
+    series = _norm_series(family, params)
+    den = _finite_norm(series(wp), wp, family) * _finite_norm(series(wz), wz, family)
+    return complex(series(w) / math.sqrt(den))
 
 
 def evolve(cs: CoherentState, t: float):
@@ -322,9 +320,13 @@ def evolve(cs: CoherentState, t: float):
 
     Both ladders are unit-spaced, so evolution just rotates the label,
     |z> -> e^{-i e_bottom t} |z e^{-it}>; coefficientwise this means
-    e^{-i E(level) t} c(level) = phase * c'(level).
+    e^{-i E(level) t} c(level) = phase * c'(level). A t that is not finite,
+    or whose phase e_bottom * t overflows, raises DomainError.
     """
     t = float(t)
+    if not math.isfinite(cs.e_bottom * t):
+        raise DomainError("evolution time t=%r is refused: t must be finite, with "
+                          "e_bottom*t inside the float range (e_bottom=%g)" % (t, cs.e_bottom))
     phase = cmath.exp(-1j * cs.e_bottom * t)
     moved = construct_cs(cs.family, cs.z * cmath.exp(-1j * t), cs.params)
     return moved, phase
@@ -390,13 +392,8 @@ def wavefunction(cs: CoherentState, system):
 # mu3(r) = f3(r^2) S3(r^2) / pi
 #
 # with S2, S3 the finite norm series of the corresponding family. The
-# profiles f_i carry the Mellin content:
-#
-#   mellin[f1](s) = Gamma(gap+s) Gamma(gap-k+s) Gamma(s)
-#   mellin[f2](s) = Gamma(1+k-s) Gamma(1+gap-s) Gamma(s)
-#   mellin[f3](s) = Gamma(s)^2 Gamma(gap+1-s)
-#
-# All three are Laplace-type superpositions f(x) = sum_i W_i e^{-x rate_i}
+# profiles f_i carry the Mellin content, one Gamma product each, stated once
+# in _mellin_gammas. All three are Laplace-type superpositions f(x) = sum_i W_i e^{-x rate_i}
 # with positive weights, which is how positivity of the densities is
 # guaranteed. For f1 and f2 the weights come from the Mellin convolution
 # int g(y) e^{-x/y} dy/y of e^{-x} with the positive factor g carrying the
@@ -456,7 +453,10 @@ def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
     # window long before the product with e^{-c} stops being negligible
     amp = np.exp(power * np.log(y) - c)
     tail = laplace_power_integral(lam, 2.0, lam, c, rtol=1e-9) * c ** (-(lam + 1.0))
-    return pref * amp * tail
+    g = pref * amp * tail
+    if not np.all(np.isfinite(g)):
+        raise DomainError("the %s factor overflows on the y window at gap=%g" % (family, a))
+    return g
 
 
 def _mu3_series(params: CSParams, x: np.ndarray) -> np.ndarray:
@@ -621,16 +621,11 @@ class MeasureFn:
             raise DomainError("measure density needs r > 0")
         x = rv * rv
         a, k = self.params.gap, self.params.k
+        args = {MeasureFamily.MU1: (a + 1.0, a - k + 1.0), MeasureFamily.MU2: (a, float(k)),
+                MeasureFamily.MU3: ()}[self.family]
+        scale = 1.0 / math.prod([math.pi] + [gamma_fn(v) for v in args])
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == MeasureFamily.MU1:
-                series = hyp0f2(a + 1.0, a - k + 1.0, x)
-                scale = 1.0 / (math.pi * gamma_fn(a + 1.0) * gamma_fn(a - k + 1.0))
-            elif self.family == MeasureFamily.MU2:
-                series = _finite_sum(self.params, x, _docs_weight)
-                scale = 1.0 / (math.pi * gamma_fn(a) * gamma_fn(float(k)))
-            else:
-                series = _finite_sum(self.params, x, _lin_new_weight)
-                scale = 1.0 / math.pi
+            series = _norm_series(_FAMILY_FOR[self.family], self.params)(x)
             out = np.atleast_1d(self.profile(x) * series * scale)
         bad = ~np.isfinite(out)
         if bad.any():
@@ -658,14 +653,22 @@ def measure_fn(family: str, params: CSParams) -> MeasureFn:
     return m
 
 
-def moment_strip(m: MeasureFn):
-    """(lo, hi) of the strip where the measure's Mellin moments converge."""
+def _mellin_gammas(m: MeasureFn):
+    """(alpha, sigma, n) triples with mellin[f](s) = prod Gamma(alpha + sigma s)^n."""
     a, k = m.params.gap, m.params.k
-    if m.family == MeasureFamily.MU1:
-        return max(0.0, k - a), math.inf
-    if m.family == MeasureFamily.MU2:
-        return 0.0, 1.0 + min(float(k), a)
-    return 0.0, a + 1.0
+    if m.family == MeasureFamily.MU1:   # Gamma(gap+s) Gamma(gap-k+s) Gamma(s)
+        return (a, 1.0, 1), (a - k, 1.0, 1), (0.0, 1.0, 1)
+    if m.family == MeasureFamily.MU2:   # Gamma(1+k-s) Gamma(1+gap-s) Gamma(s)
+        return (1.0 + k, -1.0, 1), (1.0 + a, -1.0, 1), (0.0, 1.0, 1)
+    return (0.0, 1.0, 2), (a + 1.0, -1.0, 1)   # Gamma(s)^2 Gamma(gap+1-s)
+
+
+def moment_strip(m: MeasureFn):
+    """(lo, hi) of the strip where the measure's Mellin moments converge:
+    the nearest pole of its Gamma product on each side."""
+    gammas = _mellin_gammas(m)
+    return (max(0.0 - alpha for alpha, sigma, _ in gammas if sigma > 0.0),
+            min((alpha for alpha, sigma, _ in gammas if sigma < 0.0), default=math.inf))
 
 
 def moment_check(m: MeasureFn, s: float):
@@ -681,14 +684,9 @@ def moment_check(m: MeasureFn, s: float):
         raise DomainError(
             "moment order s=%g outside the %s strip (%g, %g)"
             % (s, m.family, lo, hi))
-    a, k = m.params.gap, m.params.k
     computed = mellin_moment(m.profile, s, rtol=_MOMENT_RTOL)
-    if m.family == MeasureFamily.MU1:
-        expected = gamma_fn(a + s) * gamma_fn(a - k + s) * gamma_fn(s)
-    elif m.family == MeasureFamily.MU2:
-        expected = gamma_fn(1.0 + k - s) * gamma_fn(1.0 + a - s) * gamma_fn(s)
-    else:
-        expected = gamma_fn(s) ** 2 * gamma_fn(a + 1.0 - s)
+    expected = math.prod(gamma_fn(alpha + sigma * s) ** n
+                         for alpha, sigma, n in _mellin_gammas(m))
     return computed, expected
 
 
@@ -697,6 +695,7 @@ _MEASURE_FOR = {
     Family.DOCS_NEW: MeasureFamily.MU2,
     Family.LIN_NEW: MeasureFamily.MU3,
 }
+_FAMILY_FOR = {measure: family for family, measure in _MEASURE_FOR.items()}
 
 
 def identity_resolution_check(family: str, params: CSParams) -> float:

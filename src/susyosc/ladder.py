@@ -114,7 +114,7 @@ def natural_down_coeff(level: int, subspace: str, params: LadderCoeffs) -> float
     raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
 
 
-def pha_product_check(params: LadderCoeffs, level: int, subspace: str = "iso"):
+def pha_product_check(params: LadderCoeffs, level: int, subspace: str):
     """(computed, expected) for the product rule at one ladder position.
 
     computed is the square of the down coefficient; expected evaluates

@@ -62,10 +62,10 @@ def extremal_roots(spec: SystemSpec) -> tuple:
 _ASSIGN_KEYS = ("half", "eps0", "top1")
 
 
-def assignment_for(spec: SystemSpec, which: str = "half") -> Assignment:
+def assignment_for(spec: SystemSpec, which: str) -> Assignment:
     """Assignment with e1 picked by name; e2 >= e3 fixes the remaining order.
 
-    which = "half" uses the old ground state (the default), "eps0" the lowest
+    which = "half" uses the old ground state, "eps0" the lowest
     created state. "top1" would need the non-normalizable state at
     eps_{k-1} + 1, which the system does not store, so it is refused here.
     """
@@ -147,7 +147,7 @@ def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
                      assignment=assignment)
 
 
-def g_for_system(system: SusySystem, which: str = "half",
+def g_for_system(system: SusySystem, which: str,
                  phi_rel_floor: float = DEFAULT_PHI_FLOOR) -> GSolution:
     """Pick the extremal state of a built system and extract g from it."""
     assign = assignment_for(system.spec, which)

@@ -1,20 +1,21 @@
 """Canonical document emission for the command-line artifacts.
 
-JSON is written by a small deterministic printer: keys sorted, floats with
-17 significant digits, two-space indentation. Parsing a document and
-printing it again reproduces the bytes exactly, which is what the
-build/load round-trip contract relies on; it also doubles as the
-corruption check, because a loaded system document must reproduce its own
-canonical form after the system is rebuilt from the stored spec.
+JSON is written by the standard library's json.dumps: keys sorted,
+two-space indentation, a trailing newline, and each float spelled by repr,
+the shortest string that parses back to the same value. Parsing a document
+and printing it again reproduces the bytes exactly. A loaded system
+document doubles as its own corruption check: the system is rebuilt from
+the stored spec and its document must parse to the same values, so a file
+written with another float spelling (17 significant digits, say) still
+loads.
 
-CSV files get a header row and the same float formatting; masked values
+CSV files get a header row and the same float spelling; masked values
 travel as nan there, while JSON documents must stay finite.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -24,60 +25,22 @@ from .susy import SystemSpec, SusySystem, build_system
 SCHEMA_VERSION = 1
 
 
-def format_float(value: float, allow_nonfinite: bool = False) -> str:
-    value = float(value)
-    if not math.isfinite(value):
-        if allow_nonfinite:
-            return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-        raise UsageError("non-finite float cannot enter a JSON document")
-    return "%.17g" % value
-
-
-def _canonical(value, indent: int, pieces: list):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise UsageError("JSON document keys must be strings, got %r" % (key,))
-            pieces.append(pad + "  " + json.dumps(key) + ": ")
-            _canonical(value[key], indent + 1, pieces)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, item in enumerate(items):
-            pieces.append(pad + "  ")
-            _canonical(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(items) - 1 else "\n")
-        pieces.append(pad + "]")
-    elif isinstance(value, bool) or isinstance(value, np.bool_):
-        pieces.append("true" if value else "false")
-    elif value is None:
-        pieces.append("null")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(format_float(value))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    else:
-        raise UsageError("cannot serialize %r into a JSON document" % (type(value).__name__,))
+def _plain(value):
+    """json.dumps hook: numpy scalars and arrays become Python values."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(value, kind):
+            return cast(value)
+    raise UsageError("cannot serialize %r into a JSON document" % (type(value).__name__,))
 
 
 def canonical_json(doc: dict) -> str:
     """Deterministic JSON text of a plain dict/list/scalar document."""
-    pieces = []
-    _canonical(doc, 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_plain) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise UsageError("cannot write a JSON document: %s" % exc)
 
 
 def write_json(path: str, doc: dict):
@@ -96,16 +59,18 @@ def load_json(path: str) -> dict:
 
 
 def write_csv(path: str, header, columns):
-    """Columns of equal length, header first; nan is allowed in CSV."""
+    """Columns of equal length, header first; nan is allowed in CSV.
+
+    Cells are spelled as in the JSON documents: integers as integers, every
+    other value as the repr of its float."""
     columns = [np.atleast_1d(np.asarray(c)) for c in columns]
-    n = columns[0].size
-    if any(c.size != n for c in columns):
+    if any(c.size != columns[0].size for c in columns):
         raise UsageError("CSV columns must share one length")
+    cells = [c.tolist() if c.dtype.kind in "iu" else c.astype(float).tolist() for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_float(c[i], allow_nonfinite=True)
-                              for c in columns) + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -151,8 +116,8 @@ def load_system(path: str):
     """Rebuild the system a document describes, verifying the document.
 
     Returns (system, document). The spec is validated first, the system is
-    rebuilt deterministically, and the rebuilt document must reproduce the
-    loaded one byte for byte; anything else is reported as corruption.
+    rebuilt deterministically, and the rebuilt document must parse to the
+    values of the loaded one; anything else is reported as corruption.
     """
     doc = load_json(path)
     if doc.get("kind") != "susy_system":
@@ -171,7 +136,7 @@ def load_system(path: str):
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed system document %s: %s" % (path, exc))
     system = build_system(spec, n_max=n_max)
-    if canonical_json(system_document(system)) != canonical_json(doc):
+    if json.loads(canonical_json(system_document(system))) != doc:
         raise UsageError(
             "%s does not match the system rebuilt from its spec; the file "
             "is corrupted or was written by a different build" % path)

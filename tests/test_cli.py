@@ -4,6 +4,8 @@ Everything runs in-process through cli.main(argv) so the exit codes and
 emitted files can be asserted directly against tmp_path.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,37 @@ def test_build_round_trip(k1_doc):
     assert doc["kind"] == "susy_system"
     assert system.spec.k == 1
     assert doc["derived"]["e_gap"] == pytest.approx(1.5)
+
+
+def test_document_with_other_float_spelling_loads(k1_doc, tmp_path):
+    # a document whose floats are written with 17 significant digits, as
+    # earlier builds wrote them, parses to the same values and verifies
+    def respell(value):
+        if isinstance(value, dict):
+            return "{%s}" % ", ".join('"%s": %s' % (k, respell(v)) for k, v in value.items())
+        if isinstance(value, list):
+            return "[%s]" % ", ".join(respell(v) for v in value)
+        return "%.17g" % value if isinstance(value, float) else json.dumps(value)
+
+    doc = load_json(k1_doc)
+    old = tmp_path / "old_spelling.json"
+    old.write_text(respell(doc) + "\n")
+    assert old.read_text() != open(k1_doc).read()
+    _, loaded = load_system(str(old))
+    assert loaded == doc
+    assert main(["verify", "--system", str(old)]) == 0
+
+
+def test_canonical_json_plain_values_only():
+    text = canonical_json({"b": np.float32(0.5), "a": [np.int64(3), np.bool_(True)],
+                           "c": np.array([[1.5, 2.0]]), "d": np.longdouble(0.25)})
+    assert json.loads(text) == {"a": [3, True], "b": 0.5, "c": [[1.5, 2.0]], "d": 0.25}
+    assert text.endswith("}\n")
+    assert canonical_json({"x": 0.1, "y": 2.0}) == '{\n  "x": 0.1,\n  "y": 2.0\n}\n'
+    for bad in ({"x": float("nan")}, {"x": np.array([1.0, np.inf])}, {"x": 1j},
+                {"x": object()}, {"x": {1, 2}}):
+        with pytest.raises(UsageError):
+            canonical_json(bad)
 
 
 def test_corrupted_document_refused(k1_doc, tmp_path, capsys):

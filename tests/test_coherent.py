@@ -10,6 +10,7 @@ code with the Laplace-cache construction.
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -326,6 +327,15 @@ def test_evolution_preserves_energy(k4_params):
     assert mean_energy(moved) == pytest.approx(mean_energy(cs), abs=1e-12)
 
 
+def test_evolution_refuses_time_by_name():
+    # e_bottom = eps0 = -5.8, so e_bottom * 1e308 overflows; an infinite or
+    # NaN t must not surface as a NaN label
+    cs = construct_cs(Family.LIN_NEW, 1.5 + 0.5j, CSParams(gap=6.3, k=4))
+    for t in (1e308, math.inf, math.nan):
+        with pytest.raises(DomainError, match=re.escape("time t=%r" % t)):
+            evolve(cs, t)
+
+
 # ----------------------------------------------------------------------
 # The no-go witness
 # ----------------------------------------------------------------------
@@ -500,13 +510,14 @@ def test_mu3_builds_for_small_gaps_k1():
 
 
 def test_overflowing_caches_refused_without_warnings():
-    # mu1: y^gap overflows at the top of the y window, so the validation gap
-    # reads NaN; mu3: Gamma(gap+1)^2 overflows; mu2: (s/c + b)^q overflows
-    # at the smallest c, whose slice runs first, so the first rule refuses
+    # mu1: the factor y^gap e^(-2 sqrt(y)) overflows inside the y window, so
+    # the cache is refused by the gap that causes it; mu3: Gamma(gap+1)^2
+    # overflows; mu2: (s/c + b)^q overflows at the smallest c, whose slice
+    # runs first, so the first rule refuses
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for gap in (100.0, 170.0):
-            with pytest.raises(QuadratureError, match="nan"):
+            with pytest.raises(DomainError, match="gap=%g" % gap):
                 MeasureFn("mu1", CSParams(gap=gap, k=3))
         with pytest.raises(DomainError, match="gap=100"):
             MeasureFn("mu3", CSParams(gap=100.0, k=1))

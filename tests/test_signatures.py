@@ -12,7 +12,7 @@ import susyosc
 EXPECTED_DEFAULTS = {
     "annihilation_check": [],
     "apply_stencil": ["direction"],
-    "assignment_for": ["which"],
+    "assignment_for": [],
     "bessel_k": [],
     "build_operator_stencil": [],
     "build_seed_chain": [],
@@ -24,7 +24,7 @@ EXPECTED_DEFAULTS = {
     "divergence_witness": [],
     "evolve": [],
     "extremal_roots": [],
-    "g_for_system": ["which", "phi_rel_floor"],
+    "g_for_system": ["phi_rel_floor"],
     "g_from_extremal": ["phi_rel_floor"],
     "gamma_fn": [],
     "hyp0f2": [],
@@ -43,7 +43,7 @@ EXPECTED_DEFAULTS = {
     "new_state": [],
     "nilpotent_matrix": [],
     "oscillator_eigenstate": [],
-    "pha_product_check": ["subspace"],
+    "pha_product_check": [],
     "piv_residual": ["min_fraction"],
     "potential": [],
     "potential_from_g": [],
