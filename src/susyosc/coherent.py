@@ -311,8 +311,10 @@ def kernel(family: str, z_prime, z, params: CSParams) -> complex:
     if family == Family.LIN_ISO:
         return complex(cmath.exp(w - 0.5 * (wp + wz)))
     series = _norm_series(family, params)
-    den = _finite_norm(series(wp), wp, family) * _finite_norm(series(wz), wz, family)
-    return complex(series(w) / math.sqrt(den))
+    # one root per norm: their product may underflow where each norm does not
+    den = (math.sqrt(_finite_norm(series(wp), wp, family))
+           * math.sqrt(_finite_norm(series(wz), wz, family)))
+    return complex(series(w) / den)
 
 
 def evolve(cs: CoherentState, t: float):

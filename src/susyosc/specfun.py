@@ -8,13 +8,14 @@ and 0F2, the modified Bessel function K_nu through its real integral
 representation, one Laplace-type integral for the Tricomi U function and the
 mu1/mu2 measure factors, and Mellin moments on (0, inf).
 
-Series are summed by term recurrence with compensated accumulation, and
-each point stops on its own: a scalar runs a plain loop on Python numbers,
-and an array is summed in order of |x| with its converged leading points
-retired, so a grid pays for the terms each point needs rather than for those
-of its largest |x|. Equal arguments (the mirror points of x^2 on a symmetric
-grid) share one series, and each term tests convergence only on the band
-where the converged prefix can end. This is the package's one loop for
+Series are summed plainly by term recurrence, and each point stops at the
+first term after which no later term can change its sum, so every sum is
+bitwise that of the loop run forever: a scalar runs a plain loop on Python
+numbers, and an array is summed in order of |x| with its final leading
+points retired, so a grid pays for the terms each point needs rather than
+for those of its largest |x|. Equal arguments (the mirror points of x^2 on a
+symmetric grid) share one series, and each term tests the stop only on the
+band where the final prefix can end. This is the package's one loop for
 term-ratio series; it takes real or complex arguments, so 1F1 and 0F2
 accept complex x. A NaN or infinite parameter is refused by name.
 Every adaptive integral runs over (0, inf) in integral_zero_inf, the
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .errors import DomainError, QuadratureError, SeriesError
 from .gridops import simpson_weights
 
 _SERIES_CAP = 100_000
-_SERIES_EPS = 1e-16
-_SERIES_QUIET = 50       # consecutive negligible terms required before stopping
-_QUIET_BAND = 64         # points past the last quiet-prefix end tested first
+_SERIES_QUIET = 50       # terms between the finiteness tests of a running sum
+_STOP_BAND = 64          # active points tested first for a final sum
 _MAX_NODES = 2 ** 20
 _CHUNK = 512            # values of c per shared node-doubling run
 
@@ -96,61 +95,55 @@ def digamma(x: float) -> float:
 # Hypergeometric series
 # ----------------------------------------------------------------------
 
-def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series"):
-    """Sum_{n>=0} t_n with t_0 = 1 and t_{n+1} = t_n * term_ratio(n) * x_factor.
+def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
+    """Sum_{n>=0} t_n with t_0 = 1 and t_{n+1} = t_n * x * term_ratio(n).
 
-    term_ratio(n) returns the rational part of t_{n+1}/t_n; the x power is
-    folded in by the caller. x may be a scalar or an ndarray of any shape.
-    The input float dtype is preserved, so extended-precision arguments sum
-    in extended precision.
+    term_ratio(n) is the rational part of t_{n+1}/t_n; from n = steady on it
+    is non-zero and its modulus never increases. x may be a real or complex
+    scalar or ndarray of any shape, and its float dtype is kept, so
+    extended-precision arguments sum in extended precision.
 
-    A point stops once its own |term|/|sum| has stayed below the floor for
-    _SERIES_QUIET consecutive terms; a NaN never counts as quiet. A complex
-    dtype is kept as well, with the floor of its real precision. A 0-d x of
-    a 64-bit dtype runs the loop on a Python float or complex; any other x
-    is summed as an array in order of |x|, one series per distinct value:
-    the leading points that have all been quiet for the last _SERIES_QUIET
-    terms retire, and only the remaining suffix pays for further terms. Each
-    term tests quietness from the first active point up to _QUIET_BAND past
-    the last quiet-prefix end, widening while all of it is quiet, since only
-    the first point that is not quiet counts. Both paths do the same
-    arithmetic per point, so every sum is bitwise that of the plain loop run
-    to the same term.
+    Each point adds its terms plainly and stops at the first n >= steady
+    with |x| <= 1/|term_ratio(n)|, so that no later term outgrows t_{n+1},
+    and |t_{n+1}| <= eps/8 times a finite |S| (the smaller of |Re S| and
+    |Im S| when complex; eps of the dtype), so that under round-to-nearest
+    no such term moves S. Every sum is thus bitwise that of the plain loop
+    run forever. A 0-d x of a 64-bit dtype runs the loop on a Python number;
+    any other x is summed as an array in order of |x|, one series per
+    distinct value, and its final leading points retire, tested from the
+    first active point over a band of _STOP_BAND points that doubles while
+    all of it is final. A sum that is not finite is refused at the next
+    finiteness test, every _SERIES_QUIET terms.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
         x = x.astype(float)
-    wide = x.dtype in (np.float64, np.complex128)
-    eps = _SERIES_EPS if wide else 1.5 * float(np.finfo(x.dtype).eps)
-    if wide and x.ndim == 0:
-        return _sum_scalar(term_ratio, x.item(), eps, cap, label)
+    small = float(np.finfo(x.dtype).eps) / 8.0
+    if x.dtype in (np.float64, np.complex128) and x.ndim == 0:
+        return _sum_scalar(term_ratio, x.item(), small, cap, label, steady)
     # a point that overflows is refused with SeriesError, without numpy's
     # overflow and invalid-value warnings from the terms on the way there;
     # a 0-d x of another dtype comes back as a scalar of that dtype
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_array(term_ratio, x, eps, cap, label)[()]
+        return _sum_array(term_ratio, x, small, cap, label, steady)[()]
 
 
-def _sum_scalar(term_ratio, xv, eps, cap, label):
+def _sum_scalar(term_ratio, xv, small, cap, label, steady):
     num = type(xv)
     finite = math.isfinite if num is float else cmath.isfinite
+    ax = abs(xv)
     term = total = num(1.0)
-    comp = num(0.0)   # compensated summation carry
-    quiet = 0
     # blocks of _SERIES_QUIET terms keep the finiteness test off the per-term path
     for block in range(0, cap, _SERIES_QUIET):
         for n in range(block, min(block + _SERIES_QUIET, cap)):
-            term = term * xv * term_ratio(n)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if abs(term) / max(abs(total), 1e-300) < eps:
-                quiet += 1
-                if quiet >= _SERIES_QUIET:
-                    return total
-            else:
-                quiet = 0
+            ratio = term_ratio(n)
+            term = term * xv * ratio
+            total = total + term
+            if (abs(term) <= small * abs(total) and n >= steady
+                    and ax <= 1.0 / abs(ratio) and finite(total)
+                    and (num is float
+                         or abs(term) <= small * min(abs(total.real), abs(total.imag)))):
+                return total
         if not finite(total):
             raise _series_error(label, n + 1, cap, float(abs(total)))
     raise _series_error(label, cap, cap, float(abs(total)))
@@ -158,8 +151,8 @@ def _sum_scalar(term_ratio, xv, eps, cap, label):
 
 def _series_error(label, terms, cap, partial):
     """The refusal of a series that hit its cap or whose partial sum is no
-    longer finite; an overflowed sum turns NaN, which is never quiet and
-    never finite again, so waiting for the cap would change no answer."""
+    longer finite; an overflowed sum is never final and never finite again,
+    so waiting for the cap would change no answer."""
     if terms < cap:
         why = "partial sum is not finite after %d terms" % terms
     else:
@@ -167,7 +160,17 @@ def _series_error(label, terms, cap, partial):
     return SeriesError("%s %s" % (label, why), terms_used=terms, partial_sum=partial)
 
 
-def _sum_array(term_ratio, x, eps, cap, label):
+def _final(term, total, small):
+    """Mask of the finite sums that their last terms can no longer move:
+    |term| <= small |total|, against the smaller part of a complex total."""
+    if total.dtype.kind == "c":
+        size = np.minimum(np.abs(total.real), np.abs(total.imag))
+    else:
+        size = np.abs(total)
+    return (np.abs(term) <= small * size) & np.isfinite(total)
+
+
+def _sum_array(term_ratio, x, small, cap, label, steady):
     flat = x.ravel()
     if not flat.size:
         return np.empty_like(x)
@@ -176,27 +179,20 @@ def _sum_array(term_ratio, x, eps, cap, label):
     # kept per distinct value and scattered to every position that holds it
     values, first, inverse = np.unique(flat, return_index=True, return_inverse=True,
                                        equal_nan=False)
-    order = np.lexsort((first, np.abs(values)))   # NaN sorts last
-    xs = values[order]
+    mags = np.abs(values)
+    order = np.lexsort((first, mags))   # NaN sorts last
+    xs, mags = values[order], mags[order]
     sums = np.empty_like(xs)   # indexed as values
-    size = xs.size
-    eps, floor = xs.dtype.type(eps), xs.dtype.type(1e-300)
+    small = mags.dtype.type(small)
     term, total = np.ones_like(xs), np.ones_like(xs)
-    comp, y, t = np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)
-    quiet = np.zeros(size, dtype=bool)
-    # (n, quiet-prefix end) with increasing ends: the first entry holds the
-    # least end over the last _SERIES_QUIET terms, and every point before it
-    # has been quiet for all of them
-    window = deque()
-    start, sliced, end = 0, -1, 0
+    start, sliced = 0, -1
     cplx = xs.dtype.kind == "c"
     for n in range(cap):
         if sliced != start:
-            tv, xv, cv, yv, qv, sv, wv = (
-                b[start:size] for b in (term, xs, comp, y, quiet, total, t))
-            active, sliced = size - start, start
+            tv, xv, sv = term[start:], xs[start:], total[start:]
+            sliced = start
         # the plain loop's operations in its order: term = term * x * ratio;
-        # y = term - comp; t = total + y; comp = (t - total) - y; total = t
+        # total = total + term
         if cplx:
             # each real product rounded on its own, as in a Python complex
             # multiply; numpy's complex loop may fuse them into FMAs
@@ -205,47 +201,32 @@ def _sum_array(term_ratio, x, eps, cap, label):
             tv.real[...] = re
         else:
             np.multiply(tv, xv, out=tv)
-        np.multiply(tv, term_ratio(n), out=tv)
-        np.subtract(tv, cv, out=yv)
-        np.add(sv, yv, out=wv)
-        np.subtract(wv, sv, out=cv)
-        np.subtract(cv, yv, out=cv)
-        total, t, sv, wv = t, total, wv, sv
-        # the quiet-prefix end, from quiet = |term| / max(|total|, 1e-300) < eps
-        # (the old total's buffer is scratch); only the first point that is
-        # not quiet counts, so the test runs from start to the last end plus
-        # _QUIET_BAND, and over a band of doubled reach while all are quiet
-        lo, hi = 0, min(end - start + _QUIET_BAND, active)
-        while True:
-            wb, yb, qb = wv[lo:hi], yv[lo:hi], qv[lo:hi]
-            np.abs(sv[lo:hi], out=wb)
-            np.maximum(wb, floor, out=wb)
-            np.abs(tv[lo:hi], out=yb)
-            np.divide(yb, wb, out=yb)
-            np.less(yb, eps, out=qb)
-            i = int(qb.argmin())
-            if not qb[i]:
-                end = start + lo + i
-                break
-            if hi == active:
-                end = size
-                break
-            lo, hi = hi, min(2 * hi, active)
-        while window and window[-1][1] >= end:
-            window.pop()
-        window.append((n, end))
-        if window[0][0] <= n - _SERIES_QUIET:
-            window.popleft()
-        # retired points were quiet, hence finite; test the active suffix
+        ratio = term_ratio(n)
+        np.multiply(tv, ratio, out=tv)
+        np.add(sv, tv, out=sv)
+        # retired points were final, hence finite; test the active suffix
         if (n + 1) % _SERIES_QUIET == 0 and not np.isfinite(sv).all():
             sums[order[start:]] = sv
             raise _series_error(label, n + 1, cap, float(np.max(np.abs(sums))))
-        if n + 1 >= _SERIES_QUIET and window[0][1] > start:
-            done = window[0][1]
-            sums[order[start:done]] = sv[:done - start]
-            if done == size:
+        # the final prefix: the first active point is tested on its own, then
+        # points up to the |x| reach of the ratio in bands that double
+        if n < steady or not abs(tv[0]) <= small * abs(sv[0]):
+            continue
+        reach = int(mags.searchsorted(1.0 / abs(ratio), side="right")) - start
+        end, band = 0, _STOP_BAND
+        while end < reach:
+            hi = min(end + band, reach)
+            final = _final(tv[end:hi], sv[end:hi], small)
+            i = int(final.argmin())
+            if not final[i]:
+                end += i
+                break
+            end, band = hi, 2 * band
+        if end:
+            sums[order[start:start + end]] = sv[:end]
+            start += end
+            if start == xs.size:
                 return sums[inverse].reshape(x.shape)
-            start = done
     sums[order[start:]] = total[start:]
     raise _series_error(label, cap, cap, float(np.max(np.abs(sums))))
 
@@ -270,7 +251,19 @@ def hyp1f1(a: float, c: float, x):
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
     x = _finite_arg(x, "hyp1f1")
-    return _sum_series(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, label="hyp1f1")
+    return _sum_series(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, label="hyp1f1",
+                       steady=_hyp1f1_steady(a, c))
+
+
+def _hyp1f1_steady(a, c):
+    """The first n with a + n > 0, c + n > 0 and (c - a)(n + 1) <=
+    (a + n)(c + n + 1). The last is |ratio(n + 1)| <= |ratio(n)| for the 1F1
+    ratio (a + n) / ((c + n)(n + 1)); its two sides differ by a quadratic in
+    n that grows once a + n > 0, so all three hold for every later n."""
+    n = max(0, math.floor(-a) + 1, math.floor(-c) + 1)
+    while (c - a) * (n + 1) > (a + n) * (c + n + 1):
+        n += 1
+    return n
 
 
 def hyp0f2(b1: float, b2: float, x):
@@ -289,6 +282,7 @@ def hyp0f2(b1: float, b2: float, x):
     x = _finite_arg(x, "hyp0f2")
     if x.dtype.kind != "c" and np.any(x < 0.0):
         raise DomainError("hyp0f2 argument must be non-negative")
+    # with b1, b2 > 0 the ratio shrinks from n = 0, the default steady index
     return _sum_series(lambda n: 1.0 / ((b1 + n) * (b2 + n) * (n + 1.0)), x, label="hyp0f2")
 
 

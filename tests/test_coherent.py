@@ -237,6 +237,15 @@ def test_kernel_normalized_on_diagonal(k4_params):
         assert abs(kernel(fam, 0.7 + 0.3j, 0.7 + 0.3j, k4_params) - 1.0) < 1e-12
 
 
+def test_kernel_on_the_diagonal_where_the_norm_product_underflows():
+    # at gap 143.3 each lin_new norm series is near 1/Gamma(143.3) ~ 1e-246,
+    # so the product of the two norms underflows while each root does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel(Family.LIN_NEW, 0.9 + 0.4j, 0.9 + 0.4j, CSParams(gap=143.3, k=2))
+    assert abs(got - 1.0) < 1e-12
+
+
 def test_kernel_equals_coefficient_inner_product(k4_params):
     pairs = {"new": (1.0 - 2.0j, 2.0 + 1.0j), "iso": (0.9 - 0.4j, 0.5 + 0.8j)}
     for fam in Family.ALL:

@@ -8,6 +8,7 @@ table would be worth; those tests skip where mpmath is absent.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,21 +167,22 @@ def test_non_finite_parameters_refused_by_name():
             fn(*args)
 
 
-def _reference_sum(term_ratio, x, eps):
-    """The array loop before points retired: all run until the slowest is quiet."""
+def _reference_sum(term_ratio, x):
+    """The plain whole-array loop: every point adds every term, until all
+    terms are negligible and shrinking everywhere, and then 200 terms more."""
+    small = np.finfo(x.dtype).eps / 8
     term = np.ones_like(x)
     total = np.ones_like(x)
-    comp = np.zeros_like(x)
-    n = quiet = 0
-    while quiet < _SERIES_QUIET:
-        term = term * x * term_ratio(n)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        denom = np.maximum(np.abs(total), 1e-300)
-        quiet = quiet + 1 if np.max(np.abs(term) / denom) < eps else 0
+    n, last = 0, None
+    while last is None or n < last + 200:
+        ratio = term_ratio(n)
+        term = term * x * ratio
+        total = total + term
         n += 1
+        if (last is None and abs(term_ratio(n)) <= abs(ratio)
+                and np.all(np.abs(x * ratio) <= 1.0)
+                and np.all(np.abs(term) <= small * np.abs(total))):
+            last = n
     return total
 
 
@@ -189,15 +191,11 @@ def test_array_series_matches_whole_array_loop_bitwise():
     # into input order and shape are both exercised
     rng = np.random.default_rng(11)
     x = rng.permutation(np.linspace(-60.0, 110.0, 391).astype(np.longdouble)).reshape(17, 23)
-    eps = 1.5 * float(np.finfo(np.longdouble).eps)
     for a, c in ((0.3, 0.5), (-2.7, 0.5), (1.8, 2.5)):
         got = hyp1f1(a, c, x)
-        want = _reference_sum(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, eps)
+        want = _reference_sum(lambda n: (a + n) / ((c + n) * (n + 1.0)), x)
         assert got.dtype == np.longdouble and got.shape == x.shape
         assert np.array_equal(got, want)
-
-
-_EPS_LONG = 1.5 * float(np.finfo(np.longdouble).eps)
 
 
 def _ratio_1f1(a, c):
@@ -216,7 +214,7 @@ def test_seed_argument_grids_match_whole_array_loop_bitwise(x_max, n_points):
     for a, c in ((1.65, 0.5), (2.15, 1.5)):   # the top seed's M1 and M3 at eps_top = -2.8
         got = hyp1f1(a, c, w)
         assert got.dtype == np.longdouble
-        assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), w, _EPS_LONG))
+        assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), w))
 
 
 def test_repeated_float_arguments_match_whole_array_loop_bitwise():
@@ -228,7 +226,7 @@ def test_repeated_float_arguments_match_whole_array_loop_bitwise():
     for a, c in ((0.3, 0.5), (-2.7, 0.5), (1.8, 2.5)):
         got = hyp1f1(a, c, x)
         assert got.dtype == np.float64 and got.shape == x.shape
-        assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), x, specfun._SERIES_EPS))
+        assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), x))
     got = hyp1f1(0.3, 0.5, np.array([-0.0, 0.0, -0.0]))
     assert np.array_equal(got, [1.0, 1.0, 1.0])
 
@@ -249,14 +247,15 @@ def test_repeated_complex_arguments_match_scalar_loop_bitwise():
 
 def test_repeated_arguments_keep_the_refusal_fields():
     # an overflow among repeats is refused at the first finiteness test with
-    # a NaN partial sum; a capped run reports the largest partial sum, as
-    # before repeats were summed once (frozen from that loop)
+    # an infinite partial sum; a capped run reports the largest partial sum,
+    # as the plain whole-array loop over the distinct values gives it at the
+    # cap (frozen from that loop)
     with pytest.raises(SeriesError, match="not finite") as info:
         hyp0f2(2.5, 1.5, np.array([3.0, 1e200, 0.5, 3.0, 1e200, 0.5, 2.0]))
-    assert info.value.terms_used == _SERIES_QUIET and math.isnan(info.value.partial_sum)
+    assert info.value.terms_used == _SERIES_QUIET and info.value.partial_sum == math.inf
     ratio = lambda n: 1.0 / (n + 1.0)
-    for x, cap, partial in (([60.0, 0.5, -60.0, 60.0, 0.5, -60.0], 64, 8.269784546547296e+25),
-                            ([30.0, 0.5, 30.0, 0.5, 7.0, 7.0], 80, 10686474581524.334)):
+    for x, cap, partial in (([60.0, 0.5, -60.0, 60.0, 0.5, -60.0], 64, 8.269784546547297e+25),
+                            ([30.0, 0.5, 30.0, 0.5, 7.0, 7.0], 80, 10686474581524.34)):
         with pytest.raises(SeriesError, match="did not converge") as info:
             _sum_series(ratio, np.array(x), cap=cap)
         assert info.value.terms_used == cap and info.value.partial_sum == partial
@@ -402,14 +401,124 @@ def test_semi_infinite_rule_positive_weights():
 
 
 def test_overflowing_series_refused_at_once():
-    # an overflowed partial sum turns NaN and can never settle; the refusal
-    # comes within _SERIES_QUIET terms of the overflow instead of at the cap
-    for x in (1e200, 1e200 + 1e100j, np.array([0.5, 3.0, 1e200, 2.0])):
+    # an overflowed partial sum is never final and never finite again; the
+    # refusal comes within _SERIES_QUIET terms of the overflow, not at the cap.
+    # A real sum reads inf; the complex one turns NaN in the term itself,
+    # where Python's complex-by-float product forms inf * 0
+    for x, partial in ((1e200, math.inf), (1e200 + 1e100j, math.nan),
+                       (np.array([0.5, 3.0, 1e200, 2.0]), math.inf)):
         with np.errstate(all="ignore"), \
                 pytest.raises(SeriesError, match="not finite") as info:
             hyp0f2(2.5, 1.5, x)
         assert info.value.terms_used <= 2 * _SERIES_QUIET < _SERIES_CAP
-        assert math.isnan(info.value.partial_sum)
+        assert repr(info.value.partial_sum) == repr(partial)
+
+
+def test_sum_that_overflows_past_its_largest_term_refused():
+    # the terms of e^710.2, formed from x = 1e-10 so that no product
+    # overflows: the sum overflows at term 721, where every term is finite
+    # and |x ratio(n)| <= 1 already; inf <= eps * inf holds, so an infinite
+    # sum must never count as final, only be refused at the next test
+    ratio = lambda n: 7.102e12 / (n + 1.0)
+    for x in (1e-10, np.array([1e-12, 1e-10])):
+        with pytest.raises(SeriesError, match="not finite") as info:
+            _sum_series(ratio, x)
+        assert info.value.terms_used == 750 and info.value.partial_sum == math.inf
+
+
+def _plain_scalar(term_ratio, x, terms=400):
+    """The plain loop on a Python number, run for a fixed number of terms."""
+    term = total = x * 0.0 + 1.0
+    for n in range(terms):
+        term = term * x * term_ratio(n)
+        total = total + term
+    return total
+
+
+def test_series_runs_on_while_its_terms_still_grow():
+    # a ratio that dips at n = 0 and shrinks from n = 1 on: the second term
+    # is far below the sum 1, but |x ratio(n)| > 1 until n = 99, so later
+    # terms outgrow it and the sum is near 1e-30 e^100
+    ratio = lambda n: 1e-30 if n == 0 else 1.0 / (n + 1.0)
+    want = _plain_scalar(ratio, 100.0)
+    assert want > 1e13
+    assert _sum_series(ratio, 100.0, steady=1) == want
+    got = _sum_series(ratio, np.array([100.0, 0.5]), steady=1)
+    assert np.array_equal(got, [want, _plain_scalar(ratio, 0.5)])
+
+
+def test_complex_sum_final_only_when_both_parts_are():
+    # next to the zero of 0F2(; 2.5, 1.5; x) at x0 = -5.06820..., Re S is a
+    # small share of |S|, so a sum stopped against |S| would keep a Re S
+    # that later terms still move
+    ratio = lambda n: 1.0 / ((2.5 + n) * (1.5 + n) * (n + 1.0))
+    z = [complex(-5.068203613589482, d) for d in (1e-3, 1e-6, 1e-9, 1e-12)]
+    want = [_plain_scalar(ratio, v) for v in z]
+    assert [hyp0f2(2.5, 1.5, v) for v in z] == want
+    assert np.array_equal(hyp0f2(2.5, 1.5, np.array(z)), want)
+
+
+def _ratio_falls(a, c, ms):
+    """|r(m + 1)| <= |r(m)| for every m in ms, r(m) = (a + m) / ((c + m)(m + 1)),
+    in exact integers: a and c are dyadic, so d a and d c are integers."""
+    fa, fc = Fraction(a), Fraction(c)
+    d = fa.denominator * fc.denominator
+    p, q = int(fa * d), int(fc * d)
+    return all(abs(p + (m + 1) * d) * abs(q + m * d) * (m + 1)
+               <= abs(p + m * d) * abs(q + (m + 1) * d) * (m + 2) for m in ms)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.floats(min_value=-40.0, max_value=40.0),
+       st.one_of(st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
+                 st.floats(min_value=-40.0, max_value=0.0, exclude_max=True)
+                 .filter(lambda c: c != math.floor(c))))
+def test_hyp1f1_ratio_never_grows_from_its_steady_index(a, c):
+    # the stop rule relies on no later term outgrowing the current one
+    steady = specfun._hyp1f1_steady(a, c)
+    assert a + steady > 0.0 and c + steady > 0.0
+    assert _ratio_falls(a, c, range(steady, steady + 5001))
+
+
+# the four series of a top seed: 1F1(a1; 1/2), 1F1(a3; 3/2) and the
+# derivative series 1F1(a1 + 1; 3/2), 1F1(a3 + 1; 5/2), a1 = (1 - 2 eps)/4
+def _seed_series(eps_top):
+    a1 = (1.0 - 2.0 * eps_top) / 4.0
+    a3 = a1 + 0.5
+    return ((a1, 0.5), (a3, 1.5), (a1 + 1.0, 1.5), (a3 + 1.0, 2.5))
+
+
+@pytest.mark.parametrize("x_max, n_points", [(10.5, 2101), (12.5, 4201)])
+def test_seed_series_accuracy_against_mpmath(x_max, n_points):
+    # a precision guard, not a bit pin: long-double sums on the seed grids
+    # w = x^2 stay within 6e-15 of 30-digit mpmath at 64 sampled points
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    x = np.linspace(-x_max, x_max, n_points).astype(np.longdouble)
+    half = x[n_points // 2:]
+    w = (half * half)[np.linspace(0, half.size - 1, 64).round().astype(int)]
+    for eps_top in (-0.6, -2.8, -5.0):
+        for a, c in _seed_series(eps_top):
+            got = hyp1f1(a, c, w)
+            for wi, gi in zip(w, got):
+                ref = mpmath.hyp1f1(a, c, mpmath.mpf(wi.as_integer_ratio()[0])
+                                    / wi.as_integer_ratio()[1])
+                exact = mpmath.mpf(gi.as_integer_ratio()[0]) / gi.as_integer_ratio()[1]
+                assert abs(exact / ref - 1) <= 6e-15
+
+
+def test_measure_norm_series_accuracy_against_mpmath():
+    # float64 0F2(a + 1, a - k + 1; r^2) of the aocs_iso norm, over the
+    # (gap, k) pool of the benchmark's measures workload, for r^2 <= 64
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    w = np.linspace(0.0, 64.0, 65)
+    for gap, k in ((6.3, 4), (1.5, 1), (4.5, 3), (6.0, 5)):
+        b1, b2 = gap + 1.0, gap - k + 1.0
+        got = hyp0f2(b1, b2, w)
+        assert np.array_equal(got, [hyp0f2(b1, b2, v) for v in w])
+        for wi, gi in zip(w, got):
+            assert abs(gi / mpmath.hyper([], [b1, b2], wi) - 1) <= 2e-15
 
 
 def test_overflowing_array_series_refused_without_warnings():
