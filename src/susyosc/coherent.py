@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -428,6 +429,8 @@ _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
 _MU3_SWITCH = 0.5
+_NODE_CAP = 4096           # profile values a measure's node table may hold
+_NODE_LOCK = threading.Lock()
 
 
 def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
@@ -541,6 +544,18 @@ class MeasureFn:
     cache-sized blocks that skip the rates whose terms underflow to zero
     (_laplace_sum). The fields cannot be reassigned and the cached arrays
     are read-only, so measure_fn can hand one instance to every caller.
+
+    The one part that changes is a private node table, through which
+    moment_check integrates: the profile values of each node batch that
+    mellin_moment asks for, keyed by the bytes of the batch and stored
+    read-only, exactly as profile returned them for that batch.
+    mellin_moment maps the same fixed rule at every order s, so a later
+    order, or a later call, evaluates the profile only on nodes that no
+    earlier call reached. The table only grows, and holds at most
+    _NODE_CAP = 4096 values; a batch that would pass the cap is evaluated
+    without being stored. Key and value take 16 bytes per node, so a table
+    holds at most 64 KB of them, and the 64-entry store of measure_fn at
+    most 4 MB.
     """
     family: str
     params: CSParams
@@ -548,6 +563,7 @@ class MeasureFn:
     cache_agreement: float = field(init=False, default=0.0)
     _rates: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _nodes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     # an overflow leaves a non-finite agreement, which the gate refuses
     @np.errstate(over="ignore", invalid="ignore")
@@ -608,6 +624,21 @@ class MeasureFn:
         else:
             out = _laplace_sum(self._rates, self._weights, xv)
         return float(out[0]) if scalar else out.reshape(x_arr.shape)
+
+    def _node_profile(self, x: np.ndarray) -> np.ndarray:
+        """profile(x) for one node batch of mellin_moment, through the node
+        table; a batch is never split or merged, so each value is the one
+        profile gives for that batch."""
+        key = x.tobytes()
+        out = self._nodes.get(key)
+        if out is None:
+            out = self.profile(x)
+            out.setflags(write=False)
+            # size check and insert as one step, for threads sharing the measure
+            with _NODE_LOCK:
+                if sum(v.size for v in self._nodes.values()) + out.size <= _NODE_CAP:
+                    self._nodes.setdefault(key, out)
+        return out
 
     def density(self, r):
         """mu_i(r) >= 0 for r > 0.
@@ -676,9 +707,10 @@ def moment_strip(m: MeasureFn):
 def moment_check(m: MeasureFn, s: float):
     """(computed, expected) Mellin moment of the profile at s.
 
-    computed integrates the quadrature-built profile with mellin_moment;
-    expected is the Gamma product the identity resolution requires. s must
-    lie strictly inside the convergence strip.
+    computed integrates the quadrature-built profile with mellin_moment,
+    through the measure's node table, so it is bitwise the moment of
+    m.profile; expected is the Gamma product the identity resolution
+    requires. s must lie strictly inside the convergence strip.
     """
     s = float(s)
     lo, hi = moment_strip(m)
@@ -686,7 +718,7 @@ def moment_check(m: MeasureFn, s: float):
         raise DomainError(
             "moment order s=%g outside the %s strip (%g, %g)"
             % (s, m.family, lo, hi))
-    computed = mellin_moment(m.profile, s, rtol=_MOMENT_RTOL)
+    computed = mellin_moment(m._node_profile, s, rtol=_MOMENT_RTOL)
     expected = math.prod(gamma_fn(alpha + sigma * s) ** n
                          for alpha, sigma, n in _mellin_gammas(m))
     return computed, expected

@@ -106,8 +106,10 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
     Each point adds its terms plainly and stops at the first n >= steady
     with |x| <= 1/|term_ratio(n)|, so that no later term outgrows t_{n+1},
     and |t_{n+1}| <= eps/8 times a finite |S| (the smaller of |Re S| and
-    |Im S| when complex; eps of the dtype), so that under round-to-nearest
-    no such term moves S. Every sum is thus bitwise that of the plain loop
+    |Im S| when x is complex with a non-zero imaginary part; eps of the
+    dtype), so that under round-to-nearest no such term moves S. A complex
+    x whose imaginary part is 0 has real terms, so it stops where the real
+    x would, with the real sum and a +0 imaginary part. Every sum is thus bitwise that of the plain loop
     run forever. A 0-d x of a 64-bit dtype runs the loop on a Python number;
     any other x is summed as an array in order of |x|, one series per
     distinct value, and its final leading points retire, tested from the
@@ -141,7 +143,7 @@ def _sum_scalar(term_ratio, xv, small, cap, label, steady):
             total = total + term
             if (abs(term) <= small * abs(total) and n >= steady
                     and ax <= 1.0 / abs(ratio) and finite(total)
-                    and (num is float
+                    and (num is float or xv.imag == 0.0
                          or abs(term) <= small * min(abs(total.real), abs(total.imag)))):
                 return total
         if not finite(total):
@@ -160,13 +162,13 @@ def _series_error(label, terms, cap, partial):
     return SeriesError("%s %s" % (label, why), terms_used=terms, partial_sum=partial)
 
 
-def _final(term, total, small):
+def _final(term, total, small, real_x):
     """Mask of the finite sums that their last terms can no longer move:
-    |term| <= small |total|, against the smaller part of a complex total."""
+    |term| <= small |total|, against the smaller part of a complex total
+    unless the point's x is real (real_x), when every term is real."""
+    size = np.abs(total)
     if total.dtype.kind == "c":
-        size = np.minimum(np.abs(total.real), np.abs(total.imag))
-    else:
-        size = np.abs(total)
+        size = np.where(real_x, size, np.minimum(np.abs(total.real), np.abs(total.imag)))
     return (np.abs(term) <= small * size) & np.isfinite(total)
 
 
@@ -187,6 +189,7 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
     term, total = np.ones_like(xs), np.ones_like(xs)
     start, sliced = 0, -1
     cplx = xs.dtype.kind == "c"
+    real_x = xs.imag == 0.0
     for n in range(cap):
         if sliced != start:
             tv, xv, sv = term[start:], xs[start:], total[start:]
@@ -216,7 +219,7 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
         end, band = 0, _STOP_BAND
         while end < reach:
             hi = min(end + band, reach)
-            final = _final(tv[end:hi], sv[end:hi], small)
+            final = _final(tv[end:hi], sv[end:hi], small, real_x[start + end:start + hi])
             i = int(final.argmin())
             if not final[i]:
                 end += i

@@ -458,6 +458,38 @@ def test_complex_sum_final_only_when_both_parts_are():
     assert np.array_equal(hyp0f2(2.5, 1.5, np.array(z)), want)
 
 
+def test_complex_series_with_zero_imaginary_part_sums_as_real():
+    # every term of a real x is real, so a complex x with imaginary part 0
+    # stops where the real x does; its imaginary part can never reach
+    # min(|Re S|, |Im S|) = 0, which once ran it until its terms underflowed
+    def counted(x):
+        calls = []
+        ratio = lambda n: calls.append(n) or 1.0 / ((7.3 + n) * (3.3 + n) * (n + 1.0))
+        return _sum_series(ratio, x), len(calls)
+
+    def plus_zero(values):
+        values = np.atleast_1d(values)
+        return (values.imag == 0.0).all() and not np.signbit(values.imag).any()
+
+    for x in (5.0, 0.5, -4.0, 0.0):
+        want, want_terms = counted(x)
+        for xc in (complex(x, 0.0), complex(x, -0.0)):
+            got, terms = counted(xc)
+            assert type(got) is complex and got.real == want and plus_zero(got)
+            assert terms <= want_terms
+    x = np.array([5.0, 2.0, 0.5, -4.0, 5.0])
+    want, want_terms = counted(x)
+    got, terms = counted(x.astype(complex))
+    assert got.dtype == complex and np.array_equal(got.real, want) and plus_zero(got)
+    assert terms <= want_terms
+    # a real point beside complex ones still sums as the real x
+    mixed = np.array([5.0, 2.0 + 1.0j, 0.5])
+    got, _ = counted(mixed)
+    assert np.array_equal(got[[0, 2]].real, counted(np.array([5.0, 0.5]))[0])
+    assert plus_zero(got[[0, 2]])
+    assert hyp0f2(7.3, 3.3, 5.0 + 0.0j) == hyp0f2(7.3, 3.3, 5.0)
+
+
 def _ratio_falls(a, c, ms):
     """|r(m + 1)| <= |r(m)| for every m in ms, r(m) = (a + m) / ((c + m)(m + 1)),
     in exact integers: a and c are dyadic, so d a and d c are integers."""
