@@ -109,12 +109,12 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
     |Im S| when x is complex with a non-zero imaginary part; eps of the
     dtype), so that under round-to-nearest no such term moves S. A complex
     x whose imaginary part is 0 has real terms, so it stops where the real
-    x would, with the real sum and a +0 imaginary part. Every sum is thus bitwise that of the plain loop
-    run forever. A 0-d x of a 64-bit dtype runs the loop on a Python number;
-    any other x is summed as an array in order of |x|, one series per
-    distinct value, and its final leading points retire, tested from the
-    first active point over a band of _STOP_BAND points that doubles while
-    all of it is final. A sum that is not finite is refused at the next
+    x would, with the real sum and a +0 imaginary part. Every sum is thus
+    bitwise that of the plain loop run forever. A 0-d x of a 64-bit dtype
+    runs the loop on a Python number; any other x is summed as an array in
+    order of |x|, one series per distinct value, and its final leading
+    points retire, tested from the first active point over a band of
+    _STOP_BAND points that doubles while all of it is final. A sum that is not finite is refused at the next
     finiteness test, every _SERIES_QUIET terms.
     """
     x = np.asarray(x)
@@ -162,13 +162,13 @@ def _series_error(label, terms, cap, partial):
     return SeriesError("%s %s" % (label, why), terms_used=terms, partial_sum=partial)
 
 
-def _final(term, total, small, real_x):
+def _final(term, total, x, small):
     """Mask of the finite sums that their last terms can no longer move:
     |term| <= small |total|, against the smaller part of a complex total
-    unless the point's x is real (real_x), when every term is real."""
+    unless the point's x is real, when every term is real."""
     size = np.abs(total)
     if total.dtype.kind == "c":
-        size = np.where(real_x, size, np.minimum(np.abs(total.real), np.abs(total.imag)))
+        size = np.where(x.imag == 0.0, size, np.minimum(np.abs(total.real), np.abs(total.imag)))
     return (np.abs(term) <= small * size) & np.isfinite(total)
 
 
@@ -189,7 +189,6 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
     term, total = np.ones_like(xs), np.ones_like(xs)
     start, sliced = 0, -1
     cplx = xs.dtype.kind == "c"
-    real_x = xs.imag == 0.0
     for n in range(cap):
         if sliced != start:
             tv, xv, sv = term[start:], xs[start:], total[start:]
@@ -219,7 +218,7 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
         end, band = 0, _STOP_BAND
         while end < reach:
             hi = min(end + band, reach)
-            final = _final(tv[end:hi], sv[end:hi], small, real_x[start + end:start + hi])
+            final = _final(tv[end:hi], sv[end:hi], xv[end:hi], small)
             i = int(final.argmin())
             if not final[i]:
                 end += i

@@ -27,7 +27,7 @@ from susyosc.errors import (
     TruncationError,
     UsageError,
 )
-from susyosc import coherent, specfun
+from susyosc import cli, coherent, specfun
 from susyosc.specfun import laplace_power_integral
 from susyosc import (
     CSParams,
@@ -746,8 +746,6 @@ def test_node_table_evaluates_a_new_order_only_on_new_nodes(k4_params, monkeypat
 
 
 def test_verify_measures_suite_evaluates_each_node_once(k4_spec, monkeypatch):
-    from susyosc import cli
-
     monkeypatch.setattr(coherent, "_MEASURES", {})
     params = CSParams.from_spec(k4_spec)
     for fam in MeasureFamily.ALL:

@@ -460,8 +460,8 @@ def test_complex_sum_final_only_when_both_parts_are():
 
 def test_complex_series_with_zero_imaginary_part_sums_as_real():
     # every term of a real x is real, so a complex x with imaginary part 0
-    # stops where the real x does; its imaginary part can never reach
-    # min(|Re S|, |Im S|) = 0, which once ran it until its terms underflowed
+    # stops where the real x does; against min(|Re S|, |Im S|) = 0 it could
+    # stop only once its terms underflow
     def counted(x):
         calls = []
         ratio = lambda n: calls.append(n) or 1.0 / ((7.3 + n) * (3.3 + n) * (n + 1.0))
