@@ -425,10 +425,13 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
             with np.errstate(over="ignore", invalid="ignore"):
                 s = vp ** m
                 decay = np.exp(-s)
-                val = np.where(decay > 0.0,
-                               m * decay * vp ** power * (s / cc[None, :] + b) ** q,
-                               0.0)
-            return np.where(v > 0.0, val, 0.0)
+                # (s/c + b)^q times the (nodes, 1) factor, all in one array
+                val = s / cc[None, :]
+                val += b
+                np.power(val, q, out=val)
+                val *= m * decay * vp ** power
+            val[~((decay > 0.0) & (v > 0.0))[:, 0]] = 0.0
+            return val
 
         out[start:start + _CHUNK] = integral_zero_inf(integrand, rtol=rtol)
     return out.reshape(c_arr.shape)

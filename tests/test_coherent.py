@@ -446,8 +446,11 @@ def test_measure_profiles_frozen(mu1_k4, mu2_k4, mu3_k4):
 
 
 # profile(r^2) and density(r) at _FROZEN_RADII for gap 6.3 (k = 4) and gap
-# 1.5 (k = 1), frozen from the construction; a change to the tail quadrature
-# or the cache grid may move them by rounding only
+# 1.5 (k = 1), frozen from the construction. This table pins the construction,
+# not its accuracy: the tail integral's rtol of 1e-9 lets a change to the tail
+# quadrature or the cache grid move a value by about 1e-10, so such a change
+# re-freezes the entries it moves. The accuracy is carried by
+# test_measure_profiles_match_meijer_g.
 _FROZEN_RADII = np.array([0.3, 0.6, 1.0, 1.7, 2.5, 4.0])
 _FROZEN_MEASURES = {
     ("mu1", 4, "profile"): [
@@ -469,11 +472,11 @@ _FROZEN_MEASURES = {
         1.2548901062380449, 0.531818734623568, 0.26019045543805963,
         0.09488094799676164, 0.03052109714045577, 0.0038229439911422643],
     ("mu1", 1, "profile"): [
-        0.8560407412914632, 0.5031799369995893, 0.2642331024210625,
-        0.09553037567331546, 0.03334295417611691, 0.005647778515186584],
+        0.8560407412296066, 0.5031799369578317, 0.26423310239718856,
+        0.09553037566403719, 0.03334295417273669, 0.005647778514589213],
     ("mu1", 1, "density"): [
-        0.23687314297661952, 0.14927623457260442, 0.09154240678791475,
-        0.04919516777065146, 0.03014196111184316, 0.016361867976689256],
+        0.23687314295950368, 0.1492762345602166, 0.09154240677964388,
+        0.049195167765873515, 0.030141961108787505, 0.01636186797495867],
     ("mu2", 1, "profile"): [
         0.9177438903247326, 0.4596735135187546, 0.186674147693291,
         0.05156137014201702, 0.01681334767077786, 0.0036635733327963706],
@@ -497,6 +500,39 @@ def test_measure_values_frozen_tight(mu1_k4, mu2_k4, mu3_k4, k1_params):
         m = built[fam, k]
         got = m.profile(_FROZEN_RADII ** 2) if what == "profile" else m.density(_FROZEN_RADII)
         assert np.max(np.abs(got / np.array(want) - 1.0)) < 1e-12, (fam, k, what)
+
+
+# the profiles are Meijer-G functions (DLMF 16.17) whose Mellin transforms
+# are the Gamma products of _mellin_gammas: f1 = G^{3,0}_{0,3}(x | gap, gap-k, 0),
+# f2 = G^{1,2}_{2,1}(x | -k, -gap; 0), f3 = G^{2,1}_{1,2}(x | -gap; 0, 0)
+_MEIJER_SPECS = ((4, -2.8), (1, -1.0), (3, -2.0), (5, -1.5), (2, -1.3))   # (k, eps_top)
+_MEIJER_X = (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
+
+
+def test_measure_profiles_match_meijer_g():
+    mpmath = pytest.importorskip("mpmath")
+    forms = {
+        MeasureFamily.MU1: lambda gap, k, x: mpmath.meijerg([[], []], [[gap, gap - k, 0], []], x),
+        # the expansion in x: mpmath's default takes seconds on the one in 1/x at small x
+        MeasureFamily.MU2: lambda gap, k, x: mpmath.meijerg([[-k, -gap], []], [[0], []], x,
+                                                            series=1),
+        MeasureFamily.MU3: lambda gap, k, x: mpmath.meijerg([[-gap], []], [[0, 0], []], x),
+    }
+    with mpmath.workdps(30):
+        for k, eps_top in _MEIJER_SPECS:
+            params = CSParams.from_spec(SystemSpec(k=k, eps_top=eps_top, nu=0.0))
+            for fam, g in forms.items():
+                got = measure_fn(fam, params).profile(np.array(_MEIJER_X))
+                want = np.array([float(g(params.gap, k, x)) for x in _MEIJER_X])
+                assert np.max(np.abs(got / want - 1.0)) < 1e-10, (fam, k)
+
+
+def test_log_grid_keeps_the_mu1_envelope():
+    # the mu1 factor's peak in log y is about sqrt(2/gap) wide, so the gaps
+    # just below its overflow edge set the grid: at 1024 intervals both
+    # caches are refused, at 2048 they agree to about 2e-14
+    for gap, k in ((90.0, 1), (97.0, 8)):
+        assert MeasureFn(MeasureFamily.MU1, CSParams(gap=gap, k=k)).cache_agreement <= 1e-12
 
 
 def test_mu1_profile_frozen_k1(k1_params):
