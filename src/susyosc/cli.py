@@ -376,7 +376,8 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     system, _ = load_system(args.system)
-    names = args.suite or sorted(_SUITES)
+    # a suite named twice runs once, in the order first named
+    names = list(dict.fromkeys(args.suite or sorted(_SUITES)))
     for name in names:
         if name not in _SUITES:
             raise UsageError("unknown suite %r (choose from %s)"

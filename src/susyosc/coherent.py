@@ -29,8 +29,8 @@ _HARD_CAP levels.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,8 +440,6 @@ _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
 _MU3_SWITCH = 0.5
-_NODE_CAP = 4096           # profile values a measure's node table may hold
-_NODE_LOCK = threading.Lock()
 
 
 def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
@@ -556,18 +554,9 @@ class MeasureFn:
     (_laplace_sum). A cache holds at most 2049 rates and 2049 weights,
     about 33 KB. The fields cannot be reassigned and the cached arrays
     are read-only, so measure_fn can hand one instance to every caller.
-
-    The one part that changes is a private node table, through which
-    moment_check integrates: the profile values of each node batch that
-    mellin_moment asks for, keyed by the bytes of the batch and stored
-    read-only, exactly as profile returned them for that batch.
-    mellin_moment maps the same fixed rule at every order s, so a later
-    order, or a later call, evaluates the profile only on nodes that no
-    earlier call reached. The table only grows, and holds at most
-    _NODE_CAP = 4096 values; a batch that would pass the cap is evaluated
-    without being stored. Key and value take 16 bytes per node, so a table
-    holds at most 64 KB of them, and the 64-entry store of measure_fn at
-    most 4 MB.
+    Nothing in an instance changes: the finished moments of moment_check
+    are memoized outside it by _moment, at most 256 of them, and an entry
+    keeps its measure alive, so the memo holds at most 8.4 MB of caches.
     """
     family: str
     params: CSParams
@@ -575,7 +564,6 @@ class MeasureFn:
     cache_agreement: float = field(init=False, default=0.0)
     _rates: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _nodes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     # an overflow leaves a non-finite agreement, which the gate refuses
     @np.errstate(over="ignore", invalid="ignore")
@@ -636,21 +624,6 @@ class MeasureFn:
         else:
             out = _laplace_sum(self._rates, self._weights, xv)
         return float(out[0]) if scalar else out.reshape(x_arr.shape)
-
-    def _node_profile(self, x: np.ndarray) -> np.ndarray:
-        """profile(x) for one node batch of mellin_moment, through the node
-        table; a batch is never split or merged, so each value is the one
-        profile gives for that batch."""
-        key = x.tobytes()
-        out = self._nodes.get(key)
-        if out is None:
-            out = self.profile(x)
-            out.setflags(write=False)
-            # size check and insert as one step, for threads sharing the measure
-            with _NODE_LOCK:
-                if sum(v.size for v in self._nodes.values()) + out.size <= _NODE_CAP:
-                    self._nodes.setdefault(key, out)
-        return out
 
     def density(self, r):
         """mu_i(r) >= 0 for r > 0.
@@ -716,13 +689,34 @@ def moment_strip(m: MeasureFn):
             min((alpha for alpha, sigma, _ in gammas if sigma < 0.0), default=math.inf))
 
 
+def _exp_minus(x):
+    """e^{-x}, the profile of the flat lin_iso measure e^{-r^2}/pi."""
+    return np.exp(-x)
+
+
+@functools.lru_cache(maxsize=256)
+def _moment(f, s: float, rtol: float) -> float:
+    """mellin_moment(f, s, rtol=rtol), memoized per (f, s, rtol).
+
+    f is a measure's bound profile, which hashes and compares by the
+    identity of its MeasureFn, or _exp_minus. Each entry keeps its MeasureFn
+    alive, so the memo holds at most 256 Laplace caches of about 33 KB,
+    8.4 MB in all. mellin_moment is looked up as a module global at every
+    miss, so a wrapper installed on that name still sees each quadrature.
+    """
+    return mellin_moment(f, s, rtol=rtol)
+
+
 def moment_check(m: MeasureFn, s: float):
     """(computed, expected) Mellin moment of the profile at s.
 
     computed integrates the quadrature-built profile with mellin_moment,
-    through the measure's node table, so it is bitwise the moment of
-    m.profile; expected is the Gamma product the identity resolution
-    requires. s must lie strictly inside the convergence strip.
+    bitwise as mellin_moment(m.profile, s, rtol=1e-7). The last 256
+    (measure, order) moments are memoized by _moment, so a repeated order
+    of the same measure evaluates no profile value; a new MeasureFn, even
+    one equal to a memoized one, starts with no entries. expected is the
+    Gamma product the identity resolution requires. s must lie strictly
+    inside the convergence strip.
     """
     s = float(s)
     lo, hi = moment_strip(m)
@@ -730,7 +724,7 @@ def moment_check(m: MeasureFn, s: float):
         raise DomainError(
             "moment order s=%g outside the %s strip (%g, %g)"
             % (s, m.family, lo, hi))
-    computed = mellin_moment(m._node_profile, s, rtol=_MOMENT_RTOL)
+    computed = _moment(m.profile, s, _MOMENT_RTOL)
     expected = math.prod(gamma_fn(alpha + sigma * s) ** n
                          for alpha, sigma, n in _mellin_gammas(m))
     return computed, expected
@@ -752,13 +746,15 @@ def identity_resolution_check(family: str, params: CSParams) -> float:
     analytically. Returns max over slots of |computed/expected - 1|, over
     slots 0..10 for lin_iso, 0..4 for aocs_iso and the whole new ladder for
     docs_new and lin_new. For lin_iso the measure is the flat Gaussian
-    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}.
+    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}. Every
+    moment goes through the memo of moment_check, so a repeated call
+    integrates nothing.
     """
     _check_family(family)
     if family == Family.LIN_ISO:
         worst = 0.0
         for n in range(11):
-            got = mellin_moment(lambda x: np.exp(-x), n + 1.0, rtol=1e-10)
+            got = _moment(_exp_minus, n + 1.0, 1e-10)
             worst = max(worst, abs(got / math.factorial(n) - 1.0))
         return worst
     m = measure_fn(_MEASURE_FOR[family], params)

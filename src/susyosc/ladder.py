@@ -58,7 +58,7 @@ class LadderCoeffs:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.gap > self.k - 1:
             raise InvalidSpecError(

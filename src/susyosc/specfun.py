@@ -22,7 +22,9 @@ Every adaptive integral runs over (0, inf) in integral_zero_inf, the
 package's one node-doubling loop: composite Simpson in u = t / (1 + t),
 doubling the nodes until two successive estimates agree. Each level's nodes
 are the even nodes of the next, so a doubling run evaluates its integrand
-once per node and every later level only on its new odd nodes.
+once per node and every later level only on its new odd nodes. A level is
+refused before it would hold more than _MAX_VALUES integrand values, and the
+quadrature entry points refuse a NaN parameter by name, as the series do.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ _SERIES_CAP = 100_000
 _SERIES_QUIET = 50       # terms between the finiteness tests of a running sum
 _STOP_BAND = 64          # active points tested first for a final sum
 _MAX_NODES = 2 ** 20
+_MAX_VALUES = 2 ** 22   # integrand values one doubling level may hold: 32 MB
 _CHUNK = 512            # values of c per shared node-doubling run
 
 
@@ -49,6 +52,23 @@ _CHUNK = 512            # values of c per shared node-doubling run
 def _not_finite(label, name, value):
     """The refusal of a NaN or infinite scalar parameter, naming it."""
     return DomainError("%s needs a finite %s, got %s" % (label, name, value))
+
+
+def _require_finite(label, **params):
+    """Refuse the first NaN or infinite scalar parameter, naming it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise _not_finite(label, name, value)
+
+
+def _positive(label, name, values):
+    """values as a float array, refused unless every entry is > 0 (NaN is
+    not); +inf passes, for the limits at infinity."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(values > 0.0)
+    if bad.any():
+        raise DomainError("%s needs %s > 0, got %s" % (label, name, values[bad][0]))
+    return values
 
 
 def gamma_fn(x: float) -> float:
@@ -247,9 +267,7 @@ def hyp1f1(a: float, c: float, x):
     x may be a real or complex scalar or ndarray, and must be finite. a and
     c must be finite, and c not a non-positive integer.
     """
-    for name, value in (("a", a), ("c", c)):
-        if not math.isfinite(value):
-            raise _not_finite("hyp1f1", name, value)
+    _require_finite("hyp1f1", a=a, c=c)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
     x = _finite_arg(x, "hyp1f1")
@@ -276,9 +294,7 @@ def hyp0f2(b1: float, b2: float, x):
     have any phase, as the overlap argument conj(z') z of the kernel does.
     b1 and b2 must be finite.
     """
-    for name, value in (("b1", b1), ("b2", b2)):
-        if not math.isfinite(value):
-            raise _not_finite("hyp0f2", name, value)
+    _require_finite("hyp0f2", b1=b1, b2=b2)
     if b1 <= 0.0 or b2 <= 0.0:
         raise DomainError("hyp0f2 needs positive lower parameters, got (%g, %g)" % (b1, b2))
     x = _finite_arg(x, "hyp0f2")
@@ -314,11 +330,20 @@ def integral_zero_inf(f, rtol: float = 1e-10):
     are the even nodes of the next one, so each doubling evaluates f only on
     the new odd nodes and reuses the previous level's values on the even
     ones: f sees every node once and should not make a node's value depend
-    on the rest of its batch. The rule stops doubling at _MAX_NODES.
+    on the rest of its batch. The rule stops doubling at _MAX_NODES, and
+    refuses a level whose nodes times the batch width would pass
+    _MAX_VALUES values. rtol must be finite and >= 0.
     """
+    _require_finite("integral_zero_inf", rtol=rtol)
+    if rtol < 0.0:
+        raise DomainError("integral_zero_inf needs rtol >= 0, got %g" % rtol)
     n = 32
     prev = est = vals = None
     while n <= _MAX_NODES:
+        if vals is not None and n * vals[0].size > _MAX_VALUES:
+            raise QuadratureError(
+                "semi-infinite integral would hold %d values at %d nodes, more than %d"
+                % (n * vals[0].size, n, _MAX_VALUES), nodes_used=n // 2, last_estimate=est)
         nodes, weights = _semi_infinite_rule(n)
         if vals is None:
             vals = np.asarray(f(nodes), dtype=float)
@@ -366,13 +391,12 @@ def bessel_k(nu: float, z):
         K_nu(z) = [2^{1-nu} sqrt(pi) e^{-z} / (Gamma(nu+1/2) sqrt(z))]
                   * int_0^inf e^{-w^2} w^{2 nu} (w^2/z + 2)^{nu - 1/2} dw.
 
-    z may be a scalar or an ndarray (all entries positive).
+    z may be a scalar or an ndarray (all entries positive); nu must be finite.
     """
-    z_arr = np.asarray(z, dtype=float)
+    _require_finite("bessel_k", nu=nu)
+    z_arr = _positive("bessel_k", "z", z)
     scalar = z_arr.ndim == 0
     zv = np.atleast_1d(z_arr)
-    if np.any(zv <= 0.0):
-        raise DomainError("bessel_k needs z > 0")
     nu = abs(float(nu))
     pref = (2.0 ** (1.0 - nu) * math.sqrt(math.pi) / gamma_fn(nu + 0.5)) \
         * np.exp(-zv) / np.sqrt(zv)
@@ -407,12 +431,11 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
     is refused by the first slice that runs. The order changes no value.
     """
     p = float(p)
+    _require_finite("laplace_power_integral", p=p, b=b, q=q)
     if p <= -1.0:
         raise DomainError("Laplace integral needs p > -1 (tricomi_u: a > 0), got p=%g" % p)
-    c_arr = np.asarray(c, dtype=float)
+    c_arr = _positive("laplace_power_integral", "c", c)
     cv = c_arr.ravel()
-    if np.any(cv <= 0.0):
-        raise DomainError("laplace_power_integral needs c > 0")
     m = 1.0 if p >= 2.0 else 2.0 / (1.0 + p)
     power = m * (p + 1.0) - 1.0
     out = np.empty_like(cv)
@@ -445,10 +468,11 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
     The scaling t = s/x turns it into x^{-a} / Gamma(a) times
     laplace_power_integral(a - 1, 1, -a; x), whose endpoint substitution
     absorbs the power s^{a-1}. Gamma(a)^2 U(a, 1; x) is the lin_new measure
-    profile f3 at a = gap + 1. x may be an ndarray.
+    profile f3 at a = gap + 1. x may be an ndarray; a must be finite.
     """
     a = float(a)
-    x_arr = np.asarray(x, dtype=float)
+    _require_finite("tricomi_u", a=a)
+    x_arr = _positive("tricomi_u", "x", x)
     integral = laplace_power_integral(a - 1.0, 1.0, -a, x_arr, rtol=rtol)
     out = x_arr ** (-a) / gamma_fn(a) * integral
     return float(out) if x_arr.ndim == 0 else out
@@ -468,6 +492,7 @@ def mellin_moment(f, s: float, rtol: float = 1e-8) -> float:
     to settle and a QuadratureError comes back.
     """
     s = float(s)
+    _require_finite("mellin_moment", s=s)
     if s <= 0.0:
         raise DomainError("mellin_moment needs s > 0, got %g" % s)
 

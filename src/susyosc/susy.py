@@ -53,6 +53,11 @@ DEFAULT_N_POINTS = 2101
 DEFAULT_N_MAX = 32
 
 
+def _is_whole(value) -> bool:
+    """True for a Python or numpy integer; a bool is refused as a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Parameters of one partner system.
@@ -75,7 +80,7 @@ class SystemSpec:
         for name in ("eps_top", "nu", "x_min", "x_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError("%s must be finite, got %s" % (name, getattr(self, name)))
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.eps_top < 0.5:
             raise InvalidSpecError(
@@ -84,8 +89,9 @@ class SystemSpec:
             raise InvalidSpecError("|nu| < 1 required for a nodeless seed, got %g" % self.nu)
         if not self.x_min < self.x_max:
             raise InvalidSpecError("empty grid: x_min >= x_max")
-        if self.n_points < 401 or self.n_points % 2 == 0:
-            raise InvalidSpecError("n_points must be odd and >= 401, got %d" % self.n_points)
+        if not _is_whole(self.n_points) or self.n_points < 401 or self.n_points % 2 == 0:
+            raise InvalidSpecError("n_points must be an odd integer >= 401, got %r"
+                                   % (self.n_points,))
 
     @property
     def energies(self) -> np.ndarray:
@@ -505,8 +511,8 @@ class SusySystem:
 
 def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     """Seeds, potential, and the full stored state family in one pass."""
-    if n_max < 0:
-        raise InvalidSpecError("n_max must be non-negative")
+    if not _is_whole(n_max) or n_max < 0:
+        raise InvalidSpecError("n_max must be a non-negative integer, got %r" % (n_max,))
     seeds = build_seed_chain(spec)
     x = np.asarray(seeds.x, dtype=float)
     weights = simpson_weights(x.size, spec.h)

@@ -183,6 +183,19 @@ def test_verify_suite_filter(k1_doc, capsys):
     assert main(["verify", "--system", k1_doc, "--suite", "nope"]) == 2
 
 
+def test_verify_runs_a_repeated_suite_once(k1_doc, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--system", k1_doc, "--suite", "states", "--suite", "coherent",
+               "--suite", "states", "--out", str(report)])
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(("PASS", "FAIL"))]
+    assert rc == 0
+    doc = load_json(str(report))
+    assert doc["suites_run"] == ["states", "coherent"]
+    assert len(doc["checks"]) == len(lines) == len(set(lines))
+    assert list(dict.fromkeys(c["suite"] for c in doc["checks"])) == ["states", "coherent"]
+
+
 def test_painleve_summary(k1_doc, tmp_path):
     out = tmp_path / "piv.json"
     csv = tmp_path / "piv.csv"

@@ -12,8 +12,7 @@ import dataclasses
 import math
 import re
 import warnings
-from collections import Counter
-from types import SimpleNamespace
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from susyosc.errors import (
     TruncationError,
     UsageError,
 )
-from susyosc import cli, coherent, specfun
+from susyosc import coherent
 from susyosc.specfun import laplace_power_integral
 from susyosc import (
     CSParams,
@@ -727,10 +726,6 @@ def test_refused_measure_not_stored(monkeypatch):
 _MEASURE_POOL = ((4, -2.8), (1, -1.0), (3, -2.0), (5, -1.5))
 
 
-def _table_size(m):
-    return sum(values.size for values in m._nodes.values())
-
-
 def _record_profile_rows(monkeypatch):
     """Patch the two profile evaluators to record every x they receive,
     keyed by the measure's rate array (mu3's series by its params)."""
@@ -750,9 +745,8 @@ def _record_profile_rows(monkeypatch):
     return rows
 
 
-def test_node_table_moments_bitwise_as_profile():
-    # the node table returns what profile gives for each batch, so a moment
-    # through it equals a fresh quadrature of the profile bit for bit
+def test_moments_bitwise_as_fresh_quadrature():
+    # a memoized moment is the one mellin_moment gives for the profile
     for k, eps_top in _MEASURE_POOL:
         params = CSParams.from_spec(SystemSpec(k=k, eps_top=eps_top, nu=0.4))
         for fam in MeasureFamily.ALL:
@@ -761,58 +755,52 @@ def test_node_table_moments_bitwise_as_profile():
             for s in (lo + 0.3, 1.0, min(lo + 2.0, 0.5 * (lo + hi))):
                 fresh = coherent.mellin_moment(m.profile, s, rtol=coherent._MOMENT_RTOL)
                 assert moment_check(m, s)[0] == fresh, (fam, k, s)
-            assert 0 < _table_size(m) <= coherent._NODE_CAP
+                assert moment_check(m, s)[0] == fresh, (fam, k, s)
 
 
-def test_node_table_evaluates_a_new_order_only_on_new_nodes(k4_params, monkeypatch):
-    # a measure outside the shared store starts with an empty table; mu3
-    # takes both profile routes (series below _MU3_SWITCH, Laplace cache)
+def test_repeated_moments_evaluate_no_profile_row(k4_params, monkeypatch):
+    # fresh measures have no memo entries; mu3 takes both profile routes
+    # (series below _MU3_SWITCH, Laplace cache)
+    monkeypatch.setattr(coherent, "_MEASURES", {})
     m = MeasureFn(MeasureFamily.MU3, k4_params)
     rows = _record_profile_rows(monkeypatch)
-    first = moment_check(m, 1.0)
-    seen = {key: set(xs) for key, xs in rows.items()}
+    quadratures = []
+    mellin = coherent.mellin_moment
+
+    def mellin_spy(f, s, rtol):
+        quadratures.append((f, s))
+        return mellin(f, s, rtol=rtol)
+
+    monkeypatch.setattr(coherent, "mellin_moment", mellin_spy)
+    first = [moment_check(m, 1.0), moment_check(m, 2.5)]
+    first += [identity_resolution_check(fam, k4_params) for fam in Family.ALL]
+    assert rows and quadratures
     rows.clear()
-    assert moment_check(m, 1.0) == first
-    assert not rows
-    second = moment_check(m, 2.5)
-    assert any(rows.values())
-    for key, xs in rows.items():
-        assert len(set(xs)) == len(xs) and not seen.get(key, set()) & set(xs)
-    assert second == moment_check(MeasureFn(MeasureFamily.MU3, k4_params), 2.5)
+    quadratures.clear()
+    assert [moment_check(m, 1.0), moment_check(m, 2.5)] == first[:2]
+    assert [identity_resolution_check(fam, k4_params) for fam in Family.ALL] == first[2:]
+    assert not rows and not quadratures
+    # an equal but new instance is its own key
+    assert moment_check(MeasureFn(MeasureFamily.MU3, k4_params), 2.5) == first[1]
+    assert rows and quadratures
 
 
-def test_verify_measures_suite_evaluates_each_node_once(k4_spec, monkeypatch):
-    monkeypatch.setattr(coherent, "_MEASURES", {})
-    params = CSParams.from_spec(k4_spec)
-    for fam in MeasureFamily.ALL:
-        measure_fn(fam, params)
-    rows = _record_profile_rows(monkeypatch)
-    checks = []
-    cli._suite_measures(SimpleNamespace(spec=k4_spec), checks)
-    assert all(c["passed"] for c in checks)
-    assert len(rows) == 4   # mu1, mu2 and mu3's cache, mu3's series
-    for xs in rows.values():
-        counts = Counter(xs)
-        # x = 1 is the v = 0 node of both halves of mellin_moment's rule
-        assert counts.pop(1.0, 0) <= 2
-        assert max(counts.values()) == 1
-
-
-def test_node_table_stays_under_its_cap(k4_params, monkeypatch):
+def test_moment_memo_stays_under_its_maxsize(k4_params):
     m = MeasureFn(MeasureFamily.MU1, k4_params)
-    want = coherent.mellin_moment(m.profile, 1.5, rtol=coherent._MOMENT_RTOL)
-    with monkeypatch.context() as patch:
-        patch.setattr(coherent, "_NODE_CAP", 100)
-        assert moment_check(m, 1.5)[0] == want
-        assert 0 < _table_size(m) <= 100
-    # a level forced past the cap: the batches beyond it are evaluated
-    # without being stored
-    monkeypatch.setattr(specfun, "_MAX_NODES", 4096)
-    with pytest.raises(QuadratureError):
-        coherent.mellin_moment(m._node_profile, 1.5, rtol=0.0)
-    assert _table_size(m) <= coherent._NODE_CAP
-    assert all(not values.flags.writeable for values in m._nodes.values())
-    assert moment_check(m, 1.5)[0] == want
+    moment_check(m, 1.5)
+    alive = weakref.ref(m)
+    del m
+    assert alive() is not None   # held by its memo entry
+    maxsize = coherent._moment.cache_info().maxsize
+    assert maxsize == 256
+    # cheap entries: e^{-x} at a loose tolerance, one per order
+    for i in range(maxsize + 10):
+        coherent._moment(coherent._exp_minus, 1.0 + i / 64.0, 1e-2)
+        assert coherent._moment.cache_info().currsize <= maxsize
+    assert alive() is None       # evicted, and with it the measure
+    misses = coherent._moment.cache_info().misses
+    coherent._moment(coherent._exp_minus, 1.0, 1e-2)   # the oldest went first
+    assert coherent._moment.cache_info().misses == misses + 1
 
 
 def test_density_refuses_non_finite_value(mu2_k4, mu3_k4):

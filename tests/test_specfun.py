@@ -7,6 +7,7 @@ table would be worth; those tests skip where mpmath is absent.
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from susyosc.specfun import (
     hyp0f2,
     hyp1f1,
     integral_zero_inf,
+    laplace_power_integral,
     mellin_moment,
     tricomi_u,
 )
@@ -165,6 +167,55 @@ def test_non_finite_parameters_refused_by_name():
     for fn, args, message in calls:
         with pytest.raises(DomainError, match="^%s$" % message):
             fn(*args)
+
+
+def _exp_minus(t):
+    return np.exp(-t)
+
+
+@pytest.mark.parametrize("fn, args, kwargs, message", [
+    (integral_zero_inf, (_exp_minus,), {"rtol": math.nan},
+     "integral_zero_inf needs a finite rtol, got nan"),
+    (integral_zero_inf, (_exp_minus,), {"rtol": -1.0},
+     "integral_zero_inf needs rtol >= 0, got -1"),
+    (mellin_moment, (_exp_minus, math.nan), {}, "mellin_moment needs a finite s, got nan"),
+    (mellin_moment, (_exp_minus, math.inf), {}, "mellin_moment needs a finite s, got inf"),
+    (mellin_moment, (_exp_minus, 1.5), {"rtol": math.nan},
+     "integral_zero_inf needs a finite rtol, got nan"),
+    (laplace_power_integral, (math.nan, 1.0, 1.0, 1.0), {},
+     "laplace_power_integral needs a finite p, got nan"),
+    (laplace_power_integral, (0.5, 1.0, math.nan, 1.0), {},
+     "laplace_power_integral needs a finite q, got nan"),
+    (laplace_power_integral, (0.5, 1.0, 1.0, np.array([1.0, math.nan])), {},
+     "laplace_power_integral needs c > 0, got nan"),
+    (tricomi_u, (math.nan, 1.0), {}, "tricomi_u needs a finite a, got nan"),
+    (tricomi_u, (2.0, math.nan), {}, "tricomi_u needs x > 0, got nan"),
+    (bessel_k, (1.0, math.nan), {}, "bessel_k needs z > 0, got nan"),
+    (bessel_k, (math.inf, 1.0), {}, "bessel_k needs a finite nu, got inf"),
+], ids=["rtol-nan", "rtol-negative", "mellin-s-nan", "mellin-s-inf", "mellin-rtol-nan",
+        "laplace-p-nan", "laplace-q-nan", "laplace-c-nan", "tricomi-a-nan", "tricomi-x-nan",
+        "bessel-z-nan", "bessel-nu-inf"])
+def test_quadrature_refuses_unusable_parameters_by_name(fn, args, kwargs, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+            fn(*args, **kwargs)
+
+
+def test_quadrature_keeps_zero_rtol_and_limits_at_infinity():
+    # two equal estimates settle at rtol = 0
+    assert integral_zero_inf(lambda t: np.zeros_like(t), rtol=0.0) == 0.0
+    assert tricomi_u(2.0, math.inf) == 0.0
+    assert bessel_k(1.0, math.inf) == 0.0
+
+
+def test_doubling_level_values_are_bounded():
+    # 512 values of c need 2^18 nodes at x = 1e-3: the level that would hold
+    # more than _MAX_VALUES values is refused before it is evaluated
+    with pytest.raises(QuadratureError, match="more than %d" % specfun._MAX_VALUES) as info:
+        tricomi_u(3.3, np.geomspace(1e-3, 1.0, 512))
+    assert info.value.nodes_used * 2 * 512 > specfun._MAX_VALUES
+    assert info.value.last_estimate.shape == (512,)
 
 
 def _reference_sum(term_ratio, x):

@@ -14,6 +14,7 @@ from numpy.polynomial import Hermite, Polynomial
 
 from susyosc.errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from susyosc.gridops import deriv1, deriv2, simpson_weights
+from susyosc.ladder import LadderCoeffs
 from susyosc.susy import (
     GridState,
     SeedFamily,
@@ -51,6 +52,25 @@ def test_spec_refuses_non_finite_fields_by_name():
         fields[field] = value
         with pytest.raises(InvalidSpecError, match="^%s must be finite" % field):
             SystemSpec(**fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_points", 2101.0), ("n_points", 2101.5), ("n_points", True), ("k", True), ("k", 2.0)])
+def test_spec_refuses_non_integer_sizes_by_name(field, value):
+    fields = dict(k=2, eps_top=-1.0, nu=0.0)
+    fields[field] = value
+    with pytest.raises(InvalidSpecError, match="^%s must be" % field):
+        SystemSpec(**fields)
+
+
+def test_build_system_refuses_non_integer_cap(k1_spec):
+    for n_max in (2.5, 2.0, True):
+        with pytest.raises(InvalidSpecError, match="^n_max must be a non-negative integer"):
+            build_system(k1_spec, n_max=n_max)
+    with pytest.raises(InvalidSpecError, match="^k must be"):
+        LadderCoeffs(gap=1.5, k=True)
+    # numpy integers are sizes too
+    assert SystemSpec(k=np.int64(2), eps_top=-1.0, nu=0.0, n_points=np.int32(401)).k == 2
 
 
 def test_seed_solution_refuses_non_finite_parameters():
