@@ -554,9 +554,8 @@ class MeasureFn:
     (_laplace_sum). A cache holds at most 2049 rates and 2049 weights,
     about 33 KB. The fields cannot be reassigned and the cached arrays
     are read-only, so measure_fn can hand one instance to every caller.
-    Nothing in an instance changes: the finished moments of moment_check
-    are memoized outside it by _moment, at most 256 of them, and an entry
-    keeps its measure alive, so the memo holds at most 8.4 MB of caches.
+    moment_check memoizes its moments outside the instance (_moment, at
+    most 256 entries, each keeping its measure alive: 8.4 MB of caches).
     """
     family: str
     params: CSParams
@@ -696,27 +695,21 @@ def _exp_minus(x):
 
 @functools.lru_cache(maxsize=256)
 def _moment(f, s: float, rtol: float) -> float:
-    """mellin_moment(f, s, rtol=rtol), memoized per (f, s, rtol).
-
-    f is a measure's bound profile, which hashes and compares by the
-    identity of its MeasureFn, or _exp_minus. Each entry keeps its MeasureFn
-    alive, so the memo holds at most 256 Laplace caches of about 33 KB,
-    8.4 MB in all. mellin_moment is looked up as a module global at every
-    miss, so a wrapper installed on that name still sees each quadrature.
-    """
+    """mellin_moment(f, s, rtol=rtol), memoized. f is _exp_minus or a bound
+    MeasureFn.profile, keyed by the identity of its measure; each entry keeps
+    that measure alive, at most 256 caches of about 33 KB, 8.4 MB in all.
+    A miss calls mellin_moment through the module global, so a wrapper
+    installed on that name still sees it."""
     return mellin_moment(f, s, rtol=rtol)
 
 
 def moment_check(m: MeasureFn, s: float):
     """(computed, expected) Mellin moment of the profile at s.
 
-    computed integrates the quadrature-built profile with mellin_moment,
-    bitwise as mellin_moment(m.profile, s, rtol=1e-7). The last 256
-    (measure, order) moments are memoized by _moment, so a repeated order
-    of the same measure evaluates no profile value; a new MeasureFn, even
-    one equal to a memoized one, starts with no entries. expected is the
-    Gamma product the identity resolution requires. s must lie strictly
-    inside the convergence strip.
+    computed is mellin_moment(m.profile, s, rtol=1e-7), memoized for the
+    last 256 (measure instance, order) pairs, so a repeated order evaluates
+    no profile value. expected is the Gamma product the identity
+    resolution requires. s must lie strictly inside the convergence strip.
     """
     s = float(s)
     lo, hi = moment_strip(m)
@@ -746,9 +739,7 @@ def identity_resolution_check(family: str, params: CSParams) -> float:
     analytically. Returns max over slots of |computed/expected - 1|, over
     slots 0..10 for lin_iso, 0..4 for aocs_iso and the whole new ladder for
     docs_new and lin_new. For lin_iso the measure is the flat Gaussian
-    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}. Every
-    moment goes through the memo of moment_check, so a repeated call
-    integrates nothing.
+    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}.
     """
     _check_family(family)
     if family == Family.LIN_ISO:

@@ -42,7 +42,7 @@ _SERIES_QUIET = 50       # terms between the finiteness tests of a running sum
 _STOP_BAND = 64          # active points tested first for a final sum
 _MAX_NODES = 2 ** 20
 _MAX_VALUES = 2 ** 22   # integrand values one doubling level may hold: 32 MB
-_CHUNK = 512            # values of c per shared node-doubling run
+_CHUNK = 512            # values of c or z per shared node-doubling run
 
 
 # ----------------------------------------------------------------------
@@ -396,22 +396,26 @@ def bessel_k(nu: float, z):
     _require_finite("bessel_k", nu=nu)
     z_arr = _positive("bessel_k", "z", z)
     scalar = z_arr.ndim == 0
-    zv = np.atleast_1d(z_arr)
+    zv = z_arr.ravel()
     nu = abs(float(nu))
     pref = (2.0 ** (1.0 - nu) * math.sqrt(math.pi) / gamma_fn(nu + 0.5)) \
         * np.exp(-zv) / np.sqrt(zv)
+    out = np.empty_like(zv)
+    # _CHUNK values of z at a time share their nodes, as in laplace_power_integral
+    for start in range(0, zv.size, _CHUNK):
+        zc = zv[None, start:start + _CHUNK]
 
-    def integrand(w):
-        w = w[:, None]
-        # w = 0 contributes 0 for nu > 0; for nu < 1/2 the kink at 0 is
-        # integrable and the doubling criterion just works harder.
-        with np.errstate(divide="ignore"):
-            base = np.where(w > 0.0, w, 1.0)
-            out = np.exp(-w * w) * base ** (2.0 * nu) * (w * w / zv[None, :] + 2.0) ** (nu - 0.5)
-        return np.where(w > 0.0, out, 0.0 if nu > 0.0 else out)
+        def integrand(w):
+            w = w[:, None]
+            # w = 0 contributes 0 for nu > 0; for nu < 1/2 the kink at 0 is
+            # integrable and the doubling criterion just works harder.
+            with np.errstate(divide="ignore"):
+                base = np.where(w > 0.0, w, 1.0)
+                val = np.exp(-w * w) * base ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
+            return np.where(w > 0.0, val, 0.0 if nu > 0.0 else val)
 
-    integral = integral_zero_inf(integrand)
-    out = pref * np.atleast_1d(integral)
+        out[start:start + _CHUNK] = integral_zero_inf(integrand)
+    out *= pref
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 
 

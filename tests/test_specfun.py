@@ -374,6 +374,12 @@ def test_bessel_k_vectorized():
     vals = bessel_k(0.0, z)
     assert vals.shape == z.shape
     assert abs(vals[1] / 0.42102443824070833 - 1.0) < 1e-10
+    grid = z[:, None] * np.array([1.0, 3.0])
+    assert np.array_equal(bessel_k(1.3, grid), bessel_k(1.3, grid.ravel()).reshape(grid.shape))
+    # a batch wider than one level's value budget runs in chunks of z
+    wide = np.linspace(1.0, 2.0, 9001)
+    got = bessel_k(1.0, wide)
+    assert np.allclose(got[::1500], [bessel_k(1.0, v) for v in wide[::1500]], rtol=1e-9, atol=0.0)
 
 
 def test_tricomi_u_reference_values():
