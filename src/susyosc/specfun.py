@@ -14,8 +14,9 @@ bitwise that of the loop run forever: a scalar runs a plain loop on Python
 numbers, and an array is summed in order of |x| with its final leading
 points retired, so a grid pays for the terms each point needs rather than
 for those of its largest |x|. Equal arguments (the mirror points of x^2 on a
-symmetric grid) share one series, and each term tests the stop only on the
-band where the final prefix can end. This is the package's one loop for
+symmetric grid) share one series, and the stop is tested only on the band
+where the final prefix can end, at every term until the first point retires
+and at every 8th term after that. This is the package's one loop for
 term-ratio series; it takes real or complex arguments, so 1F1 and 0F2
 accept complex x. A NaN or infinite parameter is refused by name.
 Every adaptive integral runs over (0, inf) in integral_zero_inf, the
@@ -40,6 +41,7 @@ from .gridops import simpson_weights
 _SERIES_CAP = 100_000
 _SERIES_QUIET = 50       # terms between the finiteness tests of a running sum
 _STOP_BAND = 64          # active points tested first for a final sum
+_STOP_EVERY = 8          # terms between the stop tests once a point has retired
 _MAX_NODES = 2 ** 20
 _MAX_VALUES = 2 ** 22   # integrand values one doubling level may hold: 32 MB
 _CHUNK = 512            # values of c or z per shared node-doubling run
@@ -134,8 +136,11 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
     runs the loop on a Python number; any other x is summed as an array in
     order of |x|, one series per distinct value, and its final leading
     points retire, tested from the first active point over a band of
-    _STOP_BAND points that doubles while all of it is final. A sum that is not finite is refused at the next
-    finiteness test, every _SERIES_QUIET terms.
+    _STOP_BAND points that doubles while all of it is final. The first
+    retirement is tested at every term, later ones every _STOP_EVERY terms;
+    a final point that waits adds only terms that cannot move its sum, so
+    the wait changes no bit. A sum that is not finite is refused at the
+    next finiteness test, every _SERIES_QUIET terms.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
@@ -231,8 +236,11 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
             sums[order[start:]] = sv
             raise _series_error(label, n + 1, cap, float(np.max(np.abs(sums))))
         # the final prefix: the first active point is tested on its own, then
-        # points up to the |x| reach of the ratio in bands that double
-        if n < steady or not abs(tv[0]) <= small * abs(sv[0]):
+        # points up to the |x| reach of the ratio in bands that double; after
+        # the first retirement only every _STOP_EVERY-th term is tested, which
+        # retires a final point later but with the same sum
+        if (n < steady or (start and (n + 1) % _STOP_EVERY)
+                or not abs(tv[0]) <= small * abs(sv[0])):
             continue
         reach = int(mags.searchsorted(1.0 / abs(ratio), side="right")) - start
         end, band = 0, _STOP_BAND
@@ -391,6 +399,11 @@ def bessel_k(nu: float, z):
         K_nu(z) = [2^{1-nu} sqrt(pi) e^{-z} / (Gamma(nu+1/2) sqrt(z))]
                   * int_0^inf e^{-w^2} w^{2 nu} (w^2/z + 2)^{nu - 1/2} dw.
 
+    For |nu| < 1/2 the endpoint power w^{2 nu} would hold the node-doubling
+    rule to O(h^{1 + 2 nu}), so, as in laplace_power_integral, w = v^m with
+    m = 2 / (1 + 2 nu) is substituted and the integrand rises linearly from
+    v = 0; for |nu| >= 1/2 the w integrand is used as it stands.
+
     z may be a scalar or an ndarray (all entries positive); nu must be finite.
     """
     _require_finite("bessel_k", nu=nu)
@@ -400,6 +413,7 @@ def bessel_k(nu: float, z):
     nu = abs(float(nu))
     pref = (2.0 ** (1.0 - nu) * math.sqrt(math.pi) / gamma_fn(nu + 0.5)) \
         * np.exp(-zv) / np.sqrt(zv)
+    m = 2.0 / (1.0 + 2.0 * nu)
     out = np.empty_like(zv)
     # _CHUNK values of z at a time share their nodes, as in laplace_power_integral
     for start in range(0, zv.size, _CHUNK):
@@ -407,14 +421,18 @@ def bessel_k(nu: float, z):
 
         def integrand(w):
             w = w[:, None]
-            # w = 0 contributes 0 for nu > 0; for nu < 1/2 the kink at 0 is
-            # integrable and the doubling criterion just works harder.
+            # w = 0 contributes 0 for nu > 0 (and is never reached below 1/2)
             with np.errstate(divide="ignore"):
                 base = np.where(w > 0.0, w, 1.0)
                 val = np.exp(-w * w) * base ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
-            return np.where(w > 0.0, val, 0.0 if nu > 0.0 else val)
+            return np.where(w > 0.0, val, 0.0)
 
-        out[start:start + _CHUNK] = integral_zero_inf(integrand)
+        def substituted(v):
+            v = v[:, None]
+            s = v ** (2.0 * m)   # w^2
+            return m * v * np.exp(-s) * (s / zc + 2.0) ** (nu - 0.5)
+
+        out[start:start + _CHUNK] = integral_zero_inf(integrand if nu >= 0.5 else substituted)
     out *= pref
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 

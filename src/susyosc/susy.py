@@ -8,14 +8,18 @@ lowering operator. The partner potential and its bound states are Wronskian
 ratios of those seeds.
 
 Wronskian derivatives are taken analytically. Every column (seed or
-oscillator eigenstate) solves u'' = (x^2 - 2 eps) u, so Leibniz's rule gives
-its derivative rows u^(m+2) = (x^2 - 2 eps) u^(m) + 2 m x u^(m-1) +
-m (m - 1) u^(m-2) straight on the grid. A system keeps one table of rows
-m = 0..k+1 and of the seed-block minors over them, each computed once: W, W'
-and W'' are minors, an iso numerator W(u_0..u_{k-1}, psi_n) and its
-derivative are Laplace expansions along the psi_n column with the same
-minors as cofactors for every n, and a new state's numerator is a
-(k-1)-column determinant of the same rows.
+oscillator eigenstate) solves u'' = q u with q = x^2 - 2 eps, so Leibniz's
+rule gives its derivative rows u^(m+2) = q u^(m) + 2 m x u^(m-1) +
+m (m - 1) u^(m-2) straight on the grid. A system keeps one table of the seed
+rows m = 0..k+1 and of the seed-block minors over them, each computed once
+(by a points-last elimination): W, W' and W'' are minors, and a new state's
+numerator is a (k-1)-column determinant of the same rows. An iso numerator
+W(u_0..u_{k-1}, psi_n) and its derivative are Laplace expansions along the
+psi_n column with the same minors as cofactors for every n. Since every
+row of psi_n is psi_n^(m) = P_m psi_n + Q_m psi_n', with P_m and Q_m integer
+polynomials in (x, q), the cofactors, 1/W and W'/W fold once per system into
+per-point coefficients of polynomials in q; each level is then a Horner pass
+in q = x^2 - 2E_n times psi_n and psi_n'.
 
 Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
 ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
@@ -261,35 +265,69 @@ def _derivative_rowsets(rows, order: int) -> list:
     return sets
 
 
-def _batched_det(mat: np.ndarray) -> np.ndarray:
-    """Determinant of a stack of small square matrices, shape (n, r, r).
+def _leibniz_polynomials(max_order: int) -> list:
+    """(P_m, Q_m), m = 0..max_order, with psi^(m) = P_m psi + Q_m psi' for
+    every solution of psi'' = q psi, q = x^2 - 2E.
 
-    numpy's LAPACK path only handles float64, so extended-precision stacks go
-    through a plain Gaussian elimination with partial pivoting. The matrices
-    here are at most k x k, the loop is over matrix size, not over the stack.
+    Each is an integer array c[i, j], the coefficient of x^i q^j, of shape
+    (max_order + 1, max_order // 2 + 1). P_0 = 1, Q_0 = 0 and
+    P_{m+1} = D P_m + q Q_m, Q_{m+1} = P_m + D Q_m with D = d/dx + 2x d/dq,
+    since q' = 2x.
+    """
+    shape = (max_order + 1, max_order // 2 + 1)
+    i, j = np.indices(shape)
+
+    def d(c):
+        out = np.zeros_like(c)
+        out[:-1] += (i * c)[1:]
+        out[1:, :-1] += (2 * j * c)[:-1, 1:]
+        return out
+
+    p, q = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    p[0, 0] = 1
+    out = [(p, q)]
+    for _ in range(max_order):
+        qq = np.zeros_like(q)
+        qq[:, 1:] = q[:, :-1]
+        p, q = d(p) + qq, p + d(q)
+        out.append((p, q))
+    return out
+
+
+def _batched_det(mat: np.ndarray) -> np.ndarray:
+    """Determinants of small square matrices stacked points-last, shape
+    (r, r, n_points), as the row table slices them.
+
+    numpy's LAPACK path only handles float64 (with the stack first), so
+    extended-precision stacks go through a plain Gaussian elimination with
+    partial pivoting. The matrices here are at most (k+1) x (k+1); the loop
+    is over matrix size, each step works on whole rows of points, and pivot
+    rows are swapped under masks.
     """
     if mat.dtype == np.float64:
-        return np.linalg.det(mat)
+        return np.linalg.det(np.moveaxis(mat, -1, 0))
     m = np.array(mat, copy=True)
-    npts, r, _ = m.shape
-    det = np.ones(npts, dtype=m.dtype)
-    idx = np.arange(npts)
+    r = m.shape[0]
+    det = np.ones(m.shape[2:], dtype=m.dtype)
     for c in range(r - 1):
-        piv = np.argmax(np.abs(m[:, c:, c]), axis=1) + c
-        swap = piv != c
-        if np.any(swap):
-            row_c = m[:, c].copy()
-            row_p = m[idx, piv].copy()
-            m[idx, piv] = row_c
-            m[:, c] = row_p
-            det[swap] = -det[swap]
-        p = m[:, c, c]
+        piv = np.argmax(np.abs(m[c:, c]), axis=0) + c
+        # columns left of c are eliminated and never read again
+        for row in range(c + 1, r):
+            swap = piv == row
+            if swap.any():
+                m[c, c:], m[row, c:] = (np.where(swap, m[row, c:], m[c, c:]),
+                                        np.where(swap, m[c, c:], m[row, c:]))
+        det = np.where(piv != c, -det, det)
+        p = m[c, c]
         det = det * p
-        safe = np.where(p == 0.0, 1.0, p)
-        factors = m[:, c + 1:, c] / safe[:, None]
-        factors[p == 0.0] = 0.0
-        m[:, c + 1:, c + 1:] -= factors[:, :, None] * m[:, c, c + 1:][:, None, :]
-    return det * m[:, r - 1, r - 1]
+        zero = p == 0.0
+        if zero.any():
+            factors = m[c + 1:, c] / np.where(zero, 1.0, p)
+            factors[:, zero] = 0.0
+        else:
+            factors = m[c + 1:, c] / p
+        m[c + 1:, c + 1:] -= factors[:, None, :] * m[c, c + 1:][None, :, :]
+    return det * m[r - 1, r - 1]
 
 
 class _RowTable:
@@ -297,9 +335,11 @@ class _RowTable:
 
     Determinants are memoized: the seed Wronskian and its derivatives, and
     every cofactor of the Laplace expansion along the psi_n column (seed
-    minors, at most 2k+1 of the C(k+2, k)), are computed once and shared by
-    all n. psi_n comes from one oscillator ladder that steps forward as n
-    grows.
+    minors, at most 2k+1 of the C(k+2, k)), are computed once. The iso
+    ratios fold those cofactors, 1/W and W'/W into per-point coefficients of
+    polynomials in q = x^2 - 2E_n, once per system; a level then costs one
+    Horner pass in q and psi_n, psi_n' from one oscillator ladder that steps
+    forward as n grows.
     """
 
     def __init__(self, seeds: "SeedFamily"):
@@ -316,28 +356,55 @@ class _RowTable:
         out = 0
         for rs in _derivative_rowsets(rows, order):
             if (rs, cols) not in self._dets:
-                mat = self.rows[np.ix_(rs, cols)]   # (r, c, n)
-                self._dets[rs, cols] = _batched_det(np.moveaxis(mat, 2, 0))
+                self._dets[rs, cols] = _batched_det(self.rows[np.ix_(rs, cols)])
             out = out + self._dets[rs, cols]
         return out
 
-    def psi_rows(self, n: int) -> np.ndarray:
-        """Leibniz rows psi_n^(m), m = 0..k+1, shape (k+2, n_points)."""
+    @functools.cached_property
+    def _iso_coeffs(self) -> list:
+        """Per-point coefficients of alpha, beta, gamma and delta in powers of q.
+
+        For every psi'' = q psi, W(u_0..u_{k-1}, psi)/W = alpha psi + beta psi'
+        and its derivative is gamma psi + delta psi': the Laplace expansion
+        along the psi column with psi^(m) = P_m psi + Q_m psi', divided by W,
+        and (N/W)' = N'/W - (W'/W) N/W. Each entry is a (degree + 1,
+        n_points) array, row j the coefficient of q^j, cut at its last row
+        that is not zero everywhere (at most (k + 1) // 2).
+        """
+        k, x = self.k, self.x
+        seed_rows = tuple(range(k))
+        w = self.det(seed_rows)
+        # cof[d, m]: the signed cofactor of psi^(m) in the d-th derivative of
+        # the numerator, over W
+        cof = np.zeros((2, k + 2, x.size), dtype=x.dtype)
+        for order in (0, 1):
+            for rs in _derivative_rowsets(range(k + 1), order):
+                for p, m in enumerate(rs):
+                    cof[order, m] += (-1.0) ** (p + k) * self.det(rs[:p] + rs[p + 1:]) / w
+        powers = [np.ones_like(x)]
+        for _ in range(k + 1):
+            powers.append(powers[-1] * x)
+        out = np.zeros((2, 2, (k + 1) // 2 + 1, x.size), dtype=x.dtype)
+        for m, pq in enumerate(_leibniz_polynomials(k + 1)):
+            for b in (0, 1):
+                for i, j in np.argwhere(pq[b]):
+                    out[:, b, j] += cof[:, m] * (int(pq[b][i, j]) * powers[i])
+        out[1] -= self.det(seed_rows, order=1) / w * out[0]
+        return [c[:max([0] + [j for j in range(len(c)) if c[j].any()]) + 1]
+                for c in out.reshape(4, -1, x.size)]
+
+    def iso_ratio(self, n: int):
+        """W(u_0..u_{k-1}, psi_n)/W and its derivative, by Horner in q."""
         if n < self._psi_n:
             self._ladder, self._psi_n = _oscillator_ladder(self.x), -1
         while self._psi_n < n:
             self._psi = next(self._ladder)
             self._psi_n += 1
         psi, dpsi = self._psi
-        return _leibniz_rows(psi[None], dpsi[None], [n + 0.5], self.x, self.k + 1)[:, 0]
-
-    def iso_numerator(self, n: int):
-        """W(u_0..u_{k-1}, psi_n) and its derivative, expanded along psi_n."""
-        psi = self.psi_rows(n)
-        return [sum((-1.0) ** (p + self.k) * psi[r] * self.det(rs[:p] + rs[p + 1:])
-                    for rs in _derivative_rowsets(range(self.k + 1), order)
-                    for p, r in enumerate(rs))
-                for order in (0, 1)]
+        q = self.x * self.x - (2.0 * n + 1.0)
+        alpha, beta, gamma, delta = (functools.reduce(lambda acc, c: acc * q + c, cs[-2::-1], cs[-1])
+                                     for cs in self._iso_coeffs)
+        return alpha * psi + beta * dpsi, gamma * psi + delta * dpsi
 
 
 def wronskian(seeds: SeedFamily) -> np.ndarray:
@@ -388,17 +455,14 @@ class GridState:
     residual_check: float = float("nan")   # eigen-equation residual (new only)
 
 
-def _normalized(seeds: SeedFamily, numer, dnumer, weights: np.ndarray, sign: float):
-    """sign * numer/W and its derivative, normalized on the grid, and the norm."""
-    rows = tuple(range(seeds.k))
-    denom = seeds._table.det(rows)
-    raw = sign * numer / denom
-    raw_deriv = sign * dnumer / denom - seeds._table.det(rows, order=1) / denom * raw
+def _normalized(raw, raw_deriv, weights: np.ndarray, sign: float):
+    """sign * raw and its derivative, normalized on the grid, and the norm."""
     nrm = math.sqrt(float(np.sum(weights * raw * raw)))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConstructionError("state has zero or non-finite norm")
     # the ratio work is done; stored states are plain float64
-    return np.asarray(raw / nrm, dtype=float), np.asarray(raw_deriv / nrm, dtype=float), nrm
+    scale = sign * nrm
+    return np.asarray(raw / scale, dtype=float), np.asarray(raw_deriv / scale, dtype=float), nrm
 
 
 def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
@@ -406,16 +470,16 @@ def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
 
     The raw Crum map is W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}); its L2 norm
     must match the closed form 2^{k/2} prod_j sqrt(E_n - eps_j) or the
-    construction is rejected. Numerator and W both come from the seeds'
-    shared table.
+    construction is rejected. The ratio and its derivative come from the
+    seeds' shared table, one Horner pass in q = x^2 - 2E_n per level.
     """
     if n < 0 or n != int(n):
         raise DomainError("iso_state level must be a non-negative integer")
     n = int(n)
     k = seeds.k
     energy = n + 0.5
-    numer, dnumer = seeds._table.iso_numerator(n)
-    vals, ders, nrm = _normalized(seeds, numer, dnumer, weights, (-1.0) ** n)
+    raw, raw_deriv = seeds._table.iso_ratio(n)
+    vals, ders, nrm = _normalized(raw, raw_deriv, weights, (-1.0) ** n)
     analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(energy - seeds.energies)))
     agreement = abs(nrm / analytic - 1.0)
     if agreement > 1e-6:
@@ -437,11 +501,14 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
     k = seeds.k
     if j < 0 or j >= k:
         raise DomainError("new_state index out of range 0..k-1")
+    table = seeds._table
     rows, cols = tuple(range(k - 1)), [i for i in range(k) if i != j]
     # k = 1 leaves the empty determinant, 1
-    numer, dnumer = (seeds._table.det(rows, cols), seeds._table.det(rows, cols, 1)) \
-        if k > 1 else (1.0, 0.0)
-    vals, ders, _ = _normalized(seeds, numer, dnumer, weights, 1.0)
+    numer, dnumer = (table.det(rows, cols), table.det(rows, cols, 1)) if k > 1 else (1.0, 0.0)
+    w = table.det(tuple(range(k)))
+    raw = numer / w
+    raw_deriv = dnumer / w - table.det(tuple(range(k)), order=1) / w * raw
+    vals, ders, _ = _normalized(raw, raw_deriv, weights, 1.0)
     energy = float(seeds.energies[j])
     res = hamiltonian_residual(vals, energy, potential_values, seeds.x[1] - seeds.x[0], weights)
     if res > 1e-4:

@@ -1,9 +1,10 @@
 """Special-function kernel against precomputed high-precision references.
 
 The reference numbers were generated once with mpmath at 30 digits and are
-frozen here. Only the complex-argument series and the Tricomi U grid are
-checked against mpmath live, since they span more points than a frozen
-table would be worth; those tests skip where mpmath is absent.
+frozen here. Only the complex-argument series, the Tricomi U grid, the seed
+and measure series and the small-order Bessel K batch are checked against
+mpmath live, since they span more points than a frozen table would be
+worth; those tests skip where mpmath is absent.
 """
 
 import math
@@ -262,7 +263,7 @@ def test_seed_argument_grids_match_whole_array_loop_bitwise(x_max, n_points):
     x = np.linspace(-x_max, x_max, n_points).astype(np.longdouble)
     w = x * x
     assert np.unique(w).size < w.size
-    for a, c in ((1.65, 0.5), (2.15, 1.5)):   # the top seed's M1 and M3 at eps_top = -2.8
+    for a, c in _seed_series(-2.8):   # all four series of the top seed
         got = hyp1f1(a, c, w)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, _reference_sum(_ratio_1f1(a, c), w))
@@ -380,6 +381,18 @@ def test_bessel_k_vectorized():
     wide = np.linspace(1.0, 2.0, 9001)
     got = bessel_k(1.0, wide)
     assert np.allclose(got[::1500], [bessel_k(1.0, v) for v in wide[::1500]], rtol=1e-9, atol=0.0)
+
+
+def test_bessel_k_small_orders_match_mpmath():
+    # below order 1/2 the integrand's endpoint power w^(2 nu) takes the
+    # endpoint substitution; without it these runs did not settle
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 20
+    assert abs(bessel_k(0.1, 0.05) / float(mpmath.besselk(0.1, 0.05)) - 1.0) < 1e-10
+    z = np.random.default_rng(12).uniform(0.05, 30.0, 512)
+    got = bessel_k(0.3, z)
+    want = np.array([float(mpmath.besselk(0.3, v)) for v in z])
+    assert np.max(np.abs(got / want - 1.0)) < 1e-10
 
 
 def test_tricomi_u_reference_values():

@@ -20,6 +20,8 @@ from susyosc.susy import (
     SeedFamily,
     SystemSpec,
     _batched_det,
+    _leibniz_polynomials,
+    _leibniz_rows,
     build_seed_chain,
     build_system,
     oscillator_eigenstate,
@@ -157,54 +159,74 @@ def test_oscillator_pair_derivative_matches_fd():
 
 
 def test_batched_det_matches_lapack():
+    # stacks are points-last, (r, r, n_points), as the row table slices them
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(40, 5, 5)) + 3.0 * np.eye(5)
-    got = np.asarray(_batched_det(mats.astype(np.longdouble)), dtype=float)
+    stack = np.moveaxis(mats, 0, -1)
+    got = np.asarray(_batched_det(stack.astype(np.longdouble)), dtype=float)
     want = np.linalg.det(mats)
     assert np.max(np.abs(got / want - 1.0)) < 1e-12
+    assert np.array_equal(_batched_det(stack), want)
 
 
 def test_batched_det_handles_pivoting():
-    # leading zero forces a row swap in the elimination path
+    # a leading zero forces a row swap in the elimination path, at some
+    # points of the stack and not at others
     m = np.array([[[0.0, 2.0], [3.0, 1.0]]], dtype=np.longdouble)
-    assert float(_batched_det(m)[0]) == -6.0
+    assert float(_batched_det(np.moveaxis(m, 0, -1))[0]) == -6.0
+    mats = np.array([[[0.0, 2.0, 1.0], [3.0, 1.0, 4.0], [1.0, 5.0, 9.0]],
+                     [[2.0, 7.0, 1.0], [8.0, 2.0, 8.0], [1.0, 8.0, 2.0]],
+                     [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]])
+    got = _batched_det(np.moveaxis(mats, 0, -1).astype(np.longdouble))
+    assert np.max(np.abs(np.asarray(got, dtype=float) - np.linalg.det(mats))) < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_laplace_numerator_matches_full_determinant(k):
-    """Iso numerator and its derivative: cofactor expansion vs elimination.
+    """Iso ratio and its derivative: folded q-polynomials vs elimination.
 
-    The shared table expands W(u_0..u_{k-1}, psi_n) along the psi_n column;
-    the direct route eliminates the whole (k+1)x(k+1) row matrix.
+    The shared table folds the Laplace cofactors along the psi_n column, 1/W
+    and W'/W into coefficients of polynomials in q = x^2 - 2E_n; the direct
+    route stacks psi_n's Leibniz rows beside the seeds' and eliminates the
+    whole (k+1)x(k+1) matrix. Levels go down as well as up, so the table's
+    psi ladder restarts on the way.
     """
     table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
+    seed_rows = tuple(range(k))
+    w, dw = table.det(seed_rows), table.det(seed_rows, order=1)
     for n in (12, 0, 3, 31):
-        full = np.concatenate([table.rows, table.psi_rows(n)[:, None]], axis=1)
-        numer_rows, dnumer_rows = list(range(k + 1)), list(range(k)) + [k + 1]
-        for got, rows in zip(table.iso_numerator(n), (numer_rows, dnumer_rows)):
-            want = _batched_det(np.moveaxis(full[rows], 2, 0))
-            assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) < 1e-12
+        psi, dpsi = oscillator_eigenstate_pair(n, table.x)
+        psi_rows = _leibniz_rows(psi[None], dpsi[None], [n + 0.5], table.x, k + 1)
+        full = np.concatenate([table.rows, psi_rows], axis=1)
+        numer = _batched_det(full[:k + 1])
+        dnumer = _batched_det(full[list(seed_rows) + [k + 1]])
+        want = (numer / w, dnumer / w - dw / w * (numer / w))
+        for got, ref in zip(table.iso_ratio(n), want):
+            assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) < 1e-12
 
 
 def test_psi_rows_match_hermite_closed_form():
-    """psi_n^(m), m <= 6: Leibniz rows vs differentiating H_n(x) e^{-x^2/2}.
+    """psi_n^(m) = P_m psi_n + Q_m psi_n', m <= 6, vs differentiating H_n(x) e^{-x^2/2}.
 
-    Each derivative maps the polynomial prefactor P to P' - x P. Levels go
-    down as well as up, so the table's psi ladder restarts on the way.
+    P_m and Q_m are the integer polynomials in (x, q = x^2 - 2E_n) the iso
+    ratios are folded with; each derivative of the closed form maps its
+    polynomial prefactor P to P' - x P.
     """
-    seeds = build_seed_chain(SystemSpec(k=5, eps_top=-1.7, nu=0.4))
-    x = np.asarray(seeds.x, dtype=float)
-    inner = np.abs(x) <= 6.0
-    gauss = np.exp(-x[inner] ** 2 / 2.0)
+    polys = _leibniz_polynomials(6)
+    assert [(p[0, 0], q[0, 0]) for p, q in polys[:3]] == [(1, 0), (0, 1), (0, 0)]
+    x = np.linspace(-6.0, 6.0, 1201).astype(np.longdouble)
+    gauss = np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0)
     for n in (9, 0, 16, 4, 1):
-        rows = np.asarray(seeds._table.psi_rows(n), dtype=float)
-        assert rows.shape[0] == 7
+        psi, dpsi = oscillator_eigenstate_pair(n, x)
+        q = x * x - (2.0 * n + 1.0)
         prefactor = Hermite.basis(n).convert(kind=Polynomial) \
             / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
-        for m in range(7):
-            want = prefactor(x[inner]) * gauss
+        for p, dp in polys:
+            got = sum(c * x ** i * q ** j for (i, j), c in np.ndenumerate(p) if c) * psi \
+                + sum(c * x ** i * q ** j for (i, j), c in np.ndenumerate(dp) if c) * dpsi
+            want = prefactor(np.asarray(x, dtype=float)) * gauss
             scale = np.max(np.abs(want))
-            assert np.max(np.abs(rows[m][inner] - want)) < 1e-12 * scale
+            assert np.max(np.abs(np.asarray(got, dtype=float) - want)) < 1e-12 * scale
             prefactor = prefactor.deriv() - Polynomial([0.0, 1.0]) * prefactor
 
 
