@@ -421,11 +421,7 @@ def bessel_k(nu: float, z):
 
         def integrand(w):
             w = w[:, None]
-            # w = 0 contributes 0 for nu > 0 (and is never reached below 1/2)
-            with np.errstate(divide="ignore"):
-                base = np.where(w > 0.0, w, 1.0)
-                val = np.exp(-w * w) * base ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
-            return np.where(w > 0.0, val, 0.0)
+            return np.exp(-w * w) * w ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
 
         def substituted(v):
             v = v[:, None]

@@ -320,12 +320,9 @@ def _batched_det(mat: np.ndarray) -> np.ndarray:
         det = np.where(piv != c, -det, det)
         p = m[c, c]
         det = det * p
-        zero = p == 0.0
-        if zero.any():
-            factors = m[c + 1:, c] / np.where(zero, 1.0, p)
-            factors[:, zero] = 0.0
-        else:
-            factors = m[c + 1:, c] / p
+        safe = np.where(p == 0.0, 1.0, p)
+        factors = m[c + 1:, c] / safe
+        factors[:, p == 0.0] = 0.0
         m[c + 1:, c + 1:] -= factors[:, None, :] * m[c, c + 1:][None, :, :]
     return det * m[r - 1, r - 1]
 
@@ -390,7 +387,8 @@ class _RowTable:
                 for i, j in np.argwhere(pq[b]):
                     out[:, b, j] += cof[:, m] * (int(pq[b][i, j]) * powers[i])
         out[1] -= self.det(seed_rows, order=1) / w * out[0]
-        return [c[:max([0] + [j for j in range(len(c)) if c[j].any()]) + 1]
+        # alpha, beta and delta can fall a power of q short of (k + 1) // 2
+        return [c[:1 + max((j for j in range(len(c)) if c[j].any()), default=0)]
                 for c in out.reshape(4, -1, x.size)]
 
     def iso_ratio(self, n: int):
@@ -402,8 +400,14 @@ class _RowTable:
             self._psi_n += 1
         psi, dpsi = self._psi
         q = self.x * self.x - (2.0 * n + 1.0)
-        alpha, beta, gamma, delta = (functools.reduce(lambda acc, c: acc * q + c, cs[-2::-1], cs[-1])
-                                     for cs in self._iso_coeffs)
+
+        def horner(coeffs):
+            acc = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                acc = acc * q + c
+            return acc
+
+        alpha, beta, gamma, delta = map(horner, self._iso_coeffs)
         return alpha * psi + beta * dpsi, gamma * psi + delta * dpsi
 
 
