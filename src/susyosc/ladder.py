@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gridops import deriv1, largest_run
 from .painleve import GSolution
-from .susy import GridState
+from .susy import GridState, _is_whole, _level
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -58,7 +58,7 @@ class LadderCoeffs:
     k: int
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.gap > self.k - 1:
             raise InvalidSpecError(
@@ -74,9 +74,7 @@ class LadderCoeffs:
 
     def iso_down(self, n: int) -> float:
         """d_n with l^- |n> = d_n |n-1>; d_0 = 0."""
-        if n < 0 or n != int(n):
-            raise DomainError("iso level must be a non-negative integer")
-        n = int(n)
+        n = _level(n, "iso level")
         radicand = n * (n + self.gap) * (n + self.gap - self.k)
         return _checked_sqrt(radicand, "iso", n)
 
@@ -87,9 +85,9 @@ class LadderCoeffs:
         two negative factors, so it is computed in the manifestly
         non-negative arrangement (gap - j) j (k - j).
         """
-        if j < 0 or j > self.k or j != int(j):
-            raise DomainError("new level must be an integer in 0..k")
-        j = int(j)
+        j = _level(j, "new level")
+        if j > self.k:
+            raise DomainError("new level must be an integer in 0..k, got %d" % j)
         radicand = (self.gap - j) * j * (self.k - j)
         return _checked_sqrt(radicand, "new", j)
 
@@ -160,9 +158,7 @@ def linearized_coeff(direction: str, level: int, subspace: str,
     """
     if direction not in ("up", "down"):
         raise DomainError("direction must be 'up' or 'down'")
-    if level < 0 or level != int(level):
-        raise DomainError("level must be a non-negative integer")
-    level = int(level)
+    level = _level(level, "level")
     if subspace == "iso":
         return complex(math.sqrt(level) if direction == "down" else math.sqrt(level + 1))
     if subspace != "new":

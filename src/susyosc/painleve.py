@@ -36,6 +36,7 @@ from .susy import SystemSpec, SusySystem
 DEFAULT_PHI_FLOOR = 1e-5
 DEFAULT_GUARD_X = 0.35
 DEFAULT_G_FLOOR = 1e-6
+DEFAULT_MIN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,15 @@ class ResidualStats:
     per_point: np.ndarray   # relative residual on the grid, NaN where not evaluated
 
 
-def piv_residual(gsol: GSolution, a: float, b: float, *,
-                 min_fraction: float = 0.5) -> ResidualStats:
+def piv_residual(gsol: GSolution, a: float, b: float) -> ResidualStats:
     """Pointwise relative residual of the Painleve IV equation.
 
     At each usable point the residual |g'' - rhs| is normalized by the
     largest participating term, which keeps the statistic meaningful both
     near zeros of g (where b/g blows up) and in flat stretches. Points with
     |g| below DEFAULT_G_FLOOR are skipped and counted. If fewer than
-    min_fraction of the window survives for evaluation, the sample is
-    declared too thin.
+    DEFAULT_MIN_FRACTION of the window survives for evaluation, the sample
+    is declared too thin.
     """
     x, g, h = gsol.x, gsol.g, gsol.h
     d1 = _masked_deriv(g, gsol.valid, h, order=1)
@@ -184,7 +184,7 @@ def piv_residual(gsol: GSolution, a: float, b: float, *,
     usable &= ~skipped
 
     n_window = int(np.count_nonzero(gsol.window[2:-2]))
-    if n_window == 0 or np.count_nonzero(usable) < min_fraction * n_window:
+    if n_window == 0 or np.count_nonzero(usable) < DEFAULT_MIN_FRACTION * n_window:
         raise InsufficientSupportError(
             "only %d of %d window points evaluable" % (int(np.count_nonzero(usable)), n_window))
 

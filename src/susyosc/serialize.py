@@ -43,9 +43,16 @@ def canonical_json(doc: dict) -> str:
         raise UsageError("cannot write a JSON document: %s" % exc)
 
 
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc))
+
+
 def write_json(path: str, doc: dict):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(doc))
+    _write_text(path, canonical_json(doc))
 
 
 def load_json(path: str) -> dict:
@@ -67,10 +74,8 @@ def write_csv(path: str, header, columns):
     if any(c.size != columns[0].size for c in columns):
         raise UsageError("CSV columns must share one length")
     cells = [c.tolist() if c.dtype.kind in "iu" else c.astype(float).tolist() for c in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cells):
-            fh.write(",".join(map(repr, row)) + "\n")
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in zip(*cells)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------

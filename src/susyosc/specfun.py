@@ -419,14 +419,24 @@ def bessel_k(nu: float, z):
     for start in range(0, zv.size, _CHUNK):
         zc = zv[None, start:start + _CHUNK]
 
+        # at the far nodes e^{-w^2} is exactly 0 while the powers may overflow;
+        # those nodes are zeroed, as in laplace_power_integral
         def integrand(w):
             w = w[:, None]
-            return np.exp(-w * w) * w ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
+            decay = np.exp(-w * w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = decay * w ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
+            val[decay[:, 0] == 0.0] = 0.0
+            return val
 
         def substituted(v):
             v = v[:, None]
             s = v ** (2.0 * m)   # w^2
-            return m * v * np.exp(-s) * (s / zc + 2.0) ** (nu - 0.5)
+            decay = np.exp(-s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = m * v * decay * (s / zc + 2.0) ** (nu - 0.5)
+            val[decay[:, 0] == 0.0] = 0.0
+            return val
 
         out[start:start + _CHUNK] = integral_zero_inf(integrand if nu >= 0.5 else substituted)
     out *= pref

@@ -62,6 +62,13 @@ def _is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _level(value, what: str) -> int:
+    """A ladder level as an int; anything but a non-negative integer is refused."""
+    if not _is_whole(value) or value < 0:
+        raise DomainError("%s must be a non-negative integer, got %r" % (what, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Parameters of one partner system.
@@ -226,12 +233,11 @@ def oscillator_eigenstate(n: int, x):
 
 def oscillator_eigenstate_pair(n: int, x):
     """(psi_n, psi_n') using psi_n' = -x psi_n + sqrt(2n) psi_{n-1}."""
-    if n < 0 or n != int(n):
-        raise DomainError("oscillator level must be a non-negative integer")
+    n = _level(n, "oscillator level")
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
-    return next(itertools.islice(_oscillator_ladder(x), int(n), None))
+    return next(itertools.islice(_oscillator_ladder(x), n, None))
 
 
 # ----------------------------------------------------------------------
@@ -477,9 +483,7 @@ def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
     construction is rejected. The ratio and its derivative come from the
     seeds' shared table, one Horner pass in q = x^2 - 2E_n per level.
     """
-    if n < 0 or n != int(n):
-        raise DomainError("iso_state level must be a non-negative integer")
-    n = int(n)
+    n = _level(n, "iso_state level")
     k = seeds.k
     energy = n + 0.5
     raw, raw_deriv = seeds._table.iso_ratio(n)
@@ -503,8 +507,9 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
     construction failure rather than a warning.
     """
     k = seeds.k
-    if j < 0 or j >= k:
-        raise DomainError("new_state index out of range 0..k-1")
+    j = _level(j, "new_state level")
+    if j >= k:
+        raise DomainError("new_state level out of range 0..k-1, got %d" % j)
     table = seeds._table
     rows, cols = tuple(range(k - 1)), [i for i in range(k) if i != j]
     # k = 1 leaves the empty determinant, 1
@@ -552,6 +557,7 @@ class SusySystem:
         return float(self.x[1] - self.x[0])
 
     def state(self, subspace: str, index: int) -> GridState:
+        index = _level(index, "state level")
         pool = self.iso_states if subspace == "iso" else self.new_states
         for st in pool:
             if st.index == index:

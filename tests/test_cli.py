@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from susyosc import cli
+from susyosc import cli, painleve
 from susyosc.cli import main, parse_z
 from susyosc.errors import QuadratureError, SeriesError, TruncationError, UsageError
 from susyosc.serialize import canonical_json, load_json, load_system
@@ -147,6 +147,25 @@ def test_annihilation_on_new_ladder_refused(tmp_path, capsys):
     assert table["frobenius_norm"][0] > 0.0
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "sys.json"
+    assert main(["build"] + _K1_FLAGS + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % out)
+    assert "Traceback" not in err
+
+
+def test_unwritable_witness_exits_2(tmp_path, capsys):
+    witness = tmp_path / "missing" / "witness.csv"
+    rc = main(["cs"] + _K4_FLAGS
+              + ["--family", "docs-iso", "--z", "1.0",
+                 "--witness-out", str(witness), "--out", str(tmp_path / "cs.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % witness)
+    assert "diverges" not in err
+
+
 def test_unknown_family_rejected(tmp_path):
     rc = main(["cs"] + _K4_FLAGS
               + ["--family", "bogus", "--z", "1.0",
@@ -218,10 +237,24 @@ def test_painleve_negative_control(k1_doc, tmp_path):
     assert rc == 1
 
 
-def test_painleve_support_guard(k1_doc, tmp_path):
-    rc = main(["painleve", "--system", k1_doc, "--min-fraction", "0.999",
-               "--out", str(tmp_path / "piv.json")])
+def test_painleve_support_guard(k1_doc, tmp_path, monkeypatch):
+    # requiring nearly the whole window to be usable leaves the sample too
+    # thin to judge
+    monkeypatch.setattr(painleve, "DEFAULT_MIN_FRACTION", 0.999)
+    rc = main(["painleve", "--system", k1_doc, "--out", str(tmp_path / "piv.json")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_painleve_refuses_non_finite_perturbation(value, tmp_path, capsys):
+    # refused before the system loads: the document named here does not exist
+    out = tmp_path / "piv.json"
+    rc = main(["painleve", "--system", str(tmp_path / "absent.json"),
+               "--perturb-a=" + value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --perturb-a must be finite")
+    assert not out.exists()
 
 
 def test_painleve_bad_assignment(k1_doc, tmp_path):

@@ -52,6 +52,33 @@ def test_coeff_table_validation():
         LadderCoeffs(gap=1.5, k=2).iso_down(-1)
 
 
+_BAD_LEVELS = [math.nan, math.inf, -math.inf, True, 2.0, -1]
+
+_LEVEL_ENTRY_POINTS = {
+    "iso_down": lambda c, n: c.iso_down(n),
+    "new_down": lambda c, n: c.new_down(n),
+    "linearized_coeff": lambda c, n: linearized_coeff("down", n, "new", c),
+    "natural_down_coeff": lambda c, n: natural_down_coeff(n, "new", c),
+    "pha_product_check": lambda c, n: pha_product_check(c, n, "iso"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_LEVEL_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", _BAD_LEVELS, ids=repr)
+def test_levels_refuse_non_integers_by_name(k4_coeffs, entry, bad):
+    """NaN, infinities, bools and integral floats are refused as levels with
+    a DomainError naming the level, never a ValueError or OverflowError."""
+    with pytest.raises(DomainError, match="level"):
+        _LEVEL_ENTRY_POINTS[entry](k4_coeffs, bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_LEVEL_ENTRY_POINTS))
+def test_levels_accept_numpy_integers(k4_coeffs, entry):
+    call = _LEVEL_ENTRY_POINTS[entry]
+    for n in range(3):
+        assert call(k4_coeffs, np.int64(n)) == call(k4_coeffs, n)
+
+
 def test_coeff_table_from_spec(k4_coeffs):
     assert k4_coeffs.k == 4
     assert abs(k4_coeffs.gap - 6.3) < 1e-12

@@ -161,10 +161,17 @@ def test_companion_refuses_thin_segment():
 
 
 def test_residual_support_guard(k4_system):
+    """A sample whose usable points cover less than half its window is too
+    thin to judge; the full sample is judged."""
     gs = g_for_system(k4_system, "half")
     asg = gs.assignment
-    with pytest.raises(InsufficientSupportError):
-        piv_residual(gs, asg.a, asg.b, min_fraction=0.999)
+    piv_residual(gs, asg.a, asg.b)
+    keep = np.flatnonzero(gs.valid)
+    thin = gs.valid.copy()
+    thin[keep[2 * keep.size // 5:]] = False
+    thin_gs = dataclasses.replace(gs, g=np.where(thin, gs.g, np.nan), valid=thin)
+    with pytest.raises(InsufficientSupportError, match="window points evaluable"):
+        piv_residual(thin_gs, asg.a, asg.b)
 
 
 def test_residual_floor_skip_bookkeeping():
@@ -173,7 +180,7 @@ def test_residual_floor_skip_bookkeeping():
     g = x.copy()
     valid = np.ones(x.size, dtype=bool)
     gs = GSolution(x=x, g=g, valid=valid, window=valid)
-    stats = piv_residual(gs, 0.0, 0.0, min_fraction=0.1)
+    stats = piv_residual(gs, 0.0, 0.0)
     assert stats.n_skipped_floor >= 1
     assert np.isnan(stats.per_point[100])        # g(0) = 0 sits under the floor
     assert stats.n_evaluated + stats.n_skipped_floor <= x.size

@@ -44,7 +44,7 @@ EXPECTED_DEFAULTS = {
     "nilpotent_matrix": [],
     "oscillator_eigenstate": [],
     "pha_product_check": [],
-    "piv_residual": ["min_fraction"],
+    "piv_residual": [],
     "potential": [],
     "potential_from_g": [],
     "probabilities": [],

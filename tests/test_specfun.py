@@ -2,9 +2,9 @@
 
 The reference numbers were generated once with mpmath at 30 digits and are
 frozen here. Only the complex-argument series, the Tricomi U grid, the seed
-and measure series and the small-order Bessel K batch are checked against
-mpmath live, since they span more points than a frozen table would be
-worth; those tests skip where mpmath is absent.
+and measure series and the small- and large-order Bessel K values are
+checked against mpmath live, since they span more points than a frozen
+table would be worth; those tests skip where mpmath is absent.
 """
 
 import math
@@ -393,6 +393,26 @@ def test_bessel_k_small_orders_match_mpmath():
     got = bessel_k(0.3, z)
     want = np.array([float(mpmath.besselk(0.3, v)) for v in z])
     assert np.max(np.abs(got / want - 1.0)) < 1e-10
+
+
+def test_bessel_k_large_order_matches_mpmath():
+    # far out, e^{-w^2} is exactly 0 while the integrand's powers overflow;
+    # those nodes count as 0 instead of 0 * inf = nan
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bessel_k(50.0, 0.01)
+    assert abs(got / float(mpmath.besselk(50, 0.01)) - 1.0) < 1e-12
+
+
+def test_bessel_k_overflowing_order_refused():
+    # K_150(1) ~ 1e305: the integral itself overflows and is refused, typed
+    # and without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="overflowed"):
+            bessel_k(150.0, 1.0)
 
 
 def test_tricomi_u_reference_values():

@@ -24,6 +24,8 @@ from susyosc.susy import (
     _leibniz_rows,
     build_seed_chain,
     build_system,
+    iso_state,
+    new_state,
     oscillator_eigenstate,
     oscillator_eigenstate_pair,
     potential,
@@ -149,6 +151,42 @@ def test_oscillator_eigenstate_closed_forms():
     assert np.max(np.abs(oscillator_eigenstate(1, x) - psi1)) < 1e-14
     with pytest.raises(DomainError):
         oscillator_eigenstate(-1, x)
+
+
+@pytest.fixture(scope="module")
+def k1_seeds(k1_spec):
+    return build_seed_chain(k1_spec)
+
+
+def _level_entry_points(seeds, system):
+    x = np.asarray(seeds.x, dtype=float)
+    weights = simpson_weights(x.size, x[1] - x[0])
+    return {
+        "oscillator_eigenstate": lambda n: oscillator_eigenstate(n, x),
+        "oscillator_eigenstate_pair": lambda n: oscillator_eigenstate_pair(n, x),
+        "iso_state": lambda n: iso_state(seeds, n, weights),
+        "new_state": lambda n: new_state(seeds, n, weights, system.potential),
+        "SusySystem.state": lambda n: system.state("iso", n),
+    }
+
+
+@pytest.mark.parametrize("entry", ["oscillator_eigenstate", "oscillator_eigenstate_pair",
+                                   "iso_state", "new_state", "SusySystem.state"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 2.0, -1], ids=repr)
+def test_levels_refuse_non_integers_by_name(k1_seeds, k1_system, entry, bad):
+    """The level rule of ladder's entry points holds for the states too."""
+    with pytest.raises(DomainError, match="level must be a non-negative integer"):
+        _level_entry_points(k1_seeds, k1_system)[entry](bad)
+
+
+def test_levels_accept_numpy_integers(k1_seeds, k1_system):
+    for name, call in _level_entry_points(k1_seeds, k1_system).items():
+        level = 0 if name == "new_state" else 3
+        got, want = call(np.int64(level)), call(level)
+        if isinstance(got, GridState):
+            assert got.index == level and type(got.index) is int
+            got, want = (got.values, got.derivs), (want.values, want.derivs)
+        assert np.array_equal(got, want)
 
 
 def test_oscillator_pair_derivative_matches_fd():
