@@ -37,10 +37,8 @@ from .susy import (
     build_system,
     iso_state,
     new_state,
-    oscillator_eigenstate,
     potential,
     seed_solution,
-    wronskian,
 )
 from .painleve import (
     Assignment,

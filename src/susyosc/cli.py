@@ -129,19 +129,11 @@ def cmd_build(args) -> int:
 # painleve
 # ----------------------------------------------------------------------
 
-def _parse_assign(text: str) -> str:
-    """Accept 'half', 'eps0', or the explicit 'e1=...' spelling."""
-    if text.startswith("e1="):
-        text = text[3:]
-    return text
-
-
 def cmd_painleve(args) -> int:
     if not math.isfinite(args.perturb_a):
         raise UsageError("--perturb-a must be finite, got %s" % args.perturb_a)
     system, _ = load_system(args.system)
-    which = _parse_assign(args.assign)
-    gsol = g_for_system(system, which)
+    gsol = g_for_system(system, args.assign)
     assign = gsol.assignment
     a = assign.a + args.perturb_a
     stats = piv_residual(gsol, a, assign.b)
@@ -152,7 +144,7 @@ def cmd_painleve(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "painleve_summary",
-        "assignment": {"which": which, "e1": assign.e1, "e2": assign.e2,
+        "assignment": {"which": args.assign, "e1": assign.e1, "e2": assign.e2,
                        "e3": assign.e3},
         "a": a,
         "b": assign.b,
@@ -278,12 +270,10 @@ def _suite_ladder(system, checks):
         good = np.isfinite(image)
         return float(np.sqrt(np.sum(w[good] * image[good] ** 2)))
 
-    scale_img = apply_stencil(op, system.state("iso", 1))
-    kernel_rel = support_norm(apply_stencil(op, system.state("new", 0))) \
-        / support_norm(scale_img)
+    kernel_norm = support_norm(apply_stencil(op, system.state("new", 0)))
+    kernel_rel = kernel_norm / support_norm(apply_stencil(op, system.state("iso", 1)))
     if system.spec.k > 1:
-        kernel_rel = max(kernel_rel,
-                         support_norm(apply_stencil(op, system.state("new", 0)))
+        kernel_rel = max(kernel_rel, kernel_norm
                          / support_norm(apply_stencil(op, system.state("new", 1))))
     _check(checks, "ladder", "kernel_state_annihilated", kernel_rel, 1e-3)
 
@@ -466,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("painleve", help="extract g and check its equation")
     p.add_argument("--system", required=True, help="system JSON from build")
     p.add_argument("--assign", default="half",
-                   help="extremal energy for e1: half, eps0, or e1=eps0")
+                   help="extremal energy for e1: half or eps0")
     p.add_argument("--perturb-a", type=float, default=0.0,
                    help="shift the a parameter (negative control)")
     p.add_argument("--csv", default=None, help="per-point CSV path")

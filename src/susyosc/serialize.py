@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .errors import UsageError
-from .susy import SystemSpec, SusySystem, build_system
+from .susy import SystemSpec, SusySystem, _is_whole, build_system
 
 SCHEMA_VERSION = 1
 
@@ -120,7 +120,8 @@ def system_document(system: SusySystem) -> dict:
 def load_system(path: str):
     """Rebuild the system a document describes, verifying the document.
 
-    Returns (system, document). The spec is validated first, the system is
+    Returns (system, document). The spec is validated first (k, n_points
+    and n_max must be JSON integers, not floats or booleans), the system is
     rebuilt deterministically, and the rebuilt document must parse to the
     values of the loaded one; anything else is reported as corruption.
     """
@@ -132,15 +133,18 @@ def load_system(path: str):
                          % (doc.get("schema_version"), path))
     try:
         raw = dict(doc["spec"])
-        spec = SystemSpec(k=int(raw.pop("k")), eps_top=float(raw.pop("eps_top")),
+        sizes = {"k": raw.pop("k"), "n_points": raw.pop("n_points"), "n_max": doc["n_max"]}
+        for name, value in sizes.items():
+            if not _is_whole(value):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+        spec = SystemSpec(k=sizes["k"], eps_top=float(raw.pop("eps_top")),
                           nu=float(raw.pop("nu")), x_min=float(raw.pop("x_min")),
-                          x_max=float(raw.pop("x_max")), n_points=int(raw.pop("n_points")))
+                          x_max=float(raw.pop("x_max")), n_points=sizes["n_points"])
         if raw:
             raise UsageError("unknown spec fields %s in %s" % (sorted(raw), path))
-        n_max = int(doc["n_max"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed system document %s: %s" % (path, exc))
-    system = build_system(spec, n_max=n_max)
+    system = build_system(spec, n_max=sizes["n_max"])
     if json.loads(canonical_json(system_document(system))) != doc:
         raise UsageError(
             "%s does not match the system rebuilt from its spec; the file "

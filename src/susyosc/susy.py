@@ -37,7 +37,6 @@ point-to-point jitter in the states there, extended-precision entries do not.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -85,9 +84,6 @@ class SystemSpec:
     n_points: int = DEFAULT_N_POINTS
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in ("eps_top", "nu", "x_min", "x_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError("%s must be finite, got %s" % (name, getattr(self, name)))
@@ -225,21 +221,6 @@ def _oscillator_ladder(x):
         n += 1
 
 
-def oscillator_eigenstate(n: int, x):
-    """Normalized harmonic oscillator state psi_n via the stable recurrence."""
-    psi, _ = oscillator_eigenstate_pair(n, x)
-    return psi
-
-
-def oscillator_eigenstate_pair(n: int, x):
-    """(psi_n, psi_n') using psi_n' = -x psi_n + sqrt(2n) psi_{n-1}."""
-    n = _level(n, "oscillator level")
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(float)
-    return next(itertools.islice(_oscillator_ladder(x), n, None))
-
-
 # ----------------------------------------------------------------------
 # Wronskians from Leibniz rows and shared seed minors
 # ----------------------------------------------------------------------
@@ -304,14 +285,11 @@ def _batched_det(mat: np.ndarray) -> np.ndarray:
     """Determinants of small square matrices stacked points-last, shape
     (r, r, n_points), as the row table slices them.
 
-    numpy's LAPACK path only handles float64 (with the stack first), so
-    extended-precision stacks go through a plain Gaussian elimination with
-    partial pivoting. The matrices here are at most (k+1) x (k+1); the loop
-    is over matrix size, each step works on whole rows of points, and pivot
-    rows are swapped under masks.
+    A plain Gaussian elimination with partial pivoting in the stack's own
+    (extended-precision) dtype. The matrices here are at most (k+1) x (k+1);
+    the loop is over matrix size, each step works on whole rows of points,
+    and pivot rows are swapped under masks.
     """
-    if mat.dtype == np.float64:
-        return np.linalg.det(np.moveaxis(mat, -1, 0))
     m = np.array(mat, copy=True)
     r = m.shape[0]
     det = np.ones(m.shape[2:], dtype=m.dtype)
@@ -415,11 +393,6 @@ class _RowTable:
 
         alpha, beta, gamma, delta = map(horner, self._iso_coeffs)
         return alpha * psi + beta * dpsi, gamma * psi + delta * dpsi
-
-
-def wronskian(seeds: SeedFamily) -> np.ndarray:
-    """W(u_0, ..., u_{k-1}) sampled on the seeds' grid."""
-    return np.asarray(seeds._table.det(tuple(range(seeds.k))), dtype=float)
 
 
 def potential(seeds: SeedFamily):
@@ -558,6 +531,8 @@ class SusySystem:
 
     def state(self, subspace: str, index: int) -> GridState:
         index = _level(index, "state level")
+        if subspace not in ("iso", "new"):
+            raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
         pool = self.iso_states if subspace == "iso" else self.new_states
         for st in pool:
             if st.index == index:

@@ -87,6 +87,21 @@ def test_corrupted_document_refused(k1_doc, tmp_path, capsys):
     assert "corrupted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", [True, float], ids=["true", "float"])
+@pytest.mark.parametrize("field", ["k", "n_points", "n_max"])
+def test_document_sizes_must_be_integers(k1_doc, tmp_path, capsys, field, spelling):
+    # true == 1 and 2101.0 == 2101 in Python, so the comparison by value with
+    # the rebuilt document cannot catch these spellings itself
+    doc = load_json(k1_doc)
+    holder = doc if field == "n_max" else doc["spec"]
+    holder[field] = True if spelling is True else float(holder[field])
+    bad = tmp_path / "sizes.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--system", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed system document" in err and "%s must be an integer" % field in err
+
+
 def test_not_a_system_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"kind": "something_else"}\n')
@@ -257,10 +272,12 @@ def test_painleve_refuses_non_finite_perturbation(value, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_painleve_bad_assignment(k1_doc, tmp_path):
-    rc = main(["painleve", "--system", k1_doc, "--assign", "top1",
-               "--out", str(tmp_path / "piv.json")])
-    assert rc == 2
+def test_painleve_bad_assignment(k1_doc, tmp_path, capsys):
+    for assign, named in (("top1", "eps_top + 1"), ("e1=eps0", "'e1=eps0'")):
+        rc = main(["painleve", "--system", k1_doc, "--assign", assign,
+                   "--out", str(tmp_path / "piv.json")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
 
 def test_measure_table(tmp_path):

@@ -42,7 +42,6 @@ EXPECTED_DEFAULTS = {
     "natural_down_coeff": [],
     "new_state": [],
     "nilpotent_matrix": [],
-    "oscillator_eigenstate": [],
     "pha_product_check": [],
     "piv_residual": [],
     "potential": [],
@@ -52,7 +51,6 @@ EXPECTED_DEFAULTS = {
     "stencil_projection": ["direction"],
     "tricomi_u": ["rtol"],
     "wavefunction": [],
-    "wronskian": [],
 }
 
 

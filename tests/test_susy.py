@@ -5,6 +5,7 @@ constructed derivative or eigenstate is pushed through five-point stencils
 and the defining ODE, so agreement is meaningful rather than circular.
 """
 
+import itertools
 import math
 import re
 
@@ -22,15 +23,13 @@ from susyosc.susy import (
     _batched_det,
     _leibniz_polynomials,
     _leibniz_rows,
+    _oscillator_ladder,
     build_seed_chain,
     build_system,
     iso_state,
     new_state,
-    oscillator_eigenstate,
-    oscillator_eigenstate_pair,
     potential,
     seed_solution,
-    wronskian,
 )
 
 _SL = slice(2, -2)   # five-point stencils leave two NaN bands at each end
@@ -135,10 +134,15 @@ def test_seed_chain_energies_descend_by_one(k4_spec):
         assert np.nanmax(np.abs(resid)) / np.max(np.abs((x ** 2 - 2 * eps) * v)) < 1e-5
 
 
+def _oscillator_pair(n, x):
+    """(psi_n, psi_n') from the ladder the iso states are built on."""
+    return next(itertools.islice(_oscillator_ladder(x), n, None))
+
+
 def test_oscillator_eigenstates_orthonormal():
     x = np.linspace(-10.5, 10.5, 2101)
     w = simpson_weights(x.size, x[1] - x[0])
-    psis = [oscillator_eigenstate(n, x) for n in range(9)]
+    psis = [psi for psi, _ in itertools.islice(_oscillator_ladder(x), 9)]
     gram = np.array([[np.sum(w * a * b) for b in psis] for a in psis])
     assert np.max(np.abs(gram - np.eye(9))) < 1e-12
 
@@ -147,10 +151,8 @@ def test_oscillator_eigenstate_closed_forms():
     x = np.linspace(-3.0, 3.0, 601)
     psi0 = math.pi ** (-0.25) * np.exp(-x * x / 2.0)
     psi1 = math.pi ** (-0.25) * math.sqrt(2.0) * x * np.exp(-x * x / 2.0)
-    assert np.max(np.abs(oscillator_eigenstate(0, x) - psi0)) < 1e-14
-    assert np.max(np.abs(oscillator_eigenstate(1, x) - psi1)) < 1e-14
-    with pytest.raises(DomainError):
-        oscillator_eigenstate(-1, x)
+    assert np.max(np.abs(_oscillator_pair(0, x)[0] - psi0)) < 1e-14
+    assert np.max(np.abs(_oscillator_pair(1, x)[0] - psi1)) < 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +164,13 @@ def _level_entry_points(seeds, system):
     x = np.asarray(seeds.x, dtype=float)
     weights = simpson_weights(x.size, x[1] - x[0])
     return {
-        "oscillator_eigenstate": lambda n: oscillator_eigenstate(n, x),
-        "oscillator_eigenstate_pair": lambda n: oscillator_eigenstate_pair(n, x),
         "iso_state": lambda n: iso_state(seeds, n, weights),
         "new_state": lambda n: new_state(seeds, n, weights, system.potential),
         "SusySystem.state": lambda n: system.state("iso", n),
     }
 
 
-@pytest.mark.parametrize("entry", ["oscillator_eigenstate", "oscillator_eigenstate_pair",
-                                   "iso_state", "new_state", "SusySystem.state"])
+@pytest.mark.parametrize("entry", ["iso_state", "new_state", "SusySystem.state"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 2.0, -1], ids=repr)
 def test_levels_refuse_non_integers_by_name(k1_seeds, k1_system, entry, bad):
     """The level rule of ladder's entry points holds for the states too."""
@@ -192,7 +191,7 @@ def test_levels_accept_numpy_integers(k1_seeds, k1_system):
 def test_oscillator_pair_derivative_matches_fd():
     x = np.linspace(-10.5, 10.5, 2101)
     h = x[1] - x[0]
-    psi, dpsi = oscillator_eigenstate_pair(5, x)
+    psi, dpsi = _oscillator_pair(5, x)
     assert np.nanmax(np.abs(deriv1(psi, h)[_SL] - dpsi[_SL])) < 1e-6
 
 
@@ -204,7 +203,6 @@ def test_batched_det_matches_lapack():
     got = np.asarray(_batched_det(stack.astype(np.longdouble)), dtype=float)
     want = np.linalg.det(mats)
     assert np.max(np.abs(got / want - 1.0)) < 1e-12
-    assert np.array_equal(_batched_det(stack), want)
 
 
 def test_batched_det_handles_pivoting():
@@ -233,7 +231,7 @@ def test_laplace_numerator_matches_full_determinant(k):
     seed_rows = tuple(range(k))
     w, dw = table.det(seed_rows), table.det(seed_rows, order=1)
     for n in (12, 0, 3, 31):
-        psi, dpsi = oscillator_eigenstate_pair(n, table.x)
+        psi, dpsi = _oscillator_pair(n, table.x)
         psi_rows = _leibniz_rows(psi[None], dpsi[None], [n + 0.5], table.x, k + 1)
         full = np.concatenate([table.rows, psi_rows], axis=1)
         numer = _batched_det(full[:k + 1])
@@ -255,7 +253,7 @@ def test_psi_rows_match_hermite_closed_form():
     x = np.linspace(-6.0, 6.0, 1201).astype(np.longdouble)
     gauss = np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0)
     for n in (9, 0, 16, 4, 1):
-        psi, dpsi = oscillator_eigenstate_pair(n, x)
+        psi, dpsi = _oscillator_pair(n, x)
         q = x * x - (2.0 * n + 1.0)
         prefactor = Hermite.basis(n).convert(kind=Polynomial) \
             / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
@@ -270,8 +268,7 @@ def test_psi_rows_match_hermite_closed_form():
 
 def test_wronskian_order_one_is_the_seed(k1_spec):
     seeds = build_seed_chain(k1_spec)
-    w = wronskian(seeds)
-    assert np.array_equal(w, np.asarray(seeds.values[0], dtype=float))
+    assert np.array_equal(seeds._table.det((0,)), seeds.values[0])
 
 
 def test_potential_order_one_closed_form(k1_spec):
@@ -343,6 +340,11 @@ def test_state_lookup(k4_system):
     assert st.energy == -3.8
     with pytest.raises(DomainError):
         k4_system.state("iso", 999)
+
+
+def test_state_refuses_unknown_subspace(k4_system):
+    with pytest.raises(DomainError, match="subspace must be 'iso' or 'new', got 'isos'"):
+        k4_system.state("isos", 0)
 
 
 def test_states_vanish_at_grid_edges(k4_system):
