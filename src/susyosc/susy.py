@@ -11,15 +11,15 @@ Wronskian derivatives are taken analytically. Every column (seed or
 oscillator eigenstate) solves u'' = q u with q = x^2 - 2 eps, so Leibniz's
 rule gives its derivative rows u^(m+2) = q u^(m) + 2 m x u^(m-1) +
 m (m - 1) u^(m-2) straight on the grid. A system keeps one table of the seed
-rows m = 0..k+1 and of the seed-block minors over them, each computed once
-(by a points-last elimination): W, W' and W'' are minors, and a new state's
-numerator is a (k-1)-column determinant of the same rows. An iso numerator
-W(u_0..u_{k-1}, psi_n) and its derivative are Laplace expansions along the
-psi_n column with the same minors as cofactors for every n. Since every
-row of psi_n is psi_n^(m) = P_m psi_n + Q_m psi_n', with P_m and Q_m integer
-polynomials in (x, q), the cofactors, 1/W and W'/W fold once per system into
-per-point coefficients of polynomials in q; each level is then a Horner pass
-in q = x^2 - 2E_n times psi_n and psi_n'.
+rows m = 0..k+1, and four points-last eliminations with partial pivoting
+give every ratio over it: W and W' as determinants, the new states'
+numerators over W as A^-1 e_{k-2}, A^-1 e_{k-1} of the seed block A, and the
+cofactors along the psi_n column of an iso numerator W(u_0..u_{k-1}, psi_n)
+and of its derivative, the same for every n, as the last row of L^-1. Since
+every row of psi_n is psi_n^(m) = P_m psi_n + Q_m psi_n', with P_m and Q_m
+integer polynomials in (x, q), the cofactors, 1/W and W'/W fold once per
+system into per-point coefficients of polynomials in q; each level is then a
+Horner pass in q = x^2 - 2E_n times psi_n and psi_n'.
 
 Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
 ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
@@ -222,7 +222,7 @@ def _oscillator_ladder(x):
 
 
 # ----------------------------------------------------------------------
-# Wronskians from Leibniz rows and shared seed minors
+# Wronskian ratios from Leibniz rows and four eliminations
 # ----------------------------------------------------------------------
 
 def _leibniz_rows(values, derivs, energies, x, max_order: int) -> np.ndarray:
@@ -237,19 +237,6 @@ def _leibniz_rows(values, derivs, energies, x, max_order: int) -> np.ndarray:
     for m in range(max_order - 1):
         out[m + 4] = q * out[m + 2] + (2.0 * m) * x * out[m + 1] + (m * (m - 1.0)) * out[m]
     return out[2:]
-
-
-def _derivative_rowsets(rows, order: int) -> list:
-    """Row sets whose determinants sum to the order-th derivative of det(rows).
-
-    Each derivative raises one row index; raising onto a present index
-    repeats a row and drops out. Raised sets stay ascending.
-    """
-    sets = [tuple(rows)]
-    for _ in range(order):
-        sets = [rs[:i] + (m + 1,) + rs[i + 1:] for rs in sets
-                for i, m in enumerate(rs) if m + 1 not in rs]
-    return sets
 
 
 def _leibniz_polynomials(max_order: int) -> list:
@@ -281,87 +268,123 @@ def _leibniz_polynomials(max_order: int) -> list:
     return out
 
 
-def _batched_det(mat: np.ndarray) -> np.ndarray:
-    """Determinants of small square matrices stacked points-last, shape
-    (r, r, n_points), as the row table slices them.
+def _batched_det(mat: np.ndarray):
+    """Gaussian elimination with partial pivoting of small matrices stacked
+    points-last, shape (r, c, n_points) with r = c or c + 1, one pivot choice
+    per point.
 
-    A plain Gaussian elimination with partial pivoting in the stack's own
-    (extended-precision) dtype. The matrices here are at most (k+1) x (k+1);
-    the loop is over matrix size, each step works on whole rows of points,
-    and pivot rows are swapped under masks.
+    Works in the stack's own (extended-precision) dtype; the loop is over
+    matrix size, each step works on whole rows of points. Returns the sign
+    of the row swaps times the pivots of its min(r - 1, c) steps, and times
+    the last diagonal entry when the stack is square (the determinant); the
+    packed factors of P A = L U, U on and above the diagonal and L's
+    multipliers below it; and the row order perm, (P A)[i] = A[perm[i]].
     """
     m = np.array(mat, copy=True)
-    r = m.shape[0]
-    det = np.ones(m.shape[2:], dtype=m.dtype)
-    for c in range(r - 1):
+    r, cols, n = m.shape
+    det = np.ones(n, dtype=m.dtype)
+    perm = np.repeat(np.arange(r)[:, None], n, axis=1)
+    for c in range(min(r - 1, cols)):
         piv = np.argmax(np.abs(m[c:, c]), axis=0) + c
-        # columns left of c are eliminated and never read again
         for row in range(c + 1, r):
             swap = piv == row
             if swap.any():
-                m[c, c:], m[row, c:] = (np.where(swap, m[row, c:], m[c, c:]),
-                                        np.where(swap, m[c, c:], m[row, c:]))
+                for a in (m, perm):
+                    a[c], a[row] = np.where(swap, a[row], a[c]), np.where(swap, a[c], a[row])
         det = np.where(piv != c, -det, det)
         p = m[c, c]
         det = det * p
-        safe = np.where(p == 0.0, 1.0, p)
-        factors = m[c + 1:, c] / safe
-        factors[:, p == 0.0] = 0.0
-        m[c + 1:, c + 1:] -= factors[:, None, :] * m[c, c + 1:][None, :, :]
-    return det * m[r - 1, r - 1]
+        m[c + 1:, c] /= np.where(p == 0.0, 1.0, p)
+        m[c + 1:, c, p == 0.0] = 0.0
+        # row by row, so no temporary of the whole trailing block is held
+        for row in range(c + 1, r):
+            m[row, c + 1:] -= m[row, c] * m[c, c + 1:]
+    return (det * m[r - 1, r - 1] if r == cols else det), m, perm
+
+
+def _lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs, (r, s, n_points), from _batched_det's factors of a square
+    stack A; rhs (r, s) is the same at every point."""
+    y = np.moveaxis(rhs[perm], -1, 1).astype(lu.dtype)
+    for i in range(len(y)):
+        y[i] -= np.sum(lu[i, :i, None] * y[:i], axis=0)
+    for i in range(len(y) - 1, -1, -1):
+        y[i] = (y[i] - np.sum(lu[i, i + 1:, None] * y[i + 1:], axis=0)) / lu[i, i]
+    return y
+
+
+def _last_column_cofactors(mat: np.ndarray) -> np.ndarray:
+    """c with det([B | v]) = c . v at every point, for B = mat, (r, r - 1, n_points).
+
+    The last row of L^-1 from B's elimination, with the row swaps undone,
+    times the sign and the pivots: the elimination the full determinant runs
+    on B's columns.
+    """
+    det, lu, perm = _batched_det(mat)
+    r, n = mat.shape[0], mat.shape[-1]
+    # ell L = e_{r-1}, L unit lower triangular
+    ell = np.zeros((r, n), dtype=lu.dtype)
+    ell[r - 1] = 1.0
+    for i in range(r - 2, -1, -1):
+        ell[i] = -np.sum(lu[i + 1:, i] * ell[i + 1:], axis=0)
+    out = np.empty_like(ell)
+    out[perm, np.arange(n)] = det * ell
+    return out
 
 
 class _RowTable:
-    """Leibniz rows u_j^(m), m = 0..k+1, and the determinants of one system.
+    """Leibniz rows u_j^(m), m = 0..k+1, and the Wronskian ratios of one system.
 
-    Determinants are memoized: the seed Wronskian and its derivatives, and
-    every cofactor of the Laplace expansion along the psi_n column (seed
-    minors, at most 2k+1 of the C(k+2, k)), are computed once. The iso
-    ratios fold those cofactors, 1/W and W'/W into per-point coefficients of
-    polynomials in q = x^2 - 2E_n, once per system; a level then costs one
-    Horner pass in q and psi_n, psi_n' from one oscillator ladder that steps
-    forward as n grows.
+    Four eliminations (_batched_det) serve every ratio:
+    - the seed block A = [u_j^(m)], m < k, gives W, and y' = A^-1 e_{k-2},
+      y = A^-1 e_{k-1}: the cofactors of A's last two rows over W, which are
+      the new states' numerators and their derivatives over W;
+    - rows (0..k-2, k) give W', the one row set of the derivative of W;
+    - rows 0..k and (0..k-1, k+1) give the cofactors along the psi column of
+      W(u_0..u_{k-1}, psi) and of its derivative: the last row of L^-1, with
+      the swaps undone, by the elimination the full (k+1)-column determinant
+      runs on its seed columns.
+    W is checked once, before anything is divided by it. The iso ratios fold
+    the cofactors, 1/W and W'/W into per-point coefficients of polynomials
+    in q = x^2 - 2E_n, once per system; a level then costs one Horner pass in
+    q and psi_n, psi_n' from one oscillator ladder that steps forward as n
+    grows.
     """
 
     def __init__(self, seeds: "SeedFamily"):
-        self.x = seeds.x
-        self.k = seeds.k
-        self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies,
-                                  self.x, self.k + 1)
-        self._dets = {}
-        self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x), -1, None
-
-    def det(self, rows, cols=None, order: int = 0) -> np.ndarray:
-        """order-th derivative of det over ascending rows and seed cols (default all)."""
-        cols = tuple(range(self.k) if cols is None else cols)
-        out = 0
-        for rs in _derivative_rowsets(rows, order):
-            if (rs, cols) not in self._dets:
-                self._dets[rs, cols] = _batched_det(self.rows[np.ix_(rs, cols)])
-            out = out + self._dets[rs, cols]
-        return out
+        self.x = x = seeds.x
+        self.k = k = seeds.k
+        self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
+        self.w, lu, perm = _batched_det(self.rows[:k])
+        if np.any(self.w[:-1] * self.w[1:] <= 0.0) or np.any(np.abs(self.w) < 1e-280):
+            raise SingularPotentialError("seed Wronskian vanishes inside the grid")
+        # [y', y] = A^-1 [e_{k-2}, e_{k-1}]; for k = 1 the e_{k-2} column is zero
+        y = _lu_solve(lu, perm, np.eye(k, 2, 2 - k))
+        del lu, perm   # A's factors, freed before the larger eliminations below
+        sign = (-1.0) ** (k - 1 + np.arange(k))[:, None]
+        # new state j: numerator/W and its derivative/W
+        self.new_ratios = (sign * y[:, 1], -sign * y[:, 0])
+        self.dlog_w = _batched_det(self.rows[list(range(k - 1)) + [k]])[0] / self.w
+        # cof[d, m]: the signed cofactor of psi^(m) in the d-th derivative of
+        # the numerator, over W
+        self.cof = np.zeros((2, k + 2, x.size), dtype=x.dtype)
+        for d in (0, 1):
+            rows = list(range(k)) + [k + d]
+            self.cof[d, rows] = _last_column_cofactors(self.rows[rows]) / self.w
+        self._ladder, self._psi_n, self._psi = _oscillator_ladder(x), -1, None
 
     @functools.cached_property
     def _iso_coeffs(self) -> list:
         """Per-point coefficients of alpha, beta, gamma and delta in powers of q.
 
         For every psi'' = q psi, W(u_0..u_{k-1}, psi)/W = alpha psi + beta psi'
-        and its derivative is gamma psi + delta psi': the Laplace expansion
+        and its derivative is gamma psi + delta psi': the cofactor expansion
         along the psi column with psi^(m) = P_m psi + Q_m psi', divided by W,
         and (N/W)' = N'/W - (W'/W) N/W. Each entry is a (degree + 1,
         n_points) array, row j the coefficient of q^j, cut at its last row
         that is not zero everywhere (at most (k + 1) // 2).
         """
         k, x = self.k, self.x
-        seed_rows = tuple(range(k))
-        w = self.det(seed_rows)
-        # cof[d, m]: the signed cofactor of psi^(m) in the d-th derivative of
-        # the numerator, over W
-        cof = np.zeros((2, k + 2, x.size), dtype=x.dtype)
-        for order in (0, 1):
-            for rs in _derivative_rowsets(range(k + 1), order):
-                for p, m in enumerate(rs):
-                    cof[order, m] += (-1.0) ** (p + k) * self.det(rs[:p] + rs[p + 1:]) / w
         powers = [np.ones_like(x)]
         for _ in range(k + 1):
             powers.append(powers[-1] * x)
@@ -369,8 +392,8 @@ class _RowTable:
         for m, pq in enumerate(_leibniz_polynomials(k + 1)):
             for b in (0, 1):
                 for i, j in np.argwhere(pq[b]):
-                    out[:, b, j] += cof[:, m] * (int(pq[b][i, j]) * powers[i])
-        out[1] -= self.det(seed_rows, order=1) / w * out[0]
+                    out[:, b, j] += self.cof[:, m] * (int(pq[b][i, j]) * powers[i])
+        out[1] -= self.dlog_w * out[0]
         # alpha, beta and delta can fall a power of q short of (k + 1) // 2
         return [c[:1 + max((j for j in range(len(c)) if c[j].any()), default=0)]
                 for c in out.reshape(4, -1, x.size)]
@@ -401,15 +424,14 @@ def potential(seeds: SeedFamily):
     Raises SingularPotentialError if W crosses or touches zero anywhere on
     the grid, since the partner then has a singularity.
     """
-    table = seeds._table
-    rows = tuple(range(seeds.k))
-    w = table.det(rows)
-    if np.any(w[:-1] * w[1:] <= 0.0) or np.any(np.abs(w) < 1e-280):
-        raise SingularPotentialError("seed Wronskian vanishes inside the grid")
+    table, k = seeds._table, seeds.k
     # (ln W)'' = W''/W - (W'/W)^2, formed from ratios to keep the dynamic
-    # range of W itself out of the subtraction
-    r1 = table.det(rows, order=1) / w
-    r2 = table.det(rows, order=2) / w
+    # range of W itself out of the subtraction. W'' is the sum of the row
+    # sets (0..k-3, k-1, k) and (0..k-2, k+1), the cofactors of psi^(k-2) and
+    # -psi^(k-1) in the iso numerator and its derivative; for k = 1 the index
+    # k - 2 = -1 reads cof[0, k+1], which is zero.
+    r1 = table.dlog_w
+    r2 = table.cof[0, k - 2] - table.cof[1, k - 1]
     return np.asarray(seeds.x * seeds.x / 2.0 - (r2 - r1 * r1), dtype=float)
 
 
@@ -484,12 +506,8 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
     if j >= k:
         raise DomainError("new_state level out of range 0..k-1, got %d" % j)
     table = seeds._table
-    rows, cols = tuple(range(k - 1)), [i for i in range(k) if i != j]
-    # k = 1 leaves the empty determinant, 1
-    numer, dnumer = (table.det(rows, cols), table.det(rows, cols, 1)) if k > 1 else (1.0, 0.0)
-    w = table.det(tuple(range(k)))
-    raw = numer / w
-    raw_deriv = dnumer / w - table.det(tuple(range(k)), order=1) / w * raw
+    raw = table.new_ratios[0][j]
+    raw_deriv = table.new_ratios[1][j] - table.dlog_w * raw
     vals, ders, _ = _normalized(raw, raw_deriv, weights, 1.0)
     energy = float(seeds.energies[j])
     res = hamiltonian_residual(vals, energy, potential_values, seeds.x[1] - seeds.x[0], weights)

@@ -21,8 +21,10 @@ from susyosc.susy import (
     SeedFamily,
     SystemSpec,
     _batched_det,
+    _last_column_cofactors,
     _leibniz_polynomials,
     _leibniz_rows,
+    _lu_solve,
     _oscillator_ladder,
     build_seed_chain,
     build_system,
@@ -200,7 +202,7 @@ def test_batched_det_matches_lapack():
     rng = np.random.default_rng(7)
     mats = rng.normal(size=(40, 5, 5)) + 3.0 * np.eye(5)
     stack = np.moveaxis(mats, 0, -1)
-    got = np.asarray(_batched_det(stack.astype(np.longdouble)), dtype=float)
+    got = np.asarray(_batched_det(stack.astype(np.longdouble))[0], dtype=float)
     want = np.linalg.det(mats)
     assert np.max(np.abs(got / want - 1.0)) < 1e-12
 
@@ -209,12 +211,131 @@ def test_batched_det_handles_pivoting():
     # a leading zero forces a row swap in the elimination path, at some
     # points of the stack and not at others
     m = np.array([[[0.0, 2.0], [3.0, 1.0]]], dtype=np.longdouble)
-    assert float(_batched_det(np.moveaxis(m, 0, -1))[0]) == -6.0
+    assert float(_batched_det(np.moveaxis(m, 0, -1))[0][0]) == -6.0
     mats = np.array([[[0.0, 2.0, 1.0], [3.0, 1.0, 4.0], [1.0, 5.0, 9.0]],
                      [[2.0, 7.0, 1.0], [8.0, 2.0, 8.0], [1.0, 8.0, 2.0]],
                      [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]])
-    got = _batched_det(np.moveaxis(mats, 0, -1).astype(np.longdouble))
+    got = _batched_det(np.moveaxis(mats, 0, -1).astype(np.longdouble))[0]
     assert np.max(np.abs(np.asarray(got, dtype=float) - np.linalg.det(mats))) < 1e-12
+
+
+def _stack_with_and_without_swaps(r, n_points, seed):
+    """(n_points, r, r) matrices: the first half diagonally dominant, so
+    partial pivoting keeps every row; the second half the same matrices
+    with their rows reversed, so it swaps."""
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(n_points, r, r)) + 10.0 * np.eye(r)
+    mats[n_points // 2:] = mats[n_points // 2:, ::-1]
+    return mats
+
+
+def _assert_swaps_at_half_the_points(perm):
+    kept = np.all(perm == np.arange(len(perm))[:, None], axis=0)
+    half = kept.size // 2
+    assert kept[:half].all() and not kept[half:].any()
+
+
+def test_lu_solve_matches_lapack():
+    """A^-1 rhs from the shared elimination's factors vs np.linalg.solve."""
+    for r in (1, 3, 6):
+        mats = _stack_with_and_without_swaps(r, 40, seed=r)
+        _, lu, perm = _batched_det(np.moveaxis(mats, 0, -1).astype(np.longdouble))
+        if r > 1:
+            _assert_swaps_at_half_the_points(perm)
+        rhs = np.random.default_rng(r + 10).normal(size=(r, 2))
+        got = np.moveaxis(np.asarray(_lu_solve(lu, perm, rhs), dtype=float), -1, 0)
+        want = np.linalg.solve(mats, np.broadcast_to(rhs, mats.shape[:1] + rhs.shape))
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_last_column_cofactors_match_full_determinant():
+    """The Schur row c of B, (r, r - 1): c . v vs np.linalg.det([B | v])."""
+    for r in (2, 4, 6):
+        mats = _stack_with_and_without_swaps(r, 40, seed=r)
+        stack = np.moveaxis(mats, 0, -1).astype(np.longdouble)
+        _assert_swaps_at_half_the_points(_batched_det(stack[:, :r - 1])[2])
+        cof = np.asarray(_last_column_cofactors(stack[:, :r - 1]), dtype=float)
+        got = np.sum(cof * np.moveaxis(mats[:, :, r - 1], 0, -1), axis=0)
+        want = np.linalg.det(mats)
+        assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_new_state_ratios_match_minors(k):
+    """numerator/W of new state j and its derivative from A^-1 vs (k-1)-column
+    minors of the seed rows (the determinant route), and the table's W, bit
+    for bit, from the elimination of the seed rows alone."""
+    table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
+    assert np.array_equal(table.w, _batched_det(table.rows[:k])[0])
+    for j in range(k):
+        cols = [c for c in range(k) if c != j]
+        if k == 1:   # the empty minor is 1
+            numer, dnumer = 1.0, 0.0
+        else:
+            numer = _batched_det(table.rows[np.ix_(range(k - 1), cols)])[0]
+            dnumer = _batched_det(table.rows[np.ix_(list(range(k - 2)) + [k - 1], cols)])[0]
+        for got, want in zip((table.new_ratios[0][j], table.new_ratios[1][j]),
+                             (numer / table.w, dnumer / table.w)):
+            # for k = 1 the derivative is 0 on both routes
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k, eps_top, nu", [(3, -2.5, 0.3), (5, -1.45, 0.5)])
+def test_ratios_match_exact_arithmetic(k, eps_top, nu):
+    """Iso ratio and derivative, new-state ratios and (ln W)'' vs 80-digit mpmath.
+
+    The reference is rebuilt exactly from the table's own long-double rows
+    and psi_n, psi_n' at every 50th grid point, so this pins the rounding of
+    the route alone, not the error the seed entries carry in. Each bound is
+    about 4x the worst figure both this route and the earlier one of
+    separate determinants read at k 5 (iso n = 31 2.3e-12 and its derivative
+    2.1e-11 relative to their maxima, new states 1.2e-15 and 1.3e-15, (ln W)''
+    6.9e-9 relative to max(1, |.|), in the tails, where the seed block is
+    worst conditioned), so a route that loses a digit fails.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu))
+    table = seeds._table
+    x = table.x
+    lnw2 = x * x / 2.0 - potential(seeds)
+
+    def mp(v):
+        num, den = np.longdouble(v).as_integer_ratio()
+        return mpmath.mpf(num) / den
+
+    def det(rows, i, extra=None):
+        return mpmath.det(mpmath.matrix(
+            [[mp(table.rows[m, c, i]) for c in range(k)] + ([extra[m]] if extra else [])
+             for m in rows]))
+
+    worst = {"iso": 0.0, "diso": 0.0, "new": 0.0, "lnw2": 0.0}
+    iso = {n: (table.iso_ratio(n), _oscillator_pair(n, x)) for n in (0, 12, 31)}
+    with mpmath.workdps(80):
+        for i in range(0, x.size, 50):
+            w = det(range(k), i)
+            dw = det(list(range(k - 1)) + [k], i)
+            d2w = det(list(range(k - 1)) + [k + 1], i) \
+                + (det(list(range(k - 2)) + [k - 1, k], i) if k > 1 else 0)
+            want = d2w / w - (dw / w) ** 2
+            worst["lnw2"] = max(worst["lnw2"], float(abs(mp(lnw2[i]) - want) / max(1, abs(want))))
+            for j in range(k):
+                sub = [[mp(table.rows[m, c, i]) for c in range(k) if c != j] for m in range(k - 1)]
+                want = (mpmath.det(mpmath.matrix(sub)) if k > 1 else 1) / w
+                got = table.new_ratios[0][j]
+                worst["new"] = max(worst["new"], float(abs(mp(got[i]) - want)) / np.max(np.abs(got)))
+            for n, ((got, dgot), (psi, dpsi)) in iso.items():
+                xi, q = mp(x[i]), mp(x[i]) ** 2 - (2 * n + 1)
+                col = [mp(psi[i]), mp(dpsi[i])]
+                for m in range(k):
+                    col.append(q * col[m] + 2 * m * xi * (col[m - 1] if m else 0)
+                               + m * (m - 1) * (col[m - 2] if m > 1 else 0))
+                ratio = det(range(k + 1), i, col) / w
+                dratio = det(list(range(k)) + [k + 1], i, col) / w - dw / w * ratio
+                worst["iso"] = max(worst["iso"], float(abs(mp(got[i]) - ratio)) / np.max(np.abs(got)))
+                worst["diso"] = max(worst["diso"],
+                                    float(abs(mp(dgot[i]) - dratio)) / np.max(np.abs(dgot)))
+    bounds = {"iso": 1e-11, "diso": 1e-10, "new": 5e-15, "lnw2": 3e-8}
+    assert all(worst[key] < bounds[key] for key in bounds), worst
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -229,13 +350,14 @@ def test_laplace_numerator_matches_full_determinant(k):
     """
     table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
     seed_rows = tuple(range(k))
-    w, dw = table.det(seed_rows), table.det(seed_rows, order=1)
+    w = _batched_det(table.rows[:k])[0]
+    dw = _batched_det(table.rows[list(range(k - 1)) + [k]])[0]
     for n in (12, 0, 3, 31):
         psi, dpsi = _oscillator_pair(n, table.x)
         psi_rows = _leibniz_rows(psi[None], dpsi[None], [n + 0.5], table.x, k + 1)
         full = np.concatenate([table.rows, psi_rows], axis=1)
-        numer = _batched_det(full[:k + 1])
-        dnumer = _batched_det(full[list(seed_rows) + [k + 1]])
+        numer = _batched_det(full[:k + 1])[0]
+        dnumer = _batched_det(full[list(seed_rows) + [k + 1]])[0]
         want = (numer / w, dnumer / w - dw / w * (numer / w))
         for got, ref in zip(table.iso_ratio(n), want):
             assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) < 1e-12
@@ -268,7 +390,7 @@ def test_psi_rows_match_hermite_closed_form():
 
 def test_wronskian_order_one_is_the_seed(k1_spec):
     seeds = build_seed_chain(k1_spec)
-    assert np.array_equal(seeds._table.det((0,)), seeds.values[0])
+    assert np.array_equal(seeds._table.w, seeds.values[0])
 
 
 def test_potential_order_one_closed_form(k1_spec):
@@ -304,6 +426,21 @@ def test_potential_rejects_singular_wronskian():
                       values=x[None, :].copy(), derivs=np.ones((1, x.size)))
     with pytest.raises(SingularPotentialError):
         potential(fake)
+
+
+@pytest.mark.parametrize("entry", ["potential", "iso_state", "new_state"])
+def test_vanishing_wronskian_is_refused_before_any_division(entry):
+    """W = x vanishes at x = 0: every entry point raises the singular-W error,
+    with no divide-by-zero warning on the way (warnings are errors here)."""
+    x = np.linspace(-2.0, 2.0, 401)
+    weights = simpson_weights(x.size, x[1] - x[0])
+    fake = SeedFamily(x=x, energies=np.array([0.0]),
+                      values=x[None, :].copy(), derivs=np.ones((1, x.size)))
+    call = {"potential": lambda: potential(fake),
+            "iso_state": lambda: iso_state(fake, 0, weights),
+            "new_state": lambda: new_state(fake, 0, weights, x * x / 2.0)}[entry]
+    with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
+        call()
 
 
 def test_system_energy_bookkeeping(k4_system):
