@@ -99,6 +99,9 @@ def _add_spec_args(p: argparse.ArgumentParser):
                    help="highest factorization energy (must stay below 1/2)")
     p.add_argument("--nu", type=float, required=True,
                    help="seed asymmetry parameter, |nu| < 1")
+
+
+def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--xmin", type=float, default=-DEFAULT_X_MAX)
     p.add_argument("--xmax", type=float, default=DEFAULT_X_MAX)
     p.add_argument("--n", type=int, default=DEFAULT_N_POINTS, help="grid points (odd)")
@@ -414,8 +417,7 @@ def _r_grid(args) -> np.ndarray:
 
 
 def cmd_measure(args) -> int:
-    spec = _spec_from_args(args)
-    params = CSParams.from_spec(spec)
+    params = CSParams.from_spec(SystemSpec(args.k, args.eps_top, args.nu))
     r = _r_grid(args)
     x = r * r
     cols = [r]
@@ -428,9 +430,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_density(args) -> int:
-    spec = _spec_from_args(args)
-    params = CSParams.from_spec(spec)
-    m = measure_fn(args.measure, params)
+    m = measure_fn(args.measure, CSParams.from_spec(SystemSpec(args.k, args.eps_top, args.nu)))
     r = _r_grid(args)
     write_csv(args.out, ["r", "density"], [r, m.density(r)])
     print("wrote %s: %s density on %d radii" % (args.out, args.measure, r.size))
@@ -450,6 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a system and write its document")
     _add_spec_args(p)
+    _add_grid_args(p)
     p.add_argument("--out", default="system.json")
     p.set_defaults(func=cmd_build)
 
@@ -465,6 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cs", help="construct one coherent state")
     _add_spec_args(p)
+    _add_grid_args(p)
     p.add_argument("--family", required=True,
                    help="aocs-iso, docs-new, lin-iso, lin-new")
     p.add_argument("--z", required=True, help="label, R@theta or re,im")

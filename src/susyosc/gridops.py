@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InsufficientSupportError
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -55,7 +55,8 @@ def contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 def largest_run(mask: np.ndarray) -> tuple[int, int]:
+    """The longest range [a, b) where mask is True; none is an InsufficientSupportError."""
     runs = contiguous_runs(mask)
     if not runs:
-        raise DomainError("mask has no True entries")
+        raise InsufficientSupportError("mask has no True entries")
     return max(runs, key=lambda r: r[1] - r[0])

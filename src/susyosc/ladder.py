@@ -50,8 +50,8 @@ class LadderCoeffs:
 
     gap is E_0 - eps_0, the distance from the old ground energy down to the
     bottom of the new ladder; the spectrum is E_n = n + 1/2 on the iso ladder
-    and eps_j = eps_0 + j, j = 0..k-1, on the new one. gap > k - 1 always
-    holds for a valid system, which keeps every radicand below non-negative.
+    and eps_j = eps_0 + j, j = 0..k-1, on the new one. A finite gap > k - 1
+    keeps every radicand below non-negative.
     The coherent-state layer uses the same type under the name CSParams.
     """
     gap: float
@@ -60,6 +60,8 @@ class LadderCoeffs:
     def __post_init__(self):
         if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
+        if not math.isfinite(self.gap):
+            raise InvalidSpecError("gap must be finite, got %s" % (self.gap,))
         if not self.gap > self.k - 1:
             raise InvalidSpecError(
                 "gap must exceed k-1 = %d, got %g" % (self.k - 1, self.gap))
@@ -75,8 +77,7 @@ class LadderCoeffs:
     def iso_down(self, n: int) -> float:
         """d_n with l^- |n> = d_n |n-1>; d_0 = 0."""
         n = _level(n, "iso level")
-        radicand = n * (n + self.gap) * (n + self.gap - self.k)
-        return _checked_sqrt(radicand, "iso", n)
+        return math.sqrt(n * (n + self.gap) * (n + self.gap - self.k))
 
     def new_down(self, j: int) -> float:
         """e_j with l^- |eps_j> = e_j |eps_{j-1}>; e_0 = 0.
@@ -88,17 +89,7 @@ class LadderCoeffs:
         j = _level(j, "new level")
         if j > self.k:
             raise DomainError("new level must be an integer in 0..k, got %d" % j)
-        radicand = (self.gap - j) * j * (self.k - j)
-        return _checked_sqrt(radicand, "new", j)
-
-
-def _checked_sqrt(radicand: float, subspace: str, level: int) -> float:
-    if radicand < 0.0:
-        # unreachable for a valid system; a negative radicand means the
-        # parameters escaped the gap > k-1 constraint some other way
-        raise ConstructionError(
-            "negative ladder radicand %g at %s level %d" % (radicand, subspace, level))
-    return math.sqrt(radicand)
+        return math.sqrt((self.gap - j) * j * (self.k - j))
 
 
 def natural_down_coeff(level: int, subspace: str, params: LadderCoeffs) -> float:
@@ -210,9 +201,10 @@ class OperatorStencil:
     """Sampled coefficients of l^+ = L_a^+ L_b^+ and its adjoint on a window.
 
     Arrays live on x[sl], the largest contiguous unmasked run of the g
-    solution (shrunk so every stored coefficient, including the stencil
-    derivatives g' and V', is finite). v is the potential rebuilt from g,
-    which makes applying the operator independent of the Wronskian route.
+    solution less 4 points at each end (the stencil derivative g' is
+    undefined on the outer 2). v is the potential rebuilt from g, which makes
+    applying the operator independent of the Wronskian route; a and e1 are
+    the assignment's.
     """
     x: np.ndarray
     sl: slice
@@ -221,7 +213,6 @@ class OperatorStencil:
     f: np.ndarray
     h: np.ndarray
     v: np.ndarray
-    dv: np.ndarray
     a: float
     e1: float
 
@@ -238,8 +229,9 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     """Sample the third-order operator coefficients from a g solution.
 
     The solution brings its grid, mask and assignment. The support is the
-    largest contiguous unmasked run; if it holds less than half of the
-    unmasked points the sample is too fragmented to represent the operator.
+    largest contiguous unmasked run; none at all, less than half of the
+    unmasked points, or fewer than 12 points inside its 4-point edge bands
+    is too little to represent the operator (InsufficientSupportError).
 
     Two practical notes. A nodeless extremal state (the eps0 assignment)
     gives a pole-free g and hence one support run covering the whole window;
@@ -256,31 +248,22 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     x, g, valid = gsol.x, gsol.g, gsol.valid
     lo, hi = largest_run(valid)
     n_valid = int(np.count_nonzero(valid))
-    if n_valid == 0 or (hi - lo) < 0.5 * n_valid:
+    if (hi - lo) < 0.5 * n_valid:
         raise InsufficientSupportError(
             "largest contiguous g run holds %d of %d unmasked points"
             % (hi - lo, n_valid))
-    h_step = float(x[1] - x[0])
-    gs = g[lo:hi]
-    dg = deriv1(gs, h_step)
-    # deriv1 cannot reach the outermost two points; shrink so everything
-    # stored is finite, then once more for the V' stencil below
-    lo2, hi2 = lo + 2, hi - 2
-    gs = g[lo2:hi2]
-    dg = dg[2:-2]
-    xs = x[lo2:hi2]
-    f = gs + xs
-    hcoef = 0.5 * dg - 0.5 * gs * gs - 2.0 * xs * gs - xs * xs + a
-    v = 0.5 * xs * xs - 0.5 * dg + 0.5 * gs * gs + xs * gs + e1 - 0.5
-    dv = deriv1(v, h_step)
-    sl = slice(lo2 + 2, hi2 - 2)
-    trim = slice(2, -2)
-    st = OperatorStencil(x=x, sl=sl, g=gs[trim], dg=dg[trim], f=f[trim],
-                         h=hcoef[trim], v=v[trim], dv=dv[trim], a=a, e1=e1)
-    if hi2 - 2 - (lo2 + 2) < 12:
+    # deriv1 cannot reach the run's outer 2 points; 2 more at each end are a
+    # margin from the run's edge (the state's floor, a node guard or the grid end)
+    sl = slice(lo + 4, hi - 4)
+    if sl.stop - sl.start < 12:
         raise InsufficientSupportError("g support too narrow for the stencil")
-    for name, arr in (("g", st.g), ("g'", st.dg), ("f", st.f), ("h", st.h),
-                      ("V", st.v), ("V'", st.dv)):
+    gs, xs = g[sl], x[sl]
+    dg = deriv1(g[lo:hi], float(x[1] - x[0]))[4:-4]
+    st = OperatorStencil(
+        x=x, sl=sl, g=gs, dg=dg, f=gs + xs,
+        h=0.5 * dg - 0.5 * gs * gs - 2.0 * xs * gs - xs * xs + a,
+        v=0.5 * xs * xs - 0.5 * dg + 0.5 * gs * gs + xs * gs + e1 - 0.5, a=a, e1=e1)
+    for name, arr in (("g", st.g), ("g'", st.dg), ("f", st.f), ("h", st.h), ("V", st.v)):
         if not np.all(np.isfinite(arr)):
             raise ConstructionError("non-finite %s coefficient on the support" % name)
     return st
@@ -334,10 +317,7 @@ def apply_stencil(op: OperatorStencil, state: GridState, direction: str = "down"
 
 
 def _support_slice(image: np.ndarray) -> slice:
-    finite = np.isfinite(image)
-    if not np.any(finite):
-        raise InsufficientSupportError("stencil image has no finite points")
-    lo, hi = largest_run(finite)
+    lo, hi = largest_run(np.isfinite(image))
     lo += 5
     hi -= 5
     if hi - lo < 3:

@@ -136,16 +136,18 @@ def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
 
     # nodes: sign changes with at least one bracketing point inside the
     # window; the sample nearest a node may sit below the floor
-    nodes = []
-    sign_change = (phi[:-1] * phi[1:] < 0.0) & (window[:-1] | window[1:])
-    for i in np.flatnonzero(sign_change):
-        # linear interpolation of the crossing
-        x0 = x[i] - phi[i] * (x[i + 1] - x[i]) / (phi[i + 1] - phi[i])
-        nodes.append(float(x0))
+    nodes = _zero_crossings(x, phi, window[:-1] | window[1:]).tolist()
+    for x0 in nodes:
         valid &= np.abs(x - x0) > DEFAULT_GUARD_X
     g = np.where(valid, g, np.nan)
     return GSolution(x=x, g=g, valid=valid, window=window, nodes=nodes,
                      assignment=assignment)
+
+
+def _zero_crossings(x, y, pairs) -> np.ndarray:
+    """x of each sign change of y from i to i + 1 where pairs[i], interpolated linearly."""
+    i = np.flatnonzero((y[:-1] * y[1:] < 0.0) & pairs)
+    return x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
 
 
 def g_for_system(system: SusySystem, which: str,
@@ -251,16 +253,9 @@ def companion_extremal_states(gsol: GSolution):
     d = gsol.assignment.e2 - gsol.assignment.e3
     x, g, h = gsol.x, gsol.g, gsol.h
     ok = gsol.valid & (np.abs(np.where(np.isfinite(g), g, 0.0)) > DEFAULT_G_FLOOR)
-    # widen the exclusion around zeros of g slightly; 1/g integrands are the
-    # worst behaved objects in the package
-    zero_x = []
-    for a, b in contiguous_runs(gsol.valid):
-        seg = g[a:b]
-        cross = np.flatnonzero(seg[:-1] * seg[1:] < 0.0)
-        for i in cross:
-            x0 = x[a + i] - seg[i] * h / (seg[i + 1] - seg[i])
-            zero_x.append(float(x0))
-    for x0 in zero_x:
+    # widen the exclusion around zeros of g (inside one valid run) slightly;
+    # 1/g integrands are the worst behaved objects in the package
+    for x0 in _zero_crossings(x, g, gsol.valid[:-1] & gsol.valid[1:]):
         ok &= np.abs(x - x0) > 0.1
     a, b = largest_run(ok)
     if b - a < 24:

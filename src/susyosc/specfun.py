@@ -400,9 +400,10 @@ def bessel_k(nu: float, z):
                   * int_0^inf e^{-w^2} w^{2 nu} (w^2/z + 2)^{nu - 1/2} dw.
 
     For |nu| < 1/2 the endpoint power w^{2 nu} would hold the node-doubling
-    rule to O(h^{1 + 2 nu}), so, as in laplace_power_integral, w = v^m with
-    m = 2 / (1 + 2 nu) is substituted and the integrand rises linearly from
-    v = 0; for |nu| >= 1/2 the w integrand is used as it stands.
+    rule to O(h^{1 + 2 nu}), so, as in laplace_power_integral, w = v^m is
+    substituted: the integrand is m v^{m (1 + 2 nu) - 1} e^{-v^{2m}}
+    (v^{2m}/z + 2)^{nu - 1/2}, with m = 2 / (1 + 2 nu) below 1/2, where it
+    rises linearly from v = 0, and m = 1, the w integrand itself, from 1/2 up.
 
     z may be a scalar or an ndarray (all entries positive); nu must be finite.
     """
@@ -413,7 +414,8 @@ def bessel_k(nu: float, z):
     nu = abs(float(nu))
     pref = (2.0 ** (1.0 - nu) * math.sqrt(math.pi) / gamma_fn(nu + 0.5)) \
         * np.exp(-zv) / np.sqrt(zv)
-    m = 2.0 / (1.0 + 2.0 * nu)
+    # power = m (1 + 2 nu) - 1, set exactly: rounded, it can miss 1 by an ulp
+    m, power = (1.0, 2.0 * nu) if nu >= 0.5 else (2.0 / (1.0 + 2.0 * nu), 1.0)
     out = np.empty_like(zv)
     # _CHUNK values of z at a time share their nodes, as in laplace_power_integral
     for start in range(0, zv.size, _CHUNK):
@@ -421,24 +423,16 @@ def bessel_k(nu: float, z):
 
         # at the far nodes e^{-w^2} is exactly 0 while the powers may overflow;
         # those nodes are zeroed, as in laplace_power_integral
-        def integrand(w):
-            w = w[:, None]
-            decay = np.exp(-w * w)
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = decay * w ** (2.0 * nu) * (w * w / zc + 2.0) ** (nu - 0.5)
-            val[decay[:, 0] == 0.0] = 0.0
-            return val
-
-        def substituted(v):
+        def integrand(v):
             v = v[:, None]
             s = v ** (2.0 * m)   # w^2
             decay = np.exp(-s)
             with np.errstate(over="ignore", invalid="ignore"):
-                val = m * v * decay * (s / zc + 2.0) ** (nu - 0.5)
+                val = m * v ** power * decay * (s / zc + 2.0) ** (nu - 0.5)
             val[decay[:, 0] == 0.0] = 0.0
             return val
 
-        out[start:start + _CHUNK] = integral_zero_inf(integrand if nu >= 0.5 else substituted)
+        out[start:start + _CHUNK] = integral_zero_inf(integrand)
     out *= pref
     return float(out[0]) if scalar else out.reshape(z_arr.shape)
 

@@ -239,33 +239,23 @@ def _leibniz_rows(values, derivs, energies, x, max_order: int) -> np.ndarray:
     return out[2:]
 
 
-def _leibniz_polynomials(max_order: int) -> list:
-    """(P_m, Q_m), m = 0..max_order, with psi^(m) = P_m psi + Q_m psi' for
-    every solution of psi'' = q psi, q = x^2 - 2E.
+def _leibniz_polynomials(max_order: int) -> np.ndarray:
+    """c[m, b, i, j], m = 0..max_order >= 1: the integer coefficient of
+    x^i q^j in P_m (b = 0) and Q_m (b = 1), where psi^(m) = P_m psi + Q_m psi'
+    for every solution of psi'' = q psi, q = x^2 - 2E.
 
-    Each is an integer array c[i, j], the coefficient of x^i q^j, of shape
-    (max_order + 1, max_order // 2 + 1). P_0 = 1, Q_0 = 0 and
-    P_{m+1} = D P_m + q Q_m, Q_{m+1} = P_m + D Q_m with D = d/dx + 2x d/dq,
-    since q' = 2x.
+    Shape (max_order + 1, 2, max_order + 1, max_order // 2 + 1). The
+    recursion is _leibniz_rows' with x and q raising the powers i and j:
+    c[m+2] = q c[m] + 2 m x c[m-1] + m (m - 1) c[m-2], from P_0 = Q_1 = 1.
     """
-    shape = (max_order + 1, max_order // 2 + 1)
-    i, j = np.indices(shape)
-
-    def d(c):
-        out = np.zeros_like(c)
-        out[:-1] += (i * c)[1:]
-        out[1:, :-1] += (2 * j * c)[:-1, 1:]
-        return out
-
-    p, q = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    p[0, 0] = 1
-    out = [(p, q)]
-    for _ in range(max_order):
-        qq = np.zeros_like(q)
-        qq[:, 1:] = q[:, :-1]
-        p, q = d(p) + qq, p + d(q)
-        out.append((p, q))
-    return out
+    # two zero tables below c[0], as in _leibniz_rows
+    c = np.zeros((max_order + 3, 2, max_order + 1, max_order // 2 + 1), dtype=np.int64)
+    c[2, 0, 0, 0] = c[3, 1, 0, 0] = 1
+    for m in range(max_order - 1):
+        c[m + 4, :, :, 1:] += c[m + 2, :, :, :-1]
+        c[m + 4, :, 1:] += (2 * m) * c[m + 1, :, :-1]
+        c[m + 4] += (m * (m - 1)) * c[m]
+    return c[2:]
 
 
 def _batched_det(mat: np.ndarray):
@@ -389,10 +379,9 @@ class _RowTable:
         for _ in range(k + 1):
             powers.append(powers[-1] * x)
         out = np.zeros((2, 2, (k + 1) // 2 + 1, x.size), dtype=x.dtype)
-        for m, pq in enumerate(_leibniz_polynomials(k + 1)):
-            for b in (0, 1):
-                for i, j in np.argwhere(pq[b]):
-                    out[:, b, j] += self.cof[:, m] * (int(pq[b][i, j]) * powers[i])
+        c = _leibniz_polynomials(k + 1)
+        for m, b, i, j in np.argwhere(c):
+            out[:, b, j] += self.cof[:, m] * (int(c[m, b, i, j]) * powers[i])
         out[1] -= self.dlog_w * out[0]
         # alpha, beta and delta can fall a power of q short of (k + 1) // 2
         return [c[:1 + max((j for j in range(len(c)) if c[j].any()), default=0)]
@@ -552,10 +541,9 @@ class SusySystem:
         if subspace not in ("iso", "new"):
             raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
         pool = self.iso_states if subspace == "iso" else self.new_states
-        for st in pool:
-            if st.index == index:
-                return st
-        raise DomainError("no stored %s state with index %d" % (subspace, index))
+        if index >= len(pool):
+            raise DomainError("no stored %s state with index %d" % (subspace, index))
+        return pool[index]
 
     def inner(self, a: GridState, b: GridState) -> float:
         return float(np.sum(self.weights * a.values * b.values))

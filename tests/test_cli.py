@@ -4,6 +4,7 @@ Everything runs in-process through cli.main(argv) so the exit codes and
 emitted files can be asserted directly against tmp_path.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -376,6 +377,36 @@ def test_non_finite_spec_refused_by_name(argv, field, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: %s must be finite" % field)
     assert "Traceback" not in err and not out.exists()
+
+
+# each subcommand's option strings: a new command-line knob has to be added
+# here on purpose; measure and density read (gap, k) only, so take no grid
+_SPEC = ["--eps-top", "--k", "--nu"]
+_GRID = ["--n", "--nmax", "--xmax", "--xmin"]
+EXPECTED_OPTIONS = {
+    "build": sorted(_SPEC + _GRID + ["--out"]),
+    "cs": sorted(_SPEC + _GRID + ["--density", "--family", "--out", "--witness-out", "--z"]),
+    "density": sorted(_SPEC + ["--measure", "--npoints", "--out", "--rmax"]),
+    "measure": sorted(_SPEC + ["--npoints", "--out", "--rmax"]),
+    "painleve": ["--assign", "--csv", "--out", "--perturb-a", "--system"],
+    "verify": ["--out", "--suite", "--system"],
+}
+
+
+def test_subcommand_options():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(opt for act in p._actions for opt in act.option_strings
+                        if opt not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == EXPECTED_OPTIONS
+
+
+def test_density_refuses_grid_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["density"] + _K1_FLAGS + ["--measure", "mu1", "--xmax", "5"])
+    assert exc.value.code == 2
+    assert "--xmax" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc, fields", [

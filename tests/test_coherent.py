@@ -88,6 +88,14 @@ def test_params_validation():
     assert p.eps0 == pytest.approx(-5.8)
 
 
+@pytest.mark.parametrize("gap", [math.inf, -math.inf, math.nan])
+def test_params_refuse_non_finite_gap(gap):
+    """An infinite gap passes gap > k - 1; it is refused by name, not by
+    gamma_fn or hyp0f2 downstream."""
+    with pytest.raises(InvalidSpecError, match="gap must be finite"):
+        CSParams(gap=gap, k=1)
+
+
 def test_params_from_spec(k4_params, k1_params):
     assert k4_params.gap == pytest.approx(6.3)
     assert k4_params.k == 4

@@ -27,7 +27,7 @@ from susyosc.ladder import (
     pha_product_check,
     stencil_projection,
 )
-from susyosc.painleve import g_for_system
+from susyosc.painleve import Assignment, GSolution, companion_extremal_states, g_for_system
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +301,19 @@ def test_stencil_requires_contiguous_support(k4_system):
     valid[(lo + hi) // 2 - 5:(lo + hi) // 2 + 5] = False
     with pytest.raises(InsufficientSupportError):
         build_operator_stencil(dataclasses.replace(gsol, valid=valid))
+
+
+@pytest.mark.parametrize("refuse", [build_operator_stencil, companion_extremal_states,
+                                    lambda gsol: largest_run(gsol.valid)],
+                         ids=["stencil", "companion", "largest_run"])
+def test_empty_support_is_insufficient(refuse):
+    """An all-masked solution is too little support (exit 3), not a domain error."""
+    x = np.linspace(-1.0, 1.0, 201)
+    masked = np.zeros(x.size, dtype=bool)
+    gsol = GSolution(x=x, g=np.full(x.size, np.nan), valid=masked, window=masked,
+                     assignment=Assignment(0.5, 0.0, -1.0))
+    with pytest.raises(InsufficientSupportError):
+        refuse(gsol)
 
 
 def test_stencil_needs_assignment(k4_system):
