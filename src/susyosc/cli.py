@@ -105,7 +105,6 @@ def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--xmin", type=float, default=-DEFAULT_X_MAX)
     p.add_argument("--xmax", type=float, default=DEFAULT_X_MAX)
     p.add_argument("--n", type=int, default=DEFAULT_N_POINTS, help="grid points (odd)")
-    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="stored iso levels")
 
 
 def _spec_from_args(args) -> SystemSpec:
@@ -227,7 +226,7 @@ def cmd_cs(args) -> int:
         "e_bottom": cs.e_bottom,
     }
     if args.density:
-        system = build_system(spec, n_max=max(args.nmax, cs.coeffs.size - 1))
+        system = build_system(spec, n_max=cs.coeffs.size - 1)
         psi, dens = wavefunction(cs, system)
         write_csv(args.density, ["x", "density"], [system.x, dens])
         doc["density_norm"] = float(np.sum(dens * system.weights))
@@ -451,6 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a system and write its document")
     _add_spec_args(p)
     _add_grid_args(p)
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="highest stored iso level")
     p.add_argument("--out", default="system.json")
     p.set_defaults(func=cmd_build)
 
@@ -471,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="aocs-iso, docs-new, lin-iso, lin-new")
     p.add_argument("--z", required=True, help="label, R@theta or re,im")
     p.add_argument("--density", default=None,
-                   help="also write the position density CSV here")
+                   help="also write the position density CSV here, from a "
+                        "system built with the state's levels")
     p.add_argument("--witness-out", default="witness.csv",
                    help="where refused families write their no-go data")
     p.add_argument("--out", default="cs.json")

@@ -23,9 +23,10 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
 
 
 def deriv1(f: np.ndarray, h: float) -> np.ndarray:
-    """Five-point first derivative; the two points at each end come back NaN."""
+    """Five-point first derivative along the last axis; the two points at
+    each end come back NaN."""
     out = np.full_like(np.asarray(f, dtype=float), np.nan)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    out[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3] + 8.0 * f[..., 3:-1] - f[..., 4:]) / (12.0 * h)
     return out
 
 
@@ -43,20 +44,13 @@ def cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open index ranges [a, b) where mask is True."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    ends = np.concatenate((idx[breaks] + 1, [idx[-1] + 1]))
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def largest_run(mask: np.ndarray) -> tuple[int, int]:
-    """The longest range [a, b) where mask is True; none is an InsufficientSupportError."""
-    runs = contiguous_runs(mask)
-    if not runs:
+    """The longest range [a, b) where mask is True, the first of equal ones;
+    none is an InsufficientSupportError."""
+    # the padded mask changes value at every run's start and one past its end
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    if edges.size == 0:
         raise InsufficientSupportError("mask has no True entries")
-    return max(runs, key=lambda r: r[1] - r[0])
+    starts, ends = edges[::2], edges[1::2]
+    i = int(np.argmax(ends - starts))
+    return int(starts[i]), int(ends[i])

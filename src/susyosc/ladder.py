@@ -34,7 +34,7 @@ from .errors import (
     InvalidSpecError,
 )
 from .gridops import deriv1, largest_run
-from .painleve import GSolution
+from .painleve import GSolution, potential_from_g
 from .susy import GridState, _is_whole, _level
 
 _SQRT2 = math.sqrt(2.0)
@@ -202,9 +202,10 @@ class OperatorStencil:
 
     Arrays live on x[sl], the largest contiguous unmasked run of the g
     solution less 4 points at each end (the stencil derivative g' is
-    undefined on the outer 2). v is the potential rebuilt from g, which makes
-    applying the operator independent of the Wronskian route; a and e1 are
-    the assignment's.
+    undefined on the outer 2). dg is the transcendent's deriv1 and v its
+    potential_from_g, cut to sl, so painleve and the stencil share one g'
+    and one V(g); v makes applying the operator independent of the
+    Wronskian route. a is the assignment's.
     """
     x: np.ndarray
     sl: slice
@@ -214,7 +215,6 @@ class OperatorStencil:
     h: np.ndarray
     v: np.ndarray
     a: float
-    e1: float
 
     @property
     def h_step(self) -> float:
@@ -244,7 +244,6 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     asg = gsol.assignment
     if asg is None:
         raise DomainError("the stencil needs the assignment stored on the solution")
-    a, e1 = asg.a, asg.e1
     x, g, valid = gsol.x, gsol.g, gsol.valid
     lo, hi = largest_run(valid)
     n_valid = int(np.count_nonzero(valid))
@@ -258,28 +257,25 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     if sl.stop - sl.start < 12:
         raise InsufficientSupportError("g support too narrow for the stencil")
     gs, xs = g[sl], x[sl]
-    dg = deriv1(g[lo:hi], float(x[1] - x[0]))[4:-4]
+    dg = deriv1(g, gsol.h)[sl]
     st = OperatorStencil(
         x=x, sl=sl, g=gs, dg=dg, f=gs + xs,
-        h=0.5 * dg - 0.5 * gs * gs - 2.0 * xs * gs - xs * xs + a,
-        v=0.5 * xs * xs - 0.5 * dg + 0.5 * gs * gs + xs * gs + e1 - 0.5, a=a, e1=e1)
+        h=0.5 * dg - 0.5 * gs * gs - 2.0 * xs * gs - xs * xs + asg.a,
+        v=potential_from_g(gsol, asg.e1)[sl], a=asg.a)
     for name, arr in (("g", st.g), ("g'", st.dg), ("f", st.f), ("h", st.h), ("V", st.v)):
         if not np.all(np.isfinite(arr)):
             raise ConstructionError("non-finite %s coefficient on the support" % name)
     return st
 
 
-def _pair_derivative(op: OperatorStencil, pair, energy: float):
-    """d/dx on the (c0, c1) representation c0 phi + c1 phi'.
+def _pair_derivative(op: OperatorStencil, c: np.ndarray, energy: float) -> np.ndarray:
+    """d/dx on c0 phi + c1 phi', the pair (c0, c1) stacked as c, shape (2, n).
 
     phi'' reduces through the eigenvalue equation to 2 (V - E) phi, so the
     derivative only ever differentiates the smooth coefficient arrays; the
     two edge points a stencil cannot reach turn NaN and stay NaN.
     """
-    c0, c1 = pair
-    h_step = op.h_step
-    return (deriv1(c0, h_step) + 2.0 * c1 * (op.v - energy),
-            c0 + deriv1(c1, h_step))
+    return deriv1(c, op.h_step) + np.stack((2.0 * c[1] * (op.v - energy), c[0]))
 
 
 def apply_stencil(op: OperatorStencil, state: GridState, direction: str = "down"):
@@ -293,26 +289,21 @@ def apply_stencil(op: OperatorStencil, state: GridState, direction: str = "down"
         raise DomainError("direction must be 'up' or 'down'")
     energy = float(state.energy)
     ones = np.ones(op.xs.size)
-    zeros = np.zeros(op.xs.size)
-    base = (ones, zeros)
     if direction == "down":
         # L_a^- = (d/dx + f)/sqrt(2), then L_b^- = (d^2 - g d + (h - g'))/2
-        c = (op.f / _SQRT2, ones / _SQRT2)
+        c = np.stack((op.f, ones)) / _SQRT2
         dc = _pair_derivative(op, c, energy)
         ddc = _pair_derivative(op, dc, energy)
-        out0 = 0.5 * (ddc[0] - op.g * dc[0] + (op.h - op.dg) * c[0])
-        out1 = 0.5 * (ddc[1] - op.g * dc[1] + (op.h - op.dg) * c[1])
+        out = 0.5 * (ddc - op.g * dc + (op.h - op.dg) * c)
     else:
         # L_b^+ = (d^2 + g d + h)/2, then L_a^+ = (-d/dx + f)/sqrt(2)
+        base = np.stack((ones, np.zeros(ones.size)))
         dbase = _pair_derivative(op, base, energy)
         ddbase = _pair_derivative(op, dbase, energy)
-        mid0 = 0.5 * (ddbase[0] + op.g * dbase[0] + op.h * base[0])
-        mid1 = 0.5 * (ddbase[1] + op.g * dbase[1] + op.h * base[1])
-        dmid = _pair_derivative(op, (mid0, mid1), energy)
-        out0 = (op.f * mid0 - dmid[0]) / _SQRT2
-        out1 = (op.f * mid1 - dmid[1]) / _SQRT2
+        mid = 0.5 * (ddbase + op.g * dbase + op.h * base)
+        out = (op.f * mid - _pair_derivative(op, mid, energy)) / _SQRT2
     image = np.full(op.x.size, np.nan)
-    image[op.sl] = out0 * state.values[op.sl] + out1 * state.derivs[op.sl]
+    image[op.sl] = out[0] * state.values[op.sl] + out[1] * state.derivs[op.sl]
     return image
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientSupportError, UsageError
-from .gridops import contiguous_runs, cumtrapz, deriv1, deriv2, largest_run
+from .gridops import cumtrapz, deriv1, deriv2, largest_run
 from .susy import SystemSpec, SusySystem
 
 DEFAULT_PHI_FLOOR = 1e-5
@@ -85,16 +85,19 @@ def assignment_for(spec: SystemSpec, which: str) -> Assignment:
 class GSolution:
     """Sampled transcendent with its validity bookkeeping.
 
-    g is NaN wherever masked. valid marks points where g and its stencil
-    derivatives may be used; window is the coarser support mask (state above
-    its relative floor) before node guards were carved out.
+    g is NaN wherever masked, so its NaNs are the mask: valid is the derived
+    isfinite(g), never stored beside it. window is the coarser support mask
+    (state above its relative floor) before node guards were carved out.
     """
     x: np.ndarray
     g: np.ndarray
-    valid: np.ndarray
     window: np.ndarray
     nodes: list = field(default_factory=list)
     assignment: Assignment | None = None
+
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.g)
 
     @property
     def h(self) -> float:
@@ -140,8 +143,7 @@ def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
     for x0 in nodes:
         valid &= np.abs(x - x0) > DEFAULT_GUARD_X
     g = np.where(valid, g, np.nan)
-    return GSolution(x=x, g=g, valid=valid, window=window, nodes=nodes,
-                     assignment=assignment)
+    return GSolution(x=x, g=g, window=window, nodes=nodes, assignment=assignment)
 
 
 def _zero_crossings(x, y, pairs) -> np.ndarray:
@@ -176,11 +178,12 @@ def piv_residual(gsol: GSolution, a: float, b: float) -> ResidualStats:
     near zeros of g (where b/g blows up) and in flat stretches. Points with
     |g| below DEFAULT_G_FLOOR are skipped and counted. If fewer than
     DEFAULT_MIN_FRACTION of the window survives for evaluation, the sample
-    is declared too thin.
+    is declared too thin. A stencil derivative that reaches a masked point
+    is NaN, so no point next to the mask is evaluated.
     """
     x, g, h = gsol.x, gsol.g, gsol.h
-    d1 = _masked_deriv(g, gsol.valid, h, order=1)
-    d2 = _masked_deriv(g, gsol.valid, h, order=2)
+    d1 = deriv1(g, h)
+    d2 = deriv2(g, h)
     usable = gsol.valid & np.isfinite(d1) & np.isfinite(d2)
     skipped = usable & (np.abs(g) < DEFAULT_G_FLOOR)
     usable &= ~skipped
@@ -211,76 +214,60 @@ def piv_residual(gsol: GSolution, a: float, b: float) -> ResidualStats:
                          per_point=per_point)
 
 
-def _masked_deriv(f, valid, h, order):
-    """Stencil derivative that refuses to reach across masked points."""
-    out = np.full_like(np.asarray(f, dtype=float), np.nan)
-    fn = deriv1 if order == 1 else deriv2
-    for a, b in contiguous_runs(valid):
-        if b - a >= 5:
-            seg = fn(f[a:b], h)
-            out[a:b] = seg
-    return out
-
-
 def potential_from_g(gsol: GSolution, e1: float) -> np.ndarray:
     """Rebuild the partner potential from the transcendent alone:
 
         V = x^2/2 - g'/2 + g^2/2 + x g + e1 - 1/2.
 
-    Returns NaN wherever g or its stencil derivative is unavailable.
+    Returns NaN wherever g is masked or its stencil derivative reaches a
+    masked point: within 2 points of the mask, and on runs under 5 points.
     """
-    x, g, h = gsol.x, gsol.g, gsol.h
-    d1 = _masked_deriv(g, gsol.valid, h, order=1)
+    x, g = gsol.x, gsol.g
     with np.errstate(invalid="ignore"):
-        return x * x / 2.0 - d1 / 2.0 + g * g / 2.0 + x * g + e1 - 0.5
+        return x * x / 2.0 - deriv1(g, gsol.h) / 2.0 + g * g / 2.0 + x * g + e1 - 0.5
 
 
 def companion_extremal_states(gsol: GSolution):
     """Rebuild the extremal states at e2 and e3 from g on one segment.
 
     phi_{e2} ~ (g'/(2g) - g/2 - d/g - x) * sqrt|g| * exp( int (g/2 - d/g) ),
-    phi_{e3} the same with d -> -d, where d = e2 - e3. The log-derivative
-    part of the exponent integrates in closed form to (1/2) ln|g|; only the
-    regular part is accumulated by trapezoid. Zeros of g split the domain, so
-    everything is built on the largest usable segment, at least 0.1 away
-    from every zero of g and with |g| above DEFAULT_G_FLOOR, and both
-    outputs are L2-normalized there.
+    phi_{e3} the same formula with d -> -d, where d = e2 - e3; both come from
+    one loop over the sign of d. The log-derivative part of the exponent
+    integrates in closed form to (1/2) ln|g|; only the regular part is
+    accumulated by trapezoid. Zeros of g split the domain, so everything is
+    built on the largest usable segment, at least 0.1 away from every zero of
+    g and with |g| above DEFAULT_G_FLOOR, and both outputs are L2-normalized
+    there.
 
     Returns (x_segment, phi_e2, phi_e3, slice).
     """
     if gsol.assignment is None:
         raise DomainError("companion states need the assignment stored on the solution")
     d = gsol.assignment.e2 - gsol.assignment.e3
-    x, g, h = gsol.x, gsol.g, gsol.h
-    ok = gsol.valid & (np.abs(np.where(np.isfinite(g), g, 0.0)) > DEFAULT_G_FLOOR)
+    x, g, h, valid = gsol.x, gsol.g, gsol.h, gsol.valid
+    ok = valid & (np.abs(g) > DEFAULT_G_FLOOR)
     # widen the exclusion around zeros of g (inside one valid run) slightly;
     # 1/g integrands are the worst behaved objects in the package
-    for x0 in _zero_crossings(x, g, gsol.valid[:-1] & gsol.valid[1:]):
+    for x0 in _zero_crossings(x, g, valid[:-1] & valid[1:]):
         ok &= np.abs(x - x0) > 0.1
     a, b = largest_run(ok)
     if b - a < 24:
         raise InsufficientSupportError("largest zero-free segment has only %d points" % (b - a))
     xs, gs = x[a:b], g[a:b]
     d1 = deriv1(gs, h)
-    # trapezoid part of the exponent, anchored mid-segment; the g'/2g piece
-    # integrates exactly to (1/2) ln|g| and is added in closed form
-    reg_e2 = cumtrapz(gs / 2.0 - d / gs, h)
-    reg_e3 = cumtrapz(gs / 2.0 + d / gs, h)
     mid = (b - a) // 2
     log_amp = 0.5 * np.log(np.abs(gs))
-    expo_2 = log_amp - log_amp[mid] + reg_e2 - reg_e2[mid]
-    expo_3 = log_amp - log_amp[mid] + reg_e3 - reg_e3[mid]
-    with np.errstate(invalid="ignore", over="ignore"):
-        pref_2 = d1 / (2.0 * gs) - gs / 2.0 - d / gs - xs
-        pref_3 = d1 / (2.0 * gs) - gs / 2.0 + d / gs - xs
-        phi2 = pref_2 * np.exp(expo_2)
-        phi3 = pref_3 * np.exp(expo_3)
-    # the g' stencil leaves the two points at each segment end undefined;
-    # hand back only the interior
-    sl = slice(a + 2, b - 2)
-    xs, phi2, phi3 = xs[2:-2], phi2[2:-2], phi3[2:-2]
-
-    def norm(p):
-        s = math.sqrt(float(np.sum(p * p) * h))
-        return p / s if s > 0 else p
-    return xs, norm(phi2), norm(phi3), sl
+    phis = []
+    for dd in (d, -d):
+        # trapezoid part of the exponent, anchored mid-segment; the g'/2g
+        # piece integrates exactly to (1/2) ln|g| and is added in closed form
+        reg = cumtrapz(gs / 2.0 - dd / gs, h)
+        expo = log_amp - log_amp[mid] + reg - reg[mid]
+        with np.errstate(invalid="ignore", over="ignore"):
+            phi = (d1 / (2.0 * gs) - gs / 2.0 - dd / gs - xs) * np.exp(expo)
+        # the g' stencil leaves the two points at each segment end
+        # undefined; hand back only the interior
+        phi = phi[2:-2]
+        s = math.sqrt(float(np.sum(phi * phi) * h))
+        phis.append(phi / s if s > 0 else phi)
+    return xs[2:-2], phis[0], phis[1], slice(a + 2, b - 2)

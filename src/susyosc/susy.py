@@ -530,7 +530,11 @@ class SusySystem:
     potential: np.ndarray
     iso_states: list = field(default_factory=list)
     new_states: list = field(default_factory=list)
-    n_max: int = DEFAULT_N_MAX
+
+    @property
+    def n_max(self) -> int:
+        """Highest stored iso level: the ladder's length less one."""
+        return len(self.iso_states) - 1
 
     @property
     def h(self) -> float:
@@ -578,4 +582,4 @@ def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     iso = [iso_state(seeds, n, weights) for n in range(n_max + 1)]
     new = [new_state(seeds, j, weights, v) for j in range(spec.k)]
     return SusySystem(spec=spec, x=x, weights=weights, potential=v,
-                      iso_states=iso, new_states=new, n_max=n_max)
+                      iso_states=iso, new_states=new)

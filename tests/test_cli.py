@@ -137,6 +137,24 @@ def test_cs_density_artifact(tmp_path):
     assert table["x"].size == 2101
 
 
+def test_cs_density_builds_the_states_levels(tmp_path, capsys):
+    """The density builds the 15 levels the k = 6 state holds; iso level 30,
+    which this spec cannot build inside the norm gate, is never asked for.
+    cs has no --nmax."""
+    out = tmp_path / "cs.json"
+    dens = tmp_path / "density.csv"
+    argv = ["cs", "--k", "6", "--eps-top", "-2.8", "--nu", "-0.9",
+            "--family", "lin-iso", "--z", "0.9,0.4", "--out", str(out)]
+    assert main(argv + ["--density", str(dens)]) == 0
+    doc = load_json(str(out))
+    assert doc["n_levels"] == 15
+    assert doc["density_norm"] == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--nmax", "40"])
+    assert exc.value.code == 2
+    assert "--nmax" in capsys.readouterr().err
+
+
 def test_displacement_on_iso_ladder_refused(tmp_path, capsys):
     witness = tmp_path / "witness.csv"
     rc = main(["cs"] + _K4_FLAGS
@@ -380,11 +398,12 @@ def test_non_finite_spec_refused_by_name(argv, field, tmp_path, capsys):
 
 
 # each subcommand's option strings: a new command-line knob has to be added
-# here on purpose; measure and density read (gap, k) only, so take no grid
+# here on purpose; measure and density read (gap, k) only, so take no grid,
+# and cs --density builds the levels its state holds, so only build has --nmax
 _SPEC = ["--eps-top", "--k", "--nu"]
-_GRID = ["--n", "--nmax", "--xmax", "--xmin"]
+_GRID = ["--n", "--xmax", "--xmin"]
 EXPECTED_OPTIONS = {
-    "build": sorted(_SPEC + _GRID + ["--out"]),
+    "build": sorted(_SPEC + _GRID + ["--nmax", "--out"]),
     "cs": sorted(_SPEC + _GRID + ["--density", "--family", "--out", "--witness-out", "--z"]),
     "density": sorted(_SPEC + ["--measure", "--npoints", "--out", "--rmax"]),
     "measure": sorted(_SPEC + ["--npoints", "--out", "--rmax"]),

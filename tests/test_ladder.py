@@ -297,10 +297,10 @@ def test_stencil_requires_contiguous_support(k4_system):
     gsol = g_for_system(k4_system, "half")
     build_operator_stencil(gsol)
     lo, hi = largest_run(gsol.valid)
-    valid = gsol.valid.copy()
-    valid[(lo + hi) // 2 - 5:(lo + hi) // 2 + 5] = False
+    g = gsol.g.copy()
+    g[(lo + hi) // 2 - 5:(lo + hi) // 2 + 5] = np.nan
     with pytest.raises(InsufficientSupportError):
-        build_operator_stencil(dataclasses.replace(gsol, valid=valid))
+        build_operator_stencil(dataclasses.replace(gsol, g=g))
 
 
 @pytest.mark.parametrize("refuse", [build_operator_stencil, companion_extremal_states,
@@ -310,10 +310,30 @@ def test_empty_support_is_insufficient(refuse):
     """An all-masked solution is too little support (exit 3), not a domain error."""
     x = np.linspace(-1.0, 1.0, 201)
     masked = np.zeros(x.size, dtype=bool)
-    gsol = GSolution(x=x, g=np.full(x.size, np.nan), valid=masked, window=masked,
+    gsol = GSolution(x=x, g=np.full(x.size, np.nan), window=masked,
                      assignment=Assignment(0.5, 0.0, -1.0))
     with pytest.raises(InsufficientSupportError):
         refuse(gsol)
+
+
+def test_largest_run_matches_a_scan():
+    """The longest True run of random masks, the first of equal ones."""
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        mask = rng.random(int(rng.integers(1, 40))) < rng.random()
+        best, start = None, None
+        for i, on in enumerate(list(mask) + [False]):
+            if on and start is None:
+                start = i
+            elif not on and start is not None:
+                if best is None or i - start > best[1] - best[0]:
+                    best = (start, i)
+                start = None
+        if best is None:
+            with pytest.raises(InsufficientSupportError):
+                largest_run(mask)
+        else:
+            assert largest_run(mask) == best
 
 
 def test_stencil_needs_assignment(k4_system):

@@ -151,10 +151,9 @@ def test_companion_needs_assignment(k1_system):
 
 def test_companion_refuses_thin_segment():
     x = np.linspace(-1.0, 1.0, 201)
-    valid = np.zeros(x.size, dtype=bool)
-    valid[90:100] = True
-    g = np.where(valid, 1.0, np.nan)
-    gs = GSolution(x=x, g=g, valid=valid, window=valid,
+    window = np.zeros(x.size, dtype=bool)
+    window[90:100] = True
+    gs = GSolution(x=x, g=np.where(window, 1.0, np.nan), window=window,
                    assignment=Assignment(0.5, 0.0, -1.0))
     with pytest.raises(InsufficientSupportError):
         companion_extremal_states(gs)
@@ -169,7 +168,7 @@ def test_residual_support_guard(k4_system):
     keep = np.flatnonzero(gs.valid)
     thin = gs.valid.copy()
     thin[keep[2 * keep.size // 5:]] = False
-    thin_gs = dataclasses.replace(gs, g=np.where(thin, gs.g, np.nan), valid=thin)
+    thin_gs = dataclasses.replace(gs, g=np.where(thin, gs.g, np.nan))
     with pytest.raises(InsufficientSupportError, match="window points evaluable"):
         piv_residual(thin_gs, asg.a, asg.b)
 
@@ -177,13 +176,37 @@ def test_residual_support_guard(k4_system):
 def test_residual_floor_skip_bookkeeping():
     """Points with |g| under the floor are skipped and counted, not divided by."""
     x = np.linspace(-1.0, 1.0, 201)
-    g = x.copy()
-    valid = np.ones(x.size, dtype=bool)
-    gs = GSolution(x=x, g=g, valid=valid, window=valid)
+    gs = GSolution(x=x, g=x.copy(), window=np.ones(x.size, dtype=bool))
     stats = piv_residual(gs, 0.0, 0.0)
     assert stats.n_skipped_floor >= 1
     assert np.isnan(stats.per_point[100])        # g(0) = 0 sits under the floor
     assert stats.n_evaluated + stats.n_skipped_floor <= x.size
+
+
+def test_nan_mask_reaches_every_stencil():
+    """g's NaNs are its mask: one isolated NaN point and a 4-point run.
+
+    valid is isfinite(g); V(g) is NaN at the NaN point, within 2 points of
+    it and on the whole short run, where g' would reach across the mask;
+    the residual evaluates none of those points.
+    """
+    x = np.linspace(-1.0, 1.0, 201)
+    g = 2.0 + x
+    g[50] = np.nan
+    g[96:100] = np.nan
+    g[104:108] = np.nan                          # leaves the run 100..103
+    gs = GSolution(x=x, g=g, window=np.ones(x.size, dtype=bool))
+    assert np.array_equal(gs.valid, np.isfinite(g))
+
+    unreachable = np.zeros(x.size, dtype=bool)
+    unreachable[[0, 1, -2, -1]] = True           # the stencil's grid-end bands
+    unreachable[48:53] = True
+    unreachable[94:110] = True
+    v = potential_from_g(gs, 0.5)
+    assert np.array_equal(np.isnan(v), unreachable)
+    stats = piv_residual(gs, 0.0, 0.0)
+    assert np.array_equal(np.isnan(stats.per_point), unreachable)
+    assert stats.n_evaluated == x.size - np.count_nonzero(unreachable)
 
 
 def test_extraction_input_validation(k1_system):
