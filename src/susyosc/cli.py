@@ -71,6 +71,7 @@ _FAMILY_FLAGS = {
 }
 _REJECTED_FAMILIES = ("docs-iso", "aocs-new")
 _PIV_TOL = 1e-5   # painleve passes when its largest relative residual is at most this
+_N_RADII = 120    # rows of a measure or density table, up to --rmax
 
 
 def parse_z(text: str) -> complex:
@@ -102,14 +103,14 @@ def _add_spec_args(p: argparse.ArgumentParser):
 
 
 def _add_grid_args(p: argparse.ArgumentParser):
-    p.add_argument("--xmin", type=float, default=-DEFAULT_X_MAX)
-    p.add_argument("--xmax", type=float, default=DEFAULT_X_MAX)
+    p.add_argument("--xmax", type=float, default=DEFAULT_X_MAX,
+                   help="half-width of the symmetric grid [-xmax, xmax]")
     p.add_argument("--n", type=int, default=DEFAULT_N_POINTS, help="grid points (odd)")
 
 
 def _spec_from_args(args) -> SystemSpec:
     return SystemSpec(k=args.k, eps_top=args.eps_top, nu=args.nu,
-                      x_min=args.xmin, x_max=args.xmax, n_points=args.n)
+                      x_min=-args.xmax, x_max=args.xmax, n_points=args.n)
 
 
 # ----------------------------------------------------------------------
@@ -132,13 +133,10 @@ def cmd_build(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_painleve(args) -> int:
-    if not math.isfinite(args.perturb_a):
-        raise UsageError("--perturb-a must be finite, got %s" % args.perturb_a)
     system, _ = load_system(args.system)
     gsol = g_for_system(system, args.assign)
     assign = gsol.assignment
-    a = assign.a + args.perturb_a
-    stats = piv_residual(gsol, a, assign.b)
+    stats = piv_residual(gsol, assign.a, assign.b)
     passed = stats.max <= _PIV_TOL
     if args.csv:
         write_csv(args.csv, ["x", "g", "residual"],
@@ -148,9 +146,8 @@ def cmd_painleve(args) -> int:
         "kind": "painleve_summary",
         "assignment": {"which": args.assign, "e1": assign.e1, "e2": assign.e2,
                        "e3": assign.e3},
-        "a": a,
+        "a": assign.a,
         "b": assign.b,
-        "perturb_a": args.perturb_a,
         "residual_stats": {
             "max": stats.max,
             "mean": stats.mean,
@@ -163,7 +160,7 @@ def cmd_painleve(args) -> int:
     }
     write_json(args.out, doc)
     print("a=%.6g b=%.6g max residual %.3e over %d points -> %s"
-          % (a, assign.b, stats.max, stats.n_evaluated,
+          % (assign.a, assign.b, stats.max, stats.n_evaluated,
              "ok" if passed else "exceeds tol %g" % _PIV_TOL))
     return 0 if passed else 1
 
@@ -371,14 +368,10 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     system, _ = load_system(args.system)
-    # a suite named twice runs once, in the order first named
-    names = list(dict.fromkeys(args.suite or sorted(_SUITES)))
-    for name in names:
-        if name not in _SUITES:
-            raise UsageError("unknown suite %r (choose from %s)"
-                             % (name, sorted(_SUITES)))
+    if system.n_max < 1:   # the ladder suite's reference image is iso state 1
+        raise UsageError("verify needs n_max >= 1, got %d" % system.n_max)
     checks = []
-    for name in names:
+    for name in sorted(_SUITES):
         _SUITES[name](system, checks)
     all_passed = all(c["passed"] for c in checks)
     for c in checks:
@@ -390,7 +383,7 @@ def cmd_verify(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "kind": "verify_report",
             "system": args.system,
-            "suites_run": list(names),
+            "suites_run": sorted(_SUITES),
             "checks": checks,
             "all_passed": all_passed,
         })
@@ -410,9 +403,7 @@ def _r_grid(args) -> np.ndarray:
     if not (args.rmax > 0 and math.isfinite(args.rmax * args.rmax)):
         raise UsageError("--rmax must be positive and finite, with a finite "
                          "square, got %r" % (args.rmax,))
-    if args.npoints < 2:
-        raise UsageError("--npoints must be at least 2")
-    return np.linspace(args.rmax / args.npoints, args.rmax, args.npoints)
+    return np.linspace(args.rmax / _N_RADII, args.rmax, _N_RADII)
 
 
 def cmd_measure(args) -> int:
@@ -458,8 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="system JSON from build")
     p.add_argument("--assign", default="half",
                    help="extremal energy for e1: half or eps0")
-    p.add_argument("--perturb-a", type=float, default=0.0,
-                   help="shift the a parameter (negative control)")
     p.add_argument("--csv", default=None, help="per-point CSV path")
     p.add_argument("--out", default="painleve.json")
     p.set_defaults(func=cmd_painleve)
@@ -480,16 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites on a system")
     p.add_argument("--system", required=True)
-    p.add_argument("--suite", action="append", default=None,
-                   help="restrict to one suite (repeatable): %s"
-                        % ", ".join(sorted(_SUITES)))
     p.add_argument("--out", default=None, help="JSON report path")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="tabulate the measure profiles")
     _add_spec_args(p)
     p.add_argument("--rmax", type=float, default=6.0)
-    p.add_argument("--npoints", type=int, default=120)
     p.add_argument("--out", default="measures.csv")
     p.set_defaults(func=cmd_measure)
 
@@ -497,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--measure", required=True, choices=MeasureFamily.ALL)
     p.add_argument("--rmax", type=float, default=6.0)
-    p.add_argument("--npoints", type=int, default=120)
     p.add_argument("--out", default="density.csv")
     p.set_defaults(func=cmd_density)
 

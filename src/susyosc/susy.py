@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from .gridops import deriv2, simpson_weights
-from .specfun import gamma_fn, hyp1f1
+from .specfun import _MAX_VALUES, gamma_fn, hyp1f1
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -84,7 +84,7 @@ class SystemSpec:
     n_points: int = DEFAULT_N_POINTS
 
     def __post_init__(self):
-        for name in ("eps_top", "nu", "x_min", "x_max"):
+        for name in ("eps_top", "nu", "x_max", "x_min"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError("%s must be finite, got %s" % (name, getattr(self, name)))
         if not _is_whole(self.k) or self.k < 1:
@@ -183,8 +183,15 @@ def build_seed_chain(spec: SystemSpec) -> SeedFamily:
     a^- = (d/dx + x)/sqrt(2) drops the factorization energy by one per step,
     so a single (eps_top, nu) pair fixes the whole family. The top seed must
     be nodeless on the grid; a sign change means the spec escaped its
-    constraints and the construction would be singular.
+    constraints and the construction would be singular. A spec whose
+    derivative table, (k + 2) x k x n_points values, would pass _MAX_VALUES
+    is refused before the grid is made.
     """
+    size = (spec.k + 2) * spec.k * spec.n_points
+    if size > _MAX_VALUES:
+        raise InvalidSpecError("k=%d on n_points=%d needs a derivative table of %d "
+                               "values, over the bound %d"
+                               % (spec.k, spec.n_points, size, _MAX_VALUES))
     x = spec.grid().astype(_WORK_DTYPE)
     u, du = seed_solution(x, spec.eps_top, spec.nu)
     if np.any(u[:-1] * u[1:] < 0.0) or np.any(u == 0.0):
@@ -346,7 +353,8 @@ class _RowTable:
         self.k = k = seeds.k
         self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
         self.w, lu, perm = _batched_det(self.rows[:k])
-        if np.any(self.w[:-1] * self.w[1:] <= 0.0) or np.any(np.abs(self.w) < 1e-280):
+        # signs, not products: the product of two far-tail values can overflow
+        if np.any(np.signbit(self.w) != np.signbit(self.w[0])) or np.any(np.abs(self.w) < 1e-280):
             raise SingularPotentialError("seed Wronskian vanishes inside the grid")
         # [y', y] = A^-1 [e_{k-2}, e_{k-1}]; for k = 1 the e_{k-2} column is zero
         y = _lu_solve(lu, perm, np.eye(k, 2, 2 - k))

@@ -224,29 +224,19 @@ def test_verify_all_suites(k1_doc, tmp_path, capsys):
     assert all(ln.startswith("PASS") for ln in lines)
     doc = load_json(str(report))
     assert doc["all_passed"] is True
+    assert doc["suites_run"] == ["coherent", "ladder", "measures", "states"]
     assert len(doc["checks"]) == len(lines)
 
 
-def test_verify_suite_filter(k1_doc, capsys):
-    rc = main(["verify", "--system", k1_doc, "--suite", "coherent"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert all(":" in ln and "coherent:" in ln
-               for ln in out.splitlines() if ln.startswith("PASS"))
-    assert main(["verify", "--system", k1_doc, "--suite", "nope"]) == 2
-
-
-def test_verify_runs_a_repeated_suite_once(k1_doc, tmp_path, capsys):
-    report = tmp_path / "report.json"
-    rc = main(["verify", "--system", k1_doc, "--suite", "states", "--suite", "coherent",
-               "--suite", "states", "--out", str(report)])
-    lines = [ln for ln in capsys.readouterr().out.splitlines()
-             if ln.startswith(("PASS", "FAIL"))]
-    assert rc == 0
-    doc = load_json(str(report))
-    assert doc["suites_run"] == ["states", "coherent"]
-    assert len(doc["checks"]) == len(lines) == len(set(lines))
-    assert list(dict.fromkeys(c["suite"] for c in doc["checks"])) == ["states", "coherent"]
+def test_verify_refuses_a_document_without_iso_state_1(tmp_path, capsys):
+    # the ladder suite's reference image is iso state 1
+    doc = tmp_path / "sys.json"
+    assert main(["build"] + _K1_FLAGS + ["--nmax", "0", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--system", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: verify needs n_max >= 1, got 0")
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
 
 
 def test_painleve_summary(k1_doc, tmp_path):
@@ -265,30 +255,12 @@ def test_painleve_summary(k1_doc, tmp_path):
     assert np.nanmax(table["residual"]) <= 1e-5
 
 
-def test_painleve_negative_control(k1_doc, tmp_path):
-    rc = main(["painleve", "--system", k1_doc, "--perturb-a", "0.05",
-               "--out", str(tmp_path / "piv.json")])
-    assert rc == 1
-
-
 def test_painleve_support_guard(k1_doc, tmp_path, monkeypatch):
     # requiring nearly the whole window to be usable leaves the sample too
     # thin to judge
     monkeypatch.setattr(painleve, "DEFAULT_MIN_FRACTION", 0.999)
     rc = main(["painleve", "--system", k1_doc, "--out", str(tmp_path / "piv.json")])
     assert rc == 3
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_painleve_refuses_non_finite_perturbation(value, tmp_path, capsys):
-    # refused before the system loads: the document named here does not exist
-    out = tmp_path / "piv.json"
-    rc = main(["painleve", "--system", str(tmp_path / "absent.json"),
-               "--perturb-a=" + value, "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --perturb-a must be finite")
-    assert not out.exists()
 
 
 def test_painleve_bad_assignment(k1_doc, tmp_path, capsys):
@@ -302,11 +274,12 @@ def test_painleve_bad_assignment(k1_doc, tmp_path, capsys):
 def test_measure_table(tmp_path):
     out = tmp_path / "measures.csv"
     rc = main(["measure"] + _K1_FLAGS
-              + ["--rmax", "3.0", "--npoints", "8", "--out", str(out)])
+              + ["--rmax", "3.0", "--out", str(out)])
     assert rc == 0
     table = np.genfromtxt(str(out), delimiter=",", names=True)
     assert table.dtype.names == ("r", "f1", "f2", "f3")
-    assert table["r"].size == 8
+    assert table["r"].size == 120
+    assert table["r"][-1] == 3.0
     for name in ("f1", "f2", "f3"):
         assert np.all(table[name] > 0.0)
 
@@ -314,20 +287,16 @@ def test_measure_table(tmp_path):
 def test_density_table(tmp_path):
     out = tmp_path / "density.csv"
     rc = main(["density"] + _K1_FLAGS
-              + ["--measure", "mu2", "--rmax", "4.0", "--npoints", "6",
-                 "--out", str(out)])
+              + ["--measure", "mu2", "--rmax", "4.0", "--out", str(out)])
     assert rc == 0
     table = np.genfromtxt(str(out), delimiter=",", names=True)
+    assert table["r"].size == 120
     assert np.all(table["density"] > 0.0)
 
 
 def test_radial_grid_validation(tmp_path):
     rc = main(["measure"] + _K1_FLAGS
               + ["--rmax", "-1.0", "--out", str(tmp_path / "m.csv")])
-    assert rc == 2
-    rc = main(["density"] + _K1_FLAGS
-              + ["--measure", "mu1", "--npoints", "1",
-                 "--out", str(tmp_path / "d.csv")])
     assert rc == 2
 
 
@@ -401,14 +370,14 @@ def test_non_finite_spec_refused_by_name(argv, field, tmp_path, capsys):
 # here on purpose; measure and density read (gap, k) only, so take no grid,
 # and cs --density builds the levels its state holds, so only build has --nmax
 _SPEC = ["--eps-top", "--k", "--nu"]
-_GRID = ["--n", "--xmax", "--xmin"]
+_GRID = ["--n", "--xmax"]
 EXPECTED_OPTIONS = {
     "build": sorted(_SPEC + _GRID + ["--nmax", "--out"]),
     "cs": sorted(_SPEC + _GRID + ["--density", "--family", "--out", "--witness-out", "--z"]),
-    "density": sorted(_SPEC + ["--measure", "--npoints", "--out", "--rmax"]),
-    "measure": sorted(_SPEC + ["--npoints", "--out", "--rmax"]),
-    "painleve": ["--assign", "--csv", "--out", "--perturb-a", "--system"],
-    "verify": ["--out", "--suite", "--system"],
+    "density": sorted(_SPEC + ["--measure", "--out", "--rmax"]),
+    "measure": sorted(_SPEC + ["--out", "--rmax"]),
+    "painleve": ["--assign", "--csv", "--out", "--system"],
+    "verify": ["--out", "--system"],
 }
 
 
@@ -426,6 +395,33 @@ def test_density_refuses_grid_options(capsys):
         main(["density"] + _K1_FLAGS + ["--measure", "mu1", "--xmax", "5"])
     assert exc.value.code == 2
     assert "--xmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--system", "sys.json", "--suite", "states"], "--suite"),
+    (["painleve", "--system", "sys.json", "--perturb-a", "0.05"], "--perturb-a"),
+    (["measure"] + _K1_FLAGS + ["--npoints", "8"], "--npoints"),
+    (["density"] + _K1_FLAGS + ["--measure", "mu2", "--npoints", "8"], "--npoints"),
+    (["build"] + _K1_FLAGS + ["--xmin", "-8"], "--xmin"),
+    (["cs"] + _K1_FLAGS + ["--family", "lin-iso", "--z", "0.5", "--xmin", "-8"], "--xmin"),
+], ids=["verify-suite", "painleve-perturb-a", "measure-npoints", "density-npoints",
+        "build-xmin", "cs-xmin"])
+def test_deleted_options_refused(argv, option, tmp_path, capsys):
+    # verify runs all four suites, painleve checks the assignment's own a,
+    # tables hold 120 radii and --xmax is the half-width of a symmetric grid
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_xmax_is_the_half_width(tmp_path):
+    out = tmp_path / "sys.json"
+    assert main(["build"] + _K1_FLAGS + ["--xmax", "12.5", "--out", str(out)]) == 0
+    spec = load_json(str(out))["spec"]
+    assert (spec["x_min"], spec["x_max"]) == (-12.5, 12.5)
 
 
 @pytest.mark.parametrize("exc, fields", [

@@ -443,6 +443,20 @@ def test_vanishing_wronskian_is_refused_before_any_division(entry):
         call()
 
 
+def test_far_tail_wronskian_sign_change_refused_without_overflow():
+    """At k = 60 the product of two neighbouring tail values of W passes the
+    long double range; the sign test compares signs, so the build is refused
+    without an overflow warning (warnings are errors here)."""
+    with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
+        build_system(SystemSpec(k=60, eps_top=-1.0, nu=0.0, n_points=401))
+
+
+def test_oversized_derivative_table_refused_before_the_grid():
+    # (k + 2) k n_points = 46 * 44 * 2101 passes 2^22 values; k = 43 stays inside
+    with pytest.raises(InvalidSpecError, match="^k=44 on n_points=2101 .* over the bound 4194304$"):
+        build_system(SystemSpec(k=44, eps_top=-1.0, nu=0.0))
+
+
 def test_system_energy_bookkeeping(k4_system):
     for n, st in enumerate(k4_system.iso_states):
         assert st.energy == n + 0.5
