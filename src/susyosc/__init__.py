@@ -38,7 +38,6 @@ from .susy import (
     iso_state,
     new_state,
     potential,
-    seed_solution,
 )
 from .painleve import (
     Assignment,
@@ -46,7 +45,6 @@ from .painleve import (
     ResidualStats,
     assignment_for,
     companion_extremal_states,
-    extremal_roots,
     g_from_extremal,
     g_for_system,
     piv_residual,

@@ -205,7 +205,7 @@ class OperatorStencil:
     undefined on the outer 2). dg is the transcendent's deriv1 and v its
     potential_from_g, cut to sl, so painleve and the stencil share one g'
     and one V(g); v makes applying the operator independent of the
-    Wronskian route. a is the assignment's.
+    Wronskian route.
     """
     x: np.ndarray
     sl: slice
@@ -214,7 +214,6 @@ class OperatorStencil:
     f: np.ndarray
     h: np.ndarray
     v: np.ndarray
-    a: float
 
     @property
     def h_step(self) -> float:
@@ -242,8 +241,6 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     state tails inside the integrals.
     """
     asg = gsol.assignment
-    if asg is None:
-        raise DomainError("the stencil needs the assignment stored on the solution")
     x, g, valid = gsol.x, gsol.g, gsol.valid
     lo, hi = largest_run(valid)
     n_valid = int(np.count_nonzero(valid))
@@ -261,7 +258,7 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     st = OperatorStencil(
         x=x, sl=sl, g=gs, dg=dg, f=gs + xs,
         h=0.5 * dg - 0.5 * gs * gs - 2.0 * xs * gs - xs * xs + asg.a,
-        v=potential_from_g(gsol, asg.e1)[sl], a=asg.a)
+        v=potential_from_g(gsol, asg.e1)[sl])
     for name, arr in (("g", st.g), ("g'", st.dg), ("f", st.f), ("h", st.h), ("V", st.v)):
         if not np.all(np.isfinite(arr)):
             raise ConstructionError("non-finite %s coefficient on the support" % name)

@@ -25,7 +25,7 @@ taken over the surviving points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,30 +55,21 @@ class Assignment:
         return -2.0 * (self.e2 - self.e3) ** 2
 
 
-def extremal_roots(spec: SystemSpec) -> tuple:
-    """The three distinguished energies of the system, in a fixed order."""
-    return (0.5, spec.eps0, spec.eps_top + 1.0)
-
-
-_ASSIGN_KEYS = ("half", "eps0", "top1")
+_ASSIGN_KEYS = ("half", "eps0")
 
 
 def assignment_for(spec: SystemSpec, which: str) -> Assignment:
     """Assignment with e1 picked by name; e2 >= e3 fixes the remaining order.
 
-    which = "half" uses the old ground state, "eps0" the lowest
-    created state. "top1" would need the non-normalizable state at
-    eps_{k-1} + 1, which the system does not store, so it is refused here.
+    which = "half" uses the old ground state, "eps0" the lowest created
+    state; the third extremal energy eps_{k-1} + 1 belongs to a
+    non-normalizable state the system does not store, so it is never e1.
     """
-    roots = extremal_roots(spec)
-    named = dict(zip(_ASSIGN_KEYS, roots))
-    if which not in named:
+    if which not in _ASSIGN_KEYS:
         raise UsageError("unknown assignment %r (choose from %s)" % (which, list(_ASSIGN_KEYS)))
-    if which == "top1":
-        raise UsageError("assignment e1 = eps_top + 1 has no normalizable state to differentiate")
-    e1 = named[which]
-    rest = sorted((r for key, r in named.items() if key != which), reverse=True)
-    return Assignment(e1=e1, e2=rest[0], e3=rest[1])
+    e1, other = (0.5, spec.eps0) if which == "half" else (spec.eps0, 0.5)
+    e2, e3 = sorted((other, spec.eps_top + 1.0), reverse=True)
+    return Assignment(e1=e1, e2=e2, e3=e3)
 
 
 @dataclass
@@ -92,8 +83,7 @@ class GSolution:
     x: np.ndarray
     g: np.ndarray
     window: np.ndarray
-    nodes: list = field(default_factory=list)
-    assignment: Assignment | None = None
+    assignment: Assignment
 
     @property
     def valid(self) -> np.ndarray:
@@ -118,10 +108,12 @@ def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
     noise of phi by 1/h and pollute the transcendent in the tails.
 
     Points where |phi| falls below phi_rel_floor * max|phi| are outside the
-    window; detected nodes (sign changes next to the window) mask everything
+    window (a floor outside [0, 1) is a DomainError); detected nodes (sign changes next to the window) mask everything
     within DEFAULT_GUARD_X of the crossing, since 1/phi makes every
     downstream stencil untrustworthy there.
     """
+    if not 0.0 <= phi_rel_floor < 1.0:
+        raise DomainError("phi_rel_floor must lie in [0, 1), got %r" % (phi_rel_floor,))
     phi = np.asarray(state_values, dtype=float)
     x = np.asarray(x, dtype=float)
     if phi.shape != x.shape:
@@ -139,11 +131,10 @@ def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
 
     # nodes: sign changes with at least one bracketing point inside the
     # window; the sample nearest a node may sit below the floor
-    nodes = _zero_crossings(x, phi, window[:-1] | window[1:]).tolist()
-    for x0 in nodes:
+    for x0 in _zero_crossings(x, phi, window[:-1] | window[1:]):
         valid &= np.abs(x - x0) > DEFAULT_GUARD_X
     g = np.where(valid, g, np.nan)
-    return GSolution(x=x, g=g, window=window, nodes=nodes, assignment=assignment)
+    return GSolution(x=x, g=g, window=window, assignment=assignment)
 
 
 def _zero_crossings(x, y, pairs) -> np.ndarray:
@@ -241,8 +232,6 @@ def companion_extremal_states(gsol: GSolution):
 
     Returns (x_segment, phi_e2, phi_e3, slice).
     """
-    if gsol.assignment is None:
-        raise DomainError("companion states need the assignment stored on the solution")
     d = gsol.assignment.e2 - gsol.assignment.e3
     x, g, h, valid = gsol.x, gsol.g, gsol.h, gsol.valid
     ok = valid & (np.abs(g) > DEFAULT_G_FLOOR)

@@ -95,7 +95,7 @@ class SystemSpec:
         if not abs(self.nu) < 1.0:
             raise InvalidSpecError("|nu| < 1 required for a nodeless seed, got %g" % self.nu)
         if not self.x_min < self.x_max:
-            raise InvalidSpecError("empty grid: x_min >= x_max")
+            raise InvalidSpecError("empty grid: x_min=%g >= x_max=%g" % (self.x_min, self.x_max))
         if not _is_whole(self.n_points) or self.n_points < 401 or self.n_points % 2 == 0:
             raise InvalidSpecError("n_points must be an odd integer >= 401, got %r"
                                    % (self.n_points,))

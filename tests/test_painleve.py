@@ -8,17 +8,18 @@ potential and the companion extremal states from g alone.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from susyosc.errors import DomainError, InsufficientSupportError, UsageError
 from susyosc.painleve import (
+    DEFAULT_GUARD_X,
     Assignment,
     GSolution,
     assignment_for,
     companion_extremal_states,
-    extremal_roots,
     g_for_system,
     g_from_extremal,
     piv_residual,
@@ -28,8 +29,11 @@ from susyosc.susy import SystemSpec, build_system
 
 
 def test_extremal_roots(k4_spec, k1_spec):
-    assert np.allclose(extremal_roots(k4_spec), (0.5, -5.8, -1.8))
-    assert np.allclose(extremal_roots(k1_spec), (0.5, -1.0, 0.0))
+    """Both assignments label the same three energies 1/2, eps_0, eps_top + 1."""
+    for spec, roots in ((k4_spec, (0.5, -5.8, -1.8)), (k1_spec, (0.5, -1.0, 0.0))):
+        for which in ("half", "eps0"):
+            asg = assignment_for(spec, which)
+            assert np.allclose(sorted((asg.e1, asg.e2, asg.e3)), sorted(roots))
 
 
 def test_assignment_parameters(k4_spec):
@@ -43,11 +47,23 @@ def test_assignment_parameters(k4_spec):
     assert abs(eps0.b - (-10.58)) < 1e-12
 
 
+@pytest.mark.parametrize("eps_top, half, eps0", [
+    (-0.3, (0.5, 0.7, -1.3), (-1.3, 0.7, 0.5)),       # eps_top + 1 above 1/2
+    (-0.7, (0.5, 0.3, -1.7), (-1.7, 0.5, 0.3)),       # eps_top + 1 below 1/2
+])
+def test_assignment_order_flips_at_eps_top_minus_half(eps_top, half, eps0):
+    """e2 >= e3: eps_top + 1 overtakes 1/2 as e2 once eps_top > -1/2 (k 2)."""
+    spec = SystemSpec(k=2, eps_top=eps_top, nu=0.0)
+    for which, expected in (("half", half), ("eps0", eps0)):
+        asg = assignment_for(spec, which)
+        assert (asg.e1, asg.e2, asg.e3) == pytest.approx(expected, abs=1e-15)
+
+
 def test_assignment_refusals(k4_spec):
-    with pytest.raises(UsageError):
-        assignment_for(k4_spec, "top1")
-    with pytest.raises(UsageError):
-        assignment_for(k4_spec, "bogus")
+    for which in ("top1", "bogus"):
+        msg = "unknown assignment '%s' (choose from ['half', 'eps0'])" % which
+        with pytest.raises(UsageError, match=re.escape(msg)):
+            assignment_for(k4_spec, which)
 
 
 def test_residual_small_for_both_systems(k4_system, k1_system):
@@ -82,11 +98,18 @@ def test_residual_shrinks_with_grid_refinement(k1_system):
     assert coarse / fine > 8.0
 
 
+def _masked_runs(gs) -> int:
+    """Number of masked runs of g between the window's first and last points."""
+    lo, hi = np.flatnonzero(gs.window)[[0, -1]]
+    masked = np.concatenate(([False], ~gs.valid[lo:hi + 1]))
+    return int(np.count_nonzero(masked[1:] & ~masked[:-1]))
+
+
 def test_half_assignment_masks_state_nodes(k4_system):
     """The ground-image state of a fourth-order system has four nodes; the
-    extraction must find them and still leave a large evaluable sample."""
+    extraction must mask each and still leave a large evaluable sample."""
     gs = g_for_system(k4_system, "half")
-    assert len(gs.nodes) == 4
+    assert _masked_runs(gs) == 4
     assert 0.1 < gs.masked_fraction < 0.5
     assert np.all(np.isnan(gs.g[~gs.valid]))
 
@@ -100,8 +123,9 @@ def test_node_next_to_window_floor_is_guarded():
                       n_points=4201)
     system = build_system(spec, n_max=0)
     gs = g_for_system(system, "half")
-    assert len(gs.nodes) == 3
-    assert min(gs.nodes) == pytest.approx(-1.53, abs=0.01)
+    assert _masked_runs(gs) == 3
+    assert not np.all(gs.window[np.abs(system.x + 1.53) < 0.01])
+    assert np.all(np.isnan(gs.g[np.abs(system.x + 1.53) < DEFAULT_GUARD_X - 0.01]))
     asg = gs.assignment
     assert piv_residual(gs, asg.a, asg.b).max < 1e-5
     v = potential_from_g(gs, asg.e1)
@@ -111,7 +135,7 @@ def test_node_next_to_window_floor_is_guarded():
 
 def test_eps0_assignment_is_nodeless(k4_system):
     gs = g_for_system(k4_system, "eps0")
-    assert gs.nodes == []
+    assert _masked_runs(gs) == 0
     assert gs.masked_fraction == 0.0
 
 
@@ -143,12 +167,6 @@ def test_companion_states_rebuilt_from_g(k4_system, k1_system):
         assert xs.size > 200
 
 
-def test_companion_needs_assignment(k1_system):
-    gs = dataclasses.replace(g_for_system(k1_system, "half"), assignment=None)
-    with pytest.raises(DomainError):
-        companion_extremal_states(gs)
-
-
 def test_companion_refuses_thin_segment():
     x = np.linspace(-1.0, 1.0, 201)
     window = np.zeros(x.size, dtype=bool)
@@ -176,7 +194,8 @@ def test_residual_support_guard(k4_system):
 def test_residual_floor_skip_bookkeeping():
     """Points with |g| under the floor are skipped and counted, not divided by."""
     x = np.linspace(-1.0, 1.0, 201)
-    gs = GSolution(x=x, g=x.copy(), window=np.ones(x.size, dtype=bool))
+    gs = GSolution(x=x, g=x.copy(), window=np.ones(x.size, dtype=bool),
+                   assignment=Assignment(0.5, 0.0, -1.0))
     stats = piv_residual(gs, 0.0, 0.0)
     assert stats.n_skipped_floor >= 1
     assert np.isnan(stats.per_point[100])        # g(0) = 0 sits under the floor
@@ -195,7 +214,8 @@ def test_nan_mask_reaches_every_stencil():
     g[50] = np.nan
     g[96:100] = np.nan
     g[104:108] = np.nan                          # leaves the run 100..103
-    gs = GSolution(x=x, g=g, window=np.ones(x.size, dtype=bool))
+    gs = GSolution(x=x, g=g, window=np.ones(x.size, dtype=bool),
+                   assignment=Assignment(0.5, 0.0, -1.0))
     assert np.array_equal(gs.valid, np.isfinite(g))
 
     unreachable = np.zeros(x.size, dtype=bool)
@@ -223,13 +243,27 @@ def test_extraction_input_validation(k1_system):
                         assignment=asg)
 
 
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), 2.0, 1.0, -1e-5])
+def test_meaningless_phi_floor_is_bad_input(k1_system, floor):
+    """A relative floor outside [0, 1) is refused by name as bad input, not
+    reported as a window with too few usable points."""
+    with pytest.raises(DomainError, match="phi_rel_floor"):
+        g_for_system(k1_system, "half", phi_rel_floor=floor)
+
+
 def test_node_positions_interpolated(k1_system):
-    """Node bookkeeping on a deliberately noded (non-extremal) state."""
+    """Node masking on a deliberately noded (non-extremal) state: each
+    interpolated sign change is guarded by DEFAULT_GUARD_X on both sides."""
     st = k1_system.state("iso", 1)
-    gs = g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs,
+    x, phi = k1_system.x, st.values
+    gs = g_from_extremal(phi, x, dstate_values=st.derivs,
                          assignment=assignment_for(k1_system.spec, "half"))
-    assert len(gs.nodes) == 2
-    for x0 in gs.nodes:
-        i = np.argmin(np.abs(k1_system.x - x0))
-        assert abs(st.values[i]) < 0.05 * np.max(np.abs(st.values))
-        assert not gs.valid[i]
+    assert _masked_runs(gs) == 2
+    i = np.flatnonzero((phi[:-1] * phi[1:] < 0.0) & gs.window[:-1])
+    nodes = x[i] - phi[i] * (x[i + 1] - x[i]) / (phi[i + 1] - phi[i])
+    assert nodes.size == 2
+    for x0 in nodes:
+        near = np.abs(x - x0)
+        assert abs(phi[np.argmin(near)]) < 0.05 * np.max(np.abs(phi))
+        assert np.all(np.isnan(gs.g[near <= DEFAULT_GUARD_X]))
+        assert np.all(np.isfinite(gs.g[(near > DEFAULT_GUARD_X) & (near < 0.5)]))

@@ -23,7 +23,6 @@ EXPECTED_DEFAULTS = {
     "digamma": [],
     "divergence_witness": [],
     "evolve": [],
-    "extremal_roots": [],
     "g_for_system": ["phi_rel_floor"],
     "g_from_extremal": ["phi_rel_floor"],
     "gamma_fn": [],
@@ -47,7 +46,6 @@ EXPECTED_DEFAULTS = {
     "potential": [],
     "potential_from_g": [],
     "probabilities": [],
-    "seed_solution": [],
     "stencil_projection": ["direction"],
     "tricomi_u": ["rtol"],
     "wavefunction": [],
