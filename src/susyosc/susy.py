@@ -115,7 +115,11 @@ class SystemSpec:
         return 0.5 - self.eps0
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """n_points evenly spaced over [x_min, x_max], mirrored about the
+        centre: on a symmetric grid x[i] == -x[n - 1 - i] bit for bit, so the
+        seed series run once per |x|."""
+        half = np.linspace(0.0, (self.x_max - self.x_min) / 2.0, self.n_points // 2 + 1)
+        return (self.x_min + self.x_max) / 2.0 + np.concatenate((-half[:0:-1], half))
 
     @property
     def h(self) -> float:
@@ -220,9 +224,10 @@ def _oscillator_ladder(x):
     """(psi_n, psi_n') for n = 0, 1, 2, ... by the stable recurrence."""
     p_prev = np.zeros_like(x)
     p = math.pi ** (-0.25) * np.exp(-x * x / 2.0)
+    minus_x = -x
     n = 0
     while True:
-        yield p, -x * p + math.sqrt(2.0 * n) * p_prev
+        yield p, minus_x * p + math.sqrt(2.0 * n) * p_prev
         p_next = x * math.sqrt(2.0 / (n + 1.0)) * p - math.sqrt(n / (n + 1.0)) * p_prev
         p_prev, p = p, p_next
         n += 1
@@ -277,20 +282,23 @@ def _batched_det(mat: np.ndarray):
     packed factors of P A = L U, U on and above the diagonal and L's
     multipliers below it; and the row order perm, (P A)[i] = A[perm[i]].
     """
-    m = np.array(mat, copy=True)
+    # highest row first: on a Wronskian table it is the pivot at nearly every
+    # point, so most steps swap at few points or none; the pivots, and so
+    # every output, are those of the rows in their given order (ties aside)
+    m = np.array(mat[::-1], copy=True)
     r, cols, n = m.shape
-    det = np.ones(n, dtype=m.dtype)
-    perm = np.repeat(np.arange(r)[:, None], n, axis=1)
+    det = np.full(n, (-1.0) ** (r // 2), dtype=m.dtype)   # the reversal's sign
+    perm = np.repeat(np.arange(r)[::-1, None], n, axis=1)
     for c in range(min(r - 1, cols)):
-        piv = np.argmax(np.abs(m[c:, c]), axis=0) + c
-        for row in range(c + 1, r):
-            swap = piv == row
-            if swap.any():
-                for a in (m, perm):
-                    a[c], a[row] = np.where(swap, a[row], a[c]), np.where(swap, a[c], a[row])
-        det = np.where(piv != c, -det, det)
+        piv = np.argmax(np.abs(m[c:, c]), axis=0)
+        at = np.flatnonzero(piv)   # the points whose pivot is not row c
+        if at.size:
+            piv = piv[at] + c
+            for a in (m, perm):
+                a[c, ..., at], a[piv, ..., at] = a[piv, ..., at], a[c, ..., at]
+            det[at] = -det[at]
         p = m[c, c]
-        det = det * p
+        det *= p
         m[c + 1:, c] /= np.where(p == 0.0, 1.0, p)
         m[c + 1:, c, p == 0.0] = 0.0
         # row by row, so no temporary of the whole trailing block is held
@@ -350,6 +358,7 @@ class _RowTable:
 
     def __init__(self, seeds: "SeedFamily"):
         self.x = x = seeds.x
+        self.x2 = x * x
         self.k = k = seeds.k
         self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
         self.w, lu, perm = _batched_det(self.rows[:k])
@@ -403,16 +412,25 @@ class _RowTable:
             self._psi = next(self._ladder)
             self._psi_n += 1
         psi, dpsi = self._psi
-        q = self.x * self.x - (2.0 * n + 1.0)
+        q = self.x2 - (2.0 * n + 1.0)
 
-        def horner(coeffs):
-            acc = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                acc = acc * q + c
+        def times(coeffs, factor):
+            # (sum_j coeffs[j] q^j) * factor, Horner in place on one new array
+            if len(coeffs) == 1:
+                return coeffs[0] * factor
+            acc = coeffs[-1] * q
+            for c in coeffs[-2:0:-1]:
+                acc += c
+                acc *= q
+            acc += coeffs[0]
+            acc *= factor
             return acc
 
-        alpha, beta, gamma, delta = map(horner, self._iso_coeffs)
-        return alpha * psi + beta * dpsi, gamma * psi + delta * dpsi
+        alpha, beta, gamma, delta = self._iso_coeffs
+        value, deriv = times(alpha, psi), times(gamma, psi)
+        value += times(beta, dpsi)
+        deriv += times(delta, dpsi)
+        return value, deriv
 
 
 def potential(seeds: SeedFamily):
@@ -429,7 +447,7 @@ def potential(seeds: SeedFamily):
     # k - 2 = -1 reads cof[0, k+1], which is zero.
     r1 = table.dlog_w
     r2 = table.cof[0, k - 2] - table.cof[1, k - 1]
-    return np.asarray(seeds.x * seeds.x / 2.0 - (r2 - r1 * r1), dtype=float)
+    return np.asarray(table.x2 / 2.0 - (r2 - r1 * r1), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +525,9 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
     raw_deriv = table.new_ratios[1][j] - table.dlog_w * raw
     vals, ders, _ = _normalized(raw, raw_deriv, weights, 1.0)
     energy = float(seeds.energies[j])
-    res = hamiltonian_residual(vals, energy, potential_values, seeds.x[1] - seeds.x[0], weights)
+    # the float64 step, as SusySystem.residual takes it
+    h = float(seeds.x[1]) - float(seeds.x[0])
+    res = hamiltonian_residual(vals, energy, potential_values, h, weights)
     if res > 1e-4:
         raise ConstructionError(
             "new state j=%d fails the eigenvalue equation (residual %.3g)" % (j, res))
@@ -558,7 +578,7 @@ class SusySystem:
         return pool[index]
 
     def inner(self, a: GridState, b: GridState) -> float:
-        return float(np.sum(self.weights * a.values * b.values))
+        return float((self.weights * a.values * b.values).sum())
 
     def residual(self, state: GridState) -> float:
         return hamiltonian_residual(state.values, state.energy, self.potential,

@@ -34,6 +34,7 @@ from susyosc.specfun import (
     mellin_moment,
     tricomi_u,
 )
+from susyosc.susy import SystemSpec
 
 
 def test_gamma_reference_values():
@@ -250,6 +251,12 @@ def test_array_series_matches_whole_array_loop_bitwise():
         assert np.array_equal(got, want)
 
 
+def _seed_grid(x_max, n_points):
+    """The long-double grid the seed series run on."""
+    spec = SystemSpec(k=1, eps_top=-1.0, nu=0.0, x_min=-x_max, x_max=x_max, n_points=n_points)
+    return spec.grid().astype(np.longdouble)
+
+
 def _ratio_1f1(a, c):
     return lambda n: (a + n) / ((c + n) * (n + 1.0))
 
@@ -257,12 +264,12 @@ def _ratio_1f1(a, c):
 @pytest.mark.parametrize("x_max, n_points", [(10.5, 2101), (10.5, 4201),
                                               (12.5, 2101), (12.5, 4201)])
 def test_seed_argument_grids_match_whole_array_loop_bitwise(x_max, n_points):
-    # w = x^2 on a mirror-symmetric grid repeats most of its values, so each
-    # distinct w is summed once and scattered to both mirror points; the
+    # w = x^2 on the seeds' mirror grid holds each value at both mirror
+    # points, so each distinct w is summed once and scattered to both; the
     # quiet test runs on a band past the last quiet-prefix end
-    x = np.linspace(-x_max, x_max, n_points).astype(np.longdouble)
+    x = _seed_grid(x_max, n_points)
     w = x * x
-    assert np.unique(w).size < w.size
+    assert np.unique(w).size == n_points // 2 + 1
     for a, c in _seed_series(-2.8):   # all four series of the top seed
         got = hyp1f1(a, c, w)
         assert got.dtype == np.longdouble
@@ -616,7 +623,7 @@ def test_seed_series_accuracy_against_mpmath(x_max, n_points):
     # w = x^2 stay within 6e-15 of 30-digit mpmath at 64 sampled points
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    x = np.linspace(-x_max, x_max, n_points).astype(np.longdouble)
+    x = _seed_grid(x_max, n_points)
     half = x[n_points // 2:]
     w = (half * half)[np.linspace(0, half.size - 1, 64).round().astype(int)]
     for eps_top in (-0.6, -2.8, -5.0):

@@ -197,10 +197,12 @@ def test_oscillator_pair_derivative_matches_fd():
     assert np.nanmax(np.abs(deriv1(psi, h)[_SL] - dpsi[_SL])) < 1e-6
 
 
-def test_batched_det_matches_lapack():
-    # stacks are points-last, (r, r, n_points), as the row table slices them
+@pytest.mark.parametrize("r", range(1, 8))
+def test_batched_det_matches_lapack(r):
+    # stacks are points-last, (r, r, n_points), as the row table slices them;
+    # r = 1..7 covers both parities of the row reversal's sign (-1)^(r // 2)
     rng = np.random.default_rng(7)
-    mats = rng.normal(size=(40, 5, 5)) + 3.0 * np.eye(5)
+    mats = rng.normal(size=(40, r, r)) + 3.0 * np.eye(r)
     stack = np.moveaxis(mats, 0, -1)
     got = np.asarray(_batched_det(stack.astype(np.longdouble))[0], dtype=float)
     want = np.linalg.det(mats)
@@ -217,6 +219,47 @@ def test_batched_det_handles_pivoting():
                      [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]]])
     got = _batched_det(np.moveaxis(mats, 0, -1).astype(np.longdouble))[0]
     assert np.max(np.abs(np.asarray(got, dtype=float) - np.linalg.det(mats))) < 1e-12
+
+
+def _pointwise_elimination(mat):
+    """The reference for _batched_det's sign bookkeeping: partial pivoting
+    point by point on the rows in their given order, the first maximum on
+    ties. Returns the sign of the swaps times the pivots (times the last
+    diagonal entry when square) and the row order, as _batched_det does."""
+    r, cols, n = mat.shape
+    dets, perms = [], []
+    for i in range(n):
+        a, order, det = mat[:, :, i].copy(), list(range(r)), mat.dtype.type(1.0)
+        for c in range(min(r - 1, cols)):
+            p = c + int(np.argmax(np.abs(a[c:, c])))
+            if p != c:
+                a[[c, p]] = a[[p, c]]
+                order[c], order[p] = order[p], order[c]
+                det = -det
+            det = det * a[c, c]
+            a[c + 1:, c] /= a[c, c]
+            for row in range(c + 1, r):
+                a[row, c + 1:] -= a[row, c] * a[c, c + 1:]
+        dets.append(det * a[r - 1, r - 1] if r == cols else det)
+        perms.append(order)
+    return np.array(dets, dtype=mat.dtype), np.array(perms).T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_batched_det_keeps_the_pivots_of_the_given_row_order(k):
+    """Rows 0..k of a seed table, (k + 1) x k, at the points where the last
+    (highest-derivative) row is the first pivot, so step 0 swaps nothing
+    after the entry reversal and the sign comes from the reversal alone:
+    the sign and the row order must be those of pivoting the rows in their
+    given order."""
+    rows = build_seed_chain(SystemSpec(k=k, eps_top=-2.8, nu=-0.9))._table.rows[:k + 1]
+    last_first = np.flatnonzero(np.argmax(np.abs(rows[:, 0]), axis=0) == k)
+    assert last_first.size > 0.9 * rows.shape[-1]
+    stack = rows[..., last_first[::10]]
+    det, _, perm = _batched_det(stack)
+    want_det, want_perm = _pointwise_elimination(stack)
+    assert np.array_equal(perm, want_perm)
+    assert np.array_equal(det, want_det)
 
 
 def _stack_with_and_without_swaps(r, n_points, seed):
@@ -525,6 +568,32 @@ def test_iso_norm_gate_refuses_out_of_envelope(k, eps_top, nu, n_max, failing_n)
 def test_build_system_rejects_negative_cap(k1_spec):
     with pytest.raises(InvalidSpecError):
         build_system(k1_spec, n_max=-1)
+
+
+@pytest.mark.parametrize("x_min, x_max, n_points", [(-10.5, 10.5, 2101), (-12.5, 12.5, 4201),
+                                                     (-8.0, 12.0, 2001)])
+def test_grid_is_a_mirror_with_exact_ends(x_min, x_max, n_points):
+    x = SystemSpec(k=1, eps_top=-1.0, nu=0.0, x_min=x_min, x_max=x_max,
+                   n_points=n_points).grid()
+    centre = (x_min + x_max) / 2.0
+    assert x.size == n_points
+    assert (x[0], x[n_points // 2], x[-1]) == (x_min, centre, x_max)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(x - np.linspace(x_min, x_max, n_points))) <= 4 * np.spacing(x_max)
+    if centre == 0.0:
+        # bit for bit, so x^2 holds one value per |x| for the seed series
+        assert np.array_equal(x, -x[::-1])
+        w = x.astype(np.longdouble) ** 2
+        assert np.unique(w).size == n_points // 2 + 1
+    else:
+        assert np.max(np.abs((x + x[::-1]) / 2.0 - centre)) <= np.spacing(x_max)
+
+
+def test_new_state_residual_check_is_the_systems_residual(k4_system, k1_system):
+    # both take the float64 grid step
+    for system in (k4_system, k1_system):
+        for st in system.new_states:
+            assert st.residual_check == system.residual(st)
 
 
 def test_symmetric_spec_gives_even_potential():
