@@ -27,11 +27,13 @@ between iso levels n-1, n and +e_j between new levels j-1, j (under either
 Painleve assignment), so s gives every l^- element the positive sign the
 ladder coefficient tables assume.
 
-Seeds, eigenstates and determinants are evaluated in extended precision
-(x86 long double) and cast to float64 only after the final Wronskian ratios.
-The determinants cancel heavily in the far tails, amplifying entry rounding
-by several orders of magnitude; double-precision entries leave visible
-point-to-point jitter in the states there, extended-precision entries do not.
+Seeds, rows, determinants, the potential and the new states are evaluated in
+extended precision (x86 long double). The determinants cancel heavily in the
+far tails, amplifying entry rounding by several orders of magnitude;
+double-precision entries leave visible point-to-point jitter in the states
+there, extended-precision entries do not. The iso fold is cast to float64
+once per system, after that cancellation; the psi_n ladder and the Horner
+passes run in float64, about 4e-15 of a state's maximum from long double.
 """
 
 from __future__ import annotations
@@ -351,14 +353,13 @@ class _RowTable:
       runs on its seed columns.
     W is checked once, before anything is divided by it. The iso ratios fold
     the cofactors, 1/W and W'/W into per-point coefficients of polynomials
-    in q = x^2 - 2E_n, once per system; a level then costs one Horner pass in
-    q and psi_n, psi_n' from one oscillator ladder that steps forward as n
-    grows.
+    in q = x^2 - 2E_n, once per system in long double, cast to float64; a
+    level then costs one float64 Horner pass in q and psi_n, psi_n' from one
+    float64 oscillator ladder that steps forward as n grows.
     """
 
     def __init__(self, seeds: "SeedFamily"):
         self.x = x = seeds.x
-        self.x2 = x * x
         self.k = k = seeds.k
         self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
         self.w, lu, perm = _batched_det(self.rows[:k])
@@ -378,7 +379,9 @@ class _RowTable:
         for d in (0, 1):
             rows = list(range(k)) + [k + d]
             self.cof[d, rows] = _last_column_cofactors(self.rows[rows]) / self.w
-        self._ladder, self._psi_n, self._psi = _oscillator_ladder(x), -1, None
+        # the iso levels' grid: float64, as the fold's outputs
+        self.x64 = np.asarray(x, dtype=float)
+        self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x64), -1, None
 
     @functools.cached_property
     def _iso_coeffs(self) -> list:
@@ -389,7 +392,8 @@ class _RowTable:
         along the psi column with psi^(m) = P_m psi + Q_m psi', divided by W,
         and (N/W)' = N'/W - (W'/W) N/W. Each entry is a (degree + 1,
         n_points) array, row j the coefficient of q^j, cut at its last row
-        that is not zero everywhere (at most (k + 1) // 2).
+        that is not zero everywhere (at most (k + 1) // 2). Folded in long
+        double, returned in float64: the iso route's one cast.
         """
         k, x = self.k, self.x
         powers = [np.ones_like(x)]
@@ -401,18 +405,18 @@ class _RowTable:
             out[:, b, j] += self.cof[:, m] * (int(c[m, b, i, j]) * powers[i])
         out[1] -= self.dlog_w * out[0]
         # alpha, beta and delta can fall a power of q short of (k + 1) // 2
-        return [c[:1 + max((j for j in range(len(c)) if c[j].any()), default=0)]
+        return [c[:1 + max((j for j in range(len(c)) if c[j].any()), default=0)].astype(float)
                 for c in out.reshape(4, -1, x.size)]
 
     def iso_ratio(self, n: int):
-        """W(u_0..u_{k-1}, psi_n)/W and its derivative, by Horner in q."""
+        """W(u_0..u_{k-1}, psi_n)/W and its derivative, by Horner in q, in float64."""
         if n < self._psi_n:
-            self._ladder, self._psi_n = _oscillator_ladder(self.x), -1
+            self._ladder, self._psi_n = _oscillator_ladder(self.x64), -1
         while self._psi_n < n:
             self._psi = next(self._ladder)
             self._psi_n += 1
         psi, dpsi = self._psi
-        q = self.x2 - (2.0 * n + 1.0)
+        q = self.x64 * self.x64 - (2.0 * n + 1.0)
 
         def times(coeffs, factor):
             # (sum_j coeffs[j] q^j) * factor, Horner in place on one new array
@@ -447,7 +451,7 @@ def potential(seeds: SeedFamily):
     # k - 2 = -1 reads cof[0, k+1], which is zero.
     r1 = table.dlog_w
     r2 = table.cof[0, k - 2] - table.cof[1, k - 1]
-    return np.asarray(table.x2 / 2.0 - (r2 - r1 * r1), dtype=float)
+    return np.asarray(table.x * table.x / 2.0 - (r2 - r1 * r1), dtype=float)
 
 
 # ----------------------------------------------------------------------

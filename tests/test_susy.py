@@ -328,8 +328,9 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
     """Iso ratio and derivative, new-state ratios and (ln W)'' vs 80-digit mpmath.
 
     The reference is rebuilt exactly from the table's own long-double rows
-    and psi_n, psi_n' at every 50th grid point, so this pins the rounding of
-    the route alone, not the error the seed entries carry in. Each bound is
+    and the float64 psi_n, psi_n' of its iso ladder at every 50th grid
+    point, so this pins the rounding of the route alone, not the error the
+    seed entries carry in. Each bound is
     about 4x the worst figure both this route and the earlier one of
     separate determinants read at k 5 (iso n = 31 2.3e-12 and its derivative
     2.1e-11 relative to their maxima, new states 1.2e-15 and 1.3e-15, (ln W)''
@@ -352,7 +353,7 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
              for m in rows]))
 
     worst = {"iso": 0.0, "diso": 0.0, "new": 0.0, "lnw2": 0.0}
-    iso = {n: (table.iso_ratio(n), _oscillator_pair(n, x)) for n in (0, 12, 31)}
+    iso = {n: (table.iso_ratio(n), _oscillator_pair(n, table.x64)) for n in (0, 12, 31)}
     with mpmath.workdps(80):
         for i in range(0, x.size, 50):
             w = det(range(k), i)
@@ -381,6 +382,24 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
     assert all(worst[key] < bounds[key] for key in bounds), worst
 
 
+def _iso_by_full_elimination(seeds, levels):
+    """(numerator/W, its derivative) of each iso level, in long double: the
+    seeds' Leibniz rows with psi_n's stacked beside them, the whole
+    (k+1)x(k+1) matrix eliminated, psi_n from the long-double ladder."""
+    k, x = seeds.k, seeds.x
+    rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
+    w = _batched_det(rows[:k])[0]
+    dw = _batched_det(rows[list(range(k - 1)) + [k]])[0]
+    psis = list(itertools.islice(_oscillator_ladder(x), max(levels) + 1))
+    for n in levels:
+        psi, dpsi = psis[n]
+        psi_rows = _leibniz_rows(psi[None], dpsi[None], [n + 0.5], x, k + 1)
+        full = np.concatenate([rows, psi_rows], axis=1)
+        numer = _batched_det(full[:k + 1])[0]
+        dnumer = _batched_det(full[list(range(k)) + [k + 1]])[0]
+        yield numer / w, dnumer / w - dw / w * (numer / w)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_laplace_numerator_matches_full_determinant(k):
     """Iso ratio and its derivative: folded q-polynomials vs elimination.
@@ -391,19 +410,41 @@ def test_laplace_numerator_matches_full_determinant(k):
     whole (k+1)x(k+1) matrix. Levels go down as well as up, so the table's
     psi ladder restarts on the way.
     """
-    table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
-    seed_rows = tuple(range(k))
-    w = _batched_det(table.rows[:k])[0]
-    dw = _batched_det(table.rows[list(range(k - 1)) + [k]])[0]
-    for n in (12, 0, 3, 31):
-        psi, dpsi = _oscillator_pair(n, table.x)
-        psi_rows = _leibniz_rows(psi[None], dpsi[None], [n + 0.5], table.x, k + 1)
-        full = np.concatenate([table.rows, psi_rows], axis=1)
-        numer = _batched_det(full[:k + 1])[0]
-        dnumer = _batched_det(full[list(seed_rows) + [k + 1]])[0]
-        want = (numer / w, dnumer / w - dw / w * (numer / w))
-        for got, ref in zip(table.iso_ratio(n), want):
+    seeds = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
+    levels = (12, 0, 3, 31)
+    for n, want in zip(levels, _iso_by_full_elimination(seeds, levels)):
+        for got, ref in zip(seeds._table.iso_ratio(n), want):
             assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) < 1e-12
+
+
+_PIN_SPECS = [(1, -1.0, 0.5), (2, -1.3, 0.3), (3, -2.1, -0.4), (4, -2.8, -0.9),
+              (5, -4.2, 0.6), (5, -1.45, 0.5)]
+
+
+@pytest.mark.parametrize("x_max, n_points", [(10.5, 2101), (12.5, 4201)])
+@pytest.mark.parametrize("k, eps_top, nu", _PIN_SPECS)
+def test_float64_iso_ladder_matches_long_double_elimination(k, eps_top, nu, x_max, n_points):
+    """The iso ladder's one cast to float64 costs float64 rounding, no more.
+
+    The table folds its coefficients in long double and rounds them once;
+    the psi_n ladder and the Horner pass run in float64. Against the
+    long-double full elimination, every level n <= 32 reads at most 4.3e-15
+    of its maximum (values and derivatives), and n = 0 at most 8.9e-14
+    pointwise where phi_0 is at least 1e-8 of its maximum (k 5 on 4201
+    points); the bounds are about 4x those. The long double that matters
+    sits in the eliminations: run in float64, they fail this pin.
+    """
+    seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu, x_min=-x_max,
+                                        x_max=x_max, n_points=n_points))
+    for n, want in enumerate(_iso_by_full_elimination(seeds, range(33))):
+        got = seeds._table.iso_ratio(n)
+        for g, ref in zip(got, want):
+            assert g.dtype == np.float64
+            assert np.max(np.abs(g - ref)) < 2e-14 * np.max(np.abs(ref)), n
+        if n == 0:
+            ref = np.abs(want[0])
+            held = ref >= 1e-8 * np.max(ref)
+            assert np.max(np.abs(got[0] - want[0])[held] / ref[held]) < 4e-13
 
 
 def test_psi_rows_match_hermite_closed_form():
@@ -547,18 +588,23 @@ def test_states_vanish_at_grid_edges(k4_system):
         assert edge < 1e-8 * np.max(np.abs(st.values))
 
 
+@pytest.mark.parametrize("x_max, n_points", [(10.5, 2101), (12.5, 2101), (10.5, 4201),
+                                             (12.5, 4201)])
 @pytest.mark.parametrize("k, eps_top, nu, n_max, failing_n", [
     (6, -2.8, -0.9, 32, 30),
     (8, -5.0, 0.2, 16, 8),
 ])
-def test_iso_norm_gate_refuses_out_of_envelope(k, eps_top, nu, n_max, failing_n):
-    """Past the envelope the build stops at the first state over the gate.
+def test_iso_norm_gate_refuses_out_of_envelope(k, eps_top, nu, n_max, failing_n, x_max,
+                                               n_points):
+    """Past the envelope the build stops at the first state over the gate,
+    on each of the benchmark's four probe grids.
 
     The refusal names the level and the measured disagreement, so the
     caller learns what failed and by how much.
     """
+    spec = SystemSpec(k=k, eps_top=eps_top, nu=nu, x_min=-x_max, x_max=x_max, n_points=n_points)
     with pytest.raises(ConstructionError) as info:
-        build_system(SystemSpec(k=k, eps_top=eps_top, nu=nu), n_max=n_max)
+        build_system(spec, n_max=n_max)
     found = re.search(r"iso state n=(\d+): .* by ([0-9.eE+-]+)$", str(info.value))
     assert found is not None, str(info.value)
     assert int(found.group(1)) == failing_n
