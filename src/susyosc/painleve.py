@@ -138,9 +138,12 @@ def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
 
 
 def _zero_crossings(x, y, pairs) -> np.ndarray:
-    """x of each sign change of y from i to i + 1 where pairs[i], interpolated linearly."""
+    """x of each node of y: a sign change from i to i + 1 where pairs[i],
+    interpolated linearly, or a sample y[i] == 0 between opposite signs
+    where pairs[i - 1] or pairs[i] (an odd state at x = 0, say)."""
     i = np.flatnonzero((y[:-1] * y[1:] < 0.0) & pairs)
-    return x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+    on = 1 + np.flatnonzero((y[1:-1] == 0.0) & (y[:-2] * y[2:] < 0.0) & (pairs[:-1] | pairs[1:]))
+    return np.concatenate((x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i]), x[on]))
 
 
 def g_for_system(system: SusySystem, which: str,

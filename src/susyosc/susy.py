@@ -15,11 +15,9 @@ rows m = 0..k+1, and four points-last eliminations with partial pivoting
 give every ratio over it: W and W' as determinants, the new states'
 numerators over W as A^-1 e_{k-2}, A^-1 e_{k-1} of the seed block A, and the
 cofactors along the psi_n column of an iso numerator W(u_0..u_{k-1}, psi_n)
-and of its derivative, the same for every n, as the last row of L^-1. Since
-every row of psi_n is psi_n^(m) = P_m psi_n + Q_m psi_n', with P_m and Q_m
-integer polynomials in (x, q), the cofactors, 1/W and W'/W fold once per
-system into per-point coefficients of polynomials in q; each level is then a
-Horner pass in q = x^2 - 2E_n times psi_n and psi_n'.
+and of its derivative, the same for every n, as the last row of L^-1. Each
+level then sums psi_n's own rows, from the same recursion, against those
+cofactors over W.
 
 Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
 ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
@@ -31,9 +29,10 @@ Seeds, rows, determinants, the potential and the new states are evaluated in
 extended precision (x86 long double). The determinants cancel heavily in the
 far tails, amplifying entry rounding by several orders of magnitude;
 double-precision entries leave visible point-to-point jitter in the states
-there, extended-precision entries do not. The iso fold is cast to float64
-once per system, after that cancellation; the psi_n ladder and the Horner
-passes run in float64, about 4e-15 of a state's maximum from long double.
+there, extended-precision entries do not. The cofactors and W'/W are cast
+to float64 once per system, after that cancellation; the psi_n ladder, its
+rows and the sums run in float64, about 6e-15 of a state's maximum from
+long double.
 """
 
 from __future__ import annotations
@@ -239,37 +238,25 @@ def _oscillator_ladder(x):
 # Wronskian ratios from Leibniz rows and four eliminations
 # ----------------------------------------------------------------------
 
-def _leibniz_rows(values, derivs, energies, x, max_order: int) -> np.ndarray:
-    """Rows u^(m), m = 0..max_order >= 1, of (c, n) columns at energies (c,).
+def _leibniz_rows(values, derivs, energies, x, max_order: int):
+    """Rows u^(m), m = 0..max_order >= 1, of columns at energies, one at a time.
 
     u^(m+2) = (x^2 - 2 eps) u^(m) + 2 m x u^(m-1) + m (m - 1) u^(m-2).
+    values and derivs are (c, n) columns at energies (c,), or one column at
+    a scalar energy.
     """
-    q = x * x - 2.0 * np.asarray(energies, dtype=float)[:, None]
-    # two zero rows below u^(0) stand in for the terms that m = 0, 1 drop
-    out = np.zeros((max_order + 3,) + np.shape(values), dtype=np.result_type(x, values))
-    out[2], out[3] = values, derivs
+    q = x * x - 2.0 * np.asarray(energies, dtype=float)[..., None]
+    rows = [values, derivs]
+    yield values
+    yield derivs
     for m in range(max_order - 1):
-        out[m + 4] = q * out[m + 2] + (2.0 * m) * x * out[m + 1] + (m * (m - 1.0)) * out[m]
-    return out[2:]
-
-
-def _leibniz_polynomials(max_order: int) -> np.ndarray:
-    """c[m, b, i, j], m = 0..max_order >= 1: the integer coefficient of
-    x^i q^j in P_m (b = 0) and Q_m (b = 1), where psi^(m) = P_m psi + Q_m psi'
-    for every solution of psi'' = q psi, q = x^2 - 2E.
-
-    Shape (max_order + 1, 2, max_order + 1, max_order // 2 + 1). The
-    recursion is _leibniz_rows' with x and q raising the powers i and j:
-    c[m+2] = q c[m] + 2 m x c[m-1] + m (m - 1) c[m-2], from P_0 = Q_1 = 1.
-    """
-    # two zero tables below c[0], as in _leibniz_rows
-    c = np.zeros((max_order + 3, 2, max_order + 1, max_order // 2 + 1), dtype=np.int64)
-    c[2, 0, 0, 0] = c[3, 1, 0, 0] = 1
-    for m in range(max_order - 1):
-        c[m + 4, :, :, 1:] += c[m + 2, :, :, :-1]
-        c[m + 4, :, 1:] += (2 * m) * c[m + 1, :, :-1]
-        c[m + 4] += (m * (m - 1)) * c[m]
-    return c[2:]
+        row = q * rows[m]
+        if m > 0:
+            row += (2.0 * m) * x * rows[m - 1]
+        if m > 1:
+            row += (m * (m - 1.0)) * rows[m - 2]
+        rows.append(row)
+        yield row
 
 
 def _batched_det(mat: np.ndarray):
@@ -351,17 +338,17 @@ class _RowTable:
       W(u_0..u_{k-1}, psi) and of its derivative: the last row of L^-1, with
       the swaps undone, by the elimination the full (k+1)-column determinant
       runs on its seed columns.
-    W is checked once, before anything is divided by it. The iso ratios fold
-    the cofactors, 1/W and W'/W into per-point coefficients of polynomials
-    in q = x^2 - 2E_n, once per system in long double, cast to float64; a
-    level then costs one float64 Horner pass in q and psi_n, psi_n' from one
-    float64 oscillator ladder that steps forward as n grows.
+    W is checked once, before anything is divided by it. An iso level is
+    psi_n's own Leibniz rows against those cofactors over W, in float64:
+    the cofactors and W'/W are cast once per system, and psi_n, psi_n' come
+    from one float64 oscillator ladder that steps forward as n grows.
     """
 
     def __init__(self, seeds: "SeedFamily"):
         self.x = x = seeds.x
         self.k = k = seeds.k
-        self.rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
+        self.rows = np.stack(list(_leibniz_rows(seeds.values, seeds.derivs, seeds.energies,
+                                                x, k + 1)))
         self.w, lu, perm = _batched_det(self.rows[:k])
         # signs, not products: the product of two far-tail values can overflow
         if np.any(np.signbit(self.w) != np.signbit(self.w[0])) or np.any(np.abs(self.w) < 1e-280):
@@ -379,61 +366,32 @@ class _RowTable:
         for d in (0, 1):
             rows = list(range(k)) + [k + d]
             self.cof[d, rows] = _last_column_cofactors(self.rows[rows]) / self.w
-        # the iso levels' grid: float64, as the fold's outputs
+        # the iso levels' inputs in float64, the iso route's one cast
         self.x64 = np.asarray(x, dtype=float)
+        self._cof64, self._dlog_w64 = self.cof.astype(float), self.dlog_w.astype(float)
         self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x64), -1, None
 
-    @functools.cached_property
-    def _iso_coeffs(self) -> list:
-        """Per-point coefficients of alpha, beta, gamma and delta in powers of q.
-
-        For every psi'' = q psi, W(u_0..u_{k-1}, psi)/W = alpha psi + beta psi'
-        and its derivative is gamma psi + delta psi': the cofactor expansion
-        along the psi column with psi^(m) = P_m psi + Q_m psi', divided by W,
-        and (N/W)' = N'/W - (W'/W) N/W. Each entry is a (degree + 1,
-        n_points) array, row j the coefficient of q^j, cut at its last row
-        that is not zero everywhere (at most (k + 1) // 2). Folded in long
-        double, returned in float64: the iso route's one cast.
-        """
-        k, x = self.k, self.x
-        powers = [np.ones_like(x)]
-        for _ in range(k + 1):
-            powers.append(powers[-1] * x)
-        out = np.zeros((2, 2, (k + 1) // 2 + 1, x.size), dtype=x.dtype)
-        c = _leibniz_polynomials(k + 1)
-        for m, b, i, j in np.argwhere(c):
-            out[:, b, j] += self.cof[:, m] * (int(c[m, b, i, j]) * powers[i])
-        out[1] -= self.dlog_w * out[0]
-        # alpha, beta and delta can fall a power of q short of (k + 1) // 2
-        return [c[:1 + max((j for j in range(len(c)) if c[j].any()), default=0)].astype(float)
-                for c in out.reshape(4, -1, x.size)]
-
     def iso_ratio(self, n: int):
-        """W(u_0..u_{k-1}, psi_n)/W and its derivative, by Horner in q, in float64."""
+        """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64.
+
+        The cofactor expansion along the psi column, sum_m cof[d, m] psi_n^(m),
+        as psi_n's rows come; (N/W)' = N'/W - (W'/W) N/W.
+        """
         if n < self._psi_n:
             self._ladder, self._psi_n = _oscillator_ladder(self.x64), -1
         while self._psi_n < n:
             self._psi = next(self._ladder)
             self._psi_n += 1
         psi, dpsi = self._psi
-        q = self.x64 * self.x64 - (2.0 * n + 1.0)
-
-        def times(coeffs, factor):
-            # (sum_j coeffs[j] q^j) * factor, Horner in place on one new array
-            if len(coeffs) == 1:
-                return coeffs[0] * factor
-            acc = coeffs[-1] * q
-            for c in coeffs[-2:0:-1]:
-                acc += c
-                acc *= q
-            acc += coeffs[0]
-            acc *= factor
-            return acc
-
-        alpha, beta, gamma, delta = self._iso_coeffs
-        value, deriv = times(alpha, psi), times(gamma, psi)
-        value += times(beta, dpsi)
-        deriv += times(delta, dpsi)
+        value, deriv = np.zeros_like(psi), np.zeros_like(psi)
+        cof, k = self._cof64, self.k
+        # psi^(k+1) is not in the numerator's row set, nor psi^(k) in its derivative's
+        for m, row in enumerate(_leibniz_rows(psi, dpsi, n + 0.5, self.x64, k + 1)):
+            if m <= k:
+                value += cof[0, m] * row
+            if m != k:
+                deriv += cof[1, m] * row
+        deriv -= self._dlog_w64 * value
         return value, deriv
 
 
@@ -495,7 +453,7 @@ def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
     The raw Crum map is W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}); its L2 norm
     must match the closed form 2^{k/2} prod_j sqrt(E_n - eps_j) or the
     construction is rejected. The ratio and its derivative come from the
-    seeds' shared table, one Horner pass in q = x^2 - 2E_n per level.
+    seeds' shared table: psi_n's rows against its cofactors, in float64.
     """
     n = _level(n, "iso_state level")
     k = seeds.k

@@ -103,6 +103,29 @@ def test_document_sizes_must_be_integers(k1_doc, tmp_path, capsys, field, spelli
     assert "malformed system document" in err and "%s must be an integer" % field in err
 
 
+@pytest.mark.parametrize("spelling", [True, False, "-1.0"], ids=["true", "false", "string"])
+@pytest.mark.parametrize("field", ["eps_top", "nu", "x_min", "x_max"])
+def test_document_floats_must_be_numbers(k1_doc, tmp_path, capsys, field, spelling):
+    # false == 0.0 in Python, so "nu": false would otherwise load as nu = 0
+    doc = load_json(k1_doc)
+    doc["spec"][field] = spelling
+    bad = tmp_path / "floats.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--system", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed system document" in err and "%s must be a number" % field in err
+
+
+def test_document_float_past_float_range_refused(k1_doc, tmp_path, capsys):
+    # a JSON integer too large for a float is malformed, not a traceback
+    doc = load_json(k1_doc)
+    doc["spec"]["nu"] = 10 ** 400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--system", str(bad)]) == 2
+    assert "malformed system document" in capsys.readouterr().err
+
+
 def test_not_a_system_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"kind": "something_else"}\n')
@@ -253,6 +276,15 @@ def test_painleve_summary(k1_doc, tmp_path):
     # masked points travel as nan in the CSV
     assert np.any(np.isnan(table["residual"]))
     assert np.nanmax(table["residual"]) <= 1e-5
+
+
+def test_painleve_odd_state_on_symmetric_grid(tmp_path):
+    # nu = 0, k = 1: the half-assignment state is odd, with its node on the
+    # grid sample x = 0
+    path = str(tmp_path / "sym.json")
+    assert main(["build", "--k", "1", "--eps-top", "-1", "--nu", "0", "--nmax", "2",
+                 "--out", path]) == 0
+    assert main(["painleve", "--system", path, "--out", str(tmp_path / "piv.json")]) == 0
 
 
 def test_painleve_support_guard(k1_doc, tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from susyosc.painleve import (
     DEFAULT_GUARD_X,
     Assignment,
     GSolution,
+    _zero_crossings,
     assignment_for,
     companion_extremal_states,
     g_for_system,
@@ -131,6 +132,34 @@ def test_node_next_to_window_floor_is_guarded():
     v = potential_from_g(gs, asg.e1)
     m = np.isfinite(v)
     assert np.max(np.abs(v[m] - system.potential[m])) < 1e-5
+
+
+def test_node_on_a_grid_sample_is_found():
+    """A node that falls exactly on a sample, between samples of opposite
+    sign, counts as a node, as the sign changes between samples do."""
+    x = np.linspace(-2.0, 2.0, 9)
+    y = x * (x * x - 2.0)   # nodes at -sqrt(2), sqrt(2) and 0.0, a sample
+    assert y[4] == 0.0
+    nodes = np.sort(_zero_crossings(x, y, np.ones(8, dtype=bool)))
+    assert nodes[1] == 0.0 and np.allclose(np.abs(nodes[[0, 2]]), 1.4, atol=0.1)
+    # pairs still select: neither step beside the sample is wanted
+    pairs = np.ones(8, dtype=bool)
+    pairs[3:5] = False
+    assert 0.0 not in _zero_crossings(x, y, pairs)
+
+
+def test_odd_state_node_at_the_centre_is_guarded():
+    """With nu = 0 and odd k the half-assignment state is odd, so it is 0.0
+    at x = 0, a sample of the symmetric grid: the node must still get its
+    guard band, or g ~ -1/x beside it spoils the residual."""
+    system = build_system(SystemSpec(k=1, eps_top=-1.0, nu=0.0), n_max=0)
+    x, phi = system.x, system.state("iso", 0).values
+    assert phi[x == 0.0] == 0.0 and np.all(phi[:-1] * phi[1:] >= 0.0)
+    gs = g_for_system(system, "half")
+    assert _masked_runs(gs) == 1
+    assert np.all(np.isnan(gs.g[np.abs(x) <= DEFAULT_GUARD_X]))
+    asg = gs.assignment
+    assert piv_residual(gs, asg.a, asg.b).max < 1e-5
 
 
 def test_eps0_assignment_is_nodeless(k4_system):

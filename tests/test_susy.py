@@ -22,7 +22,6 @@ from susyosc.susy import (
     SystemSpec,
     _batched_det,
     _last_column_cofactors,
-    _leibniz_polynomials,
     _leibniz_rows,
     _lu_solve,
     _oscillator_ladder,
@@ -387,13 +386,13 @@ def _iso_by_full_elimination(seeds, levels):
     seeds' Leibniz rows with psi_n's stacked beside them, the whole
     (k+1)x(k+1) matrix eliminated, psi_n from the long-double ladder."""
     k, x = seeds.k, seeds.x
-    rows = _leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)
+    rows = np.stack(list(_leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)))
     w = _batched_det(rows[:k])[0]
     dw = _batched_det(rows[list(range(k - 1)) + [k]])[0]
     psis = list(itertools.islice(_oscillator_ladder(x), max(levels) + 1))
     for n in levels:
         psi, dpsi = psis[n]
-        psi_rows = _leibniz_rows(psi[None], dpsi[None], [n + 0.5], x, k + 1)
+        psi_rows = np.stack(list(_leibniz_rows(psi[None], dpsi[None], [n + 0.5], x, k + 1)))
         full = np.concatenate([rows, psi_rows], axis=1)
         numer = _batched_det(full[:k + 1])[0]
         dnumer = _batched_det(full[list(range(k)) + [k + 1]])[0]
@@ -402,13 +401,12 @@ def _iso_by_full_elimination(seeds, levels):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_laplace_numerator_matches_full_determinant(k):
-    """Iso ratio and its derivative: folded q-polynomials vs elimination.
+    """Iso ratio and its derivative: Laplace expansion vs elimination.
 
-    The shared table folds the Laplace cofactors along the psi_n column, 1/W
-    and W'/W into coefficients of polynomials in q = x^2 - 2E_n; the direct
-    route stacks psi_n's Leibniz rows beside the seeds' and eliminates the
-    whole (k+1)x(k+1) matrix. Levels go down as well as up, so the table's
-    psi ladder restarts on the way.
+    The shared table sums psi_n's Leibniz rows against the cofactors along
+    the psi_n column over W; the direct route stacks those rows beside the
+    seeds' and eliminates the whole (k+1)x(k+1) matrix. Levels go down as
+    well as up, so the table's psi ladder restarts on the way.
     """
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
     levels = (12, 0, 3, 31)
@@ -426,13 +424,14 @@ _PIN_SPECS = [(1, -1.0, 0.5), (2, -1.3, 0.3), (3, -2.1, -0.4), (4, -2.8, -0.9),
 def test_float64_iso_ladder_matches_long_double_elimination(k, eps_top, nu, x_max, n_points):
     """The iso ladder's one cast to float64 costs float64 rounding, no more.
 
-    The table folds its coefficients in long double and rounds them once;
-    the psi_n ladder and the Horner pass run in float64. Against the
-    long-double full elimination, every level n <= 32 reads at most 4.3e-15
-    of its maximum (values and derivatives), and n = 0 at most 8.9e-14
-    pointwise where phi_0 is at least 1e-8 of its maximum (k 5 on 4201
-    points); the bounds are about 4x those. The long double that matters
-    sits in the eliminations: run in float64, they fail this pin.
+    The table forms its cofactors and W'/W in long double and rounds them
+    once; the psi_n ladder, its Leibniz rows and the cofactor sums run in
+    float64. Against the long-double full elimination, every level n <= 32
+    reads at most 4.5e-15 (values) and 5.6e-15 (derivatives) of its
+    maximum, and n = 0 at most 8.9e-14 pointwise where phi_0 is at least
+    1e-8 of its maximum (k 5 on 4201 points); the bounds are 3.5x to 4.5x
+    those. The long double that matters sits in the eliminations: run in
+    float64, they fail this pin.
     """
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu, x_min=-x_max,
                                         x_max=x_max, n_points=n_points))
@@ -448,27 +447,24 @@ def test_float64_iso_ladder_matches_long_double_elimination(k, eps_top, nu, x_ma
 
 
 def test_psi_rows_match_hermite_closed_form():
-    """psi_n^(m) = P_m psi_n + Q_m psi_n', m <= 6, vs differentiating H_n(x) e^{-x^2/2}.
+    """_leibniz_rows on psi_n, m <= 6, vs differentiating H_n(x) e^{-x^2/2}.
 
-    P_m and Q_m are the integer polynomials in (x, q = x^2 - 2E_n) the iso
-    ratios are folded with; each derivative of the closed form maps its
-    polynomial prefactor P to P' - x P.
+    These are the rows each iso level sums against the cofactors, in
+    float64; each derivative of the closed form maps its polynomial
+    prefactor P to P' - x P.
     """
-    polys = _leibniz_polynomials(6)
-    assert [(p[0, 0], q[0, 0]) for p, q in polys[:3]] == [(1, 0), (0, 1), (0, 0)]
-    x = np.linspace(-6.0, 6.0, 1201).astype(np.longdouble)
-    gauss = np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0)
+    x = np.linspace(-6.0, 6.0, 1201)
+    gauss = np.exp(-x ** 2 / 2.0)
     for n in (9, 0, 16, 4, 1):
         psi, dpsi = _oscillator_pair(n, x)
-        q = x * x - (2.0 * n + 1.0)
         prefactor = Hermite.basis(n).convert(kind=Polynomial) \
             / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
-        for p, dp in polys:
-            got = sum(c * x ** i * q ** j for (i, j), c in np.ndenumerate(p) if c) * psi \
-                + sum(c * x ** i * q ** j for (i, j), c in np.ndenumerate(dp) if c) * dpsi
-            want = prefactor(np.asarray(x, dtype=float)) * gauss
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(np.asarray(got, dtype=float) - want)) < 1e-12 * scale
+        rows = list(_leibniz_rows(psi, dpsi, n + 0.5, x, 6))
+        assert len(rows) == 7 and rows[0] is psi and rows[1] is dpsi
+        for got in rows:
+            want = prefactor(x) * gauss
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
             prefactor = prefactor.deriv() - Polynomial([0.0, 1.0]) * prefactor
 
 
