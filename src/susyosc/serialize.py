@@ -121,10 +121,10 @@ def load_system(path: str):
     """Rebuild the system a document describes, verifying the document.
 
     Returns (system, document). The spec is validated first (k, n_points
-    and n_max must be JSON integers, not floats or booleans; eps_top, nu,
-    x_min and x_max JSON numbers, not booleans or strings), the system is
-    rebuilt deterministically, and the rebuilt document must parse to the
-    values of the loaded one; anything else is reported as corruption.
+    and n_max must be JSON integers, not floats or booleans; SystemSpec
+    refuses an eps_top, nu, x_min or x_max that is not a JSON number), the
+    system is rebuilt deterministically, and the rebuilt document must parse
+    to the values of the loaded one; anything else is reported as corruption.
     """
     doc = load_json(path)
     if doc.get("kind") != "susy_system":
@@ -138,12 +138,8 @@ def load_system(path: str):
         for name, value in sizes.items():
             if not _is_whole(value):
                 raise ValueError("%s must be an integer, got %r" % (name, value))
-        floats = {name: raw.pop(name) for name in ("eps_top", "nu", "x_min", "x_max")}
-        for name, value in floats.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError("%s must be a number, got %r" % (name, value))
         spec = SystemSpec(k=sizes["k"], n_points=sizes["n_points"],
-                          **{name: float(value) for name, value in floats.items()})
+                          **{name: raw.pop(name) for name in ("eps_top", "nu", "x_min", "x_max")})
         if raw:
             raise UsageError("unknown spec fields %s in %s" % (sorted(raw), path))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -11,13 +11,13 @@ Wronskian derivatives are taken analytically. Every column (seed or
 oscillator eigenstate) solves u'' = q u with q = x^2 - 2 eps, so Leibniz's
 rule gives its derivative rows u^(m+2) = q u^(m) + 2 m x u^(m-1) +
 m (m - 1) u^(m-2) straight on the grid. A system keeps one table of the seed
-rows m = 0..k+1, and four points-last eliminations with partial pivoting
-give every ratio over it: W and W' as determinants, the new states'
-numerators over W as A^-1 e_{k-2}, A^-1 e_{k-1} of the seed block A, and the
-cofactors along the psi_n column of an iso numerator W(u_0..u_{k-1}, psi_n)
-and of its derivative, the same for every n, as the last row of L^-1. Each
-level then sums psi_n's own rows, from the same recursion, against those
-cofactors over W.
+rows m = 0..k+1, and three points-last eliminations with partial pivoting
+give every ratio over it: W as a determinant, the new states' numerators
+over W as A^-1 e_{k-2}, A^-1 e_{k-1} of the seed block A, and the cofactors
+along the psi_n column of an iso numerator W(u_0..u_{k-1}, psi_n) and of its
+derivative, the same for every n, as the last row of L^-1; over W they give
+W'/W = -cof[0, k-1] and W''/W = cof[0, k-2] - cof[1, k-1] too. Each level
+then sums psi_n's own rows, from the same recursion, against them.
 
 Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
 ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
@@ -29,10 +29,9 @@ Seeds, rows, determinants, the potential and the new states are evaluated in
 extended precision (x86 long double). The determinants cancel heavily in the
 far tails, amplifying entry rounding by several orders of magnitude;
 double-precision entries leave visible point-to-point jitter in the states
-there, extended-precision entries do not. The cofactors and W'/W are cast
-to float64 once per system, after that cancellation; the psi_n ladder, its
-rows and the sums run in float64, about 6e-15 of a state's maximum from
-long double.
+there, extended-precision entries do not. The cofactors are cast to float64
+once per system, after that cancellation; the psi_n ladder, its rows and
+the sums run in float64, about 6e-15 of a state's maximum from long double.
 """
 
 from __future__ import annotations
@@ -86,8 +85,12 @@ class SystemSpec:
 
     def __post_init__(self):
         for name in ("eps_top", "nu", "x_max", "x_min"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpecError("%s must be finite, got %s" % (name, getattr(self, name)))
+            value = getattr(self, name)   # false == 0.0, so a bool is refused by name
+            if not (_is_whole(value) or isinstance(value, (float, np.floating))):
+                raise InvalidSpecError("%s must be a number, got %r" % (name, value))
+            if not math.isfinite(value):
+                raise InvalidSpecError("%s must be finite, got %s" % (name, value))
+            object.__setattr__(self, name, float(value))
         if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.eps_top < 0.5:
@@ -97,6 +100,9 @@ class SystemSpec:
             raise InvalidSpecError("|nu| < 1 required for a nodeless seed, got %g" % self.nu)
         if not self.x_min < self.x_max:
             raise InvalidSpecError("empty grid: x_min=%g >= x_max=%g" % (self.x_min, self.x_max))
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.x_min + self.x_max)):
+            raise InvalidSpecError("grid overflows: x_max - x_min and x_min + x_max must be "
+                                   "finite, got x_min=%g, x_max=%g" % (self.x_min, self.x_max))
         if not _is_whole(self.n_points) or self.n_points < 401 or self.n_points % 2 == 0:
             raise InvalidSpecError("n_points must be an odd integer >= 401, got %r"
                                    % (self.n_points,))
@@ -235,7 +241,7 @@ def _oscillator_ladder(x):
 
 
 # ----------------------------------------------------------------------
-# Wronskian ratios from Leibniz rows and four eliminations
+# Wronskian ratios from Leibniz rows and three eliminations
 # ----------------------------------------------------------------------
 
 def _leibniz_rows(values, derivs, energies, x, max_order: int):
@@ -329,19 +335,19 @@ def _last_column_cofactors(mat: np.ndarray) -> np.ndarray:
 class _RowTable:
     """Leibniz rows u_j^(m), m = 0..k+1, and the Wronskian ratios of one system.
 
-    Four eliminations (_batched_det) serve every ratio:
+    Three eliminations (_batched_det) serve every ratio:
     - the seed block A = [u_j^(m)], m < k, gives W, and y' = A^-1 e_{k-2},
       y = A^-1 e_{k-1}: the cofactors of A's last two rows over W, which are
       the new states' numerators and their derivatives over W;
-    - rows (0..k-2, k) give W', the one row set of the derivative of W;
     - rows 0..k and (0..k-1, k+1) give the cofactors along the psi column of
       W(u_0..u_{k-1}, psi) and of its derivative: the last row of L^-1, with
       the swaps undone, by the elimination the full (k+1)-column determinant
-      runs on its seed columns.
+      runs on its seed columns; over W they hold W'/W = -cof[0, k-1] and
+      W''/W = cof[0, k-2] - cof[1, k-1].
     W is checked once, before anything is divided by it. An iso level is
     psi_n's own Leibniz rows against those cofactors over W, in float64:
-    the cofactors and W'/W are cast once per system, and psi_n, psi_n' come
-    from one float64 oscillator ladder that steps forward as n grows.
+    the cofactors are cast once per system, and psi_n, psi_n' come from one
+    float64 oscillator ladder that steps forward as n grows.
     """
 
     def __init__(self, seeds: "SeedFamily"):
@@ -359,23 +365,21 @@ class _RowTable:
         sign = (-1.0) ** (k - 1 + np.arange(k))[:, None]
         # new state j: numerator/W and its derivative/W
         self.new_ratios = (sign * y[:, 1], -sign * y[:, 0])
-        self.dlog_w = _batched_det(self.rows[list(range(k - 1)) + [k]])[0] / self.w
         # cof[d, m]: the signed cofactor of psi^(m) in the d-th derivative of
-        # the numerator, over W
+        # the numerator, over W; deleting psi^(k-1) leaves W', so cof[0, k-1] = -W'/W
         self.cof = np.zeros((2, k + 2, x.size), dtype=x.dtype)
         for d in (0, 1):
             rows = list(range(k)) + [k + d]
             self.cof[d, rows] = _last_column_cofactors(self.rows[rows]) / self.w
         # the iso levels' inputs in float64, the iso route's one cast
-        self.x64 = np.asarray(x, dtype=float)
-        self._cof64, self._dlog_w64 = self.cof.astype(float), self.dlog_w.astype(float)
+        self.x64, self._cof64 = np.asarray(x, dtype=float), self.cof.astype(float)
         self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x64), -1, None
 
     def iso_ratio(self, n: int):
         """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64.
 
         The cofactor expansion along the psi column, sum_m cof[d, m] psi_n^(m),
-        as psi_n's rows come; (N/W)' = N'/W - (W'/W) N/W.
+        as psi_n's rows come; (N/W)' = N'/W - (W'/W) N/W with W'/W = -cof[0, k-1].
         """
         if n < self._psi_n:
             self._ladder, self._psi_n = _oscillator_ladder(self.x64), -1
@@ -391,7 +395,7 @@ class _RowTable:
                 value += cof[0, m] * row
             if m != k:
                 deriv += cof[1, m] * row
-        deriv -= self._dlog_w64 * value
+        deriv += cof[0, k - 1] * value
         return value, deriv
 
 
@@ -401,15 +405,14 @@ def potential(seeds: SeedFamily):
     Raises SingularPotentialError if W crosses or touches zero anywhere on
     the grid, since the partner then has a singularity.
     """
-    table, k = seeds._table, seeds.k
+    cof, k = seeds._table.cof, seeds.k
     # (ln W)'' = W''/W - (W'/W)^2, formed from ratios to keep the dynamic
-    # range of W itself out of the subtraction. W'' is the sum of the row
-    # sets (0..k-3, k-1, k) and (0..k-2, k+1), the cofactors of psi^(k-2) and
-    # -psi^(k-1) in the iso numerator and its derivative; for k = 1 the index
-    # k - 2 = -1 reads cof[0, k+1], which is zero.
-    r1 = table.dlog_w
-    r2 = table.cof[0, k - 2] - table.cof[1, k - 1]
-    return np.asarray(table.x * table.x / 2.0 - (r2 - r1 * r1), dtype=float)
+    # range of W itself out of the subtraction. Along the iso numerator's psi
+    # column, W' (rows 0..k-2, k) is the cofactor of -psi^(k-1), and W'' (rows
+    # 0..k-3, k-1, k plus 0..k-2, k+1) those of psi^(k-2) and, in the derivative,
+    # -psi^(k-1); for k = 1 the index k - 2 = -1 reads cof[0, k+1], which is zero.
+    d2w = cof[0, k - 2] - cof[1, k - 1]
+    return np.asarray(seeds.x * seeds.x / 2.0 - (d2w - cof[0, k - 1] ** 2), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +487,7 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
         raise DomainError("new_state level out of range 0..k-1, got %d" % j)
     table = seeds._table
     raw = table.new_ratios[0][j]
-    raw_deriv = table.new_ratios[1][j] - table.dlog_w * raw
+    raw_deriv = table.new_ratios[1][j] + table.cof[0, k - 1] * raw
     vals, ders, _ = _normalized(raw, raw_deriv, weights, 1.0)
     energy = float(seeds.energies[j])
     # the float64 step, as SusySystem.residual takes it

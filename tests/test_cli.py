@@ -399,6 +399,18 @@ def test_non_finite_spec_refused_by_name(argv, field, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_overflowing_grid_refused_by_the_spec(tmp_path, capsys):
+    """x_max - x_min = 2e308 is inf: the spec refuses it naming x_max, before
+    linspace would warn and the seed series meet an infinite argument
+    (warnings are errors here)."""
+    out = tmp_path / "out.json"
+    argv = ["build", "--k", "2", "--eps-top", "-1.3", "--nu", "0.3", "--xmax", "1e308"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid overflows") and "x_max=1e+308" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("cmd, xmax", [
     (["build"], "-3"),
     (["cs", "--family", "lin-iso", "--z", "0.5"], "0"),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Hermite, Polynomial
 
+from susyosc import susy
 from susyosc.errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from susyosc.gridops import deriv1, deriv2, simpson_weights
 from susyosc.ladder import LadderCoeffs
@@ -56,6 +57,38 @@ def test_spec_refuses_non_finite_fields_by_name():
         fields[field] = value
         with pytest.raises(InvalidSpecError, match="^%s must be finite" % field):
             SystemSpec(**fields)
+
+
+@pytest.mark.parametrize("value", [False, True, np.bool_(False), "-1.0", None, 0.5j],
+                         ids=repr)
+@pytest.mark.parametrize("field", ["eps_top", "nu", "x_min", "x_max"])
+def test_spec_refuses_non_numbers_by_name(field, value):
+    """false == 0.0 in Python, so without the type test nu=False would build
+    a system; each field is refused by name before the finiteness test."""
+    fields = dict(k=2, eps_top=-1.3, nu=0.3)
+    fields[field] = value
+    with pytest.raises(InvalidSpecError, match="^%s must be a number, got " % field):
+        SystemSpec(**fields)
+
+
+def test_spec_takes_python_and_numpy_reals_as_floats():
+    # float32 bounds whose width passes the float32 range make a float64 grid
+    spec = SystemSpec(k=2, eps_top=np.float32(-1.5), nu=0, x_min=np.float32(-3e38),
+                      x_max=np.longdouble(3e38))
+    fields = (spec.eps_top, spec.nu, spec.x_min, spec.x_max)
+    assert fields == (-1.5, 0.0, float(np.float32(-3e38)), 3e38)
+    assert all(type(value) is float for value in fields)
+    assert SystemSpec(k=2, eps_top=-1, nu=0.5, x_min=np.int64(-10), x_max=10).grid()[0] == -10.0
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-1e308, 1e308), (1e308, 1.7e308), (-1.7e308, -1e308)])
+def test_spec_refuses_an_overflowing_grid_by_name(x_min, x_max):
+    """x_max - x_min or x_min + x_max past the float range would make grid()
+    and h infinite; the spec is refused naming x_max before any grid exists
+    (warnings are errors here)."""
+    want = "^grid overflows: .* x_max=%s$" % re.escape("%g" % x_max)
+    with pytest.raises(InvalidSpecError, match=want):
+        SystemSpec(k=2, eps_top=-1.3, nu=0.3, x_min=x_min, x_max=x_max)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -322,9 +355,26 @@ def test_new_state_ratios_match_minors(k):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_row_table_runs_three_eliminations(k, monkeypatch):
+    """The seed block, then the iso numerator's and its derivative's row
+    sets: W'/W and W''/W are read off the cofactors, so no row set of W' or
+    W'' is eliminated on its own."""
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape[:2])
+        return _batched_det(mat)
+
+    monkeypatch.setattr(susy, "_batched_det", counted)
+    build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
+    assert calls == [(k, k), (k + 1, k), (k + 1, k)]
+
+
 @pytest.mark.parametrize("k, eps_top, nu", [(3, -2.5, 0.3), (5, -1.45, 0.5)])
 def test_ratios_match_exact_arithmetic(k, eps_top, nu):
-    """Iso ratio and derivative, new-state ratios and (ln W)'' vs 80-digit mpmath.
+    """Iso ratio and derivative, new-state ratios, W'/W and (ln W)'' vs
+    80-digit mpmath.
 
     The reference is rebuilt exactly from the table's own long-double rows
     and the float64 psi_n, psi_n' of its iso ladder at every 50th grid
@@ -332,9 +382,10 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
     seed entries carry in. Each bound is
     about 4x the worst figure both this route and the earlier one of
     separate determinants read at k 5 (iso n = 31 2.3e-12 and its derivative
-    2.1e-11 relative to their maxima, new states 1.2e-15 and 1.3e-15, (ln W)''
-    6.9e-9 relative to max(1, |.|), in the tails, where the seed block is
-    worst conditioned), so a route that loses a digit fails.
+    2.1e-11 relative to their maxima, new states 1.2e-15 and 1.3e-15; W'/W,
+    -cof[0, k-1], 1.1e-11 and (ln W)'' 6.9e-9 relative to max(1, |.|); all
+    in the tails, where the seed block is worst conditioned), so a route
+    that loses a digit fails.
     """
     mpmath = pytest.importorskip("mpmath")
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu))
@@ -351,7 +402,8 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
             [[mp(table.rows[m, c, i]) for c in range(k)] + ([extra[m]] if extra else [])
              for m in rows]))
 
-    worst = {"iso": 0.0, "diso": 0.0, "new": 0.0, "lnw2": 0.0}
+    dlog_w = -table.cof[0, k - 1]
+    worst = {"iso": 0.0, "diso": 0.0, "new": 0.0, "dlog_w": 0.0, "lnw2": 0.0}
     iso = {n: (table.iso_ratio(n), _oscillator_pair(n, table.x64)) for n in (0, 12, 31)}
     with mpmath.workdps(80):
         for i in range(0, x.size, 50):
@@ -359,6 +411,9 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
             dw = det(list(range(k - 1)) + [k], i)
             d2w = det(list(range(k - 1)) + [k + 1], i) \
                 + (det(list(range(k - 2)) + [k - 1, k], i) if k > 1 else 0)
+            want = dw / w
+            worst["dlog_w"] = max(worst["dlog_w"],
+                                  float(abs(mp(dlog_w[i]) - want) / max(1, abs(want))))
             want = d2w / w - (dw / w) ** 2
             worst["lnw2"] = max(worst["lnw2"], float(abs(mp(lnw2[i]) - want) / max(1, abs(want))))
             for j in range(k):
@@ -377,18 +432,25 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
                 worst["iso"] = max(worst["iso"], float(abs(mp(got[i]) - ratio)) / np.max(np.abs(got)))
                 worst["diso"] = max(worst["diso"],
                                     float(abs(mp(dgot[i]) - dratio)) / np.max(np.abs(dgot)))
-    bounds = {"iso": 1e-11, "diso": 1e-10, "new": 5e-15, "lnw2": 3e-8}
+    bounds = {"iso": 1e-11, "diso": 1e-10, "new": 5e-15, "dlog_w": 5e-11, "lnw2": 3e-8}
     assert all(worst[key] < bounds[key] for key in bounds), worst
 
 
 def _iso_by_full_elimination(seeds, levels):
     """(numerator/W, its derivative) of each iso level, in long double: the
     seeds' Leibniz rows with psi_n's stacked beside them, the whole
-    (k+1)x(k+1) matrix eliminated, psi_n from the long-double ladder."""
+    (k+1)x(k+1) matrix eliminated, psi_n from the long-double ladder.
+
+    W'/W is the table's long-double -cof[0, k-1], the one route the package
+    has; test_ratios_match_exact_arithmetic pins it to exact arithmetic. A
+    separate W' determinant reads as close to exact (1.10e-11 at k 5), but
+    the iso derivatives it gives differ from the cofactor's by up to 4.6e-12
+    of their maximum, so it would pin the two routes' rounding difference,
+    not the float64 cast."""
     k, x = seeds.k, seeds.x
     rows = np.stack(list(_leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)))
     w = _batched_det(rows[:k])[0]
-    dw = _batched_det(rows[list(range(k - 1)) + [k]])[0]
+    dlog_w = -seeds._table.cof[0, k - 1]
     psis = list(itertools.islice(_oscillator_ladder(x), max(levels) + 1))
     for n in levels:
         psi, dpsi = psis[n]
@@ -396,7 +458,7 @@ def _iso_by_full_elimination(seeds, levels):
         full = np.concatenate([rows, psi_rows], axis=1)
         numer = _batched_det(full[:k + 1])[0]
         dnumer = _batched_det(full[list(range(k)) + [k + 1]])[0]
-        yield numer / w, dnumer / w - dw / w * (numer / w)
+        yield numer / w, dnumer / w - dlog_w * (numer / w)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
