@@ -537,7 +537,7 @@ def _laplace_sum(rates: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.nd
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureFn:
     """One radial measure, positive by construction, and immutable.
 
@@ -554,8 +554,9 @@ class MeasureFn:
     (_laplace_sum). A cache holds at most 2049 rates and 2049 weights,
     about 33 KB. The fields cannot be reassigned and the cached arrays
     are read-only, so measure_fn can hand one instance to every caller.
-    moment_check memoizes its moments outside the instance (_moment, at
-    most 256 entries, each keeping its measure alive: 8.4 MB of caches).
+    An instance compares by identity, and moment_check memoizes its moments
+    by (measure, order) (_moment, at most 256 entries, each keeping its
+    measure alive: 8.4 MB of caches).
     """
     family: str
     params: CSParams
@@ -651,23 +652,15 @@ class MeasureFn:
         return float(out[0]) if scalar else out.reshape(r_arr.shape)
 
 
-# one shared, immutable MeasureFn per (family, params); the oldest entry
-# goes once the store is full, and a refused build is never stored
-_MEASURES = {}
-_MEASURES_CAP = 64
+# one LRU store of 64 measures by (family, params); a refused build is never stored
+_measure_store = functools.lru_cache(maxsize=64)(MeasureFn)
 
 
 def measure_fn(family: str, params: CSParams) -> MeasureFn:
     """The radial measure of one family tag: one shared, immutable MeasureFn
-    per (family, params), built on the first call for its key."""
-    key = (family, params)
-    m = _MEASURES.get(key)
-    if m is None:
-        m = MeasureFn(family=family, params=params)
-        if len(_MEASURES) >= _MEASURES_CAP:
-            del _MEASURES[next(iter(_MEASURES))]
-        _MEASURES[key] = m
-    return m
+    per (family, params), built on the first call for its key and kept in
+    one LRU store of 64 measures."""
+    return _measure_store(family, params)
 
 
 def _mellin_gammas(m: MeasureFn):
@@ -694,20 +687,22 @@ def _exp_minus(x):
 
 
 @functools.lru_cache(maxsize=256)
-def _moment(f, s: float, rtol: float) -> float:
-    """mellin_moment(f, s, rtol=rtol), memoized. f is _exp_minus or a bound
-    MeasureFn.profile, keyed by the identity of its measure; each entry keeps
-    that measure alive, at most 256 caches of about 33 KB, 8.4 MB in all.
-    A miss calls mellin_moment through the module global, so a wrapper
-    installed on that name still sees it."""
-    return mellin_moment(f, s, rtol=rtol)
+def _moment(m, s: float) -> float:
+    """Mellin moment of order s of m.profile at rtol _MOMENT_RTOL, or of the
+    flat lin_iso profile e^{-x} at rtol 1e-10 for m None, memoized by (measure
+    identity, order). Each entry keeps its measure alive: at most 256 caches
+    of about 33 KB, 8.4 MB. A miss reads m.profile and mellin_moment as it
+    runs, so a wrapper installed on either still sees it."""
+    if m is None:
+        return mellin_moment(_exp_minus, s, rtol=1e-10)
+    return mellin_moment(m.profile, s, rtol=_MOMENT_RTOL)
 
 
 def moment_check(m: MeasureFn, s: float):
     """(computed, expected) Mellin moment of the profile at s.
 
     computed is mellin_moment(m.profile, s, rtol=1e-7), memoized for the
-    last 256 (measure instance, order) pairs, so a repeated order evaluates
+    last 256 (measure identity, order) pairs, so a repeated order evaluates
     no profile value. expected is the Gamma product the identity
     resolution requires. s must lie strictly inside the convergence strip.
     """
@@ -717,7 +712,7 @@ def moment_check(m: MeasureFn, s: float):
         raise DomainError(
             "moment order s=%g outside the %s strip (%g, %g)"
             % (s, m.family, lo, hi))
-    computed = _moment(m.profile, s, _MOMENT_RTOL)
+    computed = _moment(m, s)
     expected = math.prod(gamma_fn(alpha + sigma * s) ** n
                          for alpha, sigma, n in _mellin_gammas(m))
     return computed, expected
@@ -745,7 +740,7 @@ def identity_resolution_check(family: str, params: CSParams) -> float:
     if family == Family.LIN_ISO:
         worst = 0.0
         for n in range(11):
-            got = _moment(_exp_minus, n + 1.0, 1e-10)
+            got = _moment(None, n + 1.0)
             worst = max(worst, abs(got / math.factorial(n) - 1.0))
         return worst
     m = measure_fn(_MEASURE_FOR[family], params)

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gridops import deriv1, largest_run
 from .painleve import GSolution, potential_from_g
-from .susy import GridState, _is_whole, _level
+from .susy import GridState, _finite_number, _is_whole, _level
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -50,9 +50,9 @@ class LadderCoeffs:
 
     gap is E_0 - eps_0, the distance from the old ground energy down to the
     bottom of the new ladder; the spectrum is E_n = n + 1/2 on the iso ladder
-    and eps_j = eps_0 + j, j = 0..k-1, on the new one. A finite gap > k - 1
-    keeps every radicand below non-negative.
-    The coherent-state layer uses the same type under the name CSParams.
+    and eps_j = eps_0 + j, j = 0..k-1, on the new one. A finite gap > k - 1,
+    a float by SystemSpec's number rule, keeps every radicand below
+    non-negative. The coherent-state layer calls this type CSParams.
     """
     gap: float
     k: int
@@ -60,15 +60,14 @@ class LadderCoeffs:
     def __post_init__(self):
         if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
-        if not math.isfinite(self.gap):
-            raise InvalidSpecError("gap must be finite, got %s" % (self.gap,))
+        object.__setattr__(self, "gap", _finite_number("gap", self.gap))
         if not self.gap > self.k - 1:
             raise InvalidSpecError(
                 "gap must exceed k-1 = %d, got %g" % (self.k - 1, self.gap))
 
     @classmethod
     def from_spec(cls, spec) -> "LadderCoeffs":
-        return cls(gap=float(spec.e_gap), k=int(spec.k))
+        return cls(gap=spec.e_gap, k=int(spec.k))
 
     @property
     def eps0(self) -> float:

@@ -5,9 +5,8 @@ two-space indentation, a trailing newline, and each float spelled by repr,
 the shortest string that parses back to the same value. Parsing a document
 and printing it again reproduces the bytes exactly. A loaded system
 document doubles as its own corruption check: the system is rebuilt from
-the stored spec and its document must parse to the same values, so a file
-written with another float spelling (17 significant digits, say) still
-loads.
+the stored spec and its document must equal the loaded one by value, so a
+file written with another float spelling (17 digits, say) still loads.
 
 CSV files get a header row and the same float spelling; masked values
 travel as nan there, while JSON documents must stay finite.
@@ -122,9 +121,9 @@ def load_system(path: str):
 
     Returns (system, document). The spec is validated first (k, n_points
     and n_max must be JSON integers, not floats or booleans; SystemSpec
-    refuses an eps_top, nu, x_min or x_max that is not a JSON number), the
-    system is rebuilt deterministically, and the rebuilt document must parse
-    to the values of the loaded one; anything else is reported as corruption.
+    refuses by name an eps_top, nu, x_min or x_max that is not a finite
+    number), the system is rebuilt deterministically, and its document must
+    equal the loaded one by value; anything else is reported as corruption.
     """
     doc = load_json(path)
     if doc.get("kind") != "susy_system":
@@ -142,10 +141,10 @@ def load_system(path: str):
                           **{name: raw.pop(name) for name in ("eps_top", "nu", "x_min", "x_max")})
         if raw:
             raise UsageError("unknown spec fields %s in %s" % (sorted(raw), path))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("malformed system document %s: %s" % (path, exc))
     system = build_system(spec, n_max=sizes["n_max"])
-    if json.loads(canonical_json(system_document(system))) != doc:
+    if system_document(system) != doc:
         raise UsageError(
             "%s does not match the system rebuilt from its spec; the file "
             "is corrupted or was written by a different build" % path)

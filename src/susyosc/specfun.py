@@ -202,14 +202,13 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
     if not flat.size:
         return np.empty_like(x)
     # one series per distinct value (a NaN is never equal to another), run
-    # in order of |x| with ties in order of first occurrence; the sums are
-    # kept per distinct value and scattered to every position that holds it
+    # in order of |x| with ties in order of first occurrence; each sum stays
+    # in total where it retired, and all scatter once the last one retires
     values, first, inverse = np.unique(flat, return_index=True, return_inverse=True,
                                        equal_nan=False)
     mags = np.abs(values)
     order = np.lexsort((first, mags))   # NaN sorts last
     xs, mags = values[order], mags[order]
-    sums = np.empty_like(xs)   # indexed as values
     small = mags.dtype.type(small)
     term, total = np.ones_like(xs), np.ones_like(xs)
     start, sliced = 0, -1
@@ -233,8 +232,7 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
         np.add(sv, tv, out=sv)
         # retired points were final, hence finite; test the active suffix
         if (n + 1) % _SERIES_QUIET == 0 and not np.isfinite(sv).all():
-            sums[order[start:]] = sv
-            raise _series_error(label, n + 1, cap, float(np.max(np.abs(sums))))
+            raise _series_error(label, n + 1, cap, float(np.max(np.abs(total))))
         # the final prefix: the first active point is tested on its own, then
         # points up to the |x| reach of the ratio in bands that double; after
         # the first retirement only every _STOP_EVERY-th term is tested, which
@@ -252,13 +250,12 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
                 end += i
                 break
             end, band = hi, 2 * band
-        if end:
-            sums[order[start:start + end]] = sv[:end]
-            start += end
-            if start == xs.size:
-                return sums[inverse].reshape(x.shape)
-    sums[order[start:]] = total[start:]
-    raise _series_error(label, cap, cap, float(np.max(np.abs(sums))))
+        start += end
+        if start == xs.size:
+            sums = np.empty_like(total)
+            sums[order] = total
+            return sums[inverse].reshape(x.shape)
+    raise _series_error(label, cap, cap, float(np.max(np.abs(total))))
 
 
 def _finite_arg(x, label):

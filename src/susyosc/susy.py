@@ -61,6 +61,19 @@ def _is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _finite_number(name: str, value) -> float:
+    """value as a Python float; a bool (false == 0.0), a non-number, a NaN, an
+    infinity or an integer past the float range is refused by name."""
+    if not (_is_whole(value) or isinstance(value, (float, np.floating))):
+        raise InvalidSpecError("%s must be a number, got %r" % (name, value))
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:   # a Python int, whose digits would flood the message
+        value = "an integer of %d bits" % value.bit_length()
+    raise InvalidSpecError("%s must be finite, got %s" % (name, value))
+
+
 def _level(value, what: str) -> int:
     """A ladder level as an int; anything but a non-negative integer is refused."""
     if not _is_whole(value) or value < 0:
@@ -85,12 +98,7 @@ class SystemSpec:
 
     def __post_init__(self):
         for name in ("eps_top", "nu", "x_max", "x_min"):
-            value = getattr(self, name)   # false == 0.0, so a bool is refused by name
-            if not (_is_whole(value) or isinstance(value, (float, np.floating))):
-                raise InvalidSpecError("%s must be a number, got %r" % (name, value))
-            if not math.isfinite(value):
-                raise InvalidSpecError("%s must be finite, got %s" % (name, value))
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _finite_number(name, getattr(self, name)))
         if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.eps_top < 0.5:

@@ -126,6 +126,15 @@ def test_document_float_past_float_range_refused(k1_doc, tmp_path, capsys):
     assert "malformed system document" in capsys.readouterr().err
 
 
+def test_document_integer_past_float_range_names_the_field(k1_doc, tmp_path):
+    doc = load_json(k1_doc)
+    doc["spec"]["nu"] = 10 ** 400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match="^malformed system document .*: nu must be finite"):
+        load_system(str(bad))
+
+
 def test_not_a_system_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"kind": "something_else"}\n')

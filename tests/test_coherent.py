@@ -96,6 +96,23 @@ def test_params_refuse_non_finite_gap(gap):
         CSParams(gap=gap, k=1)
 
 
+@pytest.mark.parametrize("gap, why", [(True, "a number"), ("2.5", "a number"),
+                                      (None, "a number"), (0.5j, "a number"),
+                                      (10 ** 400, "finite")],
+                         ids=["true", "str", "none", "complex", "int_past_float_range"])
+def test_params_take_gap_by_the_spec_number_rule(gap, why):
+    # true == 1 would otherwise build a gap-1 type; each value is refused by name
+    for cls in (CSParams, LadderCoeffs):
+        with pytest.raises(InvalidSpecError, match="^gap must be %s, got " % why):
+            cls(gap=gap, k=1)
+
+
+def test_params_store_gap_as_a_python_float():
+    for gap in (2, np.float32(2.5), np.float64(2.5), np.int64(3)):
+        p = CSParams(gap=gap, k=1)
+        assert type(p.gap) is float and p.gap == gap
+
+
 def test_params_from_spec(k4_params, k1_params):
     assert k4_params.gap == pytest.approx(6.3)
     assert k4_params.k == 4
@@ -695,7 +712,7 @@ def test_laplace_sum_matches_one_block_reference(mu1_k4, mu2_k4, mu3_k4, k1_para
 
 def test_measure_caches_store_live_span(mu1_k4, mu2_k4, mu3_k4, k1_params):
     built = [mu1_k4, mu2_k4, mu3_k4] + [measure_fn(fam, k1_params) for fam in MeasureFamily.ALL]
-    for m in built + list(coherent._MEASURES.values()):
+    for m in built:
         assert m._weights[0] != 0.0 and m._weights[-1] != 0.0, m.family
         assert m._rates.size == m._weights.size
         assert np.all(np.diff(m._rates) > 0.0), m.family
@@ -723,11 +740,12 @@ def test_refused_measure_not_stored(monkeypatch):
 
     monkeypatch.setattr(coherent, "_bessel_factor", refuse)
     params = CSParams(gap=2.7, k=2)
+    stored = coherent._measure_store.cache_info().currsize
     for _ in range(2):
         with pytest.raises(DomainError, match="forced refusal"):
             measure_fn(MeasureFamily.MU2, params)
     assert len(builds) == 2
-    assert (MeasureFamily.MU2, params) not in coherent._MEASURES
+    assert coherent._measure_store.cache_info().currsize == stored
 
 
 # the (k, eps_top) pool of the benchmark's measures workload
@@ -769,7 +787,7 @@ def test_moments_bitwise_as_fresh_quadrature():
 def test_repeated_moments_evaluate_no_profile_row(k4_params, monkeypatch):
     # fresh measures have no memo entries; mu3 takes both profile routes
     # (series below _MU3_SWITCH, Laplace cache)
-    monkeypatch.setattr(coherent, "_MEASURES", {})
+    coherent._measure_store.cache_clear()
     m = MeasureFn(MeasureFamily.MU3, k4_params)
     rows = _record_profile_rows(monkeypatch)
     quadratures = []
@@ -801,14 +819,48 @@ def test_moment_memo_stays_under_its_maxsize(k4_params):
     assert alive() is not None   # held by its memo entry
     maxsize = coherent._moment.cache_info().maxsize
     assert maxsize == 256
-    # cheap entries: e^{-x} at a loose tolerance, one per order
+    # cheap entries: the flat measure's e^{-x}, one per order
     for i in range(maxsize + 10):
-        coherent._moment(coherent._exp_minus, 1.0 + i / 64.0, 1e-2)
+        coherent._moment(None, 1.0 + i / 64.0)
         assert coherent._moment.cache_info().currsize <= maxsize
     assert alive() is None       # evicted, and with it the measure
     misses = coherent._moment.cache_info().misses
-    coherent._moment(coherent._exp_minus, 1.0, 1e-2)   # the oldest went first
+    coherent._moment(None, 1.0)   # the oldest went first
     assert coherent._moment.cache_info().misses == misses + 1
+
+
+def test_wrapped_profile_still_hits_the_moment_memo(k4_params, monkeypatch):
+    # a tracer that installs a fresh wrapper on MeasureFn.profile around each
+    # call changes the bound method, not the measure the memo is keyed by
+    m = MeasureFn(MeasureFamily.MU2, k4_params)
+    profile = MeasureFn.profile
+    quadratures = []
+    mellin = coherent.mellin_moment
+
+    def mellin_spy(f, s, rtol):
+        quadratures.append(s)
+        return mellin(f, s, rtol=rtol)
+
+    monkeypatch.setattr(coherent, "mellin_moment", mellin_spy)
+    results = []
+    for _ in range(2):
+        monkeypatch.setattr(MeasureFn, "profile", lambda self, x: profile(self, x))
+        results.append([moment_check(m, s) for s in (1.0, 1.5)])
+    assert quadratures == [1.0, 1.5]
+    assert results[0] == results[1]
+
+
+def test_measure_store_drops_the_least_recently_used():
+    # the store holds 64 measures; building one more drops the one used longest ago
+    coherent._measure_store.cache_clear()
+    assert coherent._measure_store.cache_info().maxsize == 64
+    pool = [CSParams(gap=1.5 + i / 8.0, k=1) for i in range(65)]
+    first = [measure_fn(MeasureFamily.MU3, p) for p in pool[:64]]
+    assert measure_fn(MeasureFamily.MU3, pool[0]) is first[0]   # now the most recent
+    measure_fn(MeasureFamily.MU3, pool[64])                     # drops pool[1]
+    assert coherent._measure_store.cache_info().currsize == 64
+    assert measure_fn(MeasureFamily.MU3, pool[0]) is first[0]
+    assert measure_fn(MeasureFamily.MU3, pool[1]) is not first[1]
 
 
 def test_density_refuses_non_finite_value(mu2_k4, mu3_k4):

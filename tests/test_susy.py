@@ -71,6 +71,16 @@ def test_spec_refuses_non_numbers_by_name(field, value):
         SystemSpec(**fields)
 
 
+@pytest.mark.parametrize("field", ["eps_top", "nu", "x_min", "x_max"])
+def test_spec_refuses_an_integer_past_the_float_range_by_name(field):
+    # float() of such an integer overflows; the refusal names the field
+    fields = dict(k=2, eps_top=-1.3, nu=0.3)
+    fields[field] = -10 ** 400 if field == "x_min" else 10 ** 400
+    with pytest.raises(InvalidSpecError, match="^%s must be finite, got an integer of 1329 "
+                       "bits$" % field):
+        SystemSpec(**fields)
+
+
 def test_spec_takes_python_and_numpy_reals_as_floats():
     # float32 bounds whose width passes the float32 range make a float64 grid
     spec = SystemSpec(k=2, eps_top=np.float32(-1.5), nu=0, x_min=np.float32(-3e38),
