@@ -345,9 +345,11 @@ def divergence_witness(z, params: CSParams) -> np.ndarray:
 
     grow without bound, so the series diverges for every z != 0 (at z = 0
     all partial sums would stay at 1, which is why that label is excluded:
-    the extremal state itself is the only member of the family). The sums
-    stop after 200 terms, or once they pass 1e30, far beyond any divergence
-    threshold a caller could reasonably probe. The loop is its own, not
+    the extremal state itself is the only member of the family). For a
+    small label the terms shrink first, for about 1/|z|^2 terms at a small
+    gap, so the sums run until they pass 1e30, however many terms that
+    takes. A label whose running term underflows to 0 before that has no
+    float64 witness and is refused by name. The loop is its own, not
     specfun._sum_series, because it returns the partial sums of a series
     that loop could only refuse.
     """
@@ -357,11 +359,14 @@ def divergence_witness(z, params: CSParams) -> np.ndarray:
     a, k = params.gap, params.k
     term = 1.0
     sums = [1.0]
-    for n in range(200):
+    n = 0
+    while sums[-1] <= 1e30:
         term *= (a + 1.0 + n) * (a - k + 1.0 + n) * w / (n + 1.0)
+        if term == 0.0:
+            raise DomainError("label z=%r is too small for a float64 divergence witness: "
+                              "the term underflows to 0 after %d terms" % (z, n + 1))
         sums.append(sums[-1] + term)
-        if sums[-1] > 1e30:
-            break
+        n += 1
     return np.asarray(sums)
 
 
@@ -612,7 +617,7 @@ class MeasureFn:
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         xv = np.atleast_1d(x_arr).astype(float).ravel()
-        if np.any(xv < 0.0):
+        if not np.all(xv >= 0.0):   # a NaN fails this too
             raise DomainError("measure profile needs x >= 0")
         if self.family == MeasureFamily.MU3:
             out = np.empty(xv.size)
@@ -635,7 +640,7 @@ class MeasureFn:
         r_arr = np.asarray(r, dtype=float)
         scalar = r_arr.ndim == 0
         rv = np.atleast_1d(r_arr).astype(float)
-        if np.any(rv <= 0.0):
+        if not np.all(rv > 0.0):
             raise DomainError("measure density needs r > 0")
         x = rv * rv
         a, k = self.params.gap, self.params.k

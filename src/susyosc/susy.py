@@ -10,14 +10,20 @@ ratios of those seeds.
 Wronskian derivatives are taken analytically. Every column (seed or
 oscillator eigenstate) solves u'' = q u with q = x^2 - 2 eps, so Leibniz's
 rule gives its derivative rows u^(m+2) = q u^(m) + 2 m x u^(m-1) +
-m (m - 1) u^(m-2) straight on the grid. A system keeps one table of the seed
-rows m = 0..k+1, and three points-last eliminations with partial pivoting
-give every ratio over it: W as a determinant, the new states' numerators
-over W as A^-1 e_{k-2}, A^-1 e_{k-1} of the seed block A, and the cofactors
-along the psi_n column of an iso numerator W(u_0..u_{k-1}, psi_n) and of its
-derivative, the same for every n, as the last row of L^-1; over W they give
-W'/W = -cof[0, k-1] and W''/W = cof[0, k-2] - cof[1, k-1] too. Each level
-then sums psi_n's own rows, from the same recursion, against them.
+m (m - 1) u^(m-2) straight on the grid. A SeedFamily is a system's one
+table: the seed rows m = 0..k+1 and every Wronskian ratio over them, from
+three points-last eliminations with partial pivoting (_batched_det):
+- the seed block A = [u_j^(m)], m < k, gives W, and y' = A^-1 e_{k-2},
+  y = A^-1 e_{k-1}: the cofactors of A's last two rows over W, which are
+  the new states' numerators and their derivatives over W;
+- rows 0..k and (0..k-1, k+1) give the cofactors along the psi column of
+  an iso numerator W(u_0..u_{k-1}, psi) and of its derivative, the same
+  for every n: the last row of L^-1, with the swaps undone, by the
+  elimination the full (k+1)-column determinant runs on its seed columns;
+  over W they hold W'/W = -cof[0, k-1] and W''/W = cof[0, k-2] - cof[1, k-1].
+W is checked once, before anything is divided by it, so a family whose W
+vanishes is refused as it is built. An iso level is psi_n's own Leibniz
+rows, from the same recursion, summed against those cofactors.
 
 Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
 ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
@@ -36,7 +42,6 @@ the sums run in float64, about 6e-15 of a state's maximum from long double.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -177,24 +182,6 @@ def seed_solution(x, eps: float, nu: float):
     return u, du
 
 
-@dataclass
-class SeedFamily:
-    """The k chained seeds evaluated on a grid, energies ascending."""
-    x: np.ndarray
-    energies: np.ndarray
-    values: np.ndarray   # shape (k, n_points)
-    derivs: np.ndarray   # shape (k, n_points)
-
-    @property
-    def k(self) -> int:
-        return len(self.energies)
-
-    @functools.cached_property
-    def _table(self) -> "_RowTable":
-        # shared by potential and every state; the family is read-only once built
-        return _RowTable(self)
-
-
 def build_seed_chain(spec: SystemSpec) -> SeedFamily:
     """Top seed from the closed form, the rest by the lowering operator, on
     the spec's grid.
@@ -204,7 +191,9 @@ def build_seed_chain(spec: SystemSpec) -> SeedFamily:
     be nodeless on the grid; a sign change means the spec escaped its
     constraints and the construction would be singular. A spec whose
     derivative table, (k + 2) x k x n_points values, would pass _MAX_VALUES
-    is refused before the grid is made.
+    is refused before the grid is made. Raises SingularPotentialError if W
+    crosses or touches zero anywhere on the grid, since the partner then has
+    a singularity.
     """
     size = (spec.k + 2) * spec.k * spec.n_points
     if size > _MAX_VALUES:
@@ -249,7 +238,7 @@ def _oscillator_ladder(x):
 
 
 # ----------------------------------------------------------------------
-# Wronskian ratios from Leibniz rows and three eliminations
+# The seed family: Leibniz rows and three eliminations
 # ----------------------------------------------------------------------
 
 def _leibniz_rows(values, derivs, energies, x, max_order: int):
@@ -340,29 +329,22 @@ def _last_column_cofactors(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-class _RowTable:
-    """Leibniz rows u_j^(m), m = 0..k+1, and the Wronskian ratios of one system.
+class SeedFamily:
+    """The k chained seeds on a grid, energies ascending: the table of their
+    Leibniz rows and Wronskian ratios that the module docstring describes.
 
-    Three eliminations (_batched_det) serve every ratio:
-    - the seed block A = [u_j^(m)], m < k, gives W, and y' = A^-1 e_{k-2},
-      y = A^-1 e_{k-1}: the cofactors of A's last two rows over W, which are
-      the new states' numerators and their derivatives over W;
-    - rows 0..k and (0..k-1, k+1) give the cofactors along the psi column of
-      W(u_0..u_{k-1}, psi) and of its derivative: the last row of L^-1, with
-      the swaps undone, by the elimination the full (k+1)-column determinant
-      runs on its seed columns; over W they hold W'/W = -cof[0, k-1] and
-      W''/W = cof[0, k-2] - cof[1, k-1].
-    W is checked once, before anything is divided by it. An iso level is
-    psi_n's own Leibniz rows against those cofactors over W, in float64:
-    the cofactors are cast once per system, and psi_n, psi_n' come from one
-    float64 oscillator ladder that steps forward as n grows.
+    rows[m, j] is u_j^(m), m = 0..k+1, so rows[0] and rows[1] are the seeds'
+    values and derivatives; w is W; new_ratios the new states' numerators
+    and derivatives over W; cof[d, m] the iso cofactors over W. A W that
+    crosses or touches zero anywhere on the grid raises
+    SingularPotentialError as the family is built. _iso_ratio steps one
+    float64 psi_n ladder on x64 forward as n grows.
     """
 
-    def __init__(self, seeds: "SeedFamily"):
-        self.x = x = seeds.x
-        self.k = k = seeds.k
-        self.rows = np.stack(list(_leibniz_rows(seeds.values, seeds.derivs, seeds.energies,
-                                                x, k + 1)))
+    def __init__(self, x, energies, values, derivs):
+        self.x, self.energies = x, energies
+        self.k = k = len(energies)
+        self.rows = np.stack(list(_leibniz_rows(values, derivs, energies, x, k + 1)))
         self.w, lu, perm = _batched_det(self.rows[:k])
         # signs, not products: the product of two far-tail values can overflow
         if np.any(np.signbit(self.w) != np.signbit(self.w[0])) or np.any(np.abs(self.w) < 1e-280):
@@ -383,7 +365,7 @@ class _RowTable:
         self.x64, self._cof64 = np.asarray(x, dtype=float), self.cof.astype(float)
         self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x64), -1, None
 
-    def iso_ratio(self, n: int):
+    def _iso_ratio(self, n: int):
         """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64.
 
         The cofactor expansion along the psi column, sum_m cof[d, m] psi_n^(m),
@@ -408,12 +390,8 @@ class _RowTable:
 
 
 def potential(seeds: SeedFamily):
-    """Partner potential V_k = x^2/2 - (ln W)'' with analytic W, W', W''.
-
-    Raises SingularPotentialError if W crosses or touches zero anywhere on
-    the grid, since the partner then has a singularity.
-    """
-    cof, k = seeds._table.cof, seeds.k
+    """Partner potential V_k = x^2/2 - (ln W)'' with analytic W, W', W''."""
+    cof, k = seeds.cof, seeds.k
     # (ln W)'' = W''/W - (W'/W)^2, formed from ratios to keep the dynamic
     # range of W itself out of the subtraction. Along the iso numerator's psi
     # column, W' (rows 0..k-2, k) is the cofactor of -psi^(k-1), and W'' (rows
@@ -469,7 +447,7 @@ def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
     n = _level(n, "iso_state level")
     k = seeds.k
     energy = n + 0.5
-    raw, raw_deriv = seeds._table.iso_ratio(n)
+    raw, raw_deriv = seeds._iso_ratio(n)
     vals, ders, nrm = _normalized(raw, raw_deriv, weights, (-1.0) ** n)
     analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(energy - seeds.energies)))
     agreement = abs(nrm / analytic - 1.0)
@@ -493,9 +471,8 @@ def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
     j = _level(j, "new_state level")
     if j >= k:
         raise DomainError("new_state level out of range 0..k-1, got %d" % j)
-    table = seeds._table
-    raw = table.new_ratios[0][j]
-    raw_deriv = table.new_ratios[1][j] + table.cof[0, k - 1] * raw
+    raw = seeds.new_ratios[0][j]
+    raw_deriv = seeds.new_ratios[1][j] + seeds.cof[0, k - 1] * raw
     vals, ders, _ = _normalized(raw, raw_deriv, weights, 1.0)
     energy = float(seeds.energies[j])
     # the float64 step, as SusySystem.residual takes it
@@ -577,7 +554,7 @@ def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     if not _is_whole(n_max) or n_max < 0:
         raise InvalidSpecError("n_max must be a non-negative integer, got %r" % (n_max,))
     seeds = build_seed_chain(spec)
-    x = np.asarray(seeds.x, dtype=float)
+    x = seeds.x64
     weights = simpson_weights(x.size, spec.h)
     v = potential(seeds)
     iso = [iso_state(seeds, n, weights) for n in range(n_max + 1)]

@@ -391,6 +391,44 @@ def test_divergence_witness_faster_for_larger_label(k4_params):
     assert int(np.argmax(fast > 1e6)) < int(np.argmax(slow > 1e6))
 
 
+def _witness_capped_at_200_terms(z, params):
+    """The witness as it stood with a 200-term cap, for the labels that
+    cross 1e30 inside it."""
+    a, k, w = params.gap, params.k, abs(complex(z)) ** 2
+    term, sums = 1.0, [1.0]
+    for n in range(200):
+        term *= (a + 1.0 + n) * (a - k + 1.0 + n) * w / (n + 1.0)
+        sums.append(sums[-1] + term)
+        if sums[-1] > 1e30:
+            break
+    return np.asarray(sums)
+
+
+def test_divergence_witness_runs_until_it_passes_1e30(k4_params):
+    """At |z| = 0.1 the terms shrink for about 100 terms, so a 200-term cap
+    would stop at a partial sum near 1.3; a large gap crosses even at 0.03."""
+    sums = divergence_witness(0.1, k4_params)
+    assert sums.size == 296 and sums[-1] > 1e30 >= sums[-2]
+    sums = divergence_witness(0.03, CSParams(gap=143.3, k=2))
+    assert sums.size == 1776 and sums[-1] > 1e30
+
+
+def test_divergence_witness_unchanged_where_the_cap_never_bit(k1_params):
+    for params in (k1_params, CSParams(gap=2.8, k=2), CSParams(gap=6.3, k=4)):
+        for z in (0.2, 0.5j, 1.0, 0.9 + 0.4j):
+            want = _witness_capped_at_200_terms(z, params)
+            assert want[-1] > 1e30
+            assert divergence_witness(z, params).tobytes() == want.tobytes()
+
+
+def test_divergence_witness_refuses_a_label_too_small_by_name(k4_params):
+    """At |z| = 0.01 the running term underflows to 0 long before the sums
+    could grow, so there is no float64 witness."""
+    for z in (0.01, 1e-200j):
+        with pytest.raises(DomainError, match=re.escape("label z=%r is too small" % complex(z))):
+            divergence_witness(z, k4_params)
+
+
 def test_divergence_witness_needs_nonzero_label(k4_params):
     with pytest.raises(DomainError):
         divergence_witness(0.0, k4_params)
@@ -633,6 +671,19 @@ def test_densities_positive(mu1_k4, mu2_k4, mu3_k4):
         mu1_k4.density(0.0)
     with pytest.raises(DomainError):
         mu1_k4.profile(-0.5)
+
+
+def test_measures_refuse_nan_by_name():
+    """A NaN x or r fails the x >= 0 and r > 0 tests rather than slipping
+    past them as a NaN profile or density."""
+    params = CSParams(gap=2.5, k=2)
+    for family in MeasureFamily.ALL:
+        m = measure_fn(family, params)
+        for x in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError, match="^measure profile needs x >= 0$"):
+                m.profile(x)
+            with pytest.raises(DomainError, match="^measure density needs r > 0$"):
+                m.density(x)
 
 
 def test_measure_family_tag_checked(k4_params):

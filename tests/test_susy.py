@@ -172,7 +172,7 @@ def test_seed_chain_energies_descend_by_one(k4_spec):
     h = x[1] - x[0]
     assert seeds.k == 4
     for j in range(seeds.k):
-        v = np.asarray(seeds.values[j], dtype=float)
+        v = np.asarray(seeds.rows[0, j], dtype=float)
         eps = seeds.energies[j]
         resid = deriv2(v, h)[_SL] - (x[_SL] ** 2 - 2.0 * eps) * v[_SL]
         assert np.nanmax(np.abs(resid)) / np.max(np.abs((x ** 2 - 2 * eps) * v)) < 1e-5
@@ -294,7 +294,7 @@ def test_batched_det_keeps_the_pivots_of_the_given_row_order(k):
     after the entry reversal and the sign comes from the reversal alone:
     the sign and the row order must be those of pivoting the rows in their
     given order."""
-    rows = build_seed_chain(SystemSpec(k=k, eps_top=-2.8, nu=-0.9))._table.rows[:k + 1]
+    rows = build_seed_chain(SystemSpec(k=k, eps_top=-2.8, nu=-0.9)).rows[:k + 1]
     last_first = np.flatnonzero(np.argmax(np.abs(rows[:, 0]), axis=0) == k)
     assert last_first.size > 0.9 * rows.shape[-1]
     stack = rows[..., last_first[::10]]
@@ -350,7 +350,7 @@ def test_new_state_ratios_match_minors(k):
     """numerator/W of new state j and its derivative from A^-1 vs (k-1)-column
     minors of the seed rows (the determinant route), and the table's W, bit
     for bit, from the elimination of the seed rows alone."""
-    table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
+    table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
     assert np.array_equal(table.w, _batched_det(table.rows[:k])[0])
     for j in range(k):
         cols = [c for c in range(k) if c != j]
@@ -367,9 +367,9 @@ def test_new_state_ratios_match_minors(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_row_table_runs_three_eliminations(k, monkeypatch):
-    """The seed block, then the iso numerator's and its derivative's row
-    sets: W'/W and W''/W are read off the cofactors, so no row set of W' or
-    W'' is eliminated on its own."""
+    """Building the chain eliminates the seed block, then the iso
+    numerator's and its derivative's row sets: W'/W and W''/W are read off
+    the cofactors, so no row set of W' or W'' is eliminated on its own."""
     calls = []
 
     def counted(mat):
@@ -377,7 +377,7 @@ def test_row_table_runs_three_eliminations(k, monkeypatch):
         return _batched_det(mat)
 
     monkeypatch.setattr(susy, "_batched_det", counted)
-    build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))._table
+    build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
     assert calls == [(k, k), (k + 1, k), (k + 1, k)]
 
 
@@ -399,8 +399,7 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
     """
     mpmath = pytest.importorskip("mpmath")
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu))
-    table = seeds._table
-    x = table.x
+    x = seeds.x
     lnw2 = x * x / 2.0 - potential(seeds)
 
     def mp(v):
@@ -409,12 +408,12 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
 
     def det(rows, i, extra=None):
         return mpmath.det(mpmath.matrix(
-            [[mp(table.rows[m, c, i]) for c in range(k)] + ([extra[m]] if extra else [])
+            [[mp(seeds.rows[m, c, i]) for c in range(k)] + ([extra[m]] if extra else [])
              for m in rows]))
 
-    dlog_w = -table.cof[0, k - 1]
+    dlog_w = -seeds.cof[0, k - 1]
     worst = {"iso": 0.0, "diso": 0.0, "new": 0.0, "dlog_w": 0.0, "lnw2": 0.0}
-    iso = {n: (table.iso_ratio(n), _oscillator_pair(n, table.x64)) for n in (0, 12, 31)}
+    iso = {n: (seeds._iso_ratio(n), _oscillator_pair(n, seeds.x64)) for n in (0, 12, 31)}
     with mpmath.workdps(80):
         for i in range(0, x.size, 50):
             w = det(range(k), i)
@@ -427,9 +426,9 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
             want = d2w / w - (dw / w) ** 2
             worst["lnw2"] = max(worst["lnw2"], float(abs(mp(lnw2[i]) - want) / max(1, abs(want))))
             for j in range(k):
-                sub = [[mp(table.rows[m, c, i]) for c in range(k) if c != j] for m in range(k - 1)]
+                sub = [[mp(seeds.rows[m, c, i]) for c in range(k) if c != j] for m in range(k - 1)]
                 want = (mpmath.det(mpmath.matrix(sub)) if k > 1 else 1) / w
-                got = table.new_ratios[0][j]
+                got = seeds.new_ratios[0][j]
                 worst["new"] = max(worst["new"], float(abs(mp(got[i]) - want)) / np.max(np.abs(got)))
             for n, ((got, dgot), (psi, dpsi)) in iso.items():
                 xi, q = mp(x[i]), mp(x[i]) ** 2 - (2 * n + 1)
@@ -458,9 +457,9 @@ def _iso_by_full_elimination(seeds, levels):
     of their maximum, so it would pin the two routes' rounding difference,
     not the float64 cast."""
     k, x = seeds.k, seeds.x
-    rows = np.stack(list(_leibniz_rows(seeds.values, seeds.derivs, seeds.energies, x, k + 1)))
+    rows = np.stack(list(_leibniz_rows(seeds.rows[0], seeds.rows[1], seeds.energies, x, k + 1)))
     w = _batched_det(rows[:k])[0]
-    dlog_w = -seeds._table.cof[0, k - 1]
+    dlog_w = -seeds.cof[0, k - 1]
     psis = list(itertools.islice(_oscillator_ladder(x), max(levels) + 1))
     for n in levels:
         psi, dpsi = psis[n]
@@ -483,7 +482,7 @@ def test_laplace_numerator_matches_full_determinant(k):
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
     levels = (12, 0, 3, 31)
     for n, want in zip(levels, _iso_by_full_elimination(seeds, levels)):
-        for got, ref in zip(seeds._table.iso_ratio(n), want):
+        for got, ref in zip(seeds._iso_ratio(n), want):
             assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) < 1e-12
 
 
@@ -508,7 +507,7 @@ def test_float64_iso_ladder_matches_long_double_elimination(k, eps_top, nu, x_ma
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu, x_min=-x_max,
                                         x_max=x_max, n_points=n_points))
     for n, want in enumerate(_iso_by_full_elimination(seeds, range(33))):
-        got = seeds._table.iso_ratio(n)
+        got = seeds._iso_ratio(n)
         for g, ref in zip(got, want):
             assert g.dtype == np.float64
             assert np.max(np.abs(g - ref)) < 2e-14 * np.max(np.abs(ref)), n
@@ -542,15 +541,15 @@ def test_psi_rows_match_hermite_closed_form():
 
 def test_wronskian_order_one_is_the_seed(k1_spec):
     seeds = build_seed_chain(k1_spec)
-    assert np.array_equal(seeds._table.w, seeds.values[0])
+    assert np.array_equal(seeds.w, seeds.rows[0, 0])
 
 
 def test_potential_order_one_closed_form(k1_spec):
     """V = (u'/u)^2 - x^2/2 + 2 eps for a single seed, straight from the ODE."""
     seeds = build_seed_chain(k1_spec)
     x = np.asarray(seeds.x, dtype=float)
-    u = np.asarray(seeds.values[0], dtype=float)
-    du = np.asarray(seeds.derivs[0], dtype=float)
+    u = np.asarray(seeds.rows[0, 0], dtype=float)
+    du = np.asarray(seeds.rows[1, 0], dtype=float)
     closed = (du / u) ** 2 - x * x / 2.0 + 2.0 * k1_spec.eps0
     assert np.max(np.abs(potential(seeds) - closed)) < 1e-10
 
@@ -572,27 +571,14 @@ def test_potential_tail_constant(k4_spec, k1_spec):
         assert abs(extrap - want) < 1e-2 * max(1.0, abs(want))
 
 
-def test_potential_rejects_singular_wronskian():
+def test_vanishing_wronskian_is_refused_at_construction():
+    """W = x vanishes at x = 0: building the family raises the singular-W
+    error, with no divide-by-zero warning on the way (warnings are errors
+    here), so no entry point ever holds a family with a vanishing W."""
     x = np.linspace(-2.0, 2.0, 401)
-    fake = SeedFamily(x=x, energies=np.array([0.0]),
-                      values=x[None, :].copy(), derivs=np.ones((1, x.size)))
-    with pytest.raises(SingularPotentialError):
-        potential(fake)
-
-
-@pytest.mark.parametrize("entry", ["potential", "iso_state", "new_state"])
-def test_vanishing_wronskian_is_refused_before_any_division(entry):
-    """W = x vanishes at x = 0: every entry point raises the singular-W error,
-    with no divide-by-zero warning on the way (warnings are errors here)."""
-    x = np.linspace(-2.0, 2.0, 401)
-    weights = simpson_weights(x.size, x[1] - x[0])
-    fake = SeedFamily(x=x, energies=np.array([0.0]),
-                      values=x[None, :].copy(), derivs=np.ones((1, x.size)))
-    call = {"potential": lambda: potential(fake),
-            "iso_state": lambda: iso_state(fake, 0, weights),
-            "new_state": lambda: new_state(fake, 0, weights, x * x / 2.0)}[entry]
     with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
-        call()
+        SeedFamily(x=x, energies=np.array([0.0]),
+                   values=x[None, :].copy(), derivs=np.ones((1, x.size)))
 
 
 def test_far_tail_wronskian_sign_change_refused_without_overflow():
@@ -601,6 +587,12 @@ def test_far_tail_wronskian_sign_change_refused_without_overflow():
     without an overflow warning (warnings are errors here)."""
     with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
         build_system(SystemSpec(k=60, eps_top=-1.0, nu=0.0, n_points=401))
+
+
+def test_seed_chain_refuses_a_vanishing_wronskian_itself():
+    """The chain is refused as it is built, not by its first consumer."""
+    with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
+        build_seed_chain(SystemSpec(k=60, eps_top=-1.0, nu=0.0, n_points=401))
 
 
 def test_oversized_derivative_table_refused_before_the_grid():
