@@ -571,6 +571,29 @@ def test_potential_tail_constant(k4_spec, k1_spec):
         assert abs(extrap - want) < 1e-2 * max(1.0, abs(want))
 
 
+def test_potential_rejects_singular_wronskian():
+    x = np.linspace(-2.0, 2.0, 401)
+    with pytest.raises(SingularPotentialError):
+        fake = SeedFamily(x=x, energies=np.array([0.0]),
+                          values=x[None, :].copy(), derivs=np.ones((1, x.size)))
+        potential(fake)
+
+
+@pytest.mark.parametrize("entry", ["potential", "iso_state", "new_state"])
+def test_vanishing_wronskian_is_refused_before_any_division(entry):
+    """W = x vanishes at x = 0: no entry point gets to divide by it. The
+    singular-W error comes as the family is built, with no divide-by-zero
+    warning on the way (warnings are errors here)."""
+    x = np.linspace(-2.0, 2.0, 401)
+    weights = simpson_weights(x.size, x[1] - x[0])
+    call = {"potential": lambda fake: potential(fake),
+            "iso_state": lambda fake: iso_state(fake, 0, weights),
+            "new_state": lambda fake: new_state(fake, 0, weights, x * x / 2.0)}[entry]
+    with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
+        call(SeedFamily(x=x, energies=np.array([0.0]),
+                        values=x[None, :].copy(), derivs=np.ones((1, x.size))))
+
+
 def test_vanishing_wronskian_is_refused_at_construction():
     """W = x vanishes at x = 0: building the family raises the singular-W
     error, with no divide-by-zero warning on the way (warnings are errors
