@@ -172,12 +172,15 @@ def cmd_painleve(args) -> int:
 def _refuse_family(flag: str, z: complex, params: CSParams, out: str) -> int:
     """The two family/subspace combinations that provably do not exist."""
     if flag == "docs-iso":
-        sums = divergence_witness(z if z != 0 else 1.0, params)
+        # z = 0 has no divergent series; the witness is taken at z = 1
+        label = z if z != 0 else 1 + 0j
+        sums = divergence_witness(label, params)
         write_csv(out, ["n", "partial_sum"], [np.arange(sums.size), sums])
         print("error: the displacement-operator construction has no "
               "normalizable state on the oscillator-like ladder; its norm "
-              "series diverges for every nonzero label (partial sums "
-              "written to %s)" % out, file=sys.stderr)
+              "series diverges for every nonzero label (partial sums at "
+              "z=%r%s written to %s)" % (label, "" if z != 0 else " in place of z=0", out),
+              file=sys.stderr)
     else:
         m = nilpotent_matrix(params)
         power = np.eye(params.k)

@@ -542,6 +542,19 @@ def _laplace_sum(rates: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.nd
     return out
 
 
+def _real_arg(label, name, value):
+    """value as a float array; a complex, bool, string or other non-real
+    entry (or a ragged nesting) is refused with DomainError, naming the
+    argument."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DomainError("%s needs a real %s, got %r" % (label, name, value))
+    return arr.astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureFn:
     """One radial measure, positive by construction, and immutable.
@@ -613,10 +626,11 @@ class MeasureFn:
         object.__setattr__(self, "_weights", weights)
 
     def profile(self, x):
-        """f_i(x) with x = r^2; accepts scalars or arrays."""
-        x_arr = np.asarray(x, dtype=float)
+        """f_i(x) with x = r^2; accepts real scalars or arrays. A complex or
+        non-numeric x is refused with DomainError, naming x."""
+        x_arr = _real_arg("measure profile", "x", x)
         scalar = x_arr.ndim == 0
-        xv = np.atleast_1d(x_arr).astype(float).ravel()
+        xv = np.atleast_1d(x_arr).ravel()
         if not np.all(xv >= 0.0):   # a NaN fails this too
             raise DomainError("measure profile needs x >= 0")
         if self.family == MeasureFamily.MU3:
@@ -635,11 +649,12 @@ class MeasureFn:
 
         A radius where the value is not finite (the profile underflows to
         zero while the norm series overflows, or 0F2 itself overflows) is
-        refused with DomainError rather than returned as NaN.
+        refused with DomainError rather than returned as NaN, and so is a
+        complex or non-numeric r, naming r.
         """
-        r_arr = np.asarray(r, dtype=float)
+        r_arr = _real_arg("measure density", "r", r)
         scalar = r_arr.ndim == 0
-        rv = np.atleast_1d(r_arr).astype(float)
+        rv = np.atleast_1d(r_arr)
         if not np.all(rv > 0.0):
             raise DomainError("measure density needs r > 0")
         x = rv * rv

@@ -23,8 +23,12 @@ Every adaptive integral runs over (0, inf) in integral_zero_inf, the
 package's one node-doubling loop: composite Simpson in u = t / (1 + t),
 doubling the nodes until two successive estimates agree. Each level's nodes
 are the even nodes of the next, so a doubling run evaluates its integrand
-once per node and every later level only on its new odd nodes. A level is
-refused before it would hold more than _MAX_VALUES integrand values, and the
+once per node and every later level only on its new odd nodes. The run
+keeps two Simpson sums, over the odd and the even nodes of its level; the
+even sum of the next level is exactly a quarter of the odd sum plus half the
+even one, so each level dots its new values with their weights and drops
+them, and no array of a whole level is built. A level is refused before the
+run would evaluate more than _MAX_VALUES integrand values, and the
 quadrature entry points refuse a NaN parameter by name, as the series do.
 """
 
@@ -43,7 +47,10 @@ _SERIES_QUIET = 50       # terms between the finiteness tests of a running sum
 _STOP_BAND = 64          # active points tested first for a final sum
 _STOP_EVERY = 8          # terms between the stop tests once a point has retired
 _MAX_NODES = 2 ** 20
-_MAX_VALUES = 2 ** 22   # integrand values one doubling level may hold: 32 MB
+# the most float64 values (32 MB) that one doubling run may evaluate, nodes
+# times batch width, or that a derivative table may hold (susy); a doubling
+# level holds only the values of its n/2 new nodes
+_MAX_VALUES = 2 ** 22
 _CHUNK = 512            # values of c or z per shared node-doubling run
 
 
@@ -333,32 +340,30 @@ def integral_zero_inf(f, rtol: float = 1e-10):
     (a batch of integrands sharing the nodes); integration runs along the
     first axis. The integrand has to vanish at infinity. Each rule's nodes
     are the even nodes of the next one, so each doubling evaluates f only on
-    the new odd nodes and reuses the previous level's values on the even
-    ones: f sees every node once and should not make a node's value depend
-    on the rest of its batch. The rule stops doubling at _MAX_NODES, and
-    refuses a level whose nodes times the batch width would pass
-    _MAX_VALUES values. rtol must be finite and >= 0.
+    the new odd nodes: f sees every node once, n/2 of them per call after
+    the first 32, and should not make a node's value depend on the rest of
+    its batch. The estimate is the sum O + E of two running Simpson sums over
+    the odd and the even nodes. The coarse rule's weights, halved for the
+    even and quartered for the odd nodes, are the fine rule's weights on its
+    even nodes, so doubling sets E to O/4 + E/2, exactly in powers of two,
+    and O to the new values dotted with their weights; the values are then
+    dropped. The rule stops doubling at _MAX_NODES, and refuses a level
+    whose nodes times the batch width would pass _MAX_VALUES values. rtol
+    must be finite and >= 0.
     """
     _require_finite("integral_zero_inf", rtol=rtol)
     if rtol < 0.0:
         raise DomainError("integral_zero_inf needs rtol >= 0, got %g" % rtol)
     n = 32
-    prev = est = vals = None
-    while n <= _MAX_NODES:
-        if vals is not None and n * vals[0].size > _MAX_VALUES:
-            raise QuadratureError(
-                "semi-infinite integral would hold %d values at %d nodes, more than %d"
-                % (n * vals[0].size, n, _MAX_VALUES), nodes_used=n // 2, last_estimate=est)
-        nodes, weights = _semi_infinite_rule(n)
-        if vals is None:
-            vals = np.asarray(f(nodes), dtype=float)
-        else:
-            new = np.asarray(f(nodes[1::2]), dtype=float)
-            full = np.empty((nodes.size,) + new.shape[1:])
-            full[0::2], full[1::2] = vals, new
-            vals = full
+    nodes, weights = _semi_infinite_rule(n)
+    vals = np.asarray(f(nodes), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        odd = np.tensordot(weights[1::2], vals[1::2], axes=(0, 0))
+        even = np.tensordot(weights[0::2], vals[0::2], axes=(0, 0))
+    prev = change = None
+    while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            est = np.tensordot(weights, vals, axes=(0, 0))
+            est = odd + even
         if not np.all(np.isfinite(est)):
             # refused at once: more nodes cannot undo an overflow
             raise QuadratureError("semi-infinite integral overflowed at %d nodes" % n,
@@ -366,15 +371,30 @@ def integral_zero_inf(f, rtol: float = 1e-10):
         if prev is not None:
             scale = np.max(np.abs(est))
             tol = rtol * np.maximum(np.abs(est), 1e-9 * scale) + 1e-300
-            if np.all(np.abs(est - prev) <= tol):
+            change = np.abs(est - prev)
+            if np.all(change <= tol):
                 return est
         prev = est
         n *= 2
+        if n > _MAX_NODES:
+            break
+        if n * est.size > _MAX_VALUES:
+            raise QuadratureError(
+                "semi-infinite integral would evaluate %d values at %d nodes, more than %d"
+                % (n * est.size, n, _MAX_VALUES), nodes_used=n // 2, last_estimate=est)
+        nodes, weights = _semi_infinite_rule(n)
+        new = np.asarray(f(nodes[1::2]), dtype=float)
+        # with h halved, the coarse weights 4h/3 (odd) and 2h/3 (even; h/3 at
+        # u = 0) become h/3 (h/6 at u = 0) on the fine rule's even nodes
+        even = odd / 4.0 + even / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            odd = np.tensordot(weights[1::2], new, axes=(0, 0))
+        del new   # the level's values go before f runs on the next one
     raise QuadratureError(
         "semi-infinite integral did not settle below rtol=%g within %d nodes" % (rtol, _MAX_NODES),
         nodes_used=n // 2,
         last_estimate=est,
-        last_change=None if prev is None else float(np.max(np.abs(est - prev))),
+        last_change=float(np.max(change)),
     )
 
 

@@ -200,6 +200,21 @@ def test_displacement_on_iso_ladder_refused(tmp_path, capsys):
     assert np.any(table["partial_sum"] > 1e6)
 
 
+def test_displacement_witness_names_its_label(tmp_path, capsys):
+    # z = 0 has no divergent series: the witness is that of z = 1, and says so
+    tables = {}
+    for text, label in (("0,0", "z=(1+0j) in place of z=0 written"),
+                        ("1.0", "z=(1+0j) written")):
+        witness = tmp_path / ("witness_%s.csv" % text)
+        rc = main(["cs"] + _K4_FLAGS
+                  + ["--family", "docs-iso", "--z", text,
+                     "--witness-out", str(witness), "--out", str(tmp_path / "cs.json")])
+        assert rc == 2
+        assert label in capsys.readouterr().err
+        tables[text] = witness.read_text()
+    assert tables["0,0"] == tables["1.0"]
+
+
 def test_annihilation_on_new_ladder_refused(tmp_path, capsys):
     witness = tmp_path / "powers.csv"
     rc = main(["cs"] + _K4_FLAGS

@@ -11,6 +11,7 @@ import cmath
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -684,6 +685,32 @@ def test_measures_refuse_nan_by_name():
                 m.profile(x)
             with pytest.raises(DomainError, match="^measure density needs r > 0$"):
                 m.density(x)
+
+
+@pytest.mark.parametrize("method, arg, name", [
+    ("profile", 1j, "x"), ("density", 1j, "r"), ("profile", [1.0, 2j], "x"),
+    ("profile", "a", "x"), ("density", True, "r"),
+], ids=["profile-complex", "density-complex", "profile-complex-entry", "profile-string",
+        "density-bool"])
+def test_measures_refuse_non_real_arguments_by_name(method, arg, name):
+    m = measure_fn(MeasureFamily.MU1, CSParams(gap=2.5, k=2))
+    message = "measure %s needs a real %s, got %r" % (method, name, arg)
+    with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+        getattr(m, method)(arg)
+
+
+def test_measure_builds_stay_small():
+    # the doubling keeps two running sums, not whole levels of the 512-wide
+    # cache batch: the mu2 build peaked at 8.5 MB with whole levels, 2.5 now
+    params = CSParams.from_spec(SystemSpec(4, -2.8, 0.0))
+    MeasureFn(MeasureFamily.MU2, CSParams(gap=3.1, k=2))   # imports and first-use caches
+    tracemalloc.start()
+    try:
+        MeasureFn(MeasureFamily.MU2, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_measure_family_tag_checked(k4_params):

@@ -674,8 +674,9 @@ def test_overflowing_numpy_scalar_series_refused_without_warnings():
 # Node doubling: each node evaluated once, estimates as rule by rule
 # ----------------------------------------------------------------------
 
-def _reference_doubling(f, rtol, max_nodes=2 ** 20):
-    """The rule-by-rule loop: every level applies its whole rule to f."""
+def _reference_doubling(f, rtol, max_nodes=2 ** 20, levels=None):
+    """The rule-by-rule loop: every level applies its whole rule to f. The
+    node count of the level that settles is appended to levels."""
     n, prev = 32, None
     while n <= max_nodes:
         nodes, weights = _semi_infinite_rule(n)
@@ -684,6 +685,8 @@ def _reference_doubling(f, rtol, max_nodes=2 ** 20):
             scale = np.max(np.abs(est))
             tol = rtol * np.maximum(np.abs(est), 1e-9 * scale) + 1e-300
             if np.all(np.abs(est - prev) <= tol):
+                if levels is not None:
+                    levels.append(n)
                 return est
         prev = est
         n *= 2
@@ -717,19 +720,58 @@ def test_doubling_evaluates_each_node_once():
         assert np.array_equal(np.sort(nodes), _semi_infinite_rule(nodes.size)[0])
 
 
-def test_doubling_estimates_bitwise_as_rule_by_rule(monkeypatch):
+def test_doubling_levels_hand_f_only_their_new_nodes():
+    # the first call takes the 32 nodes of the first rule; every later one
+    # exactly the n/2 new odd nodes of its level n, whose values then go
+    g, seen = _counting(lambda t: np.exp(-t[:, None] * np.array([0.5, 1.0, 3.0])))
+    integral_zero_inf(g)
+    assert len(seen) >= 3
+    assert len(seen[0]) == 32
+    for level, t in enumerate(seen[1:], start=1):
+        n = 32 * 2 ** level
+        assert len(t) == n // 2
+        assert np.array_equal(t, _semi_infinite_rule(n)[0][1::2])
+
+
+def test_unsettled_doubling_reports_its_last_change():
+    # t^-1/2 e^-t (0 at the u = 0 node) converges only as h^(1/2): the run
+    # ends at _MAX_NODES with the change of its last doubling
+    with pytest.raises(QuadratureError, match="did not settle") as info:
+        integral_zero_inf(lambda t: np.exp(-t) / np.sqrt(np.where(t > 0.0, t, np.inf)),
+                          rtol=1e-12)
+    assert info.value.nodes_used == specfun._MAX_NODES
+    assert 1e-5 < info.value.last_change < 1e-2
+    assert abs(info.value.last_estimate - math.sqrt(math.pi)) < 1e-2
+
+
+def test_doubling_estimates_agree_with_rule_by_rule(monkeypatch):
+    # the running sums stop at the rule-by-rule loop's level, and agree with
+    # its estimate to rounding (2.9e-15 relative at worst over these cases)
     def batched(t):
         return np.stack([t ** 2.5 * np.exp(-t), np.exp(-t) / (1.0 + t)], axis=-1)
 
-    for f in (lambda t: t ** 3 * np.exp(-t), batched):
-        want = _reference_doubling(f, 1e-10)
-        assert np.array_equal(integral_zero_inf(f), want)
-    z = np.array([0.1, 0.7, 3.0, 14.0])
-    xs = np.array([0.5, 1.0, 25.0])
-    got = [bessel_k(2.3, z), bessel_k(0.3, 1.7), tricomi_u(2.5, xs), tricomi_u(1.05, xs)]
+    def cases():
+        z = np.array([0.1, 0.7, 3.0, 14.0])
+        xs = np.array([0.5, 1.0, 25.0])
+        quad = specfun.integral_zero_inf
+        return [quad(lambda t: t ** 3 * np.exp(-t)), quad(batched),
+                bessel_k(2.3, z), bessel_k(0.3, 1.7), tricomi_u(2.5, xs), tricomi_u(1.05, xs)]
+
+    got_levels, want_levels = [], []
+    running = specfun.integral_zero_inf
+
+    def counted(f, rtol=1e-10):
+        g, seen = _counting(f)
+        est = running(g, rtol)
+        got_levels.append(sum(len(t) for t in seen))
+        return est
+
+    monkeypatch.setattr(specfun, "integral_zero_inf", counted)
+    got = cases()
     # the same public routines with the rule-by-rule loop underneath
     monkeypatch.setattr(specfun, "integral_zero_inf",
-                        lambda f, rtol=1e-10: _reference_doubling(f, rtol))
-    want = [bessel_k(2.3, z), bessel_k(0.3, 1.7), tricomi_u(2.5, xs), tricomi_u(1.05, xs)]
+                        lambda f, rtol=1e-10: _reference_doubling(f, rtol, levels=want_levels))
+    want = cases()
+    assert got_levels == want_levels
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0)
