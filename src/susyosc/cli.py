@@ -241,19 +241,16 @@ def cmd_cs(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _check(checks, suite, name, value, threshold):
-    checks.append({"suite": suite, "check": name, "value": float(value),
-                   "threshold": float(threshold),
-                   "passed": bool(value <= threshold)})
+# Each suite yields (check, value, threshold) for the system and the document
+# it was loaded from; a check passes when its value is at most its threshold.
+
+def _suite_states(system, doc):
+    # load_system has matched these figures against the rebuilt system's own
+    yield "orthonormality", doc["checks"]["orthonormality_max_dev"], 1e-6
+    yield "eigen_residual", doc["checks"]["residual_max"], 1e-4
 
 
-def _suite_states(system, checks):
-    _check(checks, "states", "orthonormality", system.orthonormality_deviation(), 1e-6)
-    _check(checks, "states", "eigen_residual",
-           max(system.residual(st) for st in system.all_states), 1e-4)
-
-
-def _suite_ladder(system, checks):
+def _suite_ladder(system, doc):
     params = CSParams.from_spec(system.spec)
     gsol = g_for_system(system, "eps0", phi_rel_floor=1e-8)
     op = build_operator_stencil(gsol)
@@ -266,18 +263,18 @@ def _suite_ladder(system, checks):
                                  system.state(subspace, n), w)
         ref = natural_down_coeff(n, subspace, params)
         worst = max(worst, abs(got / ref - 1.0))
-    _check(checks, "ladder", "stencil_vs_table", worst, 1e-3)
+    yield "stencil_vs_table", worst, 1e-3
 
     def support_norm(image):
         good = np.isfinite(image)
         return float(np.sqrt(np.sum(w[good] * image[good] ** 2)))
 
+    # the kernel state's image against those of iso state 1 and, where
+    # k > 1, new state 1
     kernel_norm = support_norm(apply_stencil(op, system.state("new", 0)))
-    kernel_rel = kernel_norm / support_norm(apply_stencil(op, system.state("iso", 1)))
-    if system.spec.k > 1:
-        kernel_rel = max(kernel_rel, kernel_norm
-                         / support_norm(apply_stencil(op, system.state("new", 1))))
-    _check(checks, "ladder", "kernel_state_annihilated", kernel_rel, 1e-3)
+    refs = [system.state("iso", 1)] + system.new_states[1:2]
+    kernel_rel = max(kernel_norm / support_norm(apply_stencil(op, st)) for st in refs)
+    yield "kernel_state_annihilated", kernel_rel, 1e-3
 
     worst = 0.0
     for level in range(4):
@@ -286,11 +283,10 @@ def _suite_ladder(system, checks):
     for level in range(params.k):
         got, want = pha_product_check(params, level, "new")
         worst = max(worst, abs(got - want))
-    _check(checks, "ladder", "product_rule", worst, 1e-9)
+    yield "product_rule", worst, 1e-9
 
     m = nilpotent_matrix(params)
-    _check(checks, "ladder", "nilpotency",
-           float(np.linalg.norm(np.linalg.matrix_power(m, params.k))), 0.0)
+    yield "nilpotency", float(np.linalg.norm(np.linalg.matrix_power(m, params.k))), 0.0
 
     iso_vals, new_vals = commutator_check(params)
     expect_new = np.ones(params.k)
@@ -300,7 +296,7 @@ def _suite_ladder(system, checks):
         expect_new[0] = (1.0 - params.gap) + (1.0 + params.gap - params.k) - 1.0
     dev = max(float(np.max(np.abs(iso_vals - 1.0))),
               float(np.max(np.abs(new_vals - expect_new))))
-    _check(checks, "ladder", "linearized_commutator", dev, 1e-10)
+    yield "linearized_commutator", dev, 1e-10
 
 
 def _moment_probes(m):
@@ -313,7 +309,7 @@ def _moment_probes(m):
     return [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
 
 
-def _suite_measures(system, checks):
+def _suite_measures(system, doc):
     params = CSParams.from_spec(system.spec)
     radii = np.linspace(0.1, 5.0, 25)
     for fam in MeasureFamily.ALL:
@@ -322,16 +318,14 @@ def _suite_measures(system, checks):
         for s in _moment_probes(m):
             got, want = moment_check(m, s)
             worst = max(worst, abs(got / want - 1.0))
-        _check(checks, "measures", "moments_%s" % fam, worst, 1e-3)
-        _check(checks, "measures", "positivity_%s" % fam,
-               float(-np.min(m.density(radii))), 0.0)
+        yield "moments_%s" % fam, worst, 1e-3
+        yield "positivity_%s" % fam, float(-np.min(m.density(radii))), 0.0
     for family in Family.ALL:
         tol = 1e-8 if family == Family.LIN_ISO else 5e-3
-        _check(checks, "measures", "identity_%s" % family,
-               identity_resolution_check(family, params), tol)
+        yield "identity_%s" % family, identity_resolution_check(family, params), tol
 
 
-def _suite_coherent(system, checks):
+def _suite_coherent(system, doc):
     params = CSParams.from_spec(system.spec)
     z, zp = 0.9 + 0.4j, -0.3 + 1.1j
     for family in Family.ALL:
@@ -339,43 +333,41 @@ def _suite_coherent(system, checks):
         other = construct_cs(family, zp, params)
         n = min(cs.coeffs.size, other.coeffs.size)
         ip = complex(np.sum(np.conj(other.coeffs[:n]) * cs.coeffs[:n]))
-        _check(checks, "coherent", "kernel_inner_%s" % family,
-               abs(kernel(family, zp, z, params) - ip), 1e-9)
+        yield "kernel_inner_%s" % family, abs(kernel(family, zp, z, params) - ip), 1e-9
         probs = probabilities(cs)
-        _check(checks, "coherent", "probability_sum_%s" % family,
+        yield ("probability_sum_%s" % family,
                abs(float(np.sum(probs)) + cs.truncation_tail - 1.0), 1e-10)
-        _check(checks, "coherent", "mean_vs_sum_%s" % family,
+        yield ("mean_vs_sum_%s" % family,
                abs(float(np.sum(probs * cs.level_energies())) - mean_energy(cs)),
                1e-8 if family in Family.ISO else 1e-10)
         moved, phase = evolve(cs, 0.9)
         direct = cs.coeffs * np.exp(-1j * cs.level_energies() * 0.9)
         nn = min(direct.size, moved.coeffs.size)
-        _check(checks, "coherent", "evolution_%s" % family,
-               float(np.max(np.abs(direct[:nn] - phase * moved.coeffs[:nn]))),
-               1e-12)
+        yield ("evolution_%s" % family,
+               float(np.max(np.abs(direct[:nn] - phase * moved.coeffs[:nn]))), 1e-12)
     for family in Family.ISO:
-        _check(checks, "coherent", "annihilation_%s" % family,
+        yield ("annihilation_%s" % family,
                annihilation_check(construct_cs(family, z, params)), 1e-8)
     sums = divergence_witness(1.0, params)
     crossing = int(np.argmax(sums > 1e6)) if np.any(sums > 1e6) else 10 ** 9
-    _check(checks, "coherent", "divergence_crossing", crossing, 200)
+    yield "divergence_crossing", crossing, 200
 
 
-_SUITES = {
-    "states": _suite_states,
-    "ladder": _suite_ladder,
-    "measures": _suite_measures,
-    "coherent": _suite_coherent,
-}
+_SUITES = (
+    ("coherent", _suite_coherent),
+    ("ladder", _suite_ladder),
+    ("measures", _suite_measures),
+    ("states", _suite_states),
+)
 
 
 def cmd_verify(args) -> int:
-    system, _ = load_system(args.system)
+    system, doc = load_system(args.system)
     if system.n_max < 1:   # the ladder suite's reference image is iso state 1
         raise UsageError("verify needs n_max >= 1, got %d" % system.n_max)
-    checks = []
-    for name in sorted(_SUITES):
-        _SUITES[name](system, checks)
+    checks = [{"suite": suite, "check": name, "value": float(value),
+               "threshold": float(threshold), "passed": bool(value <= threshold)}
+              for suite, run in _SUITES for name, value, threshold in run(system, doc)]
     all_passed = all(c["passed"] for c in checks)
     for c in checks:
         print("%s  %s:%s  value=%.3e  threshold=%.3e"
@@ -386,7 +378,7 @@ def cmd_verify(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "kind": "verify_report",
             "system": args.system,
-            "suites_run": sorted(_SUITES),
+            "suites_run": [suite for suite, _ in _SUITES],
             "checks": checks,
             "all_passed": all_passed,
         })

@@ -58,16 +58,11 @@ _CHUNK = 512            # values of c or z per shared node-doubling run
 # Gamma and friends
 # ----------------------------------------------------------------------
 
-def _not_finite(label, name, value):
-    """The refusal of a NaN or infinite scalar parameter, naming it."""
-    return DomainError("%s needs a finite %s, got %s" % (label, name, value))
-
-
 def _require_finite(label, **params):
     """Refuse the first NaN or infinite scalar parameter, naming it."""
     for name, value in params.items():
         if not math.isfinite(value):
-            raise _not_finite(label, name, value)
+            raise DomainError("%s needs a finite %s, got %s" % (label, name, value))
 
 
 def _positive(label, name, values):
@@ -84,8 +79,7 @@ def gamma_fn(x: float) -> float:
     """Gamma(x) for finite real x from math.gamma, poles excluded, refused
     where it overflows float64."""
     x = float(x)
-    if not math.isfinite(x):
-        raise _not_finite("gamma_fn", "x", x)
+    _require_finite("gamma_fn", x=x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("gamma_fn pole at non-positive integer x=%g" % x)
     if x > 171.62:
@@ -104,8 +98,7 @@ def digamma(x: float) -> float:
     expansion (Bernoulli terms through x^-10) is accurate to ~1e-15. x must
     be finite."""
     x = float(x)
-    if not math.isfinite(x):
-        raise _not_finite("digamma", "x", x)
+    _require_finite("digamma", x=x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("digamma pole at non-positive integer x=%g" % x)
     if x < 0.5:

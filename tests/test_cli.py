@@ -14,6 +14,7 @@ from susyosc import cli, painleve
 from susyosc.cli import main, parse_z
 from susyosc.errors import QuadratureError, SeriesError, TruncationError, UsageError
 from susyosc.serialize import canonical_json, load_json, load_system
+from susyosc.susy import SusySystem, SystemSpec, build_system
 
 _K1_FLAGS = ["--k", "1", "--eps-top", "-1.0", "--nu", "0.5"]
 _K4_FLAGS = ["--k", "4", "--eps-top", "-2.8", "--nu", "-0.9"]
@@ -261,6 +262,48 @@ def test_bad_label_rejected(tmp_path):
     assert rc == 2
 
 
+# the report's (suite, check) pairs are its contract: readers look checks up
+# by name, the benchmark's cli workload among them
+_VERIFY_CHECKS_K1 = [
+    ("coherent", "kernel_inner_aocs_iso"),
+    ("coherent", "probability_sum_aocs_iso"),
+    ("coherent", "mean_vs_sum_aocs_iso"),
+    ("coherent", "evolution_aocs_iso"),
+    ("coherent", "kernel_inner_docs_new"),
+    ("coherent", "probability_sum_docs_new"),
+    ("coherent", "mean_vs_sum_docs_new"),
+    ("coherent", "evolution_docs_new"),
+    ("coherent", "kernel_inner_lin_iso"),
+    ("coherent", "probability_sum_lin_iso"),
+    ("coherent", "mean_vs_sum_lin_iso"),
+    ("coherent", "evolution_lin_iso"),
+    ("coherent", "kernel_inner_lin_new"),
+    ("coherent", "probability_sum_lin_new"),
+    ("coherent", "mean_vs_sum_lin_new"),
+    ("coherent", "evolution_lin_new"),
+    ("coherent", "annihilation_aocs_iso"),
+    ("coherent", "annihilation_lin_iso"),
+    ("coherent", "divergence_crossing"),
+    ("ladder", "stencil_vs_table"),
+    ("ladder", "kernel_state_annihilated"),
+    ("ladder", "product_rule"),
+    ("ladder", "nilpotency"),
+    ("ladder", "linearized_commutator"),
+    ("measures", "moments_mu1"),
+    ("measures", "positivity_mu1"),
+    ("measures", "moments_mu2"),
+    ("measures", "positivity_mu2"),
+    ("measures", "moments_mu3"),
+    ("measures", "positivity_mu3"),
+    ("measures", "identity_aocs_iso"),
+    ("measures", "identity_docs_new"),
+    ("measures", "identity_lin_iso"),
+    ("measures", "identity_lin_new"),
+    ("states", "orthonormality"),
+    ("states", "eigen_residual"),
+]
+
+
 def test_verify_all_suites(k1_doc, tmp_path, capsys):
     report = tmp_path / "report.json"
     rc = main(["verify", "--system", k1_doc, "--out", str(report)])
@@ -269,10 +312,33 @@ def test_verify_all_suites(k1_doc, tmp_path, capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 36
     assert all(ln.startswith("PASS") for ln in lines)
+    assert [ln.split()[1] for ln in lines] == ["%s:%s" % pair for pair in _VERIFY_CHECKS_K1]
     doc = load_json(str(report))
     assert doc["all_passed"] is True
     assert doc["suites_run"] == ["coherent", "ladder", "measures", "states"]
-    assert len(doc["checks"]) == len(lines)
+    assert [(c["suite"], c["check"]) for c in doc["checks"]] == _VERIFY_CHECKS_K1
+
+
+def test_verify_scans_orthonormality_once(k1_doc, tmp_path, monkeypatch):
+    # load_system's rebuild scans the states once; the states suite reports
+    # the document's figures, which that rebuild has matched by value
+    calls = []
+    scan = SusySystem.orthonormality_deviation
+
+    def counted(self):
+        calls.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(SusySystem, "orthonormality_deviation", counted)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--system", k1_doc, "--out", str(report)]) == 0
+    assert len(calls) == 1
+    states = {c["check"]: c["value"] for c in load_json(str(report))["checks"]
+              if c["suite"] == "states"}
+    monkeypatch.undo()
+    fresh = build_system(SystemSpec(k=1, eps_top=-1.0, nu=0.5))
+    assert states["orthonormality"] == fresh.orthonormality_deviation()
+    assert states["eigen_residual"] == max(fresh.residual(st) for st in fresh.all_states)
 
 
 def test_verify_refuses_a_document_without_iso_state_1(tmp_path, capsys):

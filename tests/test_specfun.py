@@ -212,8 +212,10 @@ def test_quadrature_keeps_zero_rtol_and_limits_at_infinity():
 
 
 def test_doubling_level_values_are_bounded():
-    # 512 values of c need 2^18 nodes at x = 1e-3: the level that would hold
-    # more than _MAX_VALUES values is refused before it is evaluated
+    # 512 values of c need 2^18 nodes at x = 1e-3: _MAX_VALUES bounds the
+    # values a run would evaluate (n nodes x batch width; a level holds only
+    # its n/2 x width new ones), and the level that would pass it is refused
+    # before it is evaluated
     with pytest.raises(QuadratureError, match="more than %d" % specfun._MAX_VALUES) as info:
         tricomi_u(3.3, np.geomspace(1e-3, 1.0, 512))
     assert info.value.nodes_used * 2 * 512 > specfun._MAX_VALUES
