@@ -292,8 +292,8 @@ def _suite_ladder(system, doc):
     expect_new = np.ones(params.k)
     expect_new[0] = 1.0 - params.gap
     expect_new[-1] = 1.0 + params.gap - params.k
-    if params.k == 1:
-        expect_new[0] = (1.0 - params.gap) + (1.0 + params.gap - params.k) - 1.0
+    if params.k == 1:   # both linearized steps fall off the one-level ladder
+        expect_new[0] = 0.0
     dev = max(float(np.max(np.abs(iso_vals - 1.0))),
               float(np.max(np.abs(new_vals - expect_new))))
     yield "linearized_commutator", dev, 1e-10

@@ -11,14 +11,15 @@ mu1/mu2 measure factors, and Mellin moments on (0, inf).
 Series are summed plainly by term recurrence, and each point stops at the
 first term after which no later term can change its sum, so every sum is
 bitwise that of the loop run forever: a scalar runs a plain loop on Python
-numbers, and an array is summed in order of |x| with its final leading
+numbers, and a real array is summed in order of |x| with its final leading
 points retired, so a grid pays for the terms each point needs rather than
 for those of its largest |x|. Equal arguments (the mirror points of x^2 on a
 symmetric grid) share one series, and the stop is tested only on the band
 where the final prefix can end, at every term until the first point retires
 and at every 8th term after that. This is the package's one loop for
-term-ratio series; it takes real or complex arguments, so 1F1 and 0F2
-accept complex x. A NaN or infinite parameter is refused by name.
+term-ratio series; complex x, as 1F1 and 0F2 take it, runs the scalar loop
+in complex128 (complex64 widened, clongdouble refused), once per distinct
+value of an array. A NaN or infinite parameter is refused by name.
 Every adaptive integral runs over (0, inf) in integral_zero_inf, the
 package's one node-doubling loop: composite Simpson in u = t / (1 + t),
 doubling the nodes until two successive estimates agree. Each level's nodes
@@ -122,8 +123,8 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
 
     term_ratio(n) is the rational part of t_{n+1}/t_n; from n = steady on it
     is non-zero and its modulus never increases. x may be a real or complex
-    scalar or ndarray of any shape, and its float dtype is kept, so
-    extended-precision arguments sum in extended precision.
+    scalar or ndarray of any shape; a real float dtype is kept, and complex
+    x sums in complex128 (complex64 widened, clongdouble refused).
 
     Each point adds its terms plainly and stops at the first n >= steady
     with |x| <= 1/|term_ratio(n)|, so that no later term outgrows t_{n+1},
@@ -132,22 +133,29 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
     dtype), so that under round-to-nearest no such term moves S. A complex
     x whose imaginary part is 0 has real terms, so it stops where the real
     x would, with the real sum and a +0 imaginary part. Every sum is thus
-    bitwise that of the plain loop run forever. A 0-d x of a 64-bit dtype
-    runs the loop on a Python number; any other x is summed as an array in
-    order of |x|, one series per distinct value, and its final leading
-    points retire, tested from the first active point over a band of
-    _STOP_BAND points that doubles while all of it is final. The first
-    retirement is tested at every term, later ones every _STOP_EVERY terms;
-    a final point that waits adds only terms that cannot move its sum, so
-    the wait changes no bit. A sum that is not finite is refused at the
-    next finiteness test, every _SERIES_QUIET terms.
+    bitwise that of the plain loop run forever. A 0-d float64 x and any
+    complex x run the loop on Python numbers, a complex array once per
+    distinct value; any other x is summed as an array in order of |x|, one
+    series per distinct value, and its final leading points retire, tested
+    from the first active point over a band of _STOP_BAND points that
+    doubles while all of it is final. The first retirement is tested at
+    every term, later ones every _STOP_EVERY terms; a final point that
+    waits adds only terms that cannot move its sum, so the wait changes no
+    bit. A sum that is not finite is refused at the next finiteness test,
+    every _SERIES_QUIET terms.
     """
     x = np.asarray(x)
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)
+    if x.dtype.kind == "c" and not np.can_cast(x.dtype, np.complex128):
+        raise DomainError("%s will not narrow a %s x to complex128" % (label, x.dtype))
+    if x.dtype.kind != "f":
+        x = x.astype(complex if x.dtype.kind == "c" else float)
     small = float(np.finfo(x.dtype).eps) / 8.0
     if x.dtype in (np.float64, np.complex128) and x.ndim == 0:
         return _sum_scalar(term_ratio, x.item(), small, cap, label, steady)
+    if x.dtype == np.complex128:
+        values, inverse = np.unique(x, return_inverse=True)
+        sums = [_sum_scalar(term_ratio, v, small, cap, label, steady) for v in values.tolist()]
+        return np.array(sums, dtype=complex)[inverse].reshape(x.shape)
     # a point that overflows is refused with SeriesError, without numpy's
     # overflow and invalid-value warnings from the terms on the way there;
     # a 0-d x of another dtype comes back as a scalar of that dtype
@@ -158,22 +166,24 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
 def _sum_scalar(term_ratio, xv, small, cap, label, steady):
     num = type(xv)
     finite = math.isfinite if num is float else cmath.isfinite
-    ax = abs(xv)
     term = total = num(1.0)
-    # blocks of _SERIES_QUIET terms keep the finiteness test off the per-term path
-    for block in range(0, cap, _SERIES_QUIET):
-        for n in range(block, min(block + _SERIES_QUIET, cap)):
-            ratio = term_ratio(n)
-            term = term * xv * ratio
-            total = total + term
-            if (abs(term) <= small * abs(total) and n >= steady
-                    and ax <= 1.0 / abs(ratio) and finite(total)
-                    and (num is float or xv.imag == 0.0
-                         or abs(term) <= small * min(abs(total.real), abs(total.imag)))):
-                return total
-        if not finite(total):
-            raise _series_error(label, n + 1, cap, float(abs(total)))
-    raise _series_error(label, cap, cap, float(abs(total)))
+    try:
+        # blocks of _SERIES_QUIET terms keep the finiteness test off the per-term path
+        for block in range(0, cap, _SERIES_QUIET):
+            for n in range(block, min(block + _SERIES_QUIET, cap)):
+                ratio = term_ratio(n)
+                term = term * xv * ratio
+                total = total + term
+                if (abs(term) <= small * abs(total) and n >= steady
+                        and abs(xv) <= 1.0 / abs(ratio) and finite(total)
+                        and (num is float or xv.imag == 0.0
+                             or abs(term) <= small * min(abs(total.real), abs(total.imag)))):
+                    return total
+            if not finite(total):
+                raise _series_error(label, n + 1, cap, float(abs(total)))
+        raise _series_error(label, cap, cap, float(abs(total)))
+    except OverflowError:  # a complex modulus past the float range, its parts finite
+        raise _series_error(label, n + 1, cap, math.inf) from None
 
 
 def _series_error(label, terms, cap, partial):
@@ -187,14 +197,9 @@ def _series_error(label, terms, cap, partial):
     return SeriesError("%s %s" % (label, why), terms_used=terms, partial_sum=partial)
 
 
-def _final(term, total, x, small):
-    """Mask of the finite sums that their last terms can no longer move:
-    |term| <= small |total|, against the smaller part of a complex total
-    unless the point's x is real, when every term is real."""
-    size = np.abs(total)
-    if total.dtype.kind == "c":
-        size = np.where(x.imag == 0.0, size, np.minimum(np.abs(total.real), np.abs(total.imag)))
-    return (np.abs(term) <= small * size) & np.isfinite(total)
+def _final(term, total, small):
+    """Mask of the finite sums that their last terms can no longer move."""
+    return (np.abs(term) <= small * np.abs(total)) & np.isfinite(total)
 
 
 def _sum_array(term_ratio, x, small, cap, label, steady):
@@ -212,21 +217,13 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
     small = mags.dtype.type(small)
     term, total = np.ones_like(xs), np.ones_like(xs)
     start, sliced = 0, -1
-    cplx = xs.dtype.kind == "c"
     for n in range(cap):
         if sliced != start:
             tv, xv, sv = term[start:], xs[start:], total[start:]
             sliced = start
         # the plain loop's operations in its order: term = term * x * ratio;
         # total = total + term
-        if cplx:
-            # each real product rounded on its own, as in a Python complex
-            # multiply; numpy's complex loop may fuse them into FMAs
-            re = tv.real * xv.real - tv.imag * xv.imag
-            tv.imag[...] = tv.real * xv.imag + tv.imag * xv.real
-            tv.real[...] = re
-        else:
-            np.multiply(tv, xv, out=tv)
+        np.multiply(tv, xv, out=tv)
         ratio = term_ratio(n)
         np.multiply(tv, ratio, out=tv)
         np.add(sv, tv, out=sv)
@@ -244,7 +241,7 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
         end, band = 0, _STOP_BAND
         while end < reach:
             hi = min(end + band, reach)
-            final = _final(tv[end:hi], sv[end:hi], xv[end:hi], small)
+            final = _final(tv[end:hi], sv[end:hi], small)
             i = int(final.argmin())
             if not final[i]:
                 end += i
@@ -269,8 +266,9 @@ def _finite_arg(x, label):
 def hyp1f1(a: float, c: float, x):
     """Confluent hypergeometric 1F1(a; c; x) by direct series.
 
-    x may be a real or complex scalar or ndarray, and must be finite. a and
-    c must be finite, and c not a non-positive integer.
+    x may be a real or complex scalar or ndarray, and must be finite; the
+    scalar loop sums a complex x in complex128 (complex64 widened,
+    clongdouble refused). a and c must be finite, c not a non-positive integer.
     """
     _require_finite("hyp1f1", a=a, c=c)
     if c <= 0.0 and c == math.floor(c):
@@ -297,7 +295,8 @@ def hyp0f2(b1: float, b2: float, x):
     x may be a real or complex scalar or ndarray, and must be finite. A real
     x must be >= 0, the radial axis r^2 of the measures; a complex x may
     have any phase, as the overlap argument conj(z') z of the kernel does.
-    b1 and b2 must be finite.
+    The scalar loop sums it in complex128 (complex64 widened, clongdouble
+    refused). b1 and b2 must be finite.
     """
     _require_finite("hyp0f2", b1=b1, b2=b2)
     if b1 <= 0.0 or b2 <= 0.0:

@@ -23,6 +23,7 @@ from susyosc.specfun import (
     _SERIES_CAP,
     _SERIES_QUIET,
     _semi_infinite_rule,
+    _sum_scalar,
     _sum_series,
     bessel_k,
     digamma,
@@ -139,7 +140,7 @@ def test_complex_series_match_mpmath():
             assert abs(got / complex(ref(w)) - 1.0) < 1e-14
         grid = ours(np.array(_COMPLEX_ARGS).reshape(2, 3))
         assert grid.dtype == np.complex128 and grid.shape == (2, 3)
-        # bitwise: the array path rounds its complex products as Python does
+        # bitwise: the array runs the scalar loop on each of its values
         assert np.array_equal(grid.ravel().view(np.uint64),
                               np.array(scalars).view(np.uint64))
 
@@ -293,9 +294,8 @@ def test_repeated_float_arguments_match_whole_array_loop_bitwise():
 
 
 def test_repeated_complex_arguments_match_scalar_loop_bitwise():
-    # the reference loop's numpy complex multiply may fuse its products, so
-    # complex repeats are held to the scalar loop, which rounds each real
-    # product on its own as the array loop does
+    # a complex array runs the scalar loop once per distinct value, so each
+    # repeat holds that loop's sum of its value
     rng = np.random.default_rng(6)
     z = rng.uniform(-15.0, 15.0, 60) + 1j * rng.uniform(-15.0, 15.0, 60)
     z = rng.permutation(np.concatenate(
@@ -564,29 +564,75 @@ def test_complex_series_with_zero_imaginary_part_sums_as_real():
     def counted(x):
         calls = []
         ratio = lambda n: calls.append(n) or 1.0 / ((7.3 + n) * (3.3 + n) * (n + 1.0))
-        return _sum_series(ratio, x), len(calls)
+        return _sum_series(ratio, x), calls
 
     def plus_zero(values):
         values = np.atleast_1d(values)
         return (values.imag == 0.0).all() and not np.signbit(values.imag).any()
 
     for x in (5.0, 0.5, -4.0, 0.0):
-        want, want_terms = counted(x)
+        want, want_calls = counted(x)
         for xc in (complex(x, 0.0), complex(x, -0.0)):
-            got, terms = counted(xc)
+            got, calls = counted(xc)
             assert type(got) is complex and got.real == want and plus_zero(got)
-            assert terms <= want_terms
+            assert len(calls) <= len(want_calls)
     x = np.array([5.0, 2.0, 0.5, -4.0, 5.0])
-    want, want_terms = counted(x)
-    got, terms = counted(x.astype(complex))
-    assert got.dtype == complex and np.array_equal(got.real, want) and plus_zero(got)
-    assert terms <= want_terms
+    got, calls = counted(x.astype(complex))
+    assert got.dtype == complex and np.array_equal(got.real, counted(x)[0]) and plus_zero(got)
+    # each distinct value runs its own loop from n = 0, in np.unique's order,
+    # and adds no more terms than its real twin
+    runs = np.split(calls, np.flatnonzero(np.equal(calls, 0))[1:])
+    values = np.unique(x)
+    assert len(runs) == len(values)
+    for v, run in zip(values, runs):
+        assert len(run) <= len(counted(v)[1])
     # a real point beside complex ones still sums as the real x
     mixed = np.array([5.0, 2.0 + 1.0j, 0.5])
     got, _ = counted(mixed)
     assert np.array_equal(got[[0, 2]].real, counted(np.array([5.0, 0.5]))[0])
     assert plus_zero(got[[0, 2]])
     assert hyp0f2(7.3, 3.3, 5.0 + 0.0j) == hyp0f2(7.3, 3.3, 5.0)
+
+
+def test_complex64_arguments_sum_widened_in_the_scalar_loop():
+    ratio = lambda n: 1.0 / ((2.5 + n) * (1.5 + n) * (n + 1.0))
+    small = float(np.finfo(np.float64).eps) / 8.0
+    z = np.array([[0.5 + 3j, -1.5 + 2.5j], [0.5 + 3j, -7.25 - 0.5j]], dtype=np.complex64)
+    want = np.array([_sum_scalar(ratio, v, small, _SERIES_CAP, "series", 0)
+                     for v in z.astype(np.complex128).ravel().tolist()]).reshape(z.shape)
+    got = _sum_series(ratio, z)
+    assert got.dtype == np.complex128 and got.shape == z.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for x in (z[1, 1], np.array(z[1, 1])):
+        got = _sum_series(ratio, x)
+        assert type(got) is complex and got == want[1, 1]
+    assert np.array_equal(hyp0f2(2.5, 1.5, z), want)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="clongdouble is complex128 on this platform")
+def test_clongdouble_arguments_refused_naming_their_dtype():
+    # summed in complex128 they would lose their extra precision silently
+    name = str(np.dtype(np.clongdouble))
+    for fn, p, q in ((hyp0f2, 2.5, 1.5), (hyp1f1, 0.5, 1.5)):
+        for x in (np.array([1.0 + 2.0j, 0.5j], dtype=np.clongdouble), np.clongdouble(1.0 + 2.0j)):
+            with pytest.raises(DomainError, match="%s will not narrow a %s x" % (fn.__name__, name)):
+                fn(p, q, x)
+
+
+def test_complex_modulus_past_the_float_range_refused():
+    # abs() of a Python complex whose parts are finite but whose modulus is
+    # not raises OverflowError; such an x, or a term that grows by |x| = 1.06
+    # into that range, is refused as an overflowed sum
+    big = complex(1.5e308, 1.5e308)
+    for x in (big, np.array([0.5 + 1j, big])):
+        with pytest.raises(SeriesError, match="not finite") as info:
+            hyp0f2(2.5, 1.5, x)
+        assert info.value.terms_used <= 2 * _SERIES_QUIET
+    for x in (0.75 + 0.75j, np.array([0.75 + 0.75j, 0.1])):
+        with pytest.raises(SeriesError, match="not finite") as info:
+            _sum_series(lambda n: 1.0, x)
+        assert info.value.terms_used < _SERIES_CAP and info.value.partial_sum == math.inf
 
 
 def _ratio_falls(a, c, ms):
@@ -656,8 +702,10 @@ def test_overflowing_array_series_refused_without_warnings():
     # the typed refusal is all a caller sees, with warnings turned into errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SeriesError, match="not finite"):
-            hyp0f2(2.5, 1.5, np.array([0.5, 1e200]))
+        for x in (np.array([0.5, 1e200]), np.array([0.5 + 1j, 1e200 + 1e100j, 2j, 0.5 + 1j])):
+            with pytest.raises(SeriesError, match="not finite") as info:
+                hyp0f2(2.5, 1.5, x)
+            assert info.value.terms_used <= 2 * _SERIES_QUIET
 
 
 def test_overflowing_numpy_scalar_series_refused_without_warnings():
