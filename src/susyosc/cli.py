@@ -490,7 +490,8 @@ def main(argv=None) -> int:
     except SusyOscError as exc:
         print("error: %s" % exc, file=sys.stderr)
         # structured fields of SeriesError, QuadratureError and TruncationError
-        for name in ("terms_used", "partial_sum", "nodes_used", "required", "cap"):
+        for name in ("terms_used", "partial_sum", "nodes_used", "last_change", "required",
+                     "cap"):
             if getattr(exc, name, None) is not None:
                 print("  %s: %s" % (name, getattr(exc, name)), file=sys.stderr)
         if isinstance(exc, InsufficientSupportError):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -459,6 +460,8 @@ def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
     -(gap+1) for gap-k > -1/2, else lam = k-gap-1/2 with power -(k+1) on the
     remaining strip -1 < gap-k <= -1/2. Its end gap-k = -1/2 is the K_{1/2}
     factor at lam = 0, where the first branch's lam = -1 is not integrable.
+    A tail integral that overflows or does not settle is refused with its
+    QuadratureError fields, the message naming the family and gap.
     """
     a, k = params.gap, params.k
     if family == MeasureFamily.MU1:
@@ -471,7 +474,12 @@ def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
     # amplitude in log form: y^power alone can overflow at an end of the y
     # window long before the product with e^{-c} stops being negligible
     amp = np.exp(power * np.log(y) - c)
-    tail = laplace_power_integral(lam, 2.0, lam, c, rtol=1e-9) * c ** (-(lam + 1.0))
+    try:
+        tail = laplace_power_integral(lam, 2.0, lam, c, rtol=1e-9) * c ** (-(lam + 1.0))
+    except QuadratureError as exc:
+        raise QuadratureError("the %s factor at gap=%g: %s" % (family, a, exc),
+                              nodes_used=exc.nodes_used, last_estimate=exc.last_estimate,
+                              last_change=exc.last_change) from exc
     g = pref * amp * tail
     if not np.all(np.isfinite(g)):
         raise DomainError("the %s factor overflows on the y window at gap=%g" % (family, a))
@@ -574,7 +582,9 @@ class MeasureFn:
     are read-only, so measure_fn can hand one instance to every caller.
     An instance compares by identity, and moment_check memoizes its moments
     by (measure, order) (_moment, at most 256 entries, each keeping its
-    measure alive: 8.4 MB of caches).
+    measure alive: 8.4 MB of caches), and keeps the profile values they
+    evaluate in a node table beside the measure that dies with it
+    (_tabled_profile, at most 4096 values, 64 KB with their nodes).
     """
     family: str
     params: CSParams
@@ -706,16 +716,52 @@ def _exp_minus(x):
     return np.exp(-x)
 
 
+# One node table per measure, kept beside the immutable measure and dying
+# with it: the exact bytes of a node batch a Mellin moment handed to the
+# profile, mapped to the batch's read-only values. At most _TABLE_VALUES
+# values, 64 KB with their keys; a benchmark pool measure stores 384-640.
+# There is no lock: inserts are idempotent, so two threads racing on one
+# table at worst evaluate one batch twice or pass the bound by one batch.
+_TABLE_VALUES = 4096
+_node_tables = weakref.WeakKeyDictionary()
+
+
+def _tabled_profile(m):
+    """m.profile read through m's node table. The nodes of a doubling level
+    depend on the level, not on the order s, so a later order reads the
+    batches an earlier one evaluated. A batch is never split or merged,
+    since _laplace_sum's summation order depends on its block shape, so a
+    stored batch is bitwise the profile's values on it. x = 1 sits in the
+    first batch of both halves of mellin_moment and is evaluated once in
+    each. A batch that would pass _TABLE_VALUES is evaluated but not stored."""
+    table = _node_tables.setdefault(m, {})
+
+    def profile(x):
+        key = x.tobytes()
+        values = table.get(key)
+        if values is None:
+            values = m.profile(x)
+            if sum(v.size for v in table.values()) + values.size <= _TABLE_VALUES:
+                values.setflags(write=False)
+                table[key] = values
+        return values
+    return profile
+
+
 @functools.lru_cache(maxsize=256)
 def _moment(m, s: float) -> float:
     """Mellin moment of order s of m.profile at rtol _MOMENT_RTOL, or of the
     flat lin_iso profile e^{-x} at rtol 1e-10 for m None, memoized by (measure
     identity, order). Each entry keeps its measure alive: at most 256 caches
-    of about 33 KB, 8.4 MB. A miss reads m.profile and mellin_moment as it
-    runs, so a wrapper installed on either still sees it."""
+    of about 33 KB and node tables of at most 64 KB, 25 MB in all. A miss
+    integrates m.profile through the measure's node table (_tabled_profile),
+    bitwise as mellin_moment(m.profile, s, rtol=_MOMENT_RTOL), and reads
+    m.profile and mellin_moment as it runs, so a wrapper installed on either
+    still sees it. The flat moments cost their quadrature, not e^{-x}, and
+    have no table."""
     if m is None:
         return mellin_moment(_exp_minus, s, rtol=1e-10)
-    return mellin_moment(m.profile, s, rtol=_MOMENT_RTOL)
+    return mellin_moment(_tabled_profile(m), s, rtol=_MOMENT_RTOL)
 
 
 def moment_check(m: MeasureFn, s: float):
@@ -723,8 +769,11 @@ def moment_check(m: MeasureFn, s: float):
 
     computed is mellin_moment(m.profile, s, rtol=1e-7), memoized for the
     last 256 (measure identity, order) pairs, so a repeated order evaluates
-    no profile value. expected is the Gamma product the identity
-    resolution requires. s must lie strictly inside the convergence strip.
+    no profile value, and a new order evaluates it only on node batches no
+    earlier order of m reached while m's node table is under its bound of
+    4096 values: at most 8.4 MB of caches and 16.8 MB of tables in all.
+    expected is the Gamma product the identity resolution requires. s must
+    lie strictly inside the convergence strip.
     """
     s = float(s)
     lo, hi = moment_strip(m)

@@ -28,9 +28,11 @@ once per node and every later level only on its new odd nodes. The run
 keeps two Simpson sums, over the odd and the even nodes of its level; the
 even sum of the next level is exactly a quarter of the odd sum plus half the
 even one, so each level dots its new values with their weights and drops
-them, and no array of a whole level is built. A level is refused before the
-run would evaluate more than _MAX_VALUES integrand values, and the
-quadrature entry points refuse a NaN parameter by name, as the series do.
+them, and no array of a whole level is built: after the first level only the
+new odd nodes and their weights are formed, not the whole rule. A level is
+refused before the run would evaluate more than _MAX_VALUES integrand values,
+and the quadrature entry points refuse a NaN parameter by name, as the
+series do.
 """
 
 from __future__ import annotations
@@ -325,6 +327,23 @@ def _semi_infinite_rule(n_intervals: int):
     return u / (1.0 - u), w * (1.0 / (1.0 - u) ** 2)
 
 
+def _odd_half(n_intervals: int):
+    """(nodes, weights) of the odd nodes of _semi_infinite_rule(n_intervals),
+    formed without the rest of the rule: u = (2i + 1) / n with the weight
+    4h/3, h = 1/n, that gridops.simpson_weights gives every interior odd
+    node, pushed through t = u / (1 - u). For n a power of two both forms of
+    u are exact, so the pair is bitwise the rule's [1::2] slices. The two
+    are the columns of one (n/2, 2) array, so each has the stride of such a
+    slice too: BLAS picks its dot kernel, and with it the rounding of the
+    sum, by stride, and a contiguous weight vector would move the last bits.
+    """
+    u = np.arange(1, n_intervals, 2) / n_intervals
+    pair = np.empty((u.size, 2))
+    np.divide(u, 1.0 - u, out=pair[:, 0])
+    np.multiply(4.0 * ((1.0 / n_intervals) / 3.0), 1.0 / (1.0 - u) ** 2, out=pair[:, 1])
+    return pair[:, 0], pair[:, 1]
+
+
 def integral_zero_inf(f, rtol: float = 1e-10):
     """Integral of f over (0, inf) with node doubling until agreement.
 
@@ -339,9 +358,10 @@ def integral_zero_inf(f, rtol: float = 1e-10):
     even and quartered for the odd nodes, are the fine rule's weights on its
     even nodes, so doubling sets E to O/4 + E/2, exactly in powers of two,
     and O to the new values dotted with their weights; the values are then
-    dropped. The rule stops doubling at _MAX_NODES, and refuses a level
-    whose nodes times the batch width would pass _MAX_VALUES values. rtol
-    must be finite and >= 0.
+    dropped. Only the first level builds its whole rule; each later one forms
+    just its odd nodes and weights (_odd_half). The rule stops doubling at
+    _MAX_NODES, and refuses a level whose nodes times the batch width would
+    pass _MAX_VALUES values. rtol must be finite and >= 0.
     """
     _require_finite("integral_zero_inf", rtol=rtol)
     if rtol < 0.0:
@@ -374,13 +394,13 @@ def integral_zero_inf(f, rtol: float = 1e-10):
             raise QuadratureError(
                 "semi-infinite integral would evaluate %d values at %d nodes, more than %d"
                 % (n * est.size, n, _MAX_VALUES), nodes_used=n // 2, last_estimate=est)
-        nodes, weights = _semi_infinite_rule(n)
-        new = np.asarray(f(nodes[1::2]), dtype=float)
+        nodes, weights = _odd_half(n)
+        new = np.asarray(f(nodes), dtype=float)
         # with h halved, the coarse weights 4h/3 (odd) and 2h/3 (even; h/3 at
         # u = 0) become h/3 (h/6 at u = 0) on the fine rule's even nodes
         even = odd / 4.0 + even / 2.0
         with np.errstate(over="ignore", invalid="ignore"):
-            odd = np.tensordot(weights[1::2], new, axes=(0, 0))
+            odd = np.tensordot(weights, new, axes=(0, 0))
         del new   # the level's values go before f runs on the next one
     raise QuadratureError(
         "semi-infinite integral did not settle below rtol=%g within %d nodes" % (rtol, _MAX_NODES),

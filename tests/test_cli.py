@@ -577,6 +577,8 @@ def test_xmax_is_the_half_width(tmp_path):
     (SeriesError("series stalled", terms_used=500, partial_sum=2.5),
      ["  terms_used: 500", "  partial_sum: 2.5"]),
     (QuadratureError("tail unsettled", nodes_used=8192), ["  nodes_used: 8192"]),
+    (QuadratureError("tail did not settle", nodes_used=1048576, last_estimate=1.77,
+                     last_change=0.0012), ["  nodes_used: 1048576", "  last_change: 0.0012"]),
     (TruncationError("tail bound unmet", required=61, cap=48),
      ["  required: 61", "  cap: 48"]),
 ])

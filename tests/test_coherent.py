@@ -12,6 +12,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -27,7 +28,7 @@ from susyosc.errors import (
     TruncationError,
     UsageError,
 )
-from susyosc import coherent
+from susyosc import cli, coherent
 from susyosc.specfun import laplace_power_integral
 from susyosc import (
     CSParams,
@@ -633,9 +634,11 @@ def test_overflowing_caches_refused_without_warnings():
         with pytest.raises(DomainError, match="gap=100"):
             MeasureFn("mu3", CSParams(gap=100.0, k=1))
         for params in (CSParams(gap=50.0, k=1), CSParams(gap=40.3, k=3)):
-            with pytest.raises(QuadratureError, match="overflowed") as info:
+            with pytest.raises(QuadratureError, match="^the mu2 factor at gap=%g: .*overflowed"
+                               % params.gap) as info:
                 MeasureFn("mu2", params)
             assert info.value.nodes_used == 32
+            assert info.value.last_estimate is not None
 
 
 def test_moment_strips(mu1_k4, mu2_k4, mu3_k4):
@@ -926,6 +929,83 @@ def test_wrapped_profile_still_hits_the_moment_memo(k4_params, monkeypatch):
         results.append([moment_check(m, s) for s in (1.0, 1.5)])
     assert quadratures == [1.0, 1.5]
     assert results[0] == results[1]
+
+
+def _profile_batches(monkeypatch):
+    """Record the bytes of every batch handed to MeasureFn.profile."""
+    batches = []
+    profile = MeasureFn.profile
+
+    def spy(self, x):
+        batches.append(x.tobytes())
+        return profile(self, x)
+
+    monkeypatch.setattr(MeasureFn, "profile", spy)
+    return batches
+
+
+def test_later_orders_evaluate_only_batches_no_earlier_order_reached(k4_params, monkeypatch):
+    # the batches of each order run on its own, recorded before the spy goes in;
+    # mu2's order 1 runs one level deeper than 2 on the lower half, 4.5 on the upper
+    m = MeasureFn(MeasureFamily.MU2, k4_params)
+    orders = (2.0, 1.0, 4.5, 3.0)
+    fresh = {}
+    for s in orders:
+        fresh[s] = []
+        coherent.mellin_moment(lambda x: fresh[s].append(x.tobytes()) or m.profile(x), s,
+                               rtol=coherent._MOMENT_RTOL)
+    batches = _profile_batches(monkeypatch)
+    reached = set()
+    for s in orders:
+        batches.clear()
+        moment_check(m, s)
+        assert batches == [b for b in fresh[s] if b not in reached], s
+        reached.update(fresh[s])
+    assert [len(fresh[s]) for s in orders] == [6, 7, 7, 6]
+    assert not batches
+
+
+def test_verify_measures_suite_evaluates_each_node_once(monkeypatch):
+    # the README spec's measures suite with its caches built: each measure's
+    # profile sees every node once, apart from x = 1 in both halves' first batch
+    coherent._measure_store.cache_clear()
+    spec = SystemSpec(4, -2.8, -0.9)
+    for fam in MeasureFamily.ALL:
+        measure_fn(fam, CSParams.from_spec(spec))
+    rows = _record_profile_rows(monkeypatch)
+    list(cli._suite_measures(types.SimpleNamespace(spec=spec), None))
+    assert len(rows) == 4   # three caches and mu3's series
+    for x in rows.values():
+        repeated = [v for v in set(x) if x.count(v) > 1]
+        assert repeated in ([], [1.0]) and x.count(1.0) <= 2
+    # 4875 rows when each order evaluated all its nodes
+    assert sum(map(len, rows.values())) <= 1483
+
+
+def test_node_table_stays_under_its_bound(k4_params, monkeypatch):
+    # mu2's order 4.9 runs its upper half to 8192 intervals, 16512 rows in all
+    m = MeasureFn(MeasureFamily.MU2, k4_params)
+    fresh = coherent.mellin_moment(m.profile, 4.9, rtol=coherent._MOMENT_RTOL)
+    assert coherent._TABLE_VALUES == 4096
+    for bound in (100, 4096):
+        monkeypatch.setattr(coherent, "_TABLE_VALUES", bound)
+        coherent._moment.cache_clear()
+        coherent._node_tables.pop(m, None)
+        assert moment_check(m, 4.9)[0] == fresh
+        table = coherent._node_tables[m]
+        assert 0 < sum(v.size for v in table.values()) <= bound
+        assert all(not v.flags.writeable for v in table.values())
+
+
+def test_dead_measure_frees_its_node_table(k4_params):
+    m = MeasureFn(MeasureFamily.MU3, k4_params)
+    moment_check(m, 1.0)
+    assert m in coherent._node_tables
+    coherent._moment.cache_clear()   # the memo entry held the measure
+    tables, alive = len(coherent._node_tables), weakref.ref(m)
+    del m
+    assert alive() is None
+    assert len(coherent._node_tables) == tables - 1
 
 
 def test_measure_store_drops_the_least_recently_used():
