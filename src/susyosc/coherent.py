@@ -88,15 +88,17 @@ def _check_family(family: str):
 CSParams = LadderCoeffs
 
 
-def _new_weights(family: str, params: CSParams) -> list:
+@functools.lru_cache(maxsize=256)
+def _new_weights(family: str, params: CSParams) -> tuple:
     """Weight row over j < k: (gap-j)_j (k-j)_j / j! for docs_new,
-    1 / ((j!)^2 Gamma(gap-j)) for lin_new."""
+    1 / ((j!)^2 Gamma(gap-j)) for lin_new. Formed once per (family, params)
+    and kept as a tuple for the last 256 keys; a refused row is not kept."""
     a, k = params.gap, params.k
     if family == Family.DOCS_NEW:
         top = gamma_fn(a) * gamma_fn(float(k))
-        return [top / (gamma_fn(a - j) * gamma_fn(float(k - j)) * math.factorial(j))
-                for j in range(k)]
-    return [1.0 / (math.factorial(j) ** 2 * gamma_fn(a - j)) for j in range(k)]
+        return tuple(top / (gamma_fn(a - j) * gamma_fn(float(k - j)) * math.factorial(j))
+                     for j in range(k))
+    return tuple(1.0 / (math.factorial(j) ** 2 * gamma_fn(a - j)) for j in range(k))
 
 
 def _row_sum(row, w):
@@ -111,7 +113,8 @@ def _row_sum(row, w):
 
 def _norm_series(family: str, params: CSParams):
     """S(w): 0F2 for aocs_iso, the sum over the weight row for docs_new and
-    lin_new; formed once per public call, w may be complex or ndarray."""
+    lin_new, whose row is read from _new_weights' memo; w may be complex or
+    ndarray."""
     if family == Family.AOCS_ISO:
         a, k = params.gap, params.k
         return lambda w: hyp0f2(a + 1.0, a - k + 1.0, w)
@@ -178,9 +181,11 @@ def _iso_levels_needed(step, w: float, log_c0sq: float):
     if w == 0.0:
         return _MIN_LEVELS, 0.0
     log_w, log_bound, log_t = math.log(w), math.log(_TAIL_BOUND), 0.0
+    s = step(0)
     for n in range(_STEP_LIMIT):
-        log_t += log_w - math.log(step(n))
-        q = w / step(n + 1)
+        log_t += log_w - math.log(s)
+        s = step(n + 1)   # q's step here, the weight's step at level n + 1
+        q = w / s
         log_tail = log_c0sq + log_t - math.log1p(-q) if q < 1.0 else math.inf
         if log_tail < log_bound:
             break
@@ -225,7 +230,8 @@ def construct_cs(family: str, z, params: CSParams) -> CoherentState:
     reports the required length. Normalization scalars are taken from the
     closed forms, so sum |c|^2 = 1 - truncation_tail. A label that is not
     finite, or whose |z|^2 or new-ladder norm series overflows, raises
-    DomainError.
+    DomainError. The new-ladder weight row is formed once per (family,
+    params) and memoized for the last 256 keys (_new_weights).
     """
     _check_family(family)
     z, w = _label(z)

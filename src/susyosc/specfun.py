@@ -11,11 +11,12 @@ mu1/mu2 measure factors, and Mellin moments on (0, inf).
 Series are summed plainly by term recurrence, and each point stops at the
 first term after which no later term can change its sum, so every sum is
 bitwise that of the loop run forever: a scalar runs a plain loop on Python
-numbers, and a real array is summed in order of |x| with its final leading
-points retired, so a grid pays for the terms each point needs rather than
-for those of its largest |x|. Equal arguments (the mirror points of x^2 on a
-symmetric grid) share one series, and the stop is tested only on the band
-where the final prefix can end, at every term until the first point retires
+numbers, reached from 1F1 and 0F2 without the array front end, and a real
+array is summed in order of |x| with its final leading points retired, so a
+grid pays for the terms each point needs rather than for those of its
+largest |x|. Equal arguments (the mirror points of x^2 on a symmetric grid)
+share one series, and the stop is tested only on the band where the final
+prefix can end, at every term until the first point retires
 and at every 8th term after that. This is the package's one loop for
 term-ratio series; complex x, as 1F1 and 0F2 take it, runs the scalar loop
 in complex128 (complex64 widened, clongdouble refused), once per distinct
@@ -55,6 +56,7 @@ _MAX_NODES = 2 ** 20
 # level holds only the values of its n/2 new nodes
 _MAX_VALUES = 2 ** 22
 _CHUNK = 512            # values of c or z per shared node-doubling run
+_SMALL64 = float(np.finfo(np.float64).eps) / 8.0   # the stop test's eps/8 in float64
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +146,12 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
     every term, later ones every _STOP_EVERY terms; a final point that
     waits adds only terms that cannot move its sum, so the wait changes no
     bit. A sum that is not finite is refused at the next finiteness test,
-    every _SERIES_QUIET terms.
+    every _SERIES_QUIET terms. A Python float or complex x, as _series_arg
+    hands on a scalar, skips the array front end and goes straight to the
+    scalar loop, with the bits of a 0-d array of its value.
     """
+    if type(x) in (float, complex):
+        return _sum_scalar(term_ratio, x, _SMALL64, cap, label, steady)
     x = np.asarray(x)
     if x.dtype.kind == "c" and not np.can_cast(x.dtype, np.complex128):
         raise DomainError("%s will not narrow a %s x to complex128" % (label, x.dtype))
@@ -257,11 +263,24 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
     raise _series_error(label, cap, cap, float(np.max(np.abs(total))))
 
 
-def _finite_arg(x, label):
-    """x as an array, refused at once if any entry is NaN or infinite."""
-    x = np.asarray(x)
-    if not np.isfinite(x).all():
-        raise DomainError("%s argument x must be finite, got %s" % (label, x[~np.isfinite(x)][0]))
+def _series_arg(x, label, nonnegative=False):
+    """The argument of 1F1 or 0F2, refused at once if it or any entry is NaN
+    or infinite, or, for nonnegative, if it is real and below 0. A finite
+    Python or numpy float64 or complex128 scalar comes back as a Python
+    number, which _sum_series hands straight to its scalar loop (a numpy
+    scalar would run numpy's scalar arithmetic there); anything else as an
+    array."""
+    if isinstance(x, (float, complex)) and cmath.isfinite(x):
+        x = float(x) if isinstance(x, float) else complex(x)
+        negative = nonnegative and type(x) is float and x < 0.0
+    else:
+        x = np.asarray(x)
+        if not np.isfinite(x).all():
+            raise DomainError("%s argument x must be finite, got %s"
+                              % (label, x[~np.isfinite(x)][0]))
+        negative = nonnegative and x.dtype.kind != "c" and np.any(x < 0.0)
+    if negative:
+        raise DomainError("%s argument must be non-negative" % label)
     return x
 
 
@@ -275,7 +294,7 @@ def hyp1f1(a: float, c: float, x):
     _require_finite("hyp1f1", a=a, c=c)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
-    x = _finite_arg(x, "hyp1f1")
+    x = _series_arg(x, "hyp1f1")
     return _sum_series(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, label="hyp1f1",
                        steady=_hyp1f1_steady(a, c))
 
@@ -303,9 +322,7 @@ def hyp0f2(b1: float, b2: float, x):
     _require_finite("hyp0f2", b1=b1, b2=b2)
     if b1 <= 0.0 or b2 <= 0.0:
         raise DomainError("hyp0f2 needs positive lower parameters, got (%g, %g)" % (b1, b2))
-    x = _finite_arg(x, "hyp0f2")
-    if x.dtype.kind != "c" and np.any(x < 0.0):
-        raise DomainError("hyp0f2 argument must be non-negative")
+    x = _series_arg(x, "hyp0f2", nonnegative=True)
     # with b1, b2 > 0 the ratio shrinks from n = 0, the default steady index
     return _sum_series(lambda n: 1.0 / ((b1 + n) * (b2 + n) * (n + 1.0)), x, label="hyp0f2")
 

@@ -25,6 +25,7 @@ from susyosc.errors import (
     DomainError,
     InvalidSpecError,
     QuadratureError,
+    SusyOscError,
     TruncationError,
     UsageError,
 )
@@ -372,6 +373,106 @@ def test_evolution_refuses_time_by_name():
     for t in (1e308, math.inf, math.nan):
         with pytest.raises(DomainError, match=re.escape("time t=%r" % t)):
             evolve(cs, t)
+
+
+# ----------------------------------------------------------------------
+# The new-ladder weight memo
+# ----------------------------------------------------------------------
+
+def _exact(value):
+    """A query result or refusal, every float by repr and every array by its bytes."""
+    if isinstance(value, tuple):
+        return tuple(_exact(v) for v in value)
+    if isinstance(value, coherent.CoherentState):
+        return (value.family, repr(value.z), value.params, value.coeffs.dtype.str,
+                value.coeffs.tobytes(), repr(value.truncation_tail))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value).__name__, repr(value)
+
+
+def _query(fn, *args):
+    try:
+        return _exact(fn(*args))
+    except SusyOscError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _state_queries(family, z, z_prime, params):
+    """construct_cs, probabilities, mean_energy, evolve, annihilation_check
+    (iso families) and kernel of one label pair, each by _query."""
+    out = [_query(construct_cs, family, z, params),
+           _query(kernel, family, z_prime, z, params)]
+    try:
+        cs = construct_cs(family, z, params)
+    except SusyOscError:
+        return out
+    out += [_query(probabilities, cs), _query(mean_energy, cs), _query(evolve, cs, 1.7)]
+    if family in Family.ISO:
+        out.append(_query(annihilation_check, cs))
+    return out
+
+
+def test_new_weight_row_formed_once_per_key(k4_params, monkeypatch):
+    calls = []
+    gamma = coherent.gamma_fn
+    monkeypatch.setattr(coherent, "gamma_fn", lambda x: calls.append(x) or gamma(x))
+    for family in Family.NEW:
+        coherent._new_weights.cache_clear()
+        first = _state_queries(family, 0.9 + 0.4j, -1.1j, k4_params)
+        assert calls
+        calls.clear()
+        assert _state_queries(family, 0.9 + 0.4j, -1.1j, k4_params) == first
+        assert not calls
+        coherent._new_weights.cache_clear()
+        assert _state_queries(family, 0.9 + 0.4j, -1.1j, k4_params) == first
+        assert calls
+        calls.clear()
+
+
+def test_weight_memo_stays_under_its_maxsize():
+    coherent._new_weights.cache_clear()
+    maxsize = coherent._new_weights.cache_info().maxsize
+    assert maxsize == 256
+    pool = [CSParams(gap=3.5 + i / 64.0, k=3) for i in range(maxsize + 1)]
+    for params in pool:
+        construct_cs(Family.LIN_NEW, 0.5, params)
+        assert coherent._new_weights.cache_info().currsize <= maxsize
+    assert coherent._new_weights.cache_info().currsize == maxsize
+    misses = coherent._new_weights.cache_info().misses
+    construct_cs(Family.LIN_NEW, 0.5, pool[0])   # the oldest went first
+    assert coherent._new_weights.cache_info().misses == misses + 1
+    # Gamma(200) overflows float64: a refused row is not kept
+    with pytest.raises(DomainError, match="overflows float64"):
+        construct_cs(Family.DOCS_NEW, 0.5, CSParams(gap=200.0, k=2))
+    assert coherent._new_weights.cache_info().currsize == maxsize
+
+
+def test_state_queries_cold_equal_warm():
+    # the benchmark's measure pool: no memo state may leak into the bits or
+    # the refusals (15: TruncationError on the iso ladder, 1e150: an
+    # overflowing norm series)
+    pool = [CSParams.from_spec(SystemSpec(k=k, eps_top=eps_top, nu=0.0))
+            for k, eps_top in ((4, -2.8), (1, -1.0), (3, -2.0), (5, -1.5))]
+    labels = (0, 0.3, 0.9 + 0.4j, 4j, 15, 1e150)
+
+    def run(cold):
+        out = []
+        for params in pool:
+            for family in Family.ALL:
+                for i, z in enumerate(labels):
+                    if cold:
+                        coherent._new_weights.cache_clear()
+                        coherent._measure_store.cache_clear()
+                        coherent._moment.cache_clear()
+                    z_prime = labels[(i + 2) % len(labels)]
+                    out.append(_state_queries(family, z, z_prime, params))
+        return out
+
+    cold = run(cold=True)
+    assert run(cold=False) == cold
+    kinds = {q[0] for row in cold for q in row}
+    assert {"TruncationError", "DomainError"} <= kinds
 
 
 # ----------------------------------------------------------------------

@@ -495,6 +495,56 @@ def test_series_return_types():
     assert np.array_equal(got.ravel(), [hyp0f2(2.5, 1.5, w) for w in grid.ravel()])
 
 
+def _bits(value):
+    return type(value), np.array(value).tobytes()
+
+
+def test_scalar_front_end_sums_as_a_0d_array_bitwise(monkeypatch):
+    # a finite float64 or complex128 scalar skips the array front end; it must
+    # give the bits and the Python type of a 0-d array of its value. The
+    # kernel's overlap argument conj(z') z is an np.complex128, which the loop
+    # must see as a Python complex: numpy's scalar arithmetic moves last bits
+    args = [0.8, np.float64(2.3), 0.0, -0.0, np.float64(-0.0), 1.2 - 0.7j, complex(2.5, -0.0),
+            np.complex128(-3.1 + 0.4j), np.conj(0.5 + 0.2j) * (0.9 + 0.4j)]
+    seen = []
+    loop = specfun._sum_scalar
+    monkeypatch.setattr(specfun, "_sum_scalar",
+                        lambda ratio, xv, *rest: seen.append(type(xv)) or loop(ratio, xv, *rest))
+    for fn, p, q, extra in ((hyp0f2, 2.5, 1.5, []), (hyp1f1, 0.3, 0.5, [-4.0, np.float64(-0.6)])):
+        for x in args + extra:
+            seen.clear()
+            got = fn(p, q, x)
+            assert seen == [float if isinstance(x, float) else complex], (fn, x)
+            assert _bits(got) == _bits(fn(p, q, np.array(x))), (fn, x)
+
+
+def test_scalar_front_end_refuses_as_the_array_path():
+    big = complex(1.5e308, 1.5e308)
+    cases = [
+        (hyp0f2, math.nan, DomainError, "hyp0f2 argument x must be finite, got nan"),
+        (hyp0f2, np.float64(math.inf), DomainError, "hyp0f2 argument x must be finite, got inf"),
+        (hyp1f1, -math.inf, DomainError, "hyp1f1 argument x must be finite, got -inf"),
+        (hyp1f1, complex(math.nan, 0.0), DomainError,
+         r"hyp1f1 argument x must be finite, got \(nan\+0j\)"),
+        (hyp0f2, np.complex128(complex(0.0, -math.inf)), DomainError,
+         "hyp0f2 argument x must be finite, got -infj"),
+        (hyp0f2, -3.5, DomainError, "hyp0f2 argument must be non-negative"),
+        (hyp0f2, np.float64(-1e-300), DomainError, "hyp0f2 argument must be non-negative"),
+        (hyp0f2, big, SeriesError, "hyp0f2 partial sum is not finite after 50 terms"),
+        (hyp1f1, np.complex128(big), SeriesError, "hyp1f1 partial sum is not finite after 50 terms"),
+    ]
+    for fn, x, error, message in cases:
+        p, q = (2.5, 1.5) if fn is hyp0f2 else (0.3, 0.5)
+        for arg in (x, np.array(x)):
+            with pytest.raises(error, match="^%s$" % message):
+                fn(p, q, arg)
+    # a parameter is refused before the argument, as on the array path
+    with pytest.raises(DomainError, match="^hyp0f2 needs a finite b1, got nan$"):
+        hyp0f2(math.nan, 1.5, -3.5)
+    with pytest.raises(DomainError, match="^hyp1f1 undefined at non-positive integer c=-2$"):
+        hyp1f1(0.5, -2.0, math.nan)
+
+
 def test_semi_infinite_rule_positive_weights():
     nodes, weights = _semi_infinite_rule(64)
     assert np.all(weights > 0.0)
