@@ -44,7 +44,7 @@ from .painleve import (
     GSolution,
     ResidualStats,
     assignment_for,
-    companion_extremal_states,
+    backlund_check,
     g_from_extremal,
     g_for_system,
     piv_residual,

@@ -53,7 +53,7 @@ from .ladder import (
     pha_product_check,
     stencil_projection,
 )
-from .painleve import g_for_system, piv_residual
+from .painleve import backlund_check, g_for_system, piv_residual
 from .serialize import (
     SCHEMA_VERSION,
     load_system,
@@ -353,10 +353,17 @@ def _suite_coherent(system, doc):
     yield "divergence_crossing", crossing, 200
 
 
+def _suite_painleve(system, doc):
+    # the worst in-envelope spec (k <= 5) reads 5.1e-11 and k 6 (-2.8, -0.9)
+    # 5.9e-10; the seed Wronskian error of k 7 and k 8 reads 1.9e-8 and up
+    yield "backlund_half_eps0", backlund_check(system), 1e-9
+
+
 _SUITES = (
     ("coherent", _suite_coherent),
     ("ladder", _suite_ladder),
     ("measures", _suite_measures),
+    ("painleve", _suite_painleve),
     ("states", _suite_states),
 )
 

@@ -105,9 +105,10 @@ def _row_sum(row, w):
     """sum_j row_j w^j; w may be complex or ndarray."""
     total = 0.0 * w + 0.0
     power = 1.0 + 0.0 * w
-    for weight in row:
+    for j, weight in enumerate(row):
+        if j:   # no power past the last weight's, which could overflow unused
+            power = power * w
         total = total + weight * power
-        power = power * w
     return total
 
 

@@ -37,13 +37,6 @@ def deriv2(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative trapezoid antiderivative, anchored to zero at the first node."""
-    out = np.zeros_like(np.asarray(f, dtype=float))
-    out[1:] = np.cumsum((f[1:] + f[:-1]) * (0.5 * h))
-    return out
-
-
 def largest_run(mask: np.ndarray) -> tuple[int, int]:
     """The longest range [a, b) where mask is True, the first of equal ones;
     none is an InsufficientSupportError."""

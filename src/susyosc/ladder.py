@@ -12,7 +12,7 @@ l^+ = L_a^+ L_b^+ from a sampled Painleve IV solution g(x),
     L_a^+ = (-d/dx + f)/sqrt(2),  L_b^+ = (d^2/dx^2 + g d/dx + h)/2,
     f = g + x,  h = g'/2 - g^2/2 - 2xg - x^2 + a,
 
-with l^- the formal adjoint composition. Applying a stencil to an
+and applies l^-, the formal adjoint composition. Applying the stencil to an
 eigenfunction never takes more than one numerical derivative of the state:
 phi'' and phi''' reduce through the eigenvalue equation, and phi' is stored
 analytically on GridState anyway. The two routes are deliberately
@@ -197,7 +197,7 @@ def commutator_check(params: LadderCoeffs):
 
 @dataclass
 class OperatorStencil:
-    """Sampled coefficients of l^+ = L_a^+ L_b^+ and its adjoint on a window.
+    """Sampled coefficients of l^+ = L_a^+ L_b^+, applied as its adjoint l^-.
 
     Arrays live on x[sl], the largest contiguous unmasked run of the g
     solution less 4 points at each end (the stencil derivative g' is
@@ -234,10 +234,11 @@ def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     Two practical notes. A nodeless extremal state (the eps0 assignment)
     gives a pole-free g and hence one support run covering the whole window;
     the e1 = 1/2 state has k nodes and splits the line. And for quadrature
-    work it pays to extract g with a deeper phi_rel_floor (1e-8 or so):
-    the states are built in extended precision, the transcendent stays
-    clean well below the default display floor, and the wider window keeps
-    state tails inside the integrals.
+    work it pays to extract g with a deeper phi_rel_floor (1e-8 or so): the
+    eps0 state is evaluated in extended precision (the iso states in float64)
+    with an analytic derivative, so the transcendent stays clean well below
+    the default display floor, and the wider window keeps state tails inside
+    the integrals.
     """
     asg = gsol.assignment
     x, g, valid = gsol.x, gsol.g, gsol.valid
@@ -274,30 +275,19 @@ def _pair_derivative(op: OperatorStencil, c: np.ndarray, energy: float) -> np.nd
     return deriv1(c, op.h_step) + np.stack((2.0 * c[1] * (op.v - energy), c[0]))
 
 
-def apply_stencil(op: OperatorStencil, state: GridState, direction: str = "down"):
-    """Image of an eigenfunction under the stencil operator, on the full grid.
+def apply_stencil(op: OperatorStencil, state: GridState):
+    """Image of an eigenfunction under the stencil's l^-, on the full grid.
 
     The state's analytic derivative and its energy are used. Points the
     composed stencils cannot reach are NaN; the image is exactly linear in
     the state.
     """
-    if direction not in ("up", "down"):
-        raise DomainError("direction must be 'up' or 'down'")
     energy = float(state.energy)
-    ones = np.ones(op.xs.size)
-    if direction == "down":
-        # L_a^- = (d/dx + f)/sqrt(2), then L_b^- = (d^2 - g d + (h - g'))/2
-        c = np.stack((op.f, ones)) / _SQRT2
-        dc = _pair_derivative(op, c, energy)
-        ddc = _pair_derivative(op, dc, energy)
-        out = 0.5 * (ddc - op.g * dc + (op.h - op.dg) * c)
-    else:
-        # L_b^+ = (d^2 + g d + h)/2, then L_a^+ = (-d/dx + f)/sqrt(2)
-        base = np.stack((ones, np.zeros(ones.size)))
-        dbase = _pair_derivative(op, base, energy)
-        ddbase = _pair_derivative(op, dbase, energy)
-        mid = 0.5 * (ddbase + op.g * dbase + op.h * base)
-        out = (op.f * mid - _pair_derivative(op, mid, energy)) / _SQRT2
+    # L_a^- = (d/dx + f)/sqrt(2), then L_b^- = (d^2 - g d + (h - g'))/2
+    c = np.stack((op.f, np.ones(op.xs.size))) / _SQRT2
+    dc = _pair_derivative(op, c, energy)
+    ddc = _pair_derivative(op, dc, energy)
+    out = 0.5 * (ddc - op.g * dc + (op.h - op.dg) * c)
     image = np.full(op.x.size, np.nan)
     image[op.sl] = out[0] * state.values[op.sl] + out[1] * state.derivs[op.sl]
     return image
@@ -312,9 +302,8 @@ def _support_slice(image: np.ndarray) -> slice:
     return slice(lo, hi)
 
 
-def stencil_projection(op: OperatorStencil, bra: GridState, ket: GridState, weights,
-                       direction: str = "down") -> float:
-    """Projection coefficient <bra | l ket>_W / <bra | bra>_W.
+def stencil_projection(op: OperatorStencil, bra: GridState, ket: GridState, weights) -> float:
+    """Projection coefficient <bra | l^- ket>_W / <bra | bra>_W.
 
     Numerator and denominator share the support window W, so if the image is
     proportional to bra pointwise the result is the proportionality constant
@@ -323,7 +312,7 @@ def stencil_projection(op: OperatorStencil, bra: GridState, ket: GridState, weig
     residual error concentrates there, so a band of 5 more points is
     excluded beyond the NaN region.
     """
-    image = apply_stencil(op, ket, direction=direction)
+    image = apply_stencil(op, ket)
     bv = bra.values
     sl = _support_slice(image)
     den = float(np.sum(weights[sl] * bv[sl] * bv[sl]))

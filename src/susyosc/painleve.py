@@ -10,11 +10,11 @@ which solves the Painleve IV equation
 
     g'' = g'^2 / (2 g) + (3/2) g^3 + 4 x g^2 + 2 (x^2 - a) g + b / g
 
-with a = e2 + e3 - 2 e1 - 1 and b = -2 (e2 - e3)^2. The other two extremal
-states can be rebuilt from g alone (companion_extremal_states), an
-independent route that the test suite compares with the stored states;
-the command line judges g by its equation residual (`susyosc painleve`)
-and by the ladder stencil built from it (`susyosc verify`).
+with a = e2 + e3 - 2 e1 - 1 and b = -2 (e2 - e3)^2. The transcendents of
+the two stored extremal states are one Backlund step apart
+(backlund_check); the command line judges g by its equation residual
+(`susyosc painleve`), and `susyosc verify` by that Backlund edge and by
+the ladder stencil built from g.
 
 States with nodes still produce valid transcendents away from the nodes; the
 extraction therefore masks a guard band around every detected node plus the
@@ -24,13 +24,12 @@ taken over the surviving points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InsufficientSupportError, UsageError
-from .gridops import cumtrapz, deriv1, deriv2, largest_run
+from .gridops import deriv1, deriv2
 from .susy import SystemSpec, SusySystem
 
 DEFAULT_PHI_FLOOR = 1e-5
@@ -221,45 +220,26 @@ def potential_from_g(gsol: GSolution, e1: float) -> np.ndarray:
         return x * x / 2.0 - deriv1(g, gsol.h) / 2.0 + g * g / 2.0 + x * g + e1 - 0.5
 
 
-def companion_extremal_states(gsol: GSolution):
-    """Rebuild the extremal states at e2 and e3 from g on one segment.
+def backlund_check(system: SusySystem) -> float:
+    """Largest relative miss of the Backlund edge W_-(g_half) = W_+(g_eps0).
 
-    phi_{e2} ~ (g'/(2g) - g/2 - d/g - x) * sqrt|g| * exp( int (g/2 - d/g) ),
-    phi_{e3} the same formula with d -> -d, where d = e2 - e3; both come from
-    one loop over the sign of d. The log-derivative part of the exponent
-    integrates in closed form to (1/2) ln|g|; only the regular part is
-    accumulated by trapezoid. Zeros of g split the domain, so everything is
-    built on the largest usable segment, at least 0.1 away from every zero of
-    g and with |g| above DEFAULT_G_FLOOR, and both outputs are L2-normalized
-    there.
+    With the analytic g' = -1 - 2 (V - e1) + (g + x)^2 on the stored
+    potential V, the edge (Bassom, Clarkson & Hicks 1995) reduces to the
+    division-free identity
 
-    Returns (x_segment, phi_e2, phi_e3, slice).
+        g_eps0 (x^2 - 2V + 2k) = g_half (x^2 - 2V + 2 (eps_0 + eps_top)),
+
+    which needs no choice of sign for sqrt(-2b). Both sides come from the
+    default-floor g_for_system solutions; the figure is the largest
+    |lhs - rhs| / max(|lhs|, |rhs|) over the points where both are finite,
+    and a system with no such point is an InsufficientSupportError.
     """
-    d = gsol.assignment.e2 - gsol.assignment.e3
-    x, g, h, valid = gsol.x, gsol.g, gsol.h, gsol.valid
-    ok = valid & (np.abs(g) > DEFAULT_G_FLOOR)
-    # widen the exclusion around zeros of g (inside one valid run) slightly;
-    # 1/g integrands are the worst behaved objects in the package
-    for x0 in _zero_crossings(x, g, valid[:-1] & valid[1:]):
-        ok &= np.abs(x - x0) > 0.1
-    a, b = largest_run(ok)
-    if b - a < 24:
-        raise InsufficientSupportError("largest zero-free segment has only %d points" % (b - a))
-    xs, gs = x[a:b], g[a:b]
-    d1 = deriv1(gs, h)
-    mid = (b - a) // 2
-    log_amp = 0.5 * np.log(np.abs(gs))
-    phis = []
-    for dd in (d, -d):
-        # trapezoid part of the exponent, anchored mid-segment; the g'/2g
-        # piece integrates exactly to (1/2) ln|g| and is added in closed form
-        reg = cumtrapz(gs / 2.0 - dd / gs, h)
-        expo = log_amp - log_amp[mid] + reg - reg[mid]
-        with np.errstate(invalid="ignore", over="ignore"):
-            phi = (d1 / (2.0 * gs) - gs / 2.0 - dd / gs - xs) * np.exp(expo)
-        # the g' stencil leaves the two points at each segment end
-        # undefined; hand back only the interior
-        phi = phi[2:-2]
-        s = math.sqrt(float(np.sum(phi * phi) * h))
-        phis.append(phi / s if s > 0 else phi)
-    return xs[2:-2], phis[0], phis[1], slice(a + 2, b - 2)
+    spec = system.spec
+    q = system.x ** 2 - 2.0 * system.potential
+    lhs = g_for_system(system, "eps0").g * (q + 2.0 * spec.k)
+    rhs = g_for_system(system, "half").g * (q + 2.0 * (spec.eps0 + spec.eps_top))
+    both = np.isfinite(lhs) & np.isfinite(rhs)
+    if not np.any(both):
+        raise InsufficientSupportError("the half and eps0 transcendents share no finite point")
+    lhs, rhs = lhs[both], rhs[both]
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))

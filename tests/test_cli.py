@@ -299,6 +299,7 @@ _VERIFY_CHECKS_K1 = [
     ("measures", "identity_docs_new"),
     ("measures", "identity_lin_iso"),
     ("measures", "identity_lin_new"),
+    ("painleve", "backlund_half_eps0"),
     ("states", "orthonormality"),
     ("states", "eigen_residual"),
 ]
@@ -310,12 +311,12 @@ def test_verify_all_suites(k1_doc, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 36
+    assert len(lines) == 37
     assert all(ln.startswith("PASS") for ln in lines)
     assert [ln.split()[1] for ln in lines] == ["%s:%s" % pair for pair in _VERIFY_CHECKS_K1]
     doc = load_json(str(report))
     assert doc["all_passed"] is True
-    assert doc["suites_run"] == ["coherent", "ladder", "measures", "states"]
+    assert doc["suites_run"] == ["coherent", "ladder", "measures", "painleve", "states"]
     assert [(c["suite"], c["check"]) for c in doc["checks"]] == _VERIFY_CHECKS_K1
 
 
@@ -556,7 +557,7 @@ def test_density_refuses_grid_options(capsys):
 ], ids=["verify-suite", "painleve-perturb-a", "measure-npoints", "density-npoints",
         "build-xmin", "cs-xmin"])
 def test_deleted_options_refused(argv, option, tmp_path, capsys):
-    # verify runs all four suites, painleve checks the assignment's own a,
+    # verify runs all five suites, painleve checks the assignment's own a,
     # tables hold 120 radii and --xmax is the half-width of a symmetric grid
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

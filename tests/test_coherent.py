@@ -344,6 +344,18 @@ def test_non_finite_and_overflowing_labels_refused(k4_params):
             kernel(fam, 1e150, 0.5, k4_params)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", Family.NEW)
+def test_new_ladder_label_whose_last_power_fits(family):
+    """At k 2 the norm series ends at the |z|^2 term, finite at |z| = 1e150;
+    no power past it is formed, so kernel, state and mean energy run without
+    an overflow warning."""
+    params = CSParams.from_spec(SystemSpec(k=2, eps_top=-1.3, nu=0.0))
+    assert abs(kernel(family, 1e150, 1e150, params) - 1.0) < 1e-12
+    cs = construct_cs(family, 1e150, params)
+    assert mean_energy(cs) == pytest.approx(params.eps0 + 1.0, rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # Time evolution
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ quadrature), so their agreement on matrix elements is a real cross-check.
 import cmath
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from susyosc.ladder import (
     pha_product_check,
     stencil_projection,
 )
-from susyosc.painleve import Assignment, GSolution, companion_extremal_states, g_for_system
+from susyosc.painleve import Assignment, GSolution, backlund_check, g_for_system
 
 
 @pytest.fixture(scope="module")
@@ -264,16 +265,6 @@ def test_aocs_iso_annihilated_in_x_space(box_systems):
             assert math.sqrt(residual) <= 1e-4, (system.spec, z)
 
 
-def test_stencil_up_direction(k4_system, k4_coeffs, k4_stencil):
-    w = k4_system.weights
-    for n in range(1, 4):
-        got = stencil_projection(k4_stencil, k4_system.state("iso", n),
-                                 k4_system.state("iso", n - 1), w, direction="up")
-        assert abs(got / k4_coeffs.iso_down(n) - 1.0) < 1e-3
-    with pytest.raises(DomainError):
-        apply_stencil(k4_stencil, k4_system.state("iso", 1), direction="sideways")
-
-
 def test_stencil_annihilates_ladder_bottoms(k4_system, k4_stencil):
     """Both kernel states map to numerical noise, measured against the image
     of a state the operator genuinely moves."""
@@ -286,8 +277,6 @@ def test_stencil_annihilates_ladder_bottoms(k4_system, k4_stencil):
     scale = support_norm(apply_stencil(k4_stencil, k4_system.state("iso", 1)))
     for st in (k4_system.state("iso", 0), k4_system.state("new", 0)):
         assert support_norm(apply_stencil(k4_stencil, st)) / scale < 1e-3
-    top = k4_system.state("new", 3)
-    assert support_norm(apply_stencil(k4_stencil, top, direction="up")) / scale < 1e-3
 
 
 def test_stencil_requires_contiguous_support(k4_system):
@@ -303,9 +292,19 @@ def test_stencil_requires_contiguous_support(k4_system):
         build_operator_stencil(dataclasses.replace(gsol, g=g))
 
 
-@pytest.mark.parametrize("refuse", [build_operator_stencil, companion_extremal_states,
+def _backlund_on(gsol):
+    """backlund_check on a system whose two extremal states both give gsol's
+    transcendent: phi = 1 with phi' = -x - g."""
+    state = types.SimpleNamespace(values=np.ones(gsol.x.size), derivs=-gsol.x - gsol.g)
+    system = types.SimpleNamespace(spec=SystemSpec(k=1, eps_top=-1.0, nu=0.0), x=gsol.x,
+                                   potential=np.zeros(gsol.x.size),
+                                   state=lambda subspace, n: state)
+    return backlund_check(system)
+
+
+@pytest.mark.parametrize("refuse", [build_operator_stencil, _backlund_on,
                                     lambda gsol: largest_run(gsol.valid)],
-                         ids=["stencil", "companion", "largest_run"])
+                         ids=["stencil", "backlund", "largest_run"])
 def test_empty_support_is_insufficient(refuse):
     """An all-masked solution is too little support (exit 3), not a domain error."""
     x = np.linspace(-1.0, 1.0, 201)

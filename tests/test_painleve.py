@@ -3,8 +3,8 @@
 The central claim is that g = -x - (ln phi_e1)' built from an extremal state
 of a partner system satisfies the quartic Painleve equation with parameters
 fixed by the three extremal energies. The tests check the residual directly,
-shrink it under grid refinement at the stencil's order, and rebuild both the
-potential and the companion extremal states from g alone.
+shrink it under grid refinement at the stencil's order, rebuild the potential
+from g alone, and check the Backlund edge between the two transcendents.
 """
 
 import dataclasses
@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from susyosc import cli
 from susyosc.errors import DomainError, InsufficientSupportError, UsageError
 from susyosc.painleve import (
     DEFAULT_GUARD_X,
@@ -20,7 +21,7 @@ from susyosc.painleve import (
     GSolution,
     _zero_crossings,
     assignment_for,
-    companion_extremal_states,
+    backlund_check,
     g_for_system,
     g_from_extremal,
     piv_residual,
@@ -179,31 +180,27 @@ def test_potential_rebuilt_from_transcendent(k4_system, k1_system):
             assert np.max(np.abs(v[m] - system.potential[m])) < tol
 
 
-def test_companion_states_rebuilt_from_g(k4_system, k1_system):
-    """Both non-differentiated extremal states come back from g; where the
-    system stores the matching bound state the rebuild must agree with it."""
-    for system, which, pick, subspace in (
-            (k1_system, "half", "e3", "new"),
-            (k4_system, "half", "e3", "new"),
-            (k4_system, "eps0", "e2", "iso")):
-        gs = g_for_system(system, which)
-        xs, phi2, phi3, sl = companion_extremal_states(gs)
-        rebuilt = phi3 if pick == "e3" else phi2
-        stored = system.state(subspace, 0).values[sl]
-        stored = stored / np.sqrt(np.sum(stored ** 2) * gs.h)
-        dev = min(np.max(np.abs(rebuilt - stored)), np.max(np.abs(rebuilt + stored)))
-        assert dev < 1e-3
-        assert xs.size > 200
+_BACKLUND_SPECS = [(1, 0.45, 0.0), (1, -1.0, 0.5), (2, -1.3, 0.4), (2, 0.2, 0.3),
+                   (3, 0.1, 0.1), (4, -2.8, -0.9), (4, -2.8, 0.9), (5, -1.45, 0.5),
+                   (5, -0.75, -0.394)]
 
 
-def test_companion_refuses_thin_segment():
-    x = np.linspace(-1.0, 1.0, 201)
-    window = np.zeros(x.size, dtype=bool)
-    window[90:100] = True
-    gs = GSolution(x=x, g=np.where(window, 1.0, np.nan), window=window,
-                   assignment=Assignment(0.5, 0.0, -1.0))
-    with pytest.raises(InsufficientSupportError):
-        companion_extremal_states(gs)
+@pytest.mark.parametrize("k, eps_top, nu", _BACKLUND_SPECS)
+def test_backlund_edge_within_verify_threshold(k, eps_top, nu):
+    """W_-(g_half) = W_+(g_eps0) on k 1-5 under verify's threshold; with
+    eps_top above -1/2 a fixed sign for sqrt(-2b) would read 2 there."""
+    system = build_system(SystemSpec(k=k, eps_top=eps_top, nu=nu), n_max=0)
+    (name, value, threshold), = cli._suite_painleve(system, None)
+    assert name == "backlund_half_eps0"
+    assert value == backlund_check(system)
+    assert value <= threshold
+
+
+def test_backlund_edge_reads_the_potential(k4_system):
+    """A potential shifted by 1e-6 misses the edge by about that much."""
+    shifted = dataclasses.replace(k4_system, potential=k4_system.potential + 1e-6)
+    assert backlund_check(k4_system) < 1e-12
+    assert 1e-8 < backlund_check(shifted) < 1e-4
 
 
 def test_residual_support_guard(k4_system):

@@ -11,14 +11,14 @@ import susyosc
 
 EXPECTED_DEFAULTS = {
     "annihilation_check": [],
-    "apply_stencil": ["direction"],
+    "apply_stencil": [],
     "assignment_for": [],
+    "backlund_check": [],
     "bessel_k": [],
     "build_operator_stencil": [],
     "build_seed_chain": [],
     "build_system": ["n_max"],
     "commutator_check": [],
-    "companion_extremal_states": [],
     "construct_cs": [],
     "digamma": [],
     "divergence_witness": [],
@@ -46,7 +46,7 @@ EXPECTED_DEFAULTS = {
     "potential": [],
     "potential_from_g": [],
     "probabilities": [],
-    "stencil_projection": ["direction"],
+    "stencil_projection": [],
     "tricomi_u": ["rtol"],
     "wavefunction": [],
 }
