@@ -223,23 +223,23 @@ def potential_from_g(gsol: GSolution, e1: float) -> np.ndarray:
 def backlund_check(system: SusySystem) -> float:
     """Largest relative miss of the Backlund edge W_-(g_half) = W_+(g_eps0).
 
-    With the analytic g' = -1 - 2 (V - e1) + (g + x)^2 on the stored
-    potential V, the edge (Bassom, Clarkson & Hicks 1995) reduces to the
-    division-free identity
+    With the analytic g' = -1 - 2 (V - e1) + (g + x)^2 on the stored potential V,
+    the edge (Bassom, Clarkson & Hicks 1995) is, free of any sign for sqrt(-2b),
 
-        g_eps0 (x^2 - 2V + 2k) = g_half (x^2 - 2V + 2 (eps_0 + eps_top)),
+        g_eps0 (x^2 - 2V + 2k) = g_half (x^2 - 2V + 2 (eps_0 + eps_top)).
 
-    which needs no choice of sign for sqrt(-2b). Both sides come from the
-    default-floor g_for_system solutions; the figure is the largest
-    |lhs - rhs| / max(|lhs|, |rhs|) over the points where both are finite,
-    and a system with no such point is an InsufficientSupportError.
+    The figure is the largest |lhs - rhs| / max(|lhs|, |rhs|) on the default-floor
+    g_for_system solutions, over the points where both sides are finite and, as in
+    piv_residual, both |g| reach DEFAULT_G_FLOOR (an odd g is 0 at x = 0, both sides
+    rounding residue there); with no such point, an InsufficientSupportError.
     """
-    spec = system.spec
-    q = system.x ** 2 - 2.0 * system.potential
-    lhs = g_for_system(system, "eps0").g * (q + 2.0 * spec.k)
-    rhs = g_for_system(system, "half").g * (q + 2.0 * (spec.eps0 + spec.eps_top))
-    both = np.isfinite(lhs) & np.isfinite(rhs)
+    spec, q = system.spec, system.x ** 2 - 2.0 * system.potential
+    g_eps0, g_half = (g_for_system(system, which).g for which in ("eps0", "half"))
+    lhs = g_eps0 * (q + 2.0 * spec.k)
+    rhs = g_half * (q + 2.0 * (spec.eps0 + spec.eps_top))
+    small = np.minimum(np.abs(g_eps0), np.abs(g_half)) < DEFAULT_G_FLOOR
+    both = np.isfinite(lhs) & np.isfinite(rhs) & ~small
     if not np.any(both):
-        raise InsufficientSupportError("the half and eps0 transcendents share no finite point")
+        raise InsufficientSupportError("the half and eps0 transcendents share no usable point")
     lhs, rhs = lhs[both], rhs[both]
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
