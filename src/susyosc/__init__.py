@@ -45,7 +45,6 @@ from .painleve import (
     ResidualStats,
     assignment_for,
     backlund_check,
-    g_from_extremal,
     g_for_system,
     piv_residual,
     potential_from_g,

@@ -44,7 +44,7 @@ from .errors import (
     UsageError,
 )
 from .gridops import simpson_weights
-from .ladder import LadderCoeffs
+from .ladder import LadderCoeffs, natural_down_coeff
 from .specfun import (digamma, gamma_fn, hyp0f2, laplace_power_integral, mellin_moment,
                       tricomi_u)
 
@@ -296,7 +296,8 @@ def annihilation_check(cs: CoherentState) -> float:
         raise UsageError(
             "annihilation_check applies to aocs_iso or lin_iso states, not %r"
             % (cs.family,))
-    down = cs.params.iso_down if cs.family == Family.AOCS_ISO else math.sqrt
+    down = (functools.partial(natural_down_coeff, subspace="iso", params=cs.params)
+            if cs.family == Family.AOCS_ISO else math.sqrt)
     c = cs.coeffs
     top = c.size - 1
     c_past = c[top] * cs.z / math.sqrt(_iso_step(cs.family, cs.params)(top))
@@ -667,25 +668,31 @@ class MeasureFn:
         A radius where the value is not finite (the profile underflows to
         zero while the norm series overflows, or 0F2 itself overflows) is
         refused with DomainError rather than returned as NaN, and so is a
-        complex or non-numeric r, naming r.
+        radius whose square overflows or a complex or non-numeric r, naming r.
         """
         r_arr = _real_arg("measure density", "r", r)
         scalar = r_arr.ndim == 0
         rv = np.atleast_1d(r_arr)
         if not np.all(rv > 0.0):
             raise DomainError("measure density needs r > 0")
-        x = rv * rv
+        with np.errstate(over="ignore"):
+            x = rv * rv
+        if np.isinf(x).any():
+            raise DomainError("measure density: r^2 overflows at r=%g" % rv[np.isinf(x)][0])
         a, k = self.params.gap, self.params.k
         args = {MeasureFamily.MU1: (a + 1.0, a - k + 1.0), MeasureFamily.MU2: (a, float(k)),
                 MeasureFamily.MU3: ()}[self.family]
         scale = 1.0 / math.prod([math.pi] + [gamma_fn(v) for v in args])
+        not_finite = "%s density is not finite at r=%g"
         with np.errstate(over="ignore", invalid="ignore"):
-            series = _norm_series(_FAMILY_FOR[self.family], self.params)(x)
+            try:
+                series = _norm_series(_FAMILY_FOR[self.family], self.params)(x)
+            except SeriesError:   # mu1's 0F2 overflows; it grows with x
+                raise DomainError(not_finite % (self.family, rv.max())) from None
             out = np.atleast_1d(self.profile(x) * series * scale)
         bad = ~np.isfinite(out)
         if bad.any():
-            raise DomainError("%s density is not finite at r=%g"
-                              % (self.family, rv[bad][0]))
+            raise DomainError(not_finite % (self.family, rv[bad][0]))
         return float(out[0]) if scalar else out.reshape(r_arr.shape)
 
 

@@ -1,13 +1,17 @@
 """Ladder operators of the partner systems, in two interchangeable forms.
 
-The coefficient tables express the third-order operators l^- / l^+ and their
-linearized companions through their action on the eigenbasis: l^- steps down
-each ladder with a coefficient fixed by the product rule
+Each lowering operator has one coefficient table over the eigenbasis, and
+its raising partner is the adjoint: the same table one level higher. The
+third-order l^- (natural_down_coeff) steps down each ladder with a
+coefficient fixed by the product rule
 
     l^+ l^- = (H - 1/2)(H - eps_0)(H - eps_0 - k),
 
-which annihilates both ladder bottoms. The differential realization rebuilds
-l^+ = L_a^+ L_b^+ from a sampled Painleve IV solution g(x),
+which annihilates both ladder bottoms; the linearized ell^-
+(linearized_coeff) steps with sqrt(E - E_0).
+
+The differential realization rebuilds l^+ = L_a^+ L_b^+ from a sampled
+Painleve IV solution g(x),
 
     L_a^+ = (-d/dx + f)/sqrt(2),  L_b^+ = (d^2/dx^2 + g d/dx + h)/2,
     f = g + x,  h = g'/2 - g^2/2 - 2xg - x^2 + a,
@@ -46,13 +50,14 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class LadderCoeffs:
-    """Spectral data (gap, k) and the third-order ladder action it fixes.
+    """Spectral data (gap, k) that fixes both coefficient tables.
 
     gap is E_0 - eps_0, the distance from the old ground energy down to the
     bottom of the new ladder; the spectrum is E_n = n + 1/2 on the iso ladder
     and eps_j = eps_0 + j, j = 0..k-1, on the new one. A finite gap > k - 1,
-    a float by SystemSpec's number rule, keeps every radicand below
-    non-negative. The coherent-state layer calls this type CSParams.
+    a float by SystemSpec's number rule, keeps every radicand of the tables
+    (natural_down_coeff, linearized_coeff) non-negative. The coherent-state
+    layer calls this type CSParams.
     """
     gap: float
     k: int
@@ -73,33 +78,31 @@ class LadderCoeffs:
     def eps0(self) -> float:
         return 0.5 - self.gap
 
-    def iso_down(self, n: int) -> float:
-        """d_n with l^- |n> = d_n |n-1>; d_0 = 0."""
-        n = _level(n, "iso level")
-        return math.sqrt(n * (n + self.gap) * (n + self.gap - self.k))
 
-    def new_down(self, j: int) -> float:
-        """e_j with l^- |eps_j> = e_j |eps_{j-1}>; e_0 = 0.
-
-        The raw product (eps_j - E_0)(eps_j - eps_0)(eps_j - eps_0 - k) has
-        two negative factors, so it is computed in the manifestly
-        non-negative arrangement (gap - j) j (k - j).
-        """
-        j = _level(j, "new level")
-        if j > self.k:
-            raise DomainError("new level must be an integer in 0..k, got %d" % j)
-        return math.sqrt((self.gap - j) * j * (self.k - j))
+def _position(level, subspace: str, params: LadderCoeffs) -> int:
+    """level as an int, refused unless it is a level of the named ladder."""
+    if subspace == "iso":
+        return _level(level, "iso level")
+    if subspace != "new":
+        raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
+    j = _level(level, "new level")
+    if j >= params.k:
+        raise DomainError("new level must be an integer in 0..k-1, got %d" % j)
+    return j
 
 
 def natural_down_coeff(level: int, subspace: str, params: LadderCoeffs) -> float:
-    """Coefficient of l^- at the given ladder position."""
+    """d with l^- |level> = d |level - 1>, the one table of the third-order step.
+
+    iso: d_n = sqrt(n (n + gap)(n + gap - k)), so d_0 = 0.
+    new: e_j = sqrt((gap - j) j (k - j)) for j = 0..k-1, so e_0 = 0. The raw
+    product (eps_j - E_0)(eps_j - eps_0)(eps_j - eps_0 - k) has two negative
+    factors, so it is computed in that manifestly non-negative arrangement.
+    """
+    n = _position(level, subspace, params)
     if subspace == "iso":
-        return params.iso_down(level)
-    if subspace == "new":
-        if level >= params.k:
-            raise DomainError("new level out of range 0..k-1")
-        return params.new_down(level)
-    raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
+        return math.sqrt(n * (n + params.gap) * (n + params.gap - params.k))
+    return math.sqrt((params.gap - n) * n * (params.k - n))
 
 
 def pha_product_check(params: LadderCoeffs, level: int, subspace: str):
@@ -126,69 +129,39 @@ def nilpotent_matrix(params: LadderCoeffs) -> np.ndarray:
     k = params.k
     m = np.zeros((k, k))
     for j in range(1, k):
-        m[j - 1, j] = params.new_down(j)
+        m[j - 1, j] = natural_down_coeff(j, "new", params)
     return m
 
 
-# ----------------------------------------------------------------------
-# Linearized ladder
-# ----------------------------------------------------------------------
+def linearized_coeff(level: int, subspace: str, params: LadderCoeffs) -> complex:
+    """c with ell^- |level> = c |level - 1>, the one table of the linearized step.
 
-def linearized_coeff(direction: str, level: int, subspace: str,
-                     params: LadderCoeffs) -> complex:
-    """Action coefficient of ell^- / ell^+ at one ladder position.
-
-    iso: ell^- |n> = sqrt(n) |n-1>, ell^+ |n> = sqrt(n+1) |n+1>.
-    new: ell^- |eps_j> = sqrt(eps_j - E_0) |eps_{j-1}> for j >= 1 and
-    ell^+ |eps_j> = sqrt(eps_{j+1} - E_0) |eps_{j+1}> for j <= k-2, with the
-    boundary states annihilated. The new-subspace radicands eps_j - E_0 are
-    negative, so those steps carry phase i; probabilities and energies never
-    see it, and the i^j in the displaced-state coefficients is exactly this
-    phase accumulating.
+    iso: c_n = sqrt(n). new: c_j = sqrt(eps_j - E_0) for j = 1..k-1 and
+    c_0 = 0. Its adjoint raises with the same table one level higher,
+    ell^+ |n> = c_{n+1} |n+1>, with c = 0 past the top of the new ladder.
+    The new-subspace radicands eps_j - E_0 are negative, so those steps
+    carry phase i; probabilities and energies never see it, and the i^j in
+    the displaced-state coefficients is exactly this phase accumulating.
     """
-    if direction not in ("up", "down"):
-        raise DomainError("direction must be 'up' or 'down'")
-    level = _level(level, "level")
+    n = _position(level, subspace, params)
     if subspace == "iso":
-        return complex(math.sqrt(level) if direction == "down" else math.sqrt(level + 1))
-    if subspace != "new":
-        raise DomainError("subspace must be 'iso' or 'new', got %r" % (subspace,))
-    if level >= params.k:
-        raise DomainError("new level out of range 0..k-1")
-    if direction == "down":
-        return 0j if level == 0 else math.sqrt(params.gap - level) * 1j
-    return 0j if level == params.k - 1 else math.sqrt(params.gap - level - 1) * 1j
-
-
-def _commutator_diagonal(params: LadderCoeffs, subspace: str, count: int, top: int):
-    """ell^- ell^+ - ell^+ ell^- on levels 0..count-1 of one ladder.
-
-    A product that would step past level top, or below level 0, is zero.
-    """
-    out = np.empty(count)
-    for n in range(count):
-        up_then_down = 0.0
-        if n < top:
-            up_then_down = (linearized_coeff("up", n, subspace, params)
-                            * linearized_coeff("down", n + 1, subspace, params))
-        down_then_up = 0.0
-        if n > 0:
-            down_then_up = (linearized_coeff("down", n, subspace, params)
-                            * linearized_coeff("up", n - 1, subspace, params))
-        out[n] = complex(up_then_down - down_then_up).real
-    return out
+        return complex(math.sqrt(n))
+    return 0j if n == 0 else math.sqrt(params.gap - n) * 1j
 
 
 def commutator_check(params: LadderCoeffs):
-    """[ell^-, ell^+] on each basis vector, from the coefficient products.
+    """[ell^-, ell^+] on each basis vector: c_{n+1}^2 - c_n^2 on level n, from
+    the ell^- table with c_k = 0 past the top of the new ladder.
 
     Returns (iso_values, new_values), the iso ladder on levels 0..8 and the
     whole new ladder. On the iso ladder every value is 1; on the new ladder
     the bottom and top states break the Heisenberg-Weyl algebra, giving
     eps_0 + 1 - E_0 and E_0 + 1 - eps_0 - k respectively, with 1 in between.
     """
-    return (_commutator_diagonal(params, "iso", 9, 9),
-            _commutator_diagonal(params, "new", params.k, params.k - 1))
+    iso = [linearized_coeff(n, "iso", params) for n in range(10)]
+    new = [linearized_coeff(j, "new", params) for j in range(params.k)] + [0j]
+    return tuple(np.array([(hi * hi - lo * lo).real for lo, hi in zip(c, c[1:])])
+                 for c in (iso, new))
 
 
 # ----------------------------------------------------------------------

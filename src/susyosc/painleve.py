@@ -2,7 +2,8 @@
 
 Every partner system carries three natural "extremal" energies: the old
 ground level 1/2, the lowest created level eps_0, and eps_{k-1} + 1. Choosing
-one of them as e1 (with a state phi_{e1} to differentiate) gives
+one of the two the system stores a state for as e1, g_for_system reads that
+state phi_{e1} and its analytic derivative off the built system and forms
 
     g(x) = -x - d/dx ln phi_{e1}(x),
 
@@ -97,35 +98,29 @@ class GSolution:
         return 1.0 - float(np.count_nonzero(self.valid)) / max(1, int(np.count_nonzero(self.window)))
 
 
-def g_from_extremal(state_values, x, *, dstate_values, assignment: Assignment,
-                    phi_rel_floor: float = DEFAULT_PHI_FLOOR) -> GSolution:
-    """Extract g = -x - phi'/phi from a sampled extremal state.
+def g_for_system(system: SusySystem, which: str,
+                 phi_rel_floor: float = DEFAULT_PHI_FLOOR) -> GSolution:
+    """g = -x - phi'/phi from the named extremal state of a built system.
 
-    dstate_values is the state's analytic derivative (every state a built
-    system stores carries one), so the logarithmic derivative is exact up
-    to rounding; a stencil derivative would amplify the point-to-point
-    noise of phi by 1/h and pollute the transcendent in the tails.
+    The state's analytic derivative is used (every stored state carries
+    one), so the logarithmic derivative is exact up to rounding; a stencil
+    derivative would amplify the point-to-point noise of phi by 1/h and
+    pollute the transcendent in the tails.
 
     Points where |phi| falls below phi_rel_floor * max|phi| are outside the
-    window (a floor outside [0, 1) is a DomainError); detected nodes (sign changes next to the window) mask everything
-    within DEFAULT_GUARD_X of the crossing, since 1/phi makes every
-    downstream stencil untrustworthy there.
+    window (a floor outside [0, 1) is a DomainError); detected nodes (sign
+    changes next to the window) mask everything within DEFAULT_GUARD_X of
+    the crossing, since 1/phi makes every downstream stencil untrustworthy
+    there.
     """
+    assignment = assignment_for(system.spec, which)
     if not 0.0 <= phi_rel_floor < 1.0:
         raise DomainError("phi_rel_floor must lie in [0, 1), got %r" % (phi_rel_floor,))
-    phi = np.asarray(state_values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if phi.shape != x.shape:
-        raise DomainError("state and grid shapes differ")
-    amax = float(np.max(np.abs(phi)))
-    if amax == 0.0:
-        raise DomainError("state is identically zero")
-    window = np.abs(phi) >= phi_rel_floor * amax
-    dphi = np.asarray(dstate_values, dtype=float)
-    if dphi.shape != phi.shape:
-        raise DomainError("state and derivative shapes differ")
+    state = system.state("iso" if which == "half" else "new", 0)
+    x, phi = system.x, state.values
+    window = np.abs(phi) >= phi_rel_floor * float(np.max(np.abs(phi)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = -x - dphi / phi
+        g = -x - state.derivs / phi
     valid = window & np.isfinite(g)
 
     # nodes: sign changes with at least one bracketing point inside the
@@ -143,15 +138,6 @@ def _zero_crossings(x, y, pairs) -> np.ndarray:
     i = np.flatnonzero((y[:-1] * y[1:] < 0.0) & pairs)
     on = 1 + np.flatnonzero((y[1:-1] == 0.0) & (y[:-2] * y[2:] < 0.0) & (pairs[:-1] | pairs[1:]))
     return np.concatenate((x[i] - y[i] * (x[i + 1] - x[i]) / (y[i + 1] - y[i]), x[on]))
-
-
-def g_for_system(system: SusySystem, which: str,
-                 phi_rel_floor: float = DEFAULT_PHI_FLOOR) -> GSolution:
-    """Pick the extremal state of a built system and extract g from it."""
-    assign = assignment_for(system.spec, which)
-    state = system.state("iso" if which == "half" else "new", 0)
-    return g_from_extremal(state.values, system.x, dstate_values=state.derivs,
-                           assignment=assign, phi_rel_floor=phi_rel_floor)
 
 
 @dataclass

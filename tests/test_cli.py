@@ -441,12 +441,16 @@ def test_overflowing_label_refused(tmp_path, capsys):
 
 
 def test_density_refuses_non_finite_values(tmp_path, capsys):
-    # mu2: 0 * inf at the far radii; mu1: 0F2 overflows and is refused at once
-    for measure, said in (("mu2", "mu2 density is not finite"),
-                          ("mu1", "hyp0f2 partial sum is not finite")):
+    # mu2: 0 * inf at the far radii; mu1: 0F2 overflows and is refused at once,
+    # naming the largest radius
+    k2_flags = ["--k", "2", "--eps-top", "-1.3", "--nu", "0.3"]
+    for flags, measure, rmax, said in (
+            (_K4_FLAGS, "mu2", "1e100", "mu2 density is not finite"),
+            (_K4_FLAGS, "mu1", "1e100", "mu1 density is not finite at r=1e+100"),
+            (k2_flags, "mu1", "4000", "mu1 density is not finite at r=4000")):
         out = tmp_path / ("density_%s.csv" % measure)
-        rc = main(["density"] + _K4_FLAGS + ["--measure", measure,
-                                             "--rmax", "1e100", "--out", str(out)])
+        rc = main(["density"] + flags + ["--measure", measure,
+                                         "--rmax", rmax, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert said in err and "Traceback" not in err

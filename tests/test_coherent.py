@@ -1144,6 +1144,26 @@ def test_density_refuses_non_finite_value(mu2_k4, mu3_k4):
         assert m.density(1.0) > 0.0
 
 
+@pytest.fixture(scope="module")
+def k2_params():
+    return CSParams.from_spec(SystemSpec(k=2, eps_top=-1.3, nu=0.3))
+
+
+def test_mu1_density_refuses_an_overflowing_series_by_radius(k2_params):
+    # 0F2 grows with r^2, so the refusal names the largest radius
+    m = measure_fn(MeasureFamily.MU1, k2_params)
+    for r in (1e20, [0.5, 1e20]):
+        with pytest.raises(DomainError, match="mu1 density is not finite at r=1e\\+20"):
+            m.density(r)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", MeasureFamily.ALL)
+def test_density_refuses_an_overflowing_square_by_radius(k2_params, family):
+    with pytest.raises(DomainError, match="r\\^2.*r=1.4e\\+154"):
+        measure_fn(family, k2_params).density(1.4e154)
+
+
 # ----------------------------------------------------------------------
 # Identity resolutions
 # ----------------------------------------------------------------------

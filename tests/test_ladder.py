@@ -12,6 +12,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyosc import SystemSpec, build_system
 from susyosc.coherent import CSParams, construct_cs, wavefunction
@@ -50,15 +52,14 @@ def test_coeff_table_validation():
     with pytest.raises(InvalidSpecError):
         LadderCoeffs(gap=3.0, k=4)     # gap must exceed k - 1
     with pytest.raises(DomainError):
-        LadderCoeffs(gap=1.5, k=2).iso_down(-1)
+        natural_down_coeff(-1, "iso", LadderCoeffs(gap=1.5, k=2))
 
 
 _BAD_LEVELS = [math.nan, math.inf, -math.inf, True, 2.0, -1]
 
 _LEVEL_ENTRY_POINTS = {
-    "iso_down": lambda c, n: c.iso_down(n),
-    "new_down": lambda c, n: c.new_down(n),
-    "linearized_coeff": lambda c, n: linearized_coeff("down", n, "new", c),
+    "natural_down_coeff_iso": lambda c, n: natural_down_coeff(n, "iso", c),
+    "linearized_coeff": lambda c, n: linearized_coeff(n, "new", c),
     "natural_down_coeff": lambda c, n: natural_down_coeff(n, "new", c),
     "pha_product_check": lambda c, n: pha_product_check(c, n, "iso"),
 }
@@ -86,34 +87,20 @@ def test_coeff_table_from_spec(k4_coeffs):
     assert abs(k4_coeffs.eps0 - (-5.8)) < 1e-12
 
 
-def test_iso_down_values(k4_coeffs):
-    assert k4_coeffs.iso_down(0) == 0.0
+def test_natural_down_iso_values(k4_coeffs):
+    assert natural_down_coeff(0, "iso", k4_coeffs) == 0.0
     # sqrt(1 * 7.3 * 3.3)
-    assert abs(k4_coeffs.iso_down(1) - 4.90815647672321) < 1e-12
+    assert abs(natural_down_coeff(1, "iso", k4_coeffs) - 4.90815647672321) < 1e-12
     for n in range(1, 8):
         want = math.sqrt(n * (n + 6.3) * (n + 2.3))
-        assert abs(k4_coeffs.iso_down(n) - want) < 1e-12
+        assert abs(natural_down_coeff(n, "iso", k4_coeffs) - want) < 1e-12
 
 
-def test_new_down_values(k4_coeffs):
-    assert k4_coeffs.new_down(0) == 0.0
+def test_natural_down_new_values(k4_coeffs):
+    assert natural_down_coeff(0, "new", k4_coeffs) == 0.0
     for j in range(1, 4):
         want = math.sqrt((6.3 - j) * j * (4 - j))
-        assert abs(k4_coeffs.new_down(j) - want) < 1e-12
-    # j = k is the annihilated step above the top
-    assert k4_coeffs.new_down(4) == 0.0
-
-
-def test_up_is_down_shifted(k4_coeffs):
-    """The linearized raising coefficient is the lowering one a step above;
-    the top of the new ladder is annihilated."""
-    for n in range(5):
-        assert linearized_coeff("up", n, "iso", k4_coeffs) \
-            == linearized_coeff("down", n + 1, "iso", k4_coeffs)
-    for j in range(3):
-        assert linearized_coeff("up", j, "new", k4_coeffs) \
-            == linearized_coeff("down", j + 1, "new", k4_coeffs)
-    assert linearized_coeff("up", 3, "new", k4_coeffs) == 0.0
+        assert abs(natural_down_coeff(j, "new", k4_coeffs) - want) < 1e-12
     with pytest.raises(DomainError):
         natural_down_coeff(4, "new", k4_coeffs)
     with pytest.raises(DomainError):
@@ -145,25 +132,23 @@ def test_nilpotency_exact_through_order_five():
 
 def test_linearized_iso_matches_oscillator(k4_coeffs):
     """On the iso ladder the linearized operators reduce to the textbook
-    oscillator pair, coefficients sqrt(n) and sqrt(n+1)."""
+    oscillator pair: ell^- |n> = sqrt(n) |n-1>, and ell^+ |n> reads the
+    table a level higher, sqrt(n+1)."""
     for n in range(6):
-        down = linearized_coeff("down", n, "iso", k4_coeffs)
-        up = linearized_coeff("up", n, "iso", k4_coeffs)
+        down = linearized_coeff(n, "iso", k4_coeffs)
+        up = linearized_coeff(n + 1, "iso", k4_coeffs)
         assert abs(down - math.sqrt(n)) < 1e-15
         assert abs(up - math.sqrt(n + 1)) < 1e-15
 
 
 def test_linearized_new_coefficients(k4_coeffs):
-    assert linearized_coeff("down", 0, "new", k4_coeffs) == 0.0
-    assert linearized_coeff("up", 3, "new", k4_coeffs) == 0.0
+    assert linearized_coeff(0, "new", k4_coeffs) == 0.0
     for j in range(1, 4):
-        c = linearized_coeff("down", j, "new", k4_coeffs)
+        c = linearized_coeff(j, "new", k4_coeffs)
         assert c.real == 0.0           # the step carries phase i
         assert abs(c.imag - math.sqrt(6.3 - j)) < 1e-14
     with pytest.raises(DomainError):
-        linearized_coeff("down", 4, "new", k4_coeffs)
-    with pytest.raises(DomainError):
-        linearized_coeff("sideways", 1, "iso", k4_coeffs)
+        linearized_coeff(4, "new", k4_coeffs)
 
 
 def test_commutator_values(k4_coeffs, k1_spec):
@@ -176,6 +161,36 @@ def test_commutator_values(k4_coeffs, k1_spec):
     assert new1[0] == 0.0
 
 
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.tuples(st.just(k), st.floats(min_value=k - 1.0, max_value=k + 60.0,
+                                              exclude_min=True))))
+def test_tables_obey_the_algebra(k_gap):
+    """Over k 1-8 and any gap > k - 1: the product rule at every level, a
+    nilpotent l^- on the new ladder, and [ell^-, ell^+] = 1 except at the
+    new ladder's ends, 1 - gap at the bottom and gap - k + 1 at the top
+    (0 when the one new state is both)."""
+    k, gap = k_gap
+    params = LadderCoeffs(gap=gap, k=k)
+    for subspace, count in (("iso", 12), ("new", k)):
+        for n in range(count):
+            got, want = pha_product_check(params, n, subspace)
+            assert abs(got - want) <= 1e-13 * (n + 1) * (n + gap + k) ** 2, (subspace, n)
+    m = nilpotent_matrix(params)
+    assert np.all(np.tril(m) == 0.0)
+    assert np.all(np.linalg.matrix_power(m, k) == 0.0)
+    if k > 1:
+        assert np.all(np.diag(np.linalg.matrix_power(m, k - 1), k - 1) > 0.0)
+    iso, new = commutator_check(params)
+    tol = 1e-13 * (gap + k)
+    assert np.max(np.abs(iso - 1.0)) <= tol
+    want = np.ones(k)
+    want[0], want[-1] = 1.0 - gap, gap - k + 1.0
+    if k == 1:
+        want[0] = 0.0
+    assert np.max(np.abs(new - want)) <= tol, (new, want)
+
+
 def test_stencil_projections_match_table(k4_system, k4_coeffs, k4_stencil):
     """Quadrature matrix elements of the sampled operator against the
     spectral table, both ladders, signed: the stored states carry the
@@ -184,11 +199,11 @@ def test_stencil_projections_match_table(k4_system, k4_coeffs, k4_stencil):
     for n in range(1, 6):
         got = stencil_projection(k4_stencil, k4_system.state("iso", n - 1),
                                  k4_system.state("iso", n), w)
-        assert abs(got / k4_coeffs.iso_down(n) - 1.0) < 1e-3
+        assert abs(got / natural_down_coeff(n, "iso", k4_coeffs) - 1.0) < 1e-3
     for j in range(1, 4):
         got = stencil_projection(k4_stencil, k4_system.state("new", j - 1),
                                  k4_system.state("new", j), w)
-        assert abs(got / k4_coeffs.new_down(j) - 1.0) < 1e-3
+        assert abs(got / natural_down_coeff(j, "new", k4_coeffs) - 1.0) < 1e-3
 
 
 # (eps_top, nu) inside the box the benchmark sweep draws from:

@@ -23,7 +23,6 @@ from susyosc.painleve import (
     assignment_for,
     backlund_check,
     g_for_system,
-    g_from_extremal,
     piv_residual,
     potential_from_g,
 )
@@ -256,20 +255,6 @@ def test_nan_mask_reaches_every_stencil():
     assert stats.n_evaluated == x.size - np.count_nonzero(unreachable)
 
 
-def test_extraction_input_validation(k1_system):
-    st = k1_system.state("iso", 0)
-    asg = assignment_for(k1_system.spec, "half")
-    with pytest.raises(DomainError):
-        g_from_extremal(st.values[:-1], k1_system.x, dstate_values=st.derivs[:-1],
-                        assignment=asg)
-    with pytest.raises(DomainError):
-        g_from_extremal(np.zeros_like(k1_system.x), k1_system.x, dstate_values=st.derivs,
-                        assignment=asg)
-    with pytest.raises(DomainError):
-        g_from_extremal(st.values, k1_system.x, dstate_values=st.derivs[:-1],
-                        assignment=asg)
-
-
 @pytest.mark.parametrize("floor", [float("nan"), float("inf"), 2.0, 1.0, -1e-5])
 def test_meaningless_phi_floor_is_bad_input(k1_system, floor):
     """A relative floor outside [0, 1) is refused by name as bad input, not
@@ -278,13 +263,12 @@ def test_meaningless_phi_floor_is_bad_input(k1_system, floor):
         g_for_system(k1_system, "half", phi_rel_floor=floor)
 
 
-def test_node_positions_interpolated(k1_system):
-    """Node masking on a deliberately noded (non-extremal) state: each
-    interpolated sign change is guarded by DEFAULT_GUARD_X on both sides."""
-    st = k1_system.state("iso", 1)
-    x, phi = k1_system.x, st.values
-    gs = g_from_extremal(phi, x, dstate_values=st.derivs,
-                         assignment=assignment_for(k1_system.spec, "half"))
+def test_node_positions_interpolated():
+    """Node masking on the noded ground-image state of a second-order system:
+    each interpolated sign change is guarded by DEFAULT_GUARD_X on both sides."""
+    system = build_system(SystemSpec(k=2, eps_top=-1.3, nu=0.4), n_max=8)
+    x, phi = system.x, system.state("iso", 0).values
+    gs = g_for_system(system, "half")
     assert _masked_runs(gs) == 2
     i = np.flatnonzero((phi[:-1] * phi[1:] < 0.0) & gs.window[:-1])
     nodes = x[i] - phi[i] * (x[i + 1] - x[i]) / (phi[i + 1] - phi[i])

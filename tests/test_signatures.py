@@ -24,7 +24,6 @@ EXPECTED_DEFAULTS = {
     "divergence_witness": [],
     "evolve": [],
     "g_for_system": ["phi_rel_floor"],
-    "g_from_extremal": ["phi_rel_floor"],
     "gamma_fn": [],
     "hyp0f2": [],
     "hyp1f1": [],
