@@ -35,8 +35,6 @@ from .susy import (
     SystemSpec,
     build_seed_chain,
     build_system,
-    iso_state,
-    new_state,
     potential,
 )
 from .painleve import (

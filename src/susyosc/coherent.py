@@ -123,9 +123,12 @@ def _norm_series(family: str, params: CSParams):
     return lambda w: _row_sum(row, w)
 
 
-def _finite_norm(total, w: float, family: str) -> float:
+def _finite_norm(series, w: float, family: str) -> float:
     """The real part of S(|z|^2) for a label, refused once it overflows."""
-    total = total.real
+    try:
+        total = series(w).real
+    except SeriesError:   # aocs_iso's 0F2 overflows inside its own sum
+        total = math.inf
     if not math.isfinite(total):
         raise DomainError("label with |z|^2=%g overflows the %s norm series"
                           % (w, family))
@@ -239,13 +242,13 @@ def construct_cs(family: str, z, params: CSParams) -> CoherentState:
     if family in Family.NEW:
         row = _new_weights(family, params)
         base = z if family == Family.DOCS_NEW else 1j * z
-        norm = 1.0 / math.sqrt(_finite_norm(_row_sum(row, w), w, family))
+        norm = 1.0 / math.sqrt(_finite_norm(_norm_series(family, params), w, family))
         coeffs = np.array([norm * base ** j * math.sqrt(weight)
                            for j, weight in enumerate(row)], dtype=complex)
         return CoherentState(family, z, params, coeffs, 0.0)
 
     if family == Family.AOCS_ISO:
-        norm = _finite_norm(_norm_series(family, params)(w), w, family)
+        norm = _finite_norm(_norm_series(family, params), w, family)
         c0sq, log_c0sq = 1.0 / norm, -math.log(norm)
     else:
         c0sq, log_c0sq = math.exp(-w), -w
@@ -322,8 +325,8 @@ def kernel(family: str, z_prime, z, params: CSParams) -> complex:
         return complex(cmath.exp(w - 0.5 * (wp + wz)))
     series = _norm_series(family, params)
     # one root per norm: their product may underflow where each norm does not
-    den = (math.sqrt(_finite_norm(series(wp), wp, family))
-           * math.sqrt(_finite_norm(series(wz), wz, family)))
+    den = (math.sqrt(_finite_norm(series, wp, family))
+           * math.sqrt(_finite_norm(series, wz, family)))
     return complex(series(w) / den)
 
 

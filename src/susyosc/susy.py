@@ -25,11 +25,11 @@ W is checked once, before anything is divided by it, so a family whose W
 vanishes is refused as it is built. An iso level is psi_n's own Leibniz
 rows, from the same recursion, summed against those cofactors.
 
-Each stored state is s * numerator/W, normalized, with s = (-1)^n on the iso
-ladder and s = +1 on the new one. Unsigned, the l^- stencil reads -d_n
-between iso levels n-1, n and +e_j between new levels j-1, j (under either
-Painleve assignment), so s gives every l^- element the positive sign the
-ladder coefficient tables assume.
+Each stored state, one row of the system's state table, is s * numerator/W,
+normalized, with s = (-1)^n on the iso ladder and s = +1 on the new one.
+Unsigned, the l^- stencil reads -d_n between iso levels n-1, n and +e_j
+between new levels j-1, j (under either Painleve assignment), so s gives
+every l^- element the positive sign the ladder coefficient tables assume.
 
 Seeds, rows, determinants, the potential and the new states are evaluated in
 extended precision (x86 long double). The determinants cancel heavily in the
@@ -337,8 +337,8 @@ class SeedFamily:
     values and derivatives; w is W; new_ratios the new states' numerators
     and derivatives over W; cof[d, m] the iso cofactors over W. A W that
     crosses or touches zero anywhere on the grid raises
-    SingularPotentialError as the family is built. _iso_ratio steps one
-    float64 psi_n ladder on x64 forward as n grows.
+    SingularPotentialError as the family is built. _iso_ratio takes psi_n
+    and psi_n' from the caller's float64 ladder on x64.
     """
 
     def __init__(self, x, energies, values, derivs):
@@ -363,20 +363,13 @@ class SeedFamily:
             self.cof[d, rows] = _last_column_cofactors(self.rows[rows]) / self.w
         # the iso levels' inputs in float64, the iso route's one cast
         self.x64, self._cof64 = np.asarray(x, dtype=float), self.cof.astype(float)
-        self._ladder, self._psi_n, self._psi = _oscillator_ladder(self.x64), -1, None
 
-    def _iso_ratio(self, n: int):
-        """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64.
+    def _iso_ratio(self, n: int, psi, dpsi):
+        """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64, from psi_n, psi_n' on x64.
 
         The cofactor expansion along the psi column, sum_m cof[d, m] psi_n^(m),
         as psi_n's rows come; (N/W)' = N'/W - (W'/W) N/W with W'/W = -cof[0, k-1].
         """
-        if n < self._psi_n:
-            self._ladder, self._psi_n = _oscillator_ladder(self.x64), -1
-        while self._psi_n < n:
-            self._psi = next(self._ladder)
-            self._psi_n += 1
-        psi, dpsi = self._psi
         value, deriv = np.zeros_like(psi), np.zeros_like(psi)
         cof, k = self._cof64, self.k
         # psi^(k+1) is not in the numerator's row set, nor psi^(k) in its derivative's
@@ -412,10 +405,11 @@ class GridState:
     The stored sign is the coefficient tables' convention, positive l^- on
     both ladders: s * numerator/W with s = (-1)^n (iso) or +1 (new).
 
-    derivs holds the analytic first derivative (from row-shifted Wronskians,
-    not finite differences); the eigen-equation residual check is the one
-    place second derivatives are taken numerically, on purpose, so it stays
-    an independent test of the construction.
+    In a built system values and derivs are views of its row of the system's
+    tables. derivs holds the analytic first derivative (from row-shifted
+    Wronskians, not finite differences); the eigen-equation residual check
+    is the one place second derivatives are taken numerically, on purpose,
+    so it stays an independent test of the construction.
     """
     values: np.ndarray
     derivs: np.ndarray
@@ -424,65 +418,6 @@ class GridState:
     index: int
     norm_agreement: float = float("nan")   # |grid norm / closed form - 1| (iso only)
     residual_check: float = float("nan")   # eigen-equation residual (new only)
-
-
-def _normalized(raw, raw_deriv, weights: np.ndarray, sign: float):
-    """sign * raw and its derivative, normalized on the grid, and the norm."""
-    nrm = math.sqrt(float(np.sum(weights * raw * raw)))
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise ConstructionError("state has zero or non-finite norm")
-    # the ratio work is done; stored states are plain float64
-    scale = sign * nrm
-    return np.asarray(raw / scale, dtype=float), np.asarray(raw_deriv / scale, dtype=float), nrm
-
-
-def iso_state(seeds: SeedFamily, n: int, weights: np.ndarray) -> GridState:
-    """Partner state at energy E_n = n + 1/2, image of oscillator level n.
-
-    The raw Crum map is W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}); its L2 norm
-    must match the closed form 2^{k/2} prod_j sqrt(E_n - eps_j) or the
-    construction is rejected. The ratio and its derivative come from the
-    seeds' shared table: psi_n's rows against its cofactors, in float64.
-    """
-    n = _level(n, "iso_state level")
-    k = seeds.k
-    energy = n + 0.5
-    raw, raw_deriv = seeds._iso_ratio(n)
-    vals, ders, nrm = _normalized(raw, raw_deriv, weights, (-1.0) ** n)
-    analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(energy - seeds.energies)))
-    agreement = abs(nrm / analytic - 1.0)
-    if agreement > 1e-6:
-        raise ConstructionError(
-            "iso state n=%d: grid norm disagrees with closed form by %.3g" % (n, agreement))
-    return GridState(values=vals, derivs=ders, energy=energy, subspace="iso", index=n,
-                     norm_agreement=agreement)
-
-
-def new_state(seeds: SeedFamily, j: int, weights: np.ndarray,
-              potential_values: np.ndarray) -> GridState:
-    """Bound state created at eps_j, absent from the oscillator spectrum.
-
-    For k = 1 this is 1/u_0; in general the numerator is the Wronskian of the
-    seeds with u_j omitted. The result must satisfy the partner Schrodinger
-    equation: its relative Hamiltonian residual above 1e-4 is treated as a
-    construction failure rather than a warning.
-    """
-    k = seeds.k
-    j = _level(j, "new_state level")
-    if j >= k:
-        raise DomainError("new_state level out of range 0..k-1, got %d" % j)
-    raw = seeds.new_ratios[0][j]
-    raw_deriv = seeds.new_ratios[1][j] + seeds.cof[0, k - 1] * raw
-    vals, ders, _ = _normalized(raw, raw_deriv, weights, 1.0)
-    energy = float(seeds.energies[j])
-    # the float64 step, as SusySystem.residual takes it
-    h = float(seeds.x[1]) - float(seeds.x[0])
-    res = hamiltonian_residual(vals, energy, potential_values, h, weights)
-    if res > 1e-4:
-        raise ConstructionError(
-            "new state j=%d fails the eigenvalue equation (residual %.3g)" % (j, res))
-    return GridState(values=vals, derivs=ders, energy=energy, subspace="new", index=j,
-                     residual_check=res)
 
 
 def hamiltonian_residual(values, energy, potential_values, h, weights) -> float:
@@ -502,12 +437,30 @@ def hamiltonian_residual(values, energy, potential_values, h, weights) -> float:
 
 @dataclass
 class SusySystem:
+    """A built partner system: grid, Simpson weights, potential and one
+    state table. values and derivs are float64, (k + n_max + 1, n_points),
+    a row per stored state: new j = 0..k-1, then iso n = 0..n_max, the
+    order of all_states; figures holds each row's build figure (a new row's
+    eigen-equation residual, an iso row's norm agreement). Each GridState
+    is made once, over views of its rows."""
     spec: SystemSpec
     x: np.ndarray
     weights: np.ndarray
     potential: np.ndarray
-    iso_states: list = field(default_factory=list)
-    new_states: list = field(default_factory=list)
+    values: np.ndarray
+    derivs: np.ndarray
+    figures: np.ndarray
+    new_states: list = field(init=False, repr=False)
+    iso_states: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k, energies = self.spec.k, self.spec.energies
+        self.new_states = [GridState(self.values[j], self.derivs[j], float(energies[j]), "new", j,
+                                     residual_check=float(self.figures[j]))
+                           for j in range(k)]
+        self.iso_states = [GridState(self.values[k + n], self.derivs[k + n], n + 0.5, "iso", n,
+                                     norm_agreement=float(self.figures[k + n]))
+                           for n in range(len(self.values) - k)]
 
     @property
     def n_max(self) -> int:
@@ -536,28 +489,71 @@ class SusySystem:
 
     @property
     def all_states(self):
-        return list(self.new_states) + list(self.iso_states)
+        return self.new_states + self.iso_states
 
     def orthonormality_deviation(self) -> float:
-        """max |<a|b> - delta_ab| over every pair of stored states."""
-        states = self.all_states
-        worst = 0.0
-        for i, si in enumerate(states):
-            for sj in states[i:]:
-                want = 1.0 if sj is si else 0.0
-                worst = max(worst, abs(self.inner(si, sj) - want))
+        """max |<a|b> - delta_ab| over every pair of stored states.
+
+        One pass over the table: row i against itself and every later row,
+        each product summed along its row as inner sums it, so every inner
+        product carries inner's bits.
+        """
+        rows, worst = self.values, 0.0
+        for i in range(len(rows)):
+            gram = (self.weights * rows[i] * rows[i:]).sum(axis=1)
+            gram[0] -= 1.0
+            worst = max(worst, float(np.abs(gram).max()))
         return worst
 
 
 def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
-    """Seeds, potential, and the full stored state family in one pass."""
+    """Seeds, potential, and the state table, filled in one pass.
+
+    The iso rows come first, n = 0..n_max up one float64 psi_n ladder. The
+    raw Crum map W(u_0..u_{k-1}, psi_n) / W(u_0..u_{k-1}) and its derivative
+    are psi_n's rows summed against the seeds' cofactors; the raw L2 norm
+    must match the closed form 2^{k/2} prod_j sqrt(E_n - eps_j) within 1e-6
+    or the build is refused at that level. The new rows follow, j = 0..k-1:
+    the numerator is the Wronskian of the seeds with u_j omitted (1/u_0 for
+    k = 1), and a relative Hamiltonian residual above 1e-4 is treated as a
+    construction failure rather than a warning. Each row is s * raw / ||raw||.
+    """
     if not _is_whole(n_max) or n_max < 0:
         raise InvalidSpecError("n_max must be a non-negative integer, got %r" % (n_max,))
     seeds = build_seed_chain(spec)
-    x = seeds.x64
+    x, k = seeds.x64, spec.k
     weights = simpson_weights(x.size, spec.h)
     v = potential(seeds)
-    iso = [iso_state(seeds, n, weights) for n in range(n_max + 1)]
-    new = [new_state(seeds, j, weights, v) for j in range(spec.k)]
-    return SusySystem(spec=spec, x=x, weights=weights, potential=v,
-                      iso_states=iso, new_states=new)
+    values = np.empty((k + n_max + 1, x.size))
+    derivs = np.empty_like(values)
+    figures = np.empty(len(values))
+
+    def store(row: int, raw, raw_deriv, sign: float) -> float:
+        """sign * raw and its derivative, normalized on the grid, into the
+        tables' plain float64 row; returns the norm."""
+        nrm = math.sqrt(float(np.sum(weights * raw * raw)))
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise ConstructionError("state has zero or non-finite norm")
+        scale = sign * nrm
+        values[row] = raw / scale
+        derivs[row] = raw_deriv / scale
+        return nrm
+
+    for n, (psi, dpsi) in zip(range(n_max + 1), _oscillator_ladder(x)):
+        nrm = store(k + n, *seeds._iso_ratio(n, psi, dpsi), (-1.0) ** n)
+        analytic = 2.0 ** (k / 2.0) * math.sqrt(float(np.prod(n + 0.5 - seeds.energies)))
+        figures[k + n] = agreement = abs(nrm / analytic - 1.0)
+        if agreement > 1e-6:
+            raise ConstructionError(
+                "iso state n=%d: grid norm disagrees with closed form by %.3g" % (n, agreement))
+    h = float(x[1] - x[0])   # the float64 step, as SusySystem.residual takes it
+    for j in range(k):
+        raw = seeds.new_ratios[0][j]
+        store(j, raw, seeds.new_ratios[1][j] + seeds.cof[0, k - 1] * raw, 1.0)
+        figures[j] = res = hamiltonian_residual(values[j], float(seeds.energies[j]), v, h,
+                                                weights)
+        if res > 1e-4:
+            raise ConstructionError(
+                "new state j=%d fails the eigenvalue equation (residual %.3g)" % (j, res))
+    return SusySystem(spec=spec, x=x, weights=weights, potential=v, values=values,
+                      derivs=derivs, figures=figures)

@@ -440,6 +440,16 @@ def test_overflowing_label_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_aocs_iso_label_whose_norm_series_overflows_refused(tmp_path, capsys):
+    out = tmp_path / "cs.json"
+    rc = main(["cs", "--k", "2", "--eps-top", "-1.3", "--nu", "0.3",
+               "--family", "aocs-iso", "--z=1e154,0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: label with |z|^2=1e+308 overflows the aocs_iso norm series\n"
+    assert not out.exists()
+
+
 def test_density_refuses_non_finite_values(tmp_path, capsys):
     # mu2: 0 * inf at the far radii; mu1: 0F2 overflows and is refused at once,
     # naming the largest radius

@@ -1164,6 +1164,19 @@ def test_density_refuses_an_overflowing_square_by_radius(k2_params, family):
         measure_fn(family, k2_params).density(1.4e154)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_aocs_iso_label_whose_0f2_overflows_is_refused_by_name(k2_params):
+    """At |z| = 1e154, |z|^2 = 1e308 fits a float but 0F2 overflows inside
+    its own summation; the label is refused naming the family, as docs_new's
+    finite sum is, not by the series' own error."""
+    said = "^label with \\|z\\|\\^2=1e\\+308 overflows the aocs_iso norm series$"
+    for call in (lambda: construct_cs(Family.AOCS_ISO, 1e154, k2_params),
+                 lambda: kernel(Family.AOCS_ISO, 1e154, 0.5, k2_params),
+                 lambda: kernel(Family.AOCS_ISO, 0.5, 1e154j, k2_params)):
+        with pytest.raises(DomainError, match=said):
+            call()
+
+
 # ----------------------------------------------------------------------
 # Identity resolutions
 # ----------------------------------------------------------------------

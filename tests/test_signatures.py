@@ -29,7 +29,6 @@ EXPECTED_DEFAULTS = {
     "hyp1f1": [],
     "identity_resolution_check": [],
     "integral_zero_inf": ["rtol"],
-    "iso_state": [],
     "kernel": [],
     "linearized_coeff": [],
     "mean_energy": [],
@@ -38,7 +37,6 @@ EXPECTED_DEFAULTS = {
     "moment_check": [],
     "moment_strip": [],
     "natural_down_coeff": [],
-    "new_state": [],
     "nilpotent_matrix": [],
     "pha_product_check": [],
     "piv_residual": [],

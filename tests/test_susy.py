@@ -28,8 +28,6 @@ from susyosc.susy import (
     _oscillator_ladder,
     build_seed_chain,
     build_system,
-    iso_state,
-    new_state,
     potential,
     seed_solution,
 )
@@ -199,37 +197,23 @@ def test_oscillator_eigenstate_closed_forms():
     assert np.max(np.abs(_oscillator_pair(1, x)[0] - psi1)) < 1e-14
 
 
-@pytest.fixture(scope="module")
-def k1_seeds(k1_spec):
-    return build_seed_chain(k1_spec)
+def _level_entry_points(system):
+    return {"SusySystem.state": lambda n: system.state("iso", n)}
 
 
-def _level_entry_points(seeds, system):
-    x = np.asarray(seeds.x, dtype=float)
-    weights = simpson_weights(x.size, x[1] - x[0])
-    return {
-        "iso_state": lambda n: iso_state(seeds, n, weights),
-        "new_state": lambda n: new_state(seeds, n, weights, system.potential),
-        "SusySystem.state": lambda n: system.state("iso", n),
-    }
-
-
-@pytest.mark.parametrize("entry", ["iso_state", "new_state", "SusySystem.state"])
+@pytest.mark.parametrize("entry", ["SusySystem.state"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 2.0, -1], ids=repr)
-def test_levels_refuse_non_integers_by_name(k1_seeds, k1_system, entry, bad):
+def test_levels_refuse_non_integers_by_name(k1_system, entry, bad):
     """The level rule of ladder's entry points holds for the states too."""
     with pytest.raises(DomainError, match="level must be a non-negative integer"):
-        _level_entry_points(k1_seeds, k1_system)[entry](bad)
+        _level_entry_points(k1_system)[entry](bad)
 
 
-def test_levels_accept_numpy_integers(k1_seeds, k1_system):
-    for name, call in _level_entry_points(k1_seeds, k1_system).items():
-        level = 0 if name == "new_state" else 3
-        got, want = call(np.int64(level)), call(level)
-        if isinstance(got, GridState):
-            assert got.index == level and type(got.index) is int
-            got, want = (got.values, got.derivs), (want.values, want.derivs)
-        assert np.array_equal(got, want)
+def test_levels_accept_numpy_integers(k1_system):
+    for call in _level_entry_points(k1_system).values():
+        got, want = call(np.int64(3)), call(3)
+        assert isinstance(got, GridState) and got is want
+        assert got.index == 3 and type(got.index) is int
 
 
 def test_oscillator_pair_derivative_matches_fd():
@@ -413,7 +397,8 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
 
     dlog_w = -seeds.cof[0, k - 1]
     worst = {"iso": 0.0, "diso": 0.0, "new": 0.0, "dlog_w": 0.0, "lnw2": 0.0}
-    iso = {n: (seeds._iso_ratio(n), _oscillator_pair(n, seeds.x64)) for n in (0, 12, 31)}
+    pairs = {n: _oscillator_pair(n, seeds.x64) for n in (0, 12, 31)}
+    iso = {n: (seeds._iso_ratio(n, *pair), pair) for n, pair in pairs.items()}
     with mpmath.workdps(80):
         for i in range(0, x.size, 50):
             w = det(range(k), i)
@@ -476,13 +461,12 @@ def test_laplace_numerator_matches_full_determinant(k):
 
     The shared table sums psi_n's Leibniz rows against the cofactors along
     the psi_n column over W; the direct route stacks those rows beside the
-    seeds' and eliminates the whole (k+1)x(k+1) matrix. Levels go down as
-    well as up, so the table's psi ladder restarts on the way.
+    seeds' and eliminates the whole (k+1)x(k+1) matrix.
     """
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
     levels = (12, 0, 3, 31)
     for n, want in zip(levels, _iso_by_full_elimination(seeds, levels)):
-        for got, ref in zip(seeds._iso_ratio(n), want):
+        for got, ref in zip(seeds._iso_ratio(n, *_oscillator_pair(n, seeds.x64)), want):
             assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) < 1e-12
 
 
@@ -507,7 +491,7 @@ def test_float64_iso_ladder_matches_long_double_elimination(k, eps_top, nu, x_ma
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu, x_min=-x_max,
                                         x_max=x_max, n_points=n_points))
     for n, want in enumerate(_iso_by_full_elimination(seeds, range(33))):
-        got = seeds._iso_ratio(n)
+        got = seeds._iso_ratio(n, *_oscillator_pair(n, seeds.x64))
         for g, ref in zip(got, want):
             assert g.dtype == np.float64
             assert np.max(np.abs(g - ref)) < 2e-14 * np.max(np.abs(ref)), n
@@ -579,19 +563,15 @@ def test_potential_rejects_singular_wronskian():
         potential(fake)
 
 
-@pytest.mark.parametrize("entry", ["potential", "iso_state", "new_state"])
+@pytest.mark.parametrize("entry", [potential], ids=["potential"])
 def test_vanishing_wronskian_is_refused_before_any_division(entry):
     """W = x vanishes at x = 0: no entry point gets to divide by it. The
     singular-W error comes as the family is built, with no divide-by-zero
     warning on the way (warnings are errors here)."""
     x = np.linspace(-2.0, 2.0, 401)
-    weights = simpson_weights(x.size, x[1] - x[0])
-    call = {"potential": lambda fake: potential(fake),
-            "iso_state": lambda fake: iso_state(fake, 0, weights),
-            "new_state": lambda fake: new_state(fake, 0, weights, x * x / 2.0)}[entry]
     with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
-        call(SeedFamily(x=x, energies=np.array([0.0]),
-                        values=x[None, :].copy(), derivs=np.ones((1, x.size))))
+        entry(SeedFamily(x=x, energies=np.array([0.0]),
+                         values=x[None, :].copy(), derivs=np.ones((1, x.size))))
 
 
 def test_vanishing_wronskian_is_refused_at_construction():
@@ -636,6 +616,71 @@ def test_system_orthonormality(k4_system):
     states = k4_system.all_states[:16]
     gram = np.array([[k4_system.inner(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def k1_fine_system():
+    return build_system(SystemSpec(k=1, eps_top=-1.0, nu=0.5, x_min=-12.5, x_max=12.5,
+                                   n_points=4201))
+
+
+def test_states_are_rows_of_one_table(k4_system, k1_fine_system):
+    """Each stored state's arrays are its row of the system's values and
+    derivs tables, in table order (new j = 0..k-1, then iso n = 0..n_max),
+    its build figure is the row's entry of figures, and a lookup returns the
+    state made at build time."""
+    for system in (k4_system, k1_fine_system):
+        k, states = system.spec.k, system.all_states
+        assert [(st.subspace, st.index) for st in states] == \
+            [("new", j) for j in range(k)] + [("iso", n) for n in range(system.n_max + 1)]
+        assert system.values.shape == system.derivs.shape == (len(states), system.x.size)
+        assert system.figures.shape == (len(states),)
+        for row, st in enumerate(states):
+            assert np.shares_memory(st.values, system.values[row])
+            assert np.shares_memory(st.derivs, system.derivs[row])
+            figure = st.residual_check if st.subspace == "new" else st.norm_agreement
+            assert figure == system.figures[row]
+            assert system.state(st.subspace, st.index) is st
+
+
+def test_orthonormality_deviation_is_the_pair_scan(k4_system, k1_fine_system):
+    """The table's row-wise pass equals max |<a|b> - delta_ab| over every
+    pair of stored states by SusySystem.inner, bit for bit."""
+    for system in (k4_system, k1_fine_system):
+        states, worst = system.all_states, 0.0
+        for i, a in enumerate(states):
+            for b in states[i:]:
+                worst = max(worst, abs(system.inner(a, b) - (1.0 if b is a else 0.0)))
+        assert system.orthonormality_deviation() == worst
+
+
+def _weak_form_deviation(system, potential_values):
+    """max |H_mn - E_n delta_mn| / max(1, |E_m|, |E_n|) over the state table,
+    H_mn = 1/2 sum w psi_m' psi_n' + sum w V psi_m psi_n: the stored analytic
+    derivatives, no finite difference."""
+    w, vals, ders = system.weights, system.values, system.derivs
+    h = 0.5 * np.einsum("p,mp,np->mn", w, ders, ders) \
+        + np.einsum("p,mp,np->mn", w * potential_values, vals, vals)
+    energies = np.array([st.energy for st in system.all_states])
+    scale = np.maximum(1.0, np.maximum.outer(np.abs(energies), np.abs(energies)))
+    return float(np.max(np.abs(h - np.diag(energies)) / scale))
+
+
+@pytest.mark.parametrize("k, eps_top, nu", _PIN_SPECS)
+def test_state_table_solves_the_hamiltonian_in_weak_form(k, eps_top, nu):
+    """The stored states diagonalize the partner Hamiltonian in weak form.
+
+    On these specs (n_max 32, default grid) the figure reads 1.25e-11 (k 1)
+    to 2.70e-8 (k 5); its off-diagonal entries are first order in a state's
+    error. The bound 1e-7 is 3.7x the worst reading. A shift of V by 1e-6
+    adds about 1e-6 to every diagonal entry (the states are normalized), so
+    the figure must read it at that size: it is not blind at the bound's
+    scale.
+    """
+    system = build_system(SystemSpec(k=k, eps_top=eps_top, nu=nu))
+    assert _weak_form_deviation(system, system.potential) < 1e-7
+    shifted = _weak_form_deviation(system, system.potential + 1e-6)
+    assert abs(shifted / 1e-6 - 1.0) < 0.1
 
 
 def test_system_hamiltonian_residuals(k1_system):
