@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,7 +321,10 @@ def kernel(family: str, z_prime, z, params: CSParams) -> complex:
     (zp, wp), (z, wz) = _label(z_prime), _label(z)
     w = np.conj(zp) * z
     if family == Family.LIN_ISO:
-        return complex(cmath.exp(w - 0.5 * (wp + wz)))
+        # exp(w - (|z'|^2 + |z|^2)/2), with the real part formed as
+        # -|z - z'|^2/2 so it neither cancels nor overflows
+        d = abs(z - zp)
+        return complex(cmath.exp(complex(-0.5 * d * d, w.imag)))
     series = _norm_series(family, params)
     # one root per norm: their product may underflow where each norm does not
     den = (math.sqrt(_finite_norm(series, wp, family))
@@ -457,6 +459,8 @@ _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
 _MU3_SWITCH = 0.5
+_TABLE_VALUES = 4096     # most profile values a measure's node table stores
+_MOMENTS_KEPT = 256      # most Mellin moments a measure stores
 
 
 def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
@@ -588,14 +592,14 @@ class MeasureFn:
     validation the cache keeps only its live weight span, the first to the
     last nonzero weight, with the rates ascending, and profile sums it in
     cache-sized blocks that skip the rates whose terms underflow to zero
-    (_laplace_sum). A cache holds at most 2049 rates and 2049 weights,
-    about 33 KB. The fields cannot be reassigned and the cached arrays
+    (_laplace_sum). The fields cannot be reassigned and the cached arrays
     are read-only, so measure_fn can hand one instance to every caller.
-    An instance compares by identity, and moment_check memoizes its moments
-    by (measure, order) (_moment, at most 256 entries, each keeping its
-    measure alive: 8.4 MB of caches), and keeps the profile values they
-    evaluate in a node table beside the measure that dies with it
-    (_tabled_profile, at most 4096 values, 64 KB with their nodes).
+    An instance compares by identity and owns its memo: the Mellin moments
+    moment_check computed, by order, and the profile values those moments
+    evaluated, by node batch (_tabled). A value past a table's bound is
+    computed and returned but not stored, so a measure holds at most 2049
+    rates and 2049 weights, 4096 node values (_TABLE_VALUES) and 256
+    moments (_MOMENTS_KEPT), and frees them all when it dies.
     """
     family: str
     params: CSParams
@@ -603,6 +607,8 @@ class MeasureFn:
     cache_agreement: float = field(init=False, default=0.0)
     _rates: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _moments: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _nodes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     # an overflow leaves a non-finite agreement, which the gate refuses
     @np.errstate(over="ignore", invalid="ignore")
@@ -698,6 +704,26 @@ class MeasureFn:
             raise DomainError(not_finite % (self.family, rv[bad][0]))
         return float(out[0]) if scalar else out.reshape(r_arr.shape)
 
+    def _tabled(self, x):
+        """self.profile(x) read through the measure's node table, which maps
+        the exact bytes of a node batch to its read-only values. The nodes of
+        a doubling level depend on the level, not on the order s, so a later
+        order reads the batches an earlier one evaluated. A batch is never
+        split or merged, since _laplace_sum's summation order depends on its
+        block shape, so a stored batch is bitwise the profile's values on it.
+        x = 1 sits in the first batch of both halves of mellin_moment and is
+        evaluated once in each. There is no lock: inserts are idempotent, so
+        two threads racing on one table at worst evaluate one batch twice or
+        pass the bound by one batch."""
+        key = x.tobytes()
+        values = self._nodes.get(key)
+        if values is None:
+            values = self.profile(x)
+            if sum(v.size for v in self._nodes.values()) + values.size <= _TABLE_VALUES:
+                values.setflags(write=False)
+                self._nodes[key] = values
+        return values
+
 
 # one LRU store of 64 measures by (family, params); a refused build is never stored
 _measure_store = functools.lru_cache(maxsize=64)(MeasureFn)
@@ -733,64 +759,24 @@ def _exp_minus(x):
     return np.exp(-x)
 
 
-# One node table per measure, kept beside the immutable measure and dying
-# with it: the exact bytes of a node batch a Mellin moment handed to the
-# profile, mapped to the batch's read-only values. At most _TABLE_VALUES
-# values, 64 KB with their keys; a benchmark pool measure stores 384-640.
-# There is no lock: inserts are idempotent, so two threads racing on one
-# table at worst evaluate one batch twice or pass the bound by one batch.
-_TABLE_VALUES = 4096
-_node_tables = weakref.WeakKeyDictionary()
-
-
-def _tabled_profile(m):
-    """m.profile read through m's node table. The nodes of a doubling level
-    depend on the level, not on the order s, so a later order reads the
-    batches an earlier one evaluated. A batch is never split or merged,
-    since _laplace_sum's summation order depends on its block shape, so a
-    stored batch is bitwise the profile's values on it. x = 1 sits in the
-    first batch of both halves of mellin_moment and is evaluated once in
-    each. A batch that would pass _TABLE_VALUES is evaluated but not stored."""
-    table = _node_tables.setdefault(m, {})
-
-    def profile(x):
-        key = x.tobytes()
-        values = table.get(key)
-        if values is None:
-            values = m.profile(x)
-            if sum(v.size for v in table.values()) + values.size <= _TABLE_VALUES:
-                values.setflags(write=False)
-                table[key] = values
-        return values
-    return profile
-
-
-@functools.lru_cache(maxsize=256)
-def _moment(m, s: float) -> float:
-    """Mellin moment of order s of m.profile at rtol _MOMENT_RTOL, or of the
-    flat lin_iso profile e^{-x} at rtol 1e-10 for m None, memoized by (measure
-    identity, order). Each entry keeps its measure alive: at most 256 caches
-    of about 33 KB and node tables of at most 64 KB, 25 MB in all. A miss
-    integrates m.profile through the measure's node table (_tabled_profile),
-    bitwise as mellin_moment(m.profile, s, rtol=_MOMENT_RTOL), and reads
-    m.profile and mellin_moment as it runs, so a wrapper installed on either
-    still sees it. The flat moments cost their quadrature, not e^{-x}, and
-    have no table."""
-    if m is None:
-        return mellin_moment(_exp_minus, s, rtol=1e-10)
-    return mellin_moment(_tabled_profile(m), s, rtol=_MOMENT_RTOL)
+@functools.cache
+def _lin_iso_identity() -> float:
+    """identity_resolution_check's lin_iso value: the worst of the factorial
+    moments of e^{-x} over slots 0..10, each at rtol 1e-10."""
+    return max(abs(mellin_moment(_exp_minus, n + 1.0, rtol=1e-10) / math.factorial(n) - 1.0)
+               for n in range(11))
 
 
 def moment_check(m: MeasureFn, s: float):
     """(computed, expected) Mellin moment of the profile at s.
 
-    computed is mellin_moment(m.profile, s, rtol=1e-7), memoized for the
-    last 256 (measure identity, order) pairs, so a repeated order evaluates
-    no profile value, and a new order evaluates it only on node batches no
-    earlier order of m reached while m's node table is under its bound of
-    4096 values: at most 8.4 MB of caches and 16.8 MB of tables in all.
-    expected is the Gamma product the identity resolution requires. s must
-    lie strictly inside the convergence strip.
+    computed is mellin_moment(m.profile, s, rtol=1e-7), bitwise, memoized
+    on m by order, so a repeated order evaluates no profile value and a new
+    order evaluates it only on node batches no earlier order of m reached.
+    The quadrature reads m.profile and mellin_moment as it runs, so a
+    wrapper installed on either still sees it. expected is the Gamma product
+    the identity resolution requires. s must lie strictly inside the
+    convergence strip.
     """
     s = float(s)
     lo, hi = moment_strip(m)
@@ -798,7 +784,11 @@ def moment_check(m: MeasureFn, s: float):
         raise DomainError(
             "moment order s=%g outside the %s strip (%g, %g)"
             % (s, m.family, lo, hi))
-    computed = _moment(m, s)
+    computed = m._moments.get(s)
+    if computed is None:
+        computed = mellin_moment(m._tabled, s, rtol=_MOMENT_RTOL)
+        if len(m._moments) < _MOMENTS_KEPT:
+            m._moments[s] = computed
     expected = math.prod(gamma_fn(alpha + sigma * s) ** n
                          for alpha, sigma, n in _mellin_gammas(m))
     return computed, expected
@@ -820,15 +810,12 @@ def identity_resolution_check(family: str, params: CSParams) -> float:
     analytically. Returns max over slots of |computed/expected - 1|, over
     slots 0..10 for lin_iso, 0..4 for aocs_iso and the whole new ladder for
     docs_new and lin_new. For lin_iso the measure is the flat Gaussian
-    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}.
+    e^{-r^2}/pi and the condition is the factorial moment of e^{-x}, which
+    does not depend on params and is computed once.
     """
     _check_family(family)
     if family == Family.LIN_ISO:
-        worst = 0.0
-        for n in range(11):
-            got = _moment(None, n + 1.0)
-            worst = max(worst, abs(got / math.factorial(n) - 1.0))
-        return worst
+        return _lin_iso_identity()
     m = measure_fn(_MEASURE_FOR[family], params)
     count = 5 if family == Family.AOCS_ISO else params.k
     worst = 0.0

@@ -267,6 +267,14 @@ def test_kernel_normalized_on_diagonal(k4_params):
         assert abs(kernel(fam, 0.7 + 0.3j, 0.7 + 0.3j, k4_params) - 1.0) < 1e-12
 
 
+def test_lin_iso_kernel_of_large_labels(k4_params):
+    # w - (|z'|^2 + |z|^2)/2 cancels to 0 at |z| ~ 1e8 and overflows to
+    # inf - inf at 1e154; -|z - z'|^2/2 + i Im(conj(z') z) does neither
+    assert kernel(Family.LIN_ISO, 1e8 + 1, 1e8, k4_params) == pytest.approx(
+        math.exp(-0.5), rel=1e-15)
+    assert kernel(Family.LIN_ISO, 1e154, 1e154, k4_params) == 1.0
+
+
 def test_kernel_on_the_diagonal_where_the_norm_product_underflows():
     # at gap 143.3 each lin_new norm series is near 1/Gamma(143.3) ~ 1e-246,
     # so the product of the two norms underflows while each root does not
@@ -475,8 +483,7 @@ def test_state_queries_cold_equal_warm():
                 for i, z in enumerate(labels):
                     if cold:
                         coherent._new_weights.cache_clear()
-                        coherent._measure_store.cache_clear()
-                        coherent._moment.cache_clear()
+                        coherent._measure_store.cache_clear()   # and the measures' memos
                     z_prime = labels[(i + 2) % len(labels)]
                     out.append(_state_queries(family, z, z_prime, params))
         return out
@@ -965,6 +972,19 @@ def _record_profile_rows(monkeypatch):
     return rows
 
 
+def _record_quadratures(monkeypatch):
+    """Patch coherent.mellin_moment to record the order s of every call."""
+    orders = []
+    mellin = coherent.mellin_moment
+
+    def spy(f, s, rtol):
+        orders.append(s)
+        return mellin(f, s, rtol=rtol)
+
+    monkeypatch.setattr(coherent, "mellin_moment", spy)
+    return orders
+
+
 def test_moments_bitwise_as_fresh_quadrature():
     # a memoized moment is the one mellin_moment gives for the profile
     for k, eps_top in _MEASURE_POOL:
@@ -1005,22 +1025,22 @@ def test_repeated_moments_evaluate_no_profile_row(k4_params, monkeypatch):
     assert rows and quadratures
 
 
-def test_moment_memo_stays_under_its_maxsize(k4_params):
+def test_moment_memo_stays_under_its_maxsize(k4_params, monkeypatch):
+    # past the bound a moment is computed and returned but not stored, so
+    # no stored order is evicted and a past-bound order is integrated again
+    # on every call
+    assert coherent._MOMENTS_KEPT == 256
+    monkeypatch.setattr(coherent, "_MOMENTS_KEPT", 3)
     m = MeasureFn(MeasureFamily.MU1, k4_params)
-    moment_check(m, 1.5)
-    alive = weakref.ref(m)
-    del m
-    assert alive() is not None   # held by its memo entry
-    maxsize = coherent._moment.cache_info().maxsize
-    assert maxsize == 256
-    # cheap entries: the flat measure's e^{-x}, one per order
-    for i in range(maxsize + 10):
-        coherent._moment(None, 1.0 + i / 64.0)
-        assert coherent._moment.cache_info().currsize <= maxsize
-    assert alive() is None       # evicted, and with it the measure
-    misses = coherent._moment.cache_info().misses
-    coherent._moment(None, 1.0)   # the oldest went first
-    assert coherent._moment.cache_info().misses == misses + 1
+    quadratures = _record_quadratures(monkeypatch)
+    orders = [1.0, 1.5, 2.0, 2.5]
+    first = [moment_check(m, s) for s in orders]
+    assert quadratures == orders
+    assert sorted(m._moments) == orders[:3]
+    quadratures.clear()
+    assert [moment_check(m, s) for s in orders + orders] == first + first
+    assert quadratures == [2.5, 2.5]
+    assert sorted(m._moments) == orders[:3]
 
 
 def test_wrapped_profile_still_hits_the_moment_memo(k4_params, monkeypatch):
@@ -1102,23 +1122,35 @@ def test_node_table_stays_under_its_bound(k4_params, monkeypatch):
     assert coherent._TABLE_VALUES == 4096
     for bound in (100, 4096):
         monkeypatch.setattr(coherent, "_TABLE_VALUES", bound)
-        coherent._moment.cache_clear()
-        coherent._node_tables.pop(m, None)
+        m._moments.clear()
+        m._nodes.clear()
         assert moment_check(m, 4.9)[0] == fresh
-        table = coherent._node_tables[m]
-        assert 0 < sum(v.size for v in table.values()) <= bound
-        assert all(not v.flags.writeable for v in table.values())
+        assert 0 < sum(v.size for v in m._nodes.values()) <= bound
+        assert all(not v.flags.writeable for v in m._nodes.values())
 
 
 def test_dead_measure_frees_its_node_table(k4_params):
+    # the moments and node values live on the measure and nothing else holds it
     m = MeasureFn(MeasureFamily.MU3, k4_params)
     moment_check(m, 1.0)
-    assert m in coherent._node_tables
-    coherent._moment.cache_clear()   # the memo entry held the measure
-    tables, alive = len(coherent._node_tables), weakref.ref(m)
+    assert m._moments and m._nodes
+    alive = weakref.ref(m)
     del m
     assert alive() is None
-    assert len(coherent._node_tables) == tables - 1
+
+
+def test_measure_dropped_by_the_store_and_its_caller_is_freed():
+    # a stored moment does not keep its measure alive past the store's 64
+    coherent._measure_store.cache_clear()
+    pool = [CSParams(gap=1.5 + i / 8.0, k=1) for i in range(65)]
+    m = measure_fn(MeasureFamily.MU3, pool[0])
+    moment_check(m, 1.0)
+    alive = weakref.ref(m)
+    for params in pool[1:]:
+        measure_fn(MeasureFamily.MU3, params)
+    assert alive() is m
+    del m
+    assert alive() is None
 
 
 def test_measure_store_drops_the_least_recently_used():
@@ -1186,6 +1218,17 @@ def test_identity_resolutions(k4_params):
     assert identity_resolution_check(Family.AOCS_ISO, k4_params) < 1e-9
     assert identity_resolution_check(Family.DOCS_NEW, k4_params) < 1e-8
     assert identity_resolution_check(Family.LIN_NEW, k4_params) < 1e-8
+
+
+def test_lin_iso_identity_is_one_value_for_every_params(monkeypatch):
+    coherent._lin_iso_identity.cache_clear()
+    quadratures = _record_quadratures(monkeypatch)
+    first = identity_resolution_check(Family.LIN_ISO, CSParams(gap=6.3, k=4))
+    assert len(quadratures) == 11
+    quadratures.clear()
+    again = identity_resolution_check(Family.LIN_ISO, CSParams(gap=1.7, k=1))
+    assert again.hex() == first.hex()
+    assert not quadratures
 
 
 def test_identity_resolution_near_strip_edge():

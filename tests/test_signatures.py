@@ -1,8 +1,11 @@
-"""The package's public surface: which settable values each function has.
+"""The package's public surface: which settable values each function and
+class has.
 
-Every function exported from susyosc is listed with the names of its
-parameters that carry a default. A new keyword, or a default on an
-existing one, has to be added here on purpose.
+Every function exported from susyosc, and the constructor of every exported
+class, is listed with the names of its parameters that carry a default. A
+new keyword, or a default on an existing one, has to be added here on
+purpose; so does a dataclass field that is settable at construction. Classes
+with no signature of their own (the plain error types) are skipped.
 """
 
 import inspect
@@ -48,11 +51,45 @@ EXPECTED_DEFAULTS = {
     "wavefunction": [],
 }
 
+EXPECTED_CLASS_DEFAULTS = {
+    "Assignment": [],
+    "CSParams": [],
+    "CoherentState": [],
+    "Family": [],
+    "GSolution": [],
+    "GridState": ["norm_agreement", "residual_check"],
+    "LadderCoeffs": [],
+    "MeasureFamily": [],
+    "MeasureFn": [],
+    "OperatorStencil": [],
+    "QuadratureError": ["nodes_used", "last_estimate", "last_change"],
+    "ResidualStats": [],
+    "SeedFamily": [],
+    "SeriesError": ["terms_used", "partial_sum"],
+    "SusySystem": [],
+    "SystemSpec": ["x_min", "x_max", "n_points"],
+    "TruncationError": ["required", "cap"],
+}
+
+
+def _defaults(obj):
+    return [p.name for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty]
+
 
 def test_exported_functions_and_their_defaults():
+    got = {name: _defaults(obj) for name, obj in vars(susyosc).items()
+           if inspect.isfunction(obj)}
+    assert got == EXPECTED_DEFAULTS
+
+
+def test_exported_classes_and_their_constructor_defaults():
     got = {}
     for name, obj in vars(susyosc).items():
-        if inspect.isfunction(obj):
-            got[name] = [p.name for p in inspect.signature(obj).parameters.values()
-                         if p.default is not p.empty]
-    assert got == EXPECTED_DEFAULTS
+        if inspect.isclass(obj):
+            try:
+                got[name] = _defaults(obj)
+            except ValueError:   # a builtin-derived error type with no signature
+                pass
+    assert got == EXPECTED_CLASS_DEFAULTS
+    assert list(inspect.signature(susyosc.MeasureFn).parameters) == ["family", "params"]
