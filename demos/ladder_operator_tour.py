@@ -42,7 +42,7 @@ worst = max(abs(a - b) for level in range(6)
 print("product rule l+ l- = prod(H - shifts), worst deviation %.2e" % worst)
 
 iso_c, new_c = commutator_check(params)
-print("commutator diagonals [l-, l+]: iso ->", np.round(iso_c, 12))
+print("linearized [ell-, ell+] diags: iso ->", np.round(iso_c, 12))
 print("                               new ->", np.round(new_c, 12))
 print()
 

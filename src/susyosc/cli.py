@@ -266,8 +266,7 @@ def _suite_ladder(system, doc):
     yield "stencil_vs_table", worst, 1e-3
 
     def support_norm(image):
-        good = np.isfinite(image)
-        return float(np.sqrt(np.sum(w[good] * image[good] ** 2)))
+        return float(np.sqrt(np.sum(w[op.image_sl] * image[op.image_sl] ** 2)))
 
     # the kernel state's image against those of iso state 1 and, where
     # k > 1, new state 1

@@ -195,6 +195,12 @@ class OperatorStencil:
     def xs(self) -> np.ndarray:
         return self.x[self.sl]
 
+    @property
+    def image_sl(self) -> slice:
+        """Where apply_stencil's images are finite: sl less the 4 points at
+        each end that its two derivative passes cannot reach."""
+        return slice(self.sl.start + 4, self.sl.stop - 4)
+
 
 def build_operator_stencil(gsol: GSolution) -> OperatorStencil:
     """Sample the third-order operator coefficients from a g solution.
@@ -266,15 +272,6 @@ def apply_stencil(op: OperatorStencil, state: GridState):
     return image
 
 
-def _support_slice(image: np.ndarray) -> slice:
-    lo, hi = largest_run(np.isfinite(image))
-    lo += 5
-    hi -= 5
-    if hi - lo < 3:
-        raise InsufficientSupportError("stencil support too narrow after edge bands")
-    return slice(lo, hi)
-
-
 def stencil_projection(op: OperatorStencil, bra: GridState, ket: GridState, weights) -> float:
     """Projection coefficient <bra | l^- ket>_W / <bra | bra>_W.
 
@@ -287,7 +284,9 @@ def stencil_projection(op: OperatorStencil, bra: GridState, ket: GridState, weig
     """
     image = apply_stencil(op, ket)
     bv = bra.values
-    sl = _support_slice(image)
+    sl = slice(op.image_sl.start + 5, op.image_sl.stop - 5)
+    if sl.stop - sl.start < 3:
+        raise InsufficientSupportError("stencil support too narrow after edge bands")
     den = float(np.sum(weights[sl] * bv[sl] * bv[sl]))
     if den == 0.0:
         raise DomainError("bra state vanishes on the stencil support")

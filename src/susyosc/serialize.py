@@ -126,7 +126,7 @@ def load_system(path: str):
     equal the loaded one by value; anything else is reported as corruption.
     """
     doc = load_json(path)
-    if doc.get("kind") != "susy_system":
+    if not isinstance(doc, dict) or doc.get("kind") != "susy_system":
         raise UsageError("%s does not hold a system document" % path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise UsageError("unsupported schema_version %r in %s"

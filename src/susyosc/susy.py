@@ -524,8 +524,13 @@ def build_system(spec: SystemSpec, n_max: int = DEFAULT_N_MAX) -> SusySystem:
     x, k = seeds.x64, spec.k
     weights = simpson_weights(x.size, spec.h)
     v = potential(seeds)
-    values = np.empty((k + n_max + 1, x.size))
-    derivs = np.empty_like(values)
+    try:   # past the host's memory (MemoryError) or numpy's size limit (ValueError)
+        values = np.empty((k + n_max + 1, x.size))
+        derivs = np.empty_like(values)
+    except (MemoryError, ValueError):
+        raise InvalidSpecError("n_max=%d on n_points=%d needs two state tables of %d x %d "
+                               "values, more than can be allocated"
+                               % (n_max, x.size, k + n_max + 1, x.size)) from None
     figures = np.empty(len(values))
 
     def store(row: int, raw, raw_deriv, sign: float) -> float:

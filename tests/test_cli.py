@@ -144,6 +144,24 @@ def test_not_a_system_document(tmp_path, capsys):
     assert main(["painleve", "--system", str(path)]) == 2
 
 
+def test_json_that_is_not_an_object_refused(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for text in ("[1, 2]", "3", '"x"', "null"):
+        path.write_text(text)
+        for cmd in ("verify", "painleve"):
+            assert main([cmd, "--system", str(path)]) == 2, (cmd, text)
+            assert "does not hold a system document" in capsys.readouterr().err
+
+
+def test_build_refuses_state_tables_past_numpy_limit(tmp_path, capsys):
+    # 10**20 iso rows pass numpy's largest dimension on any host
+    out = tmp_path / "sys.json"
+    rc = main(["build"] + _K1_FLAGS + ["--nmax", str(10 ** 20), "--out", str(out)])
+    assert rc == 2
+    assert "n_max=%d on n_points=2101" % 10 ** 20 in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cs_reference_label(tmp_path):
     out = tmp_path / "cs.json"
     rc = main(["cs"] + _K4_FLAGS

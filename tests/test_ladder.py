@@ -294,6 +294,13 @@ def test_stencil_annihilates_ladder_bottoms(k4_system, k4_stencil):
         assert support_norm(apply_stencil(k4_stencil, st)) / scale < 1e-3
 
 
+def test_images_are_finite_exactly_on_image_sl(k4_system, k4_stencil):
+    want = np.zeros(k4_system.x.size, dtype=bool)
+    want[k4_stencil.image_sl] = True
+    for st in k4_system.iso_states + k4_system.new_states:
+        assert np.array_equal(np.isfinite(apply_stencil(k4_stencil, st)), want)
+
+
 def test_stencil_requires_contiguous_support(k4_system):
     """The noded ground-image transcendent fragments the support, leaving
     just over half of its unmasked points in one run; one more masked band

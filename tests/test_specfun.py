@@ -9,7 +9,6 @@ table would be worth; those tests skip where mpmath is absent.
 
 import math
 import re
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from susyosc.errors import DomainError, QuadratureError, SeriesError
 from susyosc.specfun import (
     _SERIES_CAP,
     _SERIES_QUIET,
-    _odd_half,
     _semi_infinite_rule,
     _sum_scalar,
     _sum_series,
@@ -800,30 +798,6 @@ def test_doubled_rules_keep_the_coarse_nodes_bitwise():
     while n <= 2 ** 14:
         assert np.array_equal(_semi_infinite_rule(2 * n)[0][::2], _semi_infinite_rule(n)[0])
         n *= 2
-
-
-def test_odd_halves_are_the_rules_odd_slices_bitwise():
-    # nodes, weights and strides: the weights' stride sets BLAS's dot kernel
-    n = 64
-    while n <= specfun._MAX_NODES:
-        rule = [part[1::2] for part in _semi_infinite_rule(n)]
-        for got, want in zip(_odd_half(n), rule):
-            assert got.tobytes() == want.tobytes() and got.strides == want.strides, n
-        n *= 2
-
-
-def test_unsettled_run_holds_half_the_memory_of_whole_rules():
-    # t^-1/2 e^-t to _MAX_NODES: 50 MB traced at peak when every level built
-    # its whole rule, 25 MB with odd halves
-    f = lambda t: np.exp(-t) / np.sqrt(np.where(t > 0.0, t, np.inf))
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureError, match="did not settle"):
-            integral_zero_inf(f, rtol=1e-12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 30e6
 
 
 def _counting(f):

@@ -739,6 +739,12 @@ def test_iso_norm_gate_refuses_out_of_envelope(k, eps_top, nu, n_max, failing_n,
     assert float(found.group(2)) > 1e-6
 
 
+def test_oversized_state_tables_refused_naming_n_max(k1_spec):
+    # 10**16 rows of 2101 float64 values pass numpy's size limit on any host
+    with pytest.raises(InvalidSpecError, match="^n_max=10000000000000000 on n_points=2101 "):
+        build_system(k1_spec, n_max=10 ** 16)
+
+
 def test_build_system_rejects_negative_cap(k1_spec):
     with pytest.raises(InvalidSpecError):
         build_system(k1_spec, n_max=-1)
