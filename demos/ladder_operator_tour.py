@@ -66,10 +66,10 @@ for n in (1, 2, 3):
                              system.state("iso", n), w)
     ref = natural_down_coeff(n, "iso", params)
     print("  <iso %d| l- |iso %d> : stencil %.6f, table %.6f  (rel %.1e)"
-          % (n - 1, n, abs(got), ref, abs(abs(got) / ref - 1.0)))
+          % (n - 1, n, got, ref, abs(got / ref - 1.0)))
 for j in (1, 2, 3):
     got = stencil_projection(op, system.state("new", j - 1),
                              system.state("new", j), w)
     ref = natural_down_coeff(j, "new", params)
     print("  <new %d| l- |new %d> : stencil %.6f, table %.6f  (rel %.1e)"
-          % (j - 1, j, abs(got), ref, abs(abs(got) / ref - 1.0)))
+          % (j - 1, j, got, ref, abs(got / ref - 1.0)))

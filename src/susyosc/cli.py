@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import math
 import sys
 
@@ -63,12 +64,7 @@ from .serialize import (
 )
 from .susy import DEFAULT_N_MAX, DEFAULT_N_POINTS, DEFAULT_X_MAX, SystemSpec, build_system
 
-_FAMILY_FLAGS = {
-    "aocs-iso": Family.AOCS_ISO,
-    "docs-new": Family.DOCS_NEW,
-    "lin-iso": Family.LIN_ISO,
-    "lin-new": Family.LIN_NEW,
-}
+_FAMILY_FLAGS = {family.replace("_", "-"): family for family in Family.ALL}
 _REJECTED_FAMILIES = ("docs-iso", "aocs-new")
 _PIV_TOL = 1e-5   # painleve passes when its largest relative residual is at most this
 _N_RADII = 120    # rows of a measure or density table, up to --rmax
@@ -144,16 +140,12 @@ def cmd_painleve(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "painleve_summary",
-        "assignment": {"which": args.assign, "e1": assign.e1, "e2": assign.e2,
-                       "e3": assign.e3},
+        "assignment": {"which": args.assign, **dataclasses.asdict(assign)},
         "a": assign.a,
         "b": assign.b,
-        "residual_stats": {
-            "max": stats.max,
-            "mean": stats.mean,
-            "n_evaluated": stats.n_evaluated,
-            "n_skipped_floor": stats.n_skipped_floor,
-        },
+        # the per-point residuals go to the CSV
+        "residual_stats": {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+                           if f.name != "per_point"},
         "masked_fraction": gsol.masked_fraction,
         "tol": _PIV_TOL,
         "passed": passed,
@@ -216,7 +208,7 @@ def cmd_cs(args) -> int:
         "family": family,
         "z": {"re": z.real, "im": z.imag, "modulus": abs(z),
               "phase": cmath.phase(z)},
-        "params": {"gap": params.gap, "k": params.k, "eps0": params.eps0},
+        "params": {**dataclasses.asdict(params), "eps0": params.eps0},
         "n_levels": int(cs.coeffs.size),
         "coefficients": [[c.real, c.imag] for c in cs.coeffs],
         "probabilities": list(probs),
@@ -457,8 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cs", help="construct one coherent state")
     _add_spec_args(p)
     _add_grid_args(p)
-    p.add_argument("--family", required=True,
-                   help="aocs-iso, docs-new, lin-iso, lin-new")
+    p.add_argument("--family", required=True, help=", ".join(_FAMILY_FLAGS))
     p.add_argument("--z", required=True, help="label, R@theta or re,im")
     p.add_argument("--density", default=None,
                    help="also write the position density CSV here, from a "

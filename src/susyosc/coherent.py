@@ -44,8 +44,8 @@ from .errors import (
 )
 from .gridops import simpson_weights
 from .ladder import LadderCoeffs, natural_down_coeff
-from .specfun import (digamma, gamma_fn, hyp0f2, laplace_power_integral, mellin_moment,
-                      tricomi_u)
+from .specfun import (_log_case_u, _real_arg, gamma_fn, hyp0f2, laplace_power_integral,
+                      mellin_moment, tricomi_u)
 
 _E0 = 0.5
 _TAIL_BOUND = 1e-12
@@ -205,7 +205,8 @@ def _iso_levels_needed(step, w: float, log_c0sq: float):
 
 
 def _label(z):
-    """(z, |z|^2) for a coherent-state label, refused unless both are finite."""
+    """(z, |z|^2) for a real or complex label (_real_arg), both finite."""
+    _real_arg("coherent state", "label z", z, "iufc")
     z = complex(z)
     try:
         w = abs(z) ** 2
@@ -385,7 +386,8 @@ def divergence_witness(z, params: CSParams) -> np.ndarray:
 
 
 def wavefunction(cs: CoherentState, system):
-    """(psi, |psi|^2) on the system grid, psi = sum_l c_l phi_l.
+    """(psi, |psi|^2) on the system grid, psi = sum_l c_l phi_l over the
+    subspace's rows of the system's state table, in one product.
 
     The system must carry the same (gap, k) the state was built from, and
     must store at least as many basis states as the coefficient vector."""
@@ -394,14 +396,13 @@ def wavefunction(cs: CoherentState, system):
         raise UsageError(
             "state built for (gap=%g, k=%d) but system has (gap=%g, k=%d)"
             % (cs.params.gap, cs.params.k, ref.gap, ref.k))
-    pool = system.iso_states if cs.subspace == "iso" else system.new_states
-    if cs.coeffs.size > len(pool):
+    k = system.spec.k
+    rows = system.values[k:] if cs.subspace == "iso" else system.values[:k]
+    if cs.coeffs.size > len(rows):
         raise DomainError(
             "state needs %d basis levels but the system stores %d; rebuild "
-            "the system with a larger n_max" % (cs.coeffs.size, len(pool)))
-    psi = np.zeros(system.x.size, dtype=complex)
-    for level in range(cs.coeffs.size):
-        psi += cs.coeffs[level] * pool[level].values
+            "the system with a larger n_max" % (cs.coeffs.size, len(rows)))
+    psi = np.einsum("l,lx->x", cs.coeffs, rows[:cs.coeffs.size])
     return psi, np.abs(psi) ** 2
 
 
@@ -429,7 +430,7 @@ def wavefunction(cs: CoherentState, system):
 # computes both g and U. The Laplace caches are unreliable once e^{-x rate} varies below the smallest
 # grid rate, so small x is handled by series instead: f1 and f2 tend to
 # finite limits there, while f3 grows logarithmically and switches to the
-# log-case Kummer series below _MU3_SWITCH.
+# log-case Kummer series below _MU3_SWITCH (specfun._log_case_u, as tricomi_u).
 #
 # A cache is validated on its full grid and then stores only the live weight
 # span, from the first to the last nonzero weight, with the rates ascending:
@@ -501,42 +502,6 @@ def _bessel_factor(family: str, params: CSParams, y: np.ndarray) -> np.ndarray:
     return g
 
 
-def _mu3_series(params: CSParams, x: np.ndarray) -> np.ndarray:
-    """f3(x) for 0 < x < 1 by the log-case confluent series,
-
-    f3(x) = -Gamma(a) sum_k (a)_k x^k / (k!)^2
-            * [ln x + psi(a+k) - 2 psi(k+1)],   a = gap + 1.
-
-    The logarithm makes the x -> 0 end exact where quadrature routes fail;
-    mild cancellation keeps it accurate up to x of order one. The loop is
-    its own, not specfun._sum_series, because the digamma bracket makes this
-    no term-ratio series.
-    """
-    a = params.gap + 1.0
-    if np.any(x <= 0.0):
-        raise DomainError("the mu3 profile diverges logarithmically at x = 0")
-    lx = np.log(x)
-    psi_a = digamma(a)
-    psi_k = -float(np.euler_gamma)
-    coeff = np.ones_like(x)
-    total = np.zeros_like(x)
-    quiet = 0
-    for k in range(400):
-        term = coeff * (lx + psi_a - 2.0 * psi_k)
-        total = total + term
-        if np.all(np.abs(term) <= 1e-16 * np.abs(total) + 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                return -gamma_fn(a) * total
-        else:
-            quiet = 0
-        coeff = coeff * (a + k) * x / ((k + 1.0) ** 2)
-        psi_a += 1.0 / (a + k)
-        psi_k += 1.0 / (k + 1.0)
-    raise SeriesError("mu3 profile series did not converge within 400 terms",
-                      terms_used=400, partial_sum=float(np.max(np.abs(total))))
-
-
 def _log_simpson(lo: float, hi: float, n_intervals: int):
     """Simpson nodes/weights on a log axis; weights absorb dy/y = dv."""
     v = np.linspace(math.log(lo), math.log(hi), n_intervals + 1)
@@ -563,19 +528,6 @@ def _laplace_sum(rates: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.nd
                 decay = np.exp(-xb[:, None] * rates[None, :live])
             out[start:start + rows] = decay @ weights[:live]
     return out
-
-
-def _real_arg(label, name, value):
-    """value as a float array; a complex, bool, string or other non-real
-    entry (or a ragged nesting) is refused with DomainError, naming the
-    argument."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise DomainError("%s needs a real %s, got %r" % (label, name, value))
-    return arr.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,7 +607,7 @@ class MeasureFn:
     def profile(self, x):
         """f_i(x) with x = r^2; accepts real scalars or arrays. A complex or
         non-numeric x is refused with DomainError, naming x."""
-        x_arr = _real_arg("measure profile", "x", x)
+        x_arr = _real_arg("measure profile", "x", x).astype(float)
         scalar = x_arr.ndim == 0
         xv = np.atleast_1d(x_arr).ravel()
         if not np.all(xv >= 0.0):   # a NaN fails this too
@@ -664,7 +616,7 @@ class MeasureFn:
             out = np.empty(xv.size)
             small = xv < _MU3_SWITCH
             if np.any(small):
-                out[small] = _mu3_series(self.params, xv[small])
+                out[small] = _log_case_u(self.params.gap + 1.0, xv[small], "mu3 profile")
             if np.any(~small):
                 out[~small] = _laplace_sum(self._rates, self._weights, xv[~small])
         else:
@@ -679,7 +631,7 @@ class MeasureFn:
         refused with DomainError rather than returned as NaN, and so is a
         radius whose square overflows or a complex or non-numeric r, naming r.
         """
-        r_arr = _real_arg("measure density", "r", r)
+        r_arr = _real_arg("measure density", "r", r).astype(float)
         scalar = r_arr.ndim == 0
         rv = np.atleast_1d(r_arr)
         if not np.all(rv > 0.0):

@@ -14,6 +14,7 @@ travel as nan there, while JSON documents must stay finite.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -92,14 +93,7 @@ def system_document(system: SusySystem) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "susy_system",
-        "spec": {
-            "k": spec.k,
-            "eps_top": spec.eps_top,
-            "nu": spec.nu,
-            "x_min": spec.x_min,
-            "x_max": spec.x_max,
-            "n_points": spec.n_points,
-        },
+        "spec": dataclasses.asdict(spec),
         "n_max": system.n_max,
         "derived": {
             "eps0": spec.eps0,
@@ -133,12 +127,12 @@ def load_system(path: str):
                          % (doc.get("schema_version"), path))
     try:
         raw = dict(doc["spec"])
-        sizes = {"k": raw.pop("k"), "n_points": raw.pop("n_points"), "n_max": doc["n_max"]}
+        fields = {f.name: raw.pop(f.name) for f in dataclasses.fields(SystemSpec)}
+        sizes = {"k": fields["k"], "n_points": fields["n_points"], "n_max": doc["n_max"]}
         for name, value in sizes.items():
             if not _is_whole(value):
                 raise ValueError("%s must be an integer, got %r" % (name, value))
-        spec = SystemSpec(k=sizes["k"], n_points=sizes["n_points"],
-                          **{name: raw.pop(name) for name in ("eps_top", "nu", "x_min", "x_max")})
+        spec = SystemSpec(**fields)
         if raw:
             raise UsageError("unknown spec fields %s in %s" % (sorted(raw), path))
     except (KeyError, TypeError, ValueError) as exc:

@@ -5,8 +5,8 @@ moment checks) reduces to a short list of primitives: the Gamma function
 (math.gamma behind the package's pole and overflow checks), the digamma
 function (math has none, so it is summed here), the confluent series 1F1
 and 0F2, the modified Bessel function K_nu through its real integral
-representation, one Laplace-type integral for the Tricomi U function and the
-mu1/mu2 measure factors, and Mellin moments on (0, inf).
+representation, one Laplace-type integral for Tricomi U (a series below
+x = 1/2) and the mu1/mu2 measure factors, and Mellin moments on (0, inf).
 
 Series are summed plainly by term recurrence, and each point stops at the
 first term after which no later term can change its sum, so every sum is
@@ -68,10 +68,24 @@ def _require_finite(label, **params):
             raise DomainError("%s needs a finite %s, got %s" % (label, name, value))
 
 
+def _real_arg(label, name, value, kinds="iuf"):
+    """value as an uncast array, refused with DomainError naming the argument
+    unless its numpy kind is in kinds: real by default (no bool, string or
+    ragged nesting), "iufc" admits complex. The one array coercion."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds:
+        raise DomainError("%s needs a %s %s, got %r"
+                          % (label, "real or complex" if "c" in kinds else "real", name, value))
+    return arr
+
+
 def _positive(label, name, values):
-    """values as a float array, refused unless every entry is > 0 (NaN is
-    not); +inf passes, for the limits at infinity."""
-    values = np.asarray(values, dtype=float)
+    """values as a float64 array, refused unless real (_real_arg) and every
+    entry is > 0 (NaN is not); +inf passes, for the limits at infinity."""
+    values = _real_arg(label, name, values).astype(float)
     bad = ~(values > 0.0)
     if bad.any():
         raise DomainError("%s needs %s > 0, got %s" % (label, name, values[bad][0]))
@@ -267,12 +281,12 @@ def _series_arg(x, label, nonnegative=False):
     Python or numpy float64 or complex128 scalar comes back as a Python
     number, which _sum_series hands straight to its scalar loop (a numpy
     scalar would run numpy's scalar arithmetic there); anything else as an
-    array."""
+    uncast array, refused by _real_arg unless real or complex."""
     if isinstance(x, (float, complex)) and cmath.isfinite(x):
         x = float(x) if isinstance(x, float) else complex(x)
         negative = nonnegative and type(x) is float and x < 0.0
     else:
-        x = np.asarray(x)
+        x = _real_arg(label, "x", x, "iufc")
         if not np.isfinite(x).all():
             raise DomainError("%s argument x must be finite, got %s"
                               % (label, x[~np.isfinite(x)][0]))
@@ -509,22 +523,70 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
     return out.reshape(c_arr.shape)
 
 
+def _log_case_u(a: float, x: np.ndarray, label: str) -> np.ndarray:
+    """Gamma(a)^2 U(a, 1; x) for a > 0 and 0 < x < 1 by the log-case
+    confluent series (DLMF 13.2.9),
+
+        Gamma(a)^2 U(a, 1; x) = -Gamma(a) sum_k (a)_k x^k / (k!)^2
+                                * [ln x + psi(a+k) - 2 psi(k+1)].
+
+    The logarithm makes the x -> 0 end exact where quadrature routes fail;
+    mild cancellation keeps it accurate up to x of order one. The loop is
+    its own, not _sum_series, because the digamma bracket makes this no
+    term-ratio series. label names the caller in the refusals.
+    """
+    if np.any(x <= 0.0):
+        raise DomainError("the %s diverges logarithmically at x = 0" % label)
+    lx = np.log(x)
+    psi_a = digamma(a)
+    psi_k = -float(np.euler_gamma)
+    coeff = np.ones_like(x)
+    total = np.zeros_like(x)
+    quiet = 0
+    for k in range(400):
+        term = coeff * (lx + psi_a - 2.0 * psi_k)
+        total = total + term
+        if np.all(np.abs(term) <= 1e-16 * np.abs(total) + 1e-300):
+            quiet += 1
+            if quiet >= 2:
+                return -gamma_fn(a) * total
+        else:
+            quiet = 0
+        coeff = coeff * (a + k) * x / ((k + 1.0) ** 2)
+        psi_a += 1.0 / (a + k)
+        psi_k += 1.0 / (k + 1.0)
+    raise SeriesError("%s series did not converge within 400 terms" % label,
+                      terms_used=400, partial_sum=float(np.max(np.abs(total))))
+
+
 def tricomi_u(a: float, x, rtol: float = 1e-10):
-    """Tricomi confluent U(a, 1; x) for a > 0, x > 0, from the Laplace integral
+    """Tricomi confluent U(a, 1; x) for a > 0, x > 0: below x = 1/2 the
+    log-case series _log_case_u over Gamma(a)^2, from 1/2 up the Laplace integral
 
-        U(a, 1; x) = (1 / Gamma(a)) int_0^inf e^{-x t} t^{a-1} (1 + t)^{-a} dt.
+        U(a, 1; x) = (1 / Gamma(a)) int_0^inf e^{-x t} t^{a-1} (1 + t)^{-a} dt,
 
-    The scaling t = s/x turns it into x^{-a} / Gamma(a) times
+    which the scaling t = s/x turns into x^{-a} / Gamma(a) times
     laplace_power_integral(a - 1, 1, -a; x), whose endpoint substitution
-    absorbs the power s^{a-1}. Gamma(a)^2 U(a, 1; x) is the lin_new measure
-    profile f3 at a = gap + 1. x may be an ndarray; a must be finite.
+    absorbs the power s^{a-1}. For a in (2, 3) that substitution s = v^m has
+    m < 1, and the factor (1 + s/x)^{-a} keeps a power v^m weighted by 1/x,
+    which no node count up to 2^20 settles at x = 1e-3. Gamma(a)^2 U(a, 1; x)
+    is the lin_new measure profile f3 at a = gap + 1. x may be an ndarray; a
+    must be finite.
     """
     a = float(a)
     _require_finite("tricomi_u", a=a)
     x_arr = _positive("tricomi_u", "x", x)
-    integral = laplace_power_integral(a - 1.0, 1.0, -a, x_arr, rtol=rtol)
-    out = x_arr ** (-a) / gamma_fn(a) * integral
-    return float(out) if x_arr.ndim == 0 else out
+    gamma_a = gamma_fn(a)
+    xv = x_arr.ravel()
+    out = np.empty_like(xv)
+    small = xv < 0.5
+    if small.any():
+        out[small] = _log_case_u(a, xv[small], "tricomi_u") / gamma_a / gamma_a
+    if not small.all():
+        big = xv[~small]
+        integral = laplace_power_integral(a - 1.0, 1.0, -a, big, rtol=rtol)
+        out[~small] = big ** (-a) / gamma_a * integral
+    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 # ----------------------------------------------------------------------

@@ -416,8 +416,8 @@ class GridState:
     energy: float
     subspace: str          # "iso" or "new"
     index: int
-    norm_agreement: float = float("nan")   # |grid norm / closed form - 1| (iso only)
-    residual_check: float = float("nan")   # eigen-equation residual (new only)
+    norm_agreement: float   # |grid norm / closed form - 1| (iso only, else NaN)
+    residual_check: float   # eigen-equation residual (new only, else NaN)
 
 
 def hamiltonian_residual(values, energy, potential_values, h, weights) -> float:
@@ -456,10 +456,10 @@ class SusySystem:
     def __post_init__(self):
         k, energies = self.spec.k, self.spec.energies
         self.new_states = [GridState(self.values[j], self.derivs[j], float(energies[j]), "new", j,
-                                     residual_check=float(self.figures[j]))
+                                     math.nan, float(self.figures[j]))
                            for j in range(k)]
         self.iso_states = [GridState(self.values[k + n], self.derivs[k + n], n + 0.5, "iso", n,
-                                     norm_agreement=float(self.figures[k + n]))
+                                     float(self.figures[k + n]), math.nan)
                            for n in range(len(self.values) - k)]
 
     @property

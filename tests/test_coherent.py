@@ -44,6 +44,7 @@ from susyosc import (
     divergence_witness,
     evolve,
     gamma_fn,
+    hyp1f1,
     identity_resolution_check,
     kernel,
     mean_energy,
@@ -822,6 +823,28 @@ def test_measures_refuse_non_real_arguments_by_name(method, arg, name):
         getattr(m, method)(arg)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: tricomi_u(2.0, True), "tricomi_u needs a real x, got True"),
+    (lambda: tricomi_u(2.0, "2"), "tricomi_u needs a real x, got '2'"),
+    (lambda: tricomi_u(2.0, 1 + 1j), "tricomi_u needs a real x, got (1+1j)"),
+    (lambda: bessel_k(1.0, 2j), "bessel_k needs a real z, got 2j"),
+    (lambda: laplace_power_integral(0.5, 1.0, 1.0, "2"),
+     "laplace_power_integral needs a real c, got '2'"),
+    (lambda: hyp1f1(1.0, 0.5, True), "hyp1f1 needs a real or complex x, got True"),
+    (lambda: hyp1f1(1.0, 0.5, "1"), "hyp1f1 needs a real or complex x, got '1'"),
+    (lambda: construct_cs("lin_iso", "1+2j", CSParams(gap=2.5, k=2)),
+     "coherent state needs a real or complex label z, got '1+2j'"),
+    (lambda: construct_cs("lin_iso", True, CSParams(gap=2.5, k=2)),
+     "coherent state needs a real or complex label z, got True"),
+], ids=["tricomi-bool", "tricomi-string", "tricomi-complex", "bessel-complex",
+        "laplace-string", "hyp1f1-bool", "hyp1f1-string", "label-string", "label-bool"])
+def test_array_arguments_refuse_other_kinds_by_name(call, message):
+    # one coercion rule for every array front end: a bool, a string or a
+    # complex value where a real one belongs is refused, never cast
+    with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
+        call()
+
+
 def test_measure_builds_stay_small():
     # the doubling keeps two running sums, not whole levels of the 512-wide
     # cache batch: the mu2 build peaked at 8.5 MB with whole levels, 2.5 now
@@ -955,20 +978,20 @@ _MEASURE_POOL = ((4, -2.8), (1, -1.0), (3, -2.0), (5, -1.5))
 
 def _record_profile_rows(monkeypatch):
     """Patch the two profile evaluators to record every x they receive,
-    keyed by the measure's rate array (mu3's series by its params)."""
+    keyed by the measure's rate array (mu3's series by its a = gap + 1)."""
     rows = {}
-    laplace_sum, mu3_series = coherent._laplace_sum, coherent._mu3_series
+    laplace_sum, log_case_u = coherent._laplace_sum, coherent._log_case_u
 
     def laplace_spy(rates, weights, x):
         rows.setdefault(id(rates), []).extend(x.tolist())
         return laplace_sum(rates, weights, x)
 
-    def series_spy(params, x):
-        rows.setdefault(params, []).extend(x.tolist())
-        return mu3_series(params, x)
+    def series_spy(a, x, label):
+        rows.setdefault(a, []).extend(x.tolist())
+        return log_case_u(a, x, label)
 
     monkeypatch.setattr(coherent, "_laplace_sum", laplace_spy)
-    monkeypatch.setattr(coherent, "_mu3_series", series_spy)
+    monkeypatch.setattr(coherent, "_log_case_u", series_spy)
     return rows
 
 

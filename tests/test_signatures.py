@@ -57,7 +57,7 @@ EXPECTED_CLASS_DEFAULTS = {
     "CoherentState": [],
     "Family": [],
     "GSolution": [],
-    "GridState": ["norm_agreement", "residual_check"],
+    "GridState": [],
     "LadderCoeffs": [],
     "MeasureFamily": [],
     "MeasureFn": [],

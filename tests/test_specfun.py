@@ -218,7 +218,7 @@ def test_doubling_level_values_are_bounded():
     # its n/2 x width new ones), and the level that would pass it is refused
     # before it is evaluated
     with pytest.raises(QuadratureError, match="more than %d" % specfun._MAX_VALUES) as info:
-        tricomi_u(3.3, np.geomspace(1e-3, 1.0, 512))
+        laplace_power_integral(2.3, 1.0, -3.3, np.geomspace(1e-3, 1.0, 512))
     assert info.value.nodes_used * 2 * 512 > specfun._MAX_VALUES
     assert info.value.last_estimate.shape == (512,)
 
@@ -452,6 +452,20 @@ def test_tricomi_u_matches_mpmath():
         got = tricomi_u(a, xs)
         want = np.array([float(mpmath.hyperu(a, 1, x)) for x in xs])
         assert np.max(np.abs(got / want - 1.0)) < 1e-9
+
+
+def test_tricomi_u_small_x_matches_mpmath():
+    # for a in (2, 3) the Laplace integral's substitution leaves a power v^m,
+    # m < 1, weighted by 1/x, which did not settle within 2^20 nodes at
+    # x = 1e-3; the log-case series takes x below 1/2
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    xs = np.array([1e-6, 1e-4, 1e-3, 3e-3, 1e-2])
+    for a in (2.05, 2.2, 2.5, 2.9):
+        got = tricomi_u(a, xs)
+        want = np.array([float(mpmath.hyperu(a, 1, x)) for x in xs])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-12
+        assert tricomi_u(a, 1e-3) == got[2]
 
 
 def test_mellin_moment_gamma_and_nontrivial():
