@@ -44,8 +44,8 @@ from .errors import (
 )
 from .gridops import simpson_weights
 from .ladder import LadderCoeffs, natural_down_coeff
-from .specfun import (_log_case_u, _real_arg, gamma_fn, hyp0f2, laplace_power_integral,
-                      mellin_moment, tricomi_u)
+from .specfun import (_LOG_CASE_SWITCH, _log_case_u, _real_arg, gamma_fn, hyp0f2,
+                      laplace_power_integral, mellin_moment, tricomi_u)
 
 _E0 = 0.5
 _TAIL_BOUND = 1e-12
@@ -430,7 +430,7 @@ def wavefunction(cs: CoherentState, system):
 # computes both g and U. The Laplace caches are unreliable once e^{-x rate} varies below the smallest
 # grid rate, so small x is handled by series instead: f1 and f2 tend to
 # finite limits there, while f3 grows logarithmically and switches to the
-# log-case Kummer series below _MU3_SWITCH (specfun._log_case_u, as tricomi_u).
+# log-case Kummer series below _LOG_CASE_SWITCH (specfun._log_case_u, as tricomi_u).
 #
 # A cache is validated on its full grid and then stores only the live weight
 # span, from the first to the last nonzero weight, with the rates ascending:
@@ -459,7 +459,6 @@ _EXP_ZERO = 746.0          # exp(-t) is exactly 0.0 for every t >= 745.14
 _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
-_MU3_SWITCH = 0.5
 _TABLE_VALUES = 4096     # most profile values a measure's node table stores
 _MOMENTS_KEPT = 256      # most Mellin moments a measure stores
 
@@ -614,7 +613,7 @@ class MeasureFn:
             raise DomainError("measure profile needs x >= 0")
         if self.family == MeasureFamily.MU3:
             out = np.empty(xv.size)
-            small = xv < _MU3_SWITCH
+            small = xv < _LOG_CASE_SWITCH
             if np.any(small):
                 out[small] = _log_case_u(self.params.gap + 1.0, xv[small], "mu3 profile")
             if np.any(~small):

@@ -10,14 +10,14 @@ x = 1/2) and the mu1/mu2 measure factors, and Mellin moments on (0, inf).
 
 Series are summed plainly by term recurrence, and each point stops at the
 first term after which no later term can change its sum, so every sum is
-bitwise that of the loop run forever: a scalar runs a plain loop on Python
-numbers, reached from 1F1 and 0F2 without the array front end, and a real
-array is summed in order of |x| with its final leading points retired, so a
-grid pays for the terms each point needs rather than for those of its
-largest |x|. Equal arguments (the mirror points of x^2 on a symmetric grid)
-share one series, and the stop is tested only on the band where the final
-prefix can end, at every term until the first point retires
-and at every 8th term after that. This is the package's one loop for
+bitwise that of the loop run forever. _sum_series is the one front end that
+reads a series argument: a float64 scalar or 0-d array runs a plain loop on
+Python numbers, and a real array is summed in order of |x| with its final
+leading points retired, so a grid pays for the terms each point needs rather
+than for those of its largest |x|. Equal arguments (the mirror points of x^2
+on a symmetric grid) share one series, and the stop is tested only on the
+band where the final prefix can end, at every term until the first point
+retires and at every 8th term after that. This is the package's one loop for
 term-ratio series; complex x, as 1F1 and 0F2 take it, runs the scalar loop
 in complex128 (complex64 widened, clongdouble refused), once per distinct
 value of an array. A NaN or infinite parameter is refused by name.
@@ -55,6 +55,7 @@ _MAX_NODES = 2 ** 20
 _MAX_VALUES = 2 ** 22
 _CHUNK = 512            # values of c or z per shared node-doubling run
 _SMALL64 = float(np.finfo(np.float64).eps) / 8.0   # the stop test's eps/8 in float64
+_LOG_CASE_SWITCH = 0.5   # below it _log_case_u sums Gamma(a)^2 U(a, 1; x) (tricomi_u, mu3)
 
 
 # ----------------------------------------------------------------------
@@ -134,13 +135,15 @@ def digamma(x: float) -> float:
 # Hypergeometric series
 # ----------------------------------------------------------------------
 
-def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
+def _sum_series(term_ratio, x, label="series", steady=0, nonnegative=False):
     """Sum_{n>=0} t_n with t_0 = 1 and t_{n+1} = t_n * x * term_ratio(n).
 
     term_ratio(n) is the rational part of t_{n+1}/t_n; from n = steady on it
     is non-zero and its modulus never increases. x may be a real or complex
-    scalar or ndarray of any shape; a real float dtype is kept, and complex
-    x sums in complex128 (complex64 widened, clongdouble refused).
+    scalar or ndarray of any shape, refused by name unless every entry is
+    finite and, for nonnegative, every real one >= 0; a real float dtype is
+    kept, and complex x sums in complex128 (complex64 widened, clongdouble
+    refused), for at most _SERIES_CAP terms.
 
     Each point adds its terms plainly and stops at the first n >= steady
     with |x| <= 1/|term_ratio(n)|, so that no later term outgrows t_{n+1},
@@ -149,38 +152,48 @@ def _sum_series(term_ratio, x, cap=_SERIES_CAP, label="series", steady=0):
     dtype), so that under round-to-nearest no such term moves S. A complex
     x whose imaginary part is 0 has real terms, so it stops where the real
     x would, with the real sum and a +0 imaginary part. Every sum is thus
-    bitwise that of the plain loop run forever. A 0-d float64 x and any
-    complex x run the loop on Python numbers, a complex array once per
-    distinct value; any other x is summed as an array in order of |x|, one
-    series per distinct value, and its final leading points retire, tested
-    from the first active point over a band of _STOP_BAND points that
-    doubles while all of it is final. The first retirement is tested at
-    every term, later ones every _STOP_EVERY terms; a final point that
-    waits adds only terms that cannot move its sum, so the wait changes no
-    bit. A sum that is not finite is refused at the next finiteness test,
-    every _SERIES_QUIET terms. A Python float or complex x, as _series_arg
-    hands on a scalar, skips the array front end and goes straight to the
-    scalar loop, with the bits of a 0-d array of its value.
+    bitwise that of the plain loop run forever. A finite Python or numpy
+    float64 or complex128 scalar, and a 0-d array that is or is cast to
+    one, runs the loop on a Python number (numpy's scalar arithmetic would
+    move last bits), a complex array once per distinct value; any other x
+    is summed as an array in order of |x|, one series per distinct value,
+    and its final leading points retire, tested from the first active point
+    over a band of _STOP_BAND points that doubles while all of it is final.
+    The first retirement is tested at every term, later ones every
+    _STOP_EVERY terms; a final point that waits adds only terms that cannot
+    move its sum, so the wait changes no bit. A sum that is not finite is
+    refused at the next finiteness test, every _SERIES_QUIET terms.
     """
-    if type(x) in (float, complex):
-        return _sum_scalar(term_ratio, x, _SMALL64, cap, label, steady)
-    x = np.asarray(x)
-    if x.dtype.kind == "c" and not np.can_cast(x.dtype, np.complex128):
-        raise DomainError("%s will not narrow a %s x to complex128" % (label, x.dtype))
-    if x.dtype.kind != "f":
-        x = x.astype(complex if x.dtype.kind == "c" else float)
-    small = float(np.finfo(x.dtype).eps) / 8.0
-    if x.dtype in (np.float64, np.complex128) and x.ndim == 0:
-        return _sum_scalar(term_ratio, x.item(), small, cap, label, steady)
-    if x.dtype == np.complex128:
-        values, inverse = np.unique(x, return_inverse=True)
-        sums = [_sum_scalar(term_ratio, v, small, cap, label, steady) for v in values.tolist()]
-        return np.array(sums, dtype=complex)[inverse].reshape(x.shape)
-    # a point that overflows is refused with SeriesError, without numpy's
-    # overflow and invalid-value warnings from the terms on the way there;
-    # a 0-d x of another dtype comes back as a scalar of that dtype
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sum_array(term_ratio, x, small, cap, label, steady)[()]
+    if isinstance(x, (float, complex)) and cmath.isfinite(x):
+        x = float(x) if isinstance(x, float) else complex(x)
+        if nonnegative and type(x) is float and x < 0.0:
+            raise DomainError("%s argument must be non-negative" % label)
+    else:
+        x = _real_arg(label, "x", x, "iufc")
+        if not np.isfinite(x).all():
+            raise DomainError("%s argument x must be finite, got %s"
+                              % (label, x[~np.isfinite(x)][0]))
+        if nonnegative and x.dtype.kind != "c" and np.any(x < 0.0):
+            raise DomainError("%s argument must be non-negative" % label)
+        if x.dtype.kind == "c" and not np.can_cast(x.dtype, np.complex128):
+            raise DomainError("%s will not narrow a %s x to complex128" % (label, x.dtype))
+        if x.dtype.kind != "f":
+            x = x.astype(complex if x.dtype.kind == "c" else float)
+        if x.ndim == 0 and x.dtype in (np.float64, np.complex128):
+            x = x.item()
+        elif x.dtype == np.complex128:
+            values, inverse = np.unique(x, return_inverse=True)
+            sums = [_sum_scalar(term_ratio, v, _SMALL64, _SERIES_CAP, label, steady)
+                    for v in values.tolist()]
+            return np.array(sums, dtype=complex)[inverse].reshape(x.shape)
+        else:
+            # a point that overflows is refused with SeriesError, without numpy's
+            # overflow and invalid-value warnings from the terms on the way there;
+            # a 0-d x of another dtype comes back as a scalar of that dtype
+            small = float(np.finfo(x.dtype).eps) / 8.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _sum_array(term_ratio, x, small, _SERIES_CAP, label, steady)[()]
+    return _sum_scalar(term_ratio, x, _SMALL64, _SERIES_CAP, label, steady)
 
 
 def _sum_scalar(term_ratio, xv, small, cap, label, steady):
@@ -275,27 +288,6 @@ def _sum_array(term_ratio, x, small, cap, label, steady):
     raise _series_error(label, cap, cap, float(np.max(np.abs(total))))
 
 
-def _series_arg(x, label, nonnegative=False):
-    """The argument of 1F1 or 0F2, refused at once if it or any entry is NaN
-    or infinite, or, for nonnegative, if it is real and below 0. A finite
-    Python or numpy float64 or complex128 scalar comes back as a Python
-    number, which _sum_series hands straight to its scalar loop (a numpy
-    scalar would run numpy's scalar arithmetic there); anything else as an
-    uncast array, refused by _real_arg unless real or complex."""
-    if isinstance(x, (float, complex)) and cmath.isfinite(x):
-        x = float(x) if isinstance(x, float) else complex(x)
-        negative = nonnegative and type(x) is float and x < 0.0
-    else:
-        x = _real_arg(label, "x", x, "iufc")
-        if not np.isfinite(x).all():
-            raise DomainError("%s argument x must be finite, got %s"
-                              % (label, x[~np.isfinite(x)][0]))
-        negative = nonnegative and x.dtype.kind != "c" and np.any(x < 0.0)
-    if negative:
-        raise DomainError("%s argument must be non-negative" % label)
-    return x
-
-
 def hyp1f1(a: float, c: float, x):
     """Confluent hypergeometric 1F1(a; c; x) by direct series.
 
@@ -306,7 +298,6 @@ def hyp1f1(a: float, c: float, x):
     _require_finite("hyp1f1", a=a, c=c)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
-    x = _series_arg(x, "hyp1f1")
     return _sum_series(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, label="hyp1f1",
                        steady=_hyp1f1_steady(a, c))
 
@@ -334,9 +325,9 @@ def hyp0f2(b1: float, b2: float, x):
     _require_finite("hyp0f2", b1=b1, b2=b2)
     if b1 <= 0.0 or b2 <= 0.0:
         raise DomainError("hyp0f2 needs positive lower parameters, got (%g, %g)" % (b1, b2))
-    x = _series_arg(x, "hyp0f2", nonnegative=True)
     # with b1, b2 > 0 the ratio shrinks from n = 0, the default steady index
-    return _sum_series(lambda n: 1.0 / ((b1 + n) * (b2 + n) * (n + 1.0)), x, label="hyp0f2")
+    return _sum_series(lambda n: 1.0 / ((b1 + n) * (b2 + n) * (n + 1.0)), x, label="hyp0f2",
+                       nonnegative=True)
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +570,7 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
     gamma_a = gamma_fn(a)
     xv = x_arr.ravel()
     out = np.empty_like(xv)
-    small = xv < 0.5
+    small = xv < _LOG_CASE_SWITCH
     if small.any():
         out[small] = _log_case_u(a, xv[small], "tricomi_u") / gamma_a / gamma_a
     if not small.all():

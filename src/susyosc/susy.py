@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from .gridops import deriv2, simpson_weights
-from .specfun import _MAX_VALUES, gamma_fn, hyp1f1
+from .specfun import _MAX_VALUES, _real_arg, gamma_fn, hyp1f1
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -157,7 +157,7 @@ def seed_solution(x, eps: float, nu: float):
                         + 2 nu x Gamma(a3)/Gamma(a1) 1F1(a3, 3/2; x^2) ],
     a1 = (1 - 2 eps)/4, a3 = a1 + 1/2. Normalized so u(0) = 1. The derivative
     uses d/dw 1F1(a, c; w) = (a/c) 1F1(a+1, c+1; w) with w = x^2, so no
-    numerical differentiation enters anywhere. eps and nu must be finite.
+    numerical differentiation enters anywhere. eps and nu must be finite, x real.
     """
     if not (math.isfinite(eps) and math.isfinite(nu)):
         raise DomainError("seed_solution needs finite eps and nu, got (%s, %s)" % (eps, nu))
@@ -167,8 +167,8 @@ def seed_solution(x, eps: float, nu: float):
         if a <= 0.0 and a == math.floor(a):
             raise DomainError(
                 "seed mixing coefficient hits a Gamma pole (eps=%g)" % eps)
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
+    x = _real_arg("seed_solution", "x", x)
+    if x.dtype.kind != "f":   # an integer grid; a long-double one keeps its dtype
         x = x.astype(float)
     w = x * x
     cnu = 2.0 * nu * gamma_fn(a3) / gamma_fn(a1)

@@ -726,12 +726,17 @@ def test_mu1_profile_frozen_k1(k1_params):
 
 
 def test_mu3_profile_against_confluent_u(mu3_k4, k4_params):
-    # f3(x) = Gamma(gap+1)^2 U(gap+1, 1; x); checks both evaluation branches
-    # (series below the switch point, Laplace cache above)
+    # f3(x) = Gamma(gap+1)^2 U(gap+1, 1; x) on both evaluation branches. Below
+    # the switch point the profile and tricomi_u sum the same log-case series,
+    # so mpmath is the reference there; above it the Laplace cache is checked
+    # against tricomi_u's own Laplace integral
+    mpmath = pytest.importorskip("mpmath")
     a = k4_params.gap + 1.0
-    for x in (0.4, 4.0):
-        want = gamma_fn(a) ** 2 * tricomi_u(a, x)
-        assert mu3_k4.profile(x) == pytest.approx(want, rel=1e-10)
+    with mpmath.workdps(30):
+        want = float(mpmath.gamma(a) ** 2 * mpmath.hyperu(a, 1, 0.4))
+    assert mu3_k4.profile(0.4) == pytest.approx(want, rel=1e-10)
+    want = gamma_fn(a) ** 2 * tricomi_u(a, 4.0)
+    assert mu3_k4.profile(4.0) == pytest.approx(want, rel=1e-10)
 
 
 def test_mu3_builds_for_small_gaps_k1():
@@ -1023,7 +1028,7 @@ def test_moments_bitwise_as_fresh_quadrature():
 
 def test_repeated_moments_evaluate_no_profile_row(k4_params, monkeypatch):
     # fresh measures have no memo entries; mu3 takes both profile routes
-    # (series below _MU3_SWITCH, Laplace cache)
+    # (series below _LOG_CASE_SWITCH, Laplace cache)
     coherent._measure_store.cache_clear()
     m = MeasureFn(MeasureFamily.MU3, k4_params)
     rows = _record_profile_rows(monkeypatch)

@@ -23,6 +23,7 @@ from susyosc.specfun import (
     _SERIES_CAP,
     _SERIES_QUIET,
     _semi_infinite_rule,
+    _sum_array,
     _sum_scalar,
     _sum_series,
     bessel_k,
@@ -306,7 +307,7 @@ def test_repeated_complex_arguments_match_scalar_loop_bitwise():
         assert np.array_equal(got, [fn(p, q, complex(v)) for v in z])
 
 
-def test_repeated_arguments_keep_the_refusal_fields():
+def test_repeated_arguments_keep_the_refusal_fields(monkeypatch):
     # an overflow among repeats is refused at the first finiteness test with
     # an infinite partial sum; a capped run reports the largest partial sum,
     # as the plain whole-array loop over the distinct values gives it at the
@@ -317,8 +318,9 @@ def test_repeated_arguments_keep_the_refusal_fields():
     ratio = lambda n: 1.0 / (n + 1.0)
     for x, cap, partial in (([60.0, 0.5, -60.0, 60.0, 0.5, -60.0], 64, 8.269784546547297e+25),
                             ([30.0, 0.5, 30.0, 0.5, 7.0, 7.0], 80, 10686474581524.34)):
+        monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
         with pytest.raises(SeriesError, match="did not converge") as info:
-            _sum_series(ratio, np.array(x), cap=cap)
+            _sum_series(ratio, np.array(x))
         assert info.value.terms_used == cap and info.value.partial_sum == partial
 
 
@@ -477,20 +479,23 @@ def test_mellin_moment_gamma_and_nontrivial():
 
 def test_series_nan_point_never_counts_as_quiet():
     # a NaN point is never returned as converged; its total is not finite,
-    # so the refusal comes at the first finiteness test, not at the cap
+    # so the refusal comes at the first finiteness test, not at the cap.
+    # _sum_series refuses a NaN argument, so the loops are fed one directly
     ratio = lambda n: 1.0 / (n + 1.0)
-    for x in (np.array([0.5, np.nan]), np.nan):
+    small = float(np.finfo(np.float64).eps) / 8.0
+    for loop, x in ((_sum_array, np.array([0.5, np.nan])), (_sum_scalar, math.nan)):
         with pytest.raises(SeriesError) as info:
-            _sum_series(ratio, x, cap=300)
+            loop(ratio, x, small, 300, "series", 0)
         assert info.value.terms_used == _SERIES_QUIET
         assert math.isnan(info.value.partial_sum)
 
 
-def test_series_cap_reached_on_a_retiring_term():
+def test_series_cap_reached_on_a_retiring_term(monkeypatch):
     # 0.5 retires on term 64 of e^x; with the cap there the refusal must
     # still be a SeriesError carrying the unconverged 60.0 partial sum
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 64)
     with pytest.raises(SeriesError) as info:
-        _sum_series(lambda n: 1.0 / (n + 1.0), np.array([0.5, 60.0]), cap=64)
+        _sum_series(lambda n: 1.0 / (n + 1.0), np.array([0.5, 60.0]))
     assert info.value.terms_used == 64 and info.value.partial_sum > 1e20
 
 
@@ -512,8 +517,8 @@ def _bits(value):
 
 
 def test_scalar_front_end_sums_as_a_0d_array_bitwise(monkeypatch):
-    # a finite float64 or complex128 scalar skips the array front end; it must
-    # give the bits and the Python type of a 0-d array of its value. The
+    # a finite float64 or complex128 scalar and a 0-d array of its value take
+    # the one scalar branch, with the same bits and Python type. The
     # kernel's overlap argument conj(z') z is an np.complex128, which the loop
     # must see as a Python complex: numpy's scalar arithmetic moves last bits
     args = [0.8, np.float64(2.3), 0.0, -0.0, np.float64(-0.0), 1.2 - 0.7j, complex(2.5, -0.0),
@@ -524,10 +529,14 @@ def test_scalar_front_end_sums_as_a_0d_array_bitwise(monkeypatch):
                         lambda ratio, xv, *rest: seen.append(type(xv)) or loop(ratio, xv, *rest))
     for fn, p, q, extra in ((hyp0f2, 2.5, 1.5, []), (hyp1f1, 0.3, 0.5, [-4.0, np.float64(-0.6)])):
         for x in args + extra:
+            kind = float if isinstance(x, float) else complex
             seen.clear()
             got = fn(p, q, x)
-            assert seen == [float if isinstance(x, float) else complex], (fn, x)
+            assert seen == [kind], (fn, x)
+            # the 0-d array of the value reaches the same loop once, as a Python number
+            seen.clear()
             assert _bits(got) == _bits(fn(p, q, np.array(x))), (fn, x)
+            assert seen == [kind], (fn, x)
 
 
 def test_scalar_front_end_refuses_as_the_array_path():

@@ -124,6 +124,15 @@ def test_seed_solution_refuses_non_finite_parameters():
             seed_solution(np.zeros(3), eps, nu)
 
 
+@pytest.mark.parametrize("x", [np.array([True, False]), [0.5 + 1j], "0.5"],
+                         ids=["bool", "complex", "string"])
+def test_seed_solution_refuses_a_grid_that_is_not_real(x):
+    # a bool grid would be summed as 0/1, a complex one cut to its real part
+    # and a string parsed; each is refused by name instead
+    with pytest.raises(DomainError, match="^seed_solution needs a real x, got "):
+        seed_solution(x, -1.0, 0.3)
+
+
 def test_spec_derived_quantities(k4_spec):
     assert np.allclose(k4_spec.energies, [-5.8, -4.8, -3.8, -2.8])
     assert k4_spec.eps0 == -5.8
