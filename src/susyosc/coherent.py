@@ -423,8 +423,8 @@ def wavefunction(cs: CoherentState, system):
 # two remaining Gammas; g itself is evaluated through the Bessel-type tail
 # integral int_1^inf e^{-cp} (p^2-1)^lam dp. For f3 the density is the
 # beta-like kernel (t/(1+t))^{gap+1} / t of the confluent second-kind
-# function at unit second parameter. The weights are cached on a fixed
-# log-spaced grid, g evaluated once per cache; f1/f2 record the
+# function at unit second parameter. The weights are cached on a
+# log-spaced grid, g evaluated once per grid tried; f1/f2 record the
 # disagreement against half that y resolution, f3 is checked against its
 # closed form Gamma(gap+1)^2 U(gap+1, 1; x). specfun.laplace_power_integral
 # computes both g and U. The Laplace caches are unreliable once e^{-x rate} varies below the smallest
@@ -440,16 +440,22 @@ def wavefunction(cs: CoherentState, system):
 # cache between np.exp and the matrix-vector product, and each block skips
 # the rates whose terms underflow to exactly zero at its smallest x.
 #
-# Each window carries _LOG_INTERVALS = 2048 Simpson intervals. In log y the
-# cache integrand is analytic and decays doubly exponentially, so the rule
-# converges exponentially in the node count, and a converged cache's error
-# is set by the tail integral's rtol of 1e-9, not by the grid. Measured by
-# cache_agreement (the grid against its even half): on the benchmark's
-# measure pool, 1024 intervals already agree with 512 to 1.3e-14; over
-# k 1-8 with gap up to k + 89, 1024 refuses mu1 near gap 90 and reads up to
-# 1e-6 near gap 60, since the mu1 factor's peak is only about sqrt(2/gap)
-# wide in log y; 2048 builds every measure an 8192-interval grid builds,
-# agreeing to 2.2e-14 up to mu1's overflow edge near gap 98.6.
+# The mu3 window carries _LOG_INTERVALS = 2048 Simpson intervals. In log y
+# the mu1/mu2 cache integrand is analytic and decays doubly exponentially,
+# so the rule converges exponentially in the node count, and a converged
+# cache's error is set by the tail integral's rtol of 1e-9, not by the grid.
+# Measured by cache_agreement (the grid against its even half): on the
+# benchmark's measure pool, 1024 intervals already agree with 512 to
+# 1.3e-14; over k 1-8 with gap up to k + 89, 1024 refuses mu1 near gap 90
+# and reads up to 1e-6 near gap 60, since the mu1 factor's peak is only
+# about sqrt(2/gap) wide in log y; 2048 builds every measure an
+# 8192-interval grid builds, agreeing to 2.2e-14 up to mu1's overflow edge
+# near gap 98.6. So a mu1/mu2 cache is built at _LOG_INTERVALS // 2 = 1024
+# first and kept where its agreement is at most _CACHE_SETTLE = 1e-13, and
+# otherwise rebuilt at 2048 with g evaluated on the whole grid again, which
+# is bitwise the cache a build at 2048 alone makes (mu1 above gap about
+# k + 20, mu2 at k 8). mu3 stays at 2048: its check is against the closed
+# form, whose floor of about 6e-10 at k 1 the T window sets, not the grid.
 
 _Y_WINDOW = (1e-9, 1.0e15)
 _T_WINDOW = (1e-12, 200.0)
@@ -458,6 +464,7 @@ _BLOCK_ENTRIES = 1 << 18   # decay entries per block: 2 MB of float64
 _EXP_ZERO = 746.0          # exp(-t) is exactly 0.0 for every t >= 745.14
 _CACHE_PROBES = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
 _CACHE_RTOL = 1e-6       # largest cache_agreement a measure may be built with
+_CACHE_SETTLE = 1e-13    # largest mu1/mu2 agreement kept at _LOG_INTERVALS // 2
 _MU3_PROBES = np.array([1.0, 4.0, 25.0])
 _TABLE_VALUES = 4096     # most profile values a measure's node table stores
 _MOMENTS_KEPT = 256      # most Mellin moments a measure stores
@@ -535,8 +542,10 @@ class MeasureFn:
 
     profile(x) is the Mellin-carrying factor f_i on the x = r^2 axis;
     density(r) is the full mu_i including the family norm series. The
-    Laplace weights are cached on a log grid, the mu1/mu2 factor evaluated
-    once; cache_agreement records the relative disagreement of the cache
+    Laplace weights are cached on a log grid; the mu1/mu2 factor is
+    evaluated on 1024 intervals and kept there where that grid agrees with
+    its even half to 1e-13, else on 2048, and mu3's grid has 2048 intervals.
+    cache_agreement records the relative disagreement of the cache
     against its validation route (the even grid nodes for mu1/mu2,
     Gamma(gap+1)^2 U(gap+1, 1; x) by specfun.tricomi_u for mu3) and must
     stay below rtol, a fixed 1e-6 that callers can read but not set. After
@@ -577,17 +586,22 @@ class MeasureFn:
             got = _laplace_sum(rates, weights, _MU3_PROBES)
             agreement = float(np.max(np.abs(got / ref - 1.0)))
         else:
-            nodes, w = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS)
-            g = _bessel_factor(self.family, self.params, nodes)
-            # rate = 1/y, reversed to ascend
-            rates, weights = 1.0 / nodes[::-1], (w * g)[::-1]
-            # validation on the even nodes with half-resolution Simpson
-            # weights, so the gap is the y-resolution error alone
-            _, w_half = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], _LOG_INTERVALS // 2)
-            half = _laplace_sum(rates[::2], (w_half * g[::2])[::-1], _CACHE_PROBES)
-            full = _laplace_sum(rates, weights, _CACHE_PROBES)
-            gap = np.abs(half - full) / np.maximum(np.abs(full), 1e-300)
-            agreement = float(np.max(gap))
+            # half the intervals first, all of them where that level does not
+            # settle; each level evaluates g on its whole grid
+            for n in (_LOG_INTERVALS // 2, _LOG_INTERVALS):
+                nodes, w = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], n)
+                g = _bessel_factor(self.family, self.params, nodes)
+                # rate = 1/y, reversed to ascend
+                rates, weights = 1.0 / nodes[::-1], (w * g)[::-1]
+                # validation on the even nodes with half-resolution Simpson
+                # weights, so the gap is the y-resolution error alone
+                _, w_half = _log_simpson(_Y_WINDOW[0], _Y_WINDOW[1], n // 2)
+                half = _laplace_sum(rates[::2], (w_half * g[::2])[::-1], _CACHE_PROBES)
+                full = _laplace_sum(rates, weights, _CACHE_PROBES)
+                gap = np.abs(half - full) / np.maximum(np.abs(full), 1e-300)
+                agreement = float(np.max(gap))
+                if agreement <= _CACHE_SETTLE:
+                    break
         if not agreement <= self.rtol:
             raise QuadratureError(
                 "Laplace cache for %s disagrees with its validation route (%g)"

@@ -657,11 +657,11 @@ _FROZEN_MEASURES = {
         1.2548901062380449, 0.531818734623568, 0.26019045543805963,
         0.09488094799676164, 0.03052109714045577, 0.0038229439911422643],
     ("mu1", 1, "profile"): [
-        0.8560407412296066, 0.5031799369578317, 0.26423310239718856,
-        0.09553037566403719, 0.03334295417273669, 0.005647778514589213],
+        0.8560407412219829, 0.5031799369527816, 0.2642331023943315,
+        0.09553037566293585, 0.03334295417233727, 0.005647778514518925],
     ("mu1", 1, "density"): [
-        0.23687314295950368, 0.1492762345602166, 0.09154240677964388,
-        0.049195167765873515, 0.030141961108787505, 0.01636186797495867],
+        0.23687314295739414, 0.1492762345587184, 0.09154240677865406,
+        0.04919516776530636, 0.03014196110842643, 0.016361867974755046],
     ("mu2", 1, "profile"): [
         0.9177438903247326, 0.4596735135187546, 0.186674147693291,
         0.05156137014201702, 0.01681334767077786, 0.0036635733327963706],
@@ -714,10 +714,59 @@ def test_measure_profiles_match_meijer_g():
 
 def test_log_grid_keeps_the_mu1_envelope():
     # the mu1 factor's peak in log y is about sqrt(2/gap) wide, so the gaps
-    # just below its overflow edge set the grid: at 1024 intervals both
-    # caches are refused, at 2048 they agree to about 2e-14
+    # just below its overflow edge set the grid: 1024 intervals are tried
+    # first and do not settle there, and the 2048 that follow agree to
+    # about 2e-14
     for gap, k in ((90.0, 1), (97.0, 8)):
         assert MeasureFn(MeasureFamily.MU1, CSParams(gap=gap, k=k)).cache_agreement <= 1e-12
+
+
+def _record_grid_levels(monkeypatch):
+    # the interval count of every y grid the mu1/mu2 factor is evaluated on
+    levels = []
+    factor = coherent._bessel_factor
+
+    def spy(family, params, y):
+        levels.append(y.size - 1)
+        return factor(family, params, y)
+
+    monkeypatch.setattr(coherent, "_bessel_factor", spy)
+    return levels
+
+
+def test_settled_caches_keep_half_the_intervals(monkeypatch):
+    # the benchmark's measure pool and k 2: each agrees with its own even
+    # half to 1e-13 at 1024 intervals, so no 2048 grid is built
+    levels = _record_grid_levels(monkeypatch)
+    for k, eps_top in ((4, -2.8), (1, -1.0), (3, -2.0), (5, -1.5), (2, -1.3)):
+        params = CSParams.from_spec(SystemSpec(k=k, eps_top=eps_top, nu=0.0))
+        for fam in (MeasureFamily.MU1, MeasureFamily.MU2):
+            levels.clear()
+            m = MeasureFn(fam, params)
+            assert levels == [1024], (fam, k)
+            assert m.cache_agreement <= 1e-13, (fam, k)
+
+
+def test_unsettled_caches_are_the_full_grid_build(monkeypatch):
+    # mu1 near its overflow edge and mu2 at k 8 miss the 1e-13 at 1024
+    # intervals; the 2048 rebuild is bitwise a build that starts at 2048
+    levels = _record_grid_levels(monkeypatch)
+    cases = ((MeasureFamily.MU1, CSParams(gap=90.0, k=1)),
+             (MeasureFamily.MU1, CSParams(gap=97.0, k=8)),
+             (MeasureFamily.MU2, CSParams(gap=8.5, k=8)))
+    built = []
+    for fam, params in cases:
+        levels.clear()
+        built.append(MeasureFn(fam, params))
+        assert levels == [1024, 2048], (fam, params)
+    monkeypatch.setattr(coherent, "_LOG_INTERVALS", 4096)
+    for (fam, params), m in zip(cases, built):
+        levels.clear()
+        ref = MeasureFn(fam, params)
+        assert levels == [2048]
+        assert m._rates.tobytes() == ref._rates.tobytes(), (fam, params)
+        assert m._weights.tobytes() == ref._weights.tobytes(), (fam, params)
+        assert m.cache_agreement == ref.cache_agreement
 
 
 def test_mu1_profile_frozen_k1(k1_params):
@@ -894,12 +943,15 @@ def test_mu2_branch_boundary_builds():
             assert abs(computed / expected - 1.0) < 1e-6
 
 
-def test_measure_fn_shares_one_instance_per_key(mu1_k4, mu2_k4, k4_params, k1_params):
-    assert measure_fn(MeasureFamily.MU1, k4_params) is mu1_k4
-    assert measure_fn(MeasureFamily.MU1, CSParams(gap=k4_params.gap, k=4)) is mu1_k4
-    others = [mu2_k4, measure_fn(MeasureFamily.MU1, k1_params)]
-    assert all(m is not mu1_k4 for m in others)
-    assert all(m.rtol == 1e-6 for m in others + [mu1_k4])
+def test_measure_fn_shares_one_instance_per_key(k4_params, k1_params):
+    # every instance comes from the store in this test: a module fixture may
+    # hold one that another test's cache_clear has dropped from it
+    mu1 = measure_fn(MeasureFamily.MU1, k4_params)
+    assert measure_fn(MeasureFamily.MU1, k4_params) is mu1
+    assert measure_fn(MeasureFamily.MU1, CSParams(gap=k4_params.gap, k=4)) is mu1
+    others = [measure_fn(MeasureFamily.MU2, k4_params), measure_fn(MeasureFamily.MU1, k1_params)]
+    assert all(m is not mu1 for m in others)
+    assert all(m.rtol == 1e-6 for m in others + [mu1])
 
 
 def _laplace_sum_one_block(rates, weights, x):
