@@ -44,8 +44,9 @@ from .errors import (
 )
 from .gridops import simpson_weights
 from .ladder import LadderCoeffs, natural_down_coeff
-from .specfun import (_LOG_CASE_SWITCH, _log_case_u, _real_arg, gamma_fn, hyp0f2,
-                      laplace_power_integral, mellin_moment, tricomi_u)
+from .specfun import (_LOG_CASE_SWITCH, _finite_number, _log_case_u, _positive, _real_arg,
+                      _shaped, gamma_fn, hyp0f2, laplace_power_integral, mellin_moment,
+                      tricomi_u)
 
 _E0 = 0.5
 _TAIL_BOUND = 1e-12
@@ -94,8 +95,8 @@ def _new_weights(family: str, params: CSParams) -> tuple:
     and kept as a tuple for the last 256 keys; a refused row is not kept."""
     a, k = params.gap, params.k
     if family == Family.DOCS_NEW:
-        top = gamma_fn(a) * gamma_fn(float(k))
-        return tuple(top / (gamma_fn(a - j) * gamma_fn(float(k - j)) * math.factorial(j))
+        top = gamma_fn(a) * gamma_fn(k)
+        return tuple(top / (gamma_fn(a - j) * gamma_fn(k - j) * math.factorial(j))
                      for j in range(k))
     return tuple(1.0 / (math.factorial(j) ** 2 * gamma_fn(a - j)) for j in range(k))
 
@@ -341,7 +342,7 @@ def evolve(cs: CoherentState, t: float):
     e^{-i E(level) t} c(level) = phase * c'(level). A t that is not finite,
     or whose phase e_bottom * t overflows, raises DomainError.
     """
-    t = float(t)
+    t = _finite_number("evolve t", t)
     if not math.isfinite(cs.e_bottom * t):
         raise DomainError("evolution time t=%r is refused: t must be finite, with "
                           "e_bottom*t inside the float range (e_bottom=%g)" % (t, cs.e_bottom))
@@ -618,13 +619,9 @@ class MeasureFn:
         object.__setattr__(self, "_weights", weights)
 
     def profile(self, x):
-        """f_i(x) with x = r^2; accepts real scalars or arrays. A complex or
-        non-numeric x is refused with DomainError, naming x."""
-        x_arr = _real_arg("measure profile", "x", x).astype(float)
-        scalar = x_arr.ndim == 0
-        xv = np.atleast_1d(x_arr).ravel()
-        if not np.all(xv >= 0.0):   # a NaN fails this too
-            raise DomainError("measure profile needs x >= 0")
+        """f_i(x) with x = r^2 >= 0; accepts real scalars or arrays. A complex,
+        non-numeric, negative or NaN x is refused with DomainError, naming x."""
+        xv, shape = _positive("measure profile", "x", x, closed=True)
         if self.family == MeasureFamily.MU3:
             out = np.empty(xv.size)
             small = xv < _LOG_CASE_SWITCH
@@ -634,7 +631,7 @@ class MeasureFn:
                 out[~small] = _laplace_sum(self._rates, self._weights, xv[~small])
         else:
             out = _laplace_sum(self._rates, self._weights, xv)
-        return float(out[0]) if scalar else out.reshape(x_arr.shape)
+        return _shaped(out, shape)
 
     def density(self, r):
         """mu_i(r) >= 0 for r > 0.
@@ -644,17 +641,13 @@ class MeasureFn:
         refused with DomainError rather than returned as NaN, and so is a
         radius whose square overflows or a complex or non-numeric r, naming r.
         """
-        r_arr = _real_arg("measure density", "r", r).astype(float)
-        scalar = r_arr.ndim == 0
-        rv = np.atleast_1d(r_arr)
-        if not np.all(rv > 0.0):
-            raise DomainError("measure density needs r > 0")
+        rv, shape = _positive("measure density", "r", r)
         with np.errstate(over="ignore"):
             x = rv * rv
         if np.isinf(x).any():
             raise DomainError("measure density: r^2 overflows at r=%g" % rv[np.isinf(x)][0])
         a, k = self.params.gap, self.params.k
-        args = {MeasureFamily.MU1: (a + 1.0, a - k + 1.0), MeasureFamily.MU2: (a, float(k)),
+        args = {MeasureFamily.MU1: (a + 1.0, a - k + 1.0), MeasureFamily.MU2: (a, k),
                 MeasureFamily.MU3: ()}[self.family]
         scale = 1.0 / math.prod([math.pi] + [gamma_fn(v) for v in args])
         not_finite = "%s density is not finite at r=%g"
@@ -663,11 +656,11 @@ class MeasureFn:
                 series = _norm_series(_FAMILY_FOR[self.family], self.params)(x)
             except SeriesError:   # mu1's 0F2 overflows; it grows with x
                 raise DomainError(not_finite % (self.family, rv.max())) from None
-            out = np.atleast_1d(self.profile(x) * series * scale)
+            out = self.profile(x) * series * scale
         bad = ~np.isfinite(out)
         if bad.any():
             raise DomainError(not_finite % (self.family, rv[bad][0]))
-        return float(out[0]) if scalar else out.reshape(r_arr.shape)
+        return _shaped(out, shape)
 
     def _tabled(self, x):
         """self.profile(x) read through the measure's node table, which maps
@@ -743,7 +736,7 @@ def moment_check(m: MeasureFn, s: float):
     the identity resolution requires. s must lie strictly inside the
     convergence strip.
     """
-    s = float(s)
+    s = _finite_number("moment_check s", s)
     lo, hi = moment_strip(m)
     if not lo < s < hi:
         raise DomainError(

@@ -39,7 +39,8 @@ from .errors import (
 )
 from .gridops import deriv1, largest_run
 from .painleve import GSolution, potential_from_g
-from .susy import GridState, _finite_number, _is_whole, _level
+from .specfun import _finite_number, _is_whole
+from .susy import GridState, _level
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -65,7 +66,7 @@ class LadderCoeffs:
     def __post_init__(self):
         if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
-        object.__setattr__(self, "gap", _finite_number("gap", self.gap))
+        object.__setattr__(self, "gap", _finite_number("gap", self.gap, InvalidSpecError))
         if not self.gap > self.k - 1:
             raise InvalidSpecError(
                 "gap must exceed k-1 = %d, got %g" % (self.k - 1, self.gap))
@@ -261,7 +262,7 @@ def apply_stencil(op: OperatorStencil, state: GridState):
     composed stencils cannot reach are NaN; the image is exactly linear in
     the state.
     """
-    energy = float(state.energy)
+    energy = _finite_number("apply_stencil state energy", state.energy)
     # L_a^- = (d/dx + f)/sqrt(2), then L_b^- = (d^2 - g d + (h - g'))/2
     c = np.stack((op.f, np.ones(op.xs.size))) / _SQRT2
     dc = _pair_derivative(op, c, energy)

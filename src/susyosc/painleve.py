@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientSupportError, UsageError
 from .gridops import deriv1, deriv2
+from .specfun import _finite_number
 from .susy import SystemSpec, SusySystem
 
 DEFAULT_PHI_FLOOR = 1e-5
@@ -114,6 +115,7 @@ def g_for_system(system: SusySystem, which: str,
     there.
     """
     assignment = assignment_for(system.spec, which)
+    phi_rel_floor = _finite_number("g_for_system phi_rel_floor", phi_rel_floor)
     if not 0.0 <= phi_rel_floor < 1.0:
         raise DomainError("phi_rel_floor must lie in [0, 1), got %r" % (phi_rel_floor,))
     state = system.state("iso" if which == "half" else "new", 0)
@@ -160,6 +162,7 @@ def piv_residual(gsol: GSolution, a: float, b: float) -> ResidualStats:
     is declared too thin. A stencil derivative that reaches a masked point
     is NaN, so no point next to the mask is evaluated.
     """
+    a, b = _finite_number("piv_residual a", a), _finite_number("piv_residual b", b)
     x, g, h = gsol.x, gsol.g, gsol.h
     d1 = deriv1(g, h)
     d2 = deriv2(g, h)
@@ -201,7 +204,7 @@ def potential_from_g(gsol: GSolution, e1: float) -> np.ndarray:
     Returns NaN wherever g is masked or its stencil derivative reaches a
     masked point: within 2 points of the mask, and on runs under 5 points.
     """
-    x, g = gsol.x, gsol.g
+    x, g, e1 = gsol.x, gsol.g, _finite_number("potential_from_g e1", e1)
     with np.errstate(invalid="ignore"):
         return x * x / 2.0 - deriv1(g, gsol.h) / 2.0 + g * g / 2.0 + x * g + e1 - 0.5
 

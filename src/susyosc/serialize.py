@@ -20,7 +20,8 @@ import json
 import numpy as np
 
 from .errors import UsageError
-from .susy import SystemSpec, SusySystem, _is_whole, build_system
+from .specfun import _is_whole
+from .susy import SystemSpec, SusySystem, build_system
 
 SCHEMA_VERSION = 1
 

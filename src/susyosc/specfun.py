@@ -20,18 +20,20 @@ band where the final prefix can end, at every term until the first point
 retires and at every 8th term after that. This is the package's one loop for
 term-ratio series; complex x, as 1F1 and 0F2 take it, runs the scalar loop
 in complex128 (complex64 widened, clongdouble refused), once per distinct
-value of an array. A NaN or infinite parameter is refused by name.
-Every adaptive integral runs over (0, inf) in integral_zero_inf, the
-package's one node-doubling loop: composite Simpson in u = t / (1 + t),
-doubling the nodes until two successive estimates agree. Each level's nodes
-are the even nodes of the next, so a doubling run evaluates its integrand
-once per node and every later level only on its new odd nodes. The run
-keeps two Simpson sums, over the odd and the even nodes of its level; the
-even sum of the next level is exactly a quarter of the odd sum plus half the
-even one, so each level dots its new values with their weights and drops
-them, and no array of a whole level's values is built. A level is refused
-before the run would evaluate more than _MAX_VALUES integrand values, and the
-quadrature entry points refuse a NaN parameter by name, as the series do.
+value of an array. Every adaptive integral runs over (0, inf) in
+integral_zero_inf, the package's one node-doubling loop: composite Simpson
+in u = t / (1 + t), doubling the nodes until two successive estimates agree.
+Each level's nodes are the even nodes of the next, so a doubling run
+evaluates its integrand once per node and every later level only on its new
+odd nodes. The run keeps two Simpson sums, over the odd and the even nodes
+of its level; the even sum of the next level is exactly a quarter of the odd
+sum plus half the even one, so each level dots its new values with their
+weights and drops them, and no array of a whole level's values is built. A
+level is refused before the run would evaluate more than _MAX_VALUES
+integrand values. _finite_number is the package's one reader of a real
+scalar, a spec field or a parameter; _positive, over _real_arg, the one
+reader of a bounded real array, whose callers return a float for a 0-d
+argument (_shaped).
 """
 
 from __future__ import annotations
@@ -62,11 +64,25 @@ _LOG_CASE_SWITCH = 0.5   # below it _log_case_u sums Gamma(a)^2 U(a, 1; x) (tric
 # Gamma and friends
 # ----------------------------------------------------------------------
 
-def _require_finite(label, **params):
-    """Refuse the first NaN or infinite scalar parameter, naming it."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise DomainError("%s needs a finite %s, got %s" % (label, name, value))
+def _is_whole(value) -> bool:
+    """True for a Python or numpy integer; a bool is refused as a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _finite_number(name: str, value, error=DomainError) -> float:
+    """value as a Python float, the package's one reader of a real scalar; a
+    bool (false == 0.0), a non-number, a NaN, an infinity or an integer past
+    the float range is refused with error, naming it: a spec field by its
+    own name with InvalidSpecError, a function's argument as, say,
+    "gamma_fn x" with DomainError."""
+    if not (isinstance(value, (float, np.floating)) or _is_whole(value)):
+        raise error("%s must be a number, got %r" % (name, value))
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:   # a Python int, whose digits would flood the message
+        value = "an integer of %d bits" % value.bit_length()
+    raise error("%s must be finite, got %s" % (name, value))
 
 
 def _real_arg(label, name, value, kinds="iuf"):
@@ -83,21 +99,28 @@ def _real_arg(label, name, value, kinds="iuf"):
     return arr
 
 
-def _positive(label, name, values):
-    """values as a float64 array, refused unless real (_real_arg) and every
-    entry is > 0 (NaN is not); +inf passes, for the limits at infinity."""
-    values = _real_arg(label, name, values).astype(float)
-    bad = ~(values > 0.0)
+def _positive(label, name, values, closed=False):
+    """(flat float64 values, shape) of a real array (_real_arg), the one
+    bounded reader of one, refused unless every entry is > 0, or >= 0 where
+    closed (NaN is neither); +inf passes, for the limits at infinity."""
+    arr = _real_arg(label, name, values)
+    flat = arr.astype(float).ravel()
+    bad = ~(flat >= 0.0 if closed else flat > 0.0)
     if bad.any():
-        raise DomainError("%s needs %s > 0, got %s" % (label, name, values[bad][0]))
-    return values
+        raise DomainError("%s needs %s %s 0, got %s"
+                          % (label, name, ">=" if closed else ">", flat[bad][0]))
+    return flat, arr.shape
+
+
+def _shaped(values, shape):
+    """Flat values given shape; a float for a 0-d argument's one value."""
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 def gamma_fn(x: float) -> float:
     """Gamma(x) for finite real x from math.gamma, poles excluded, refused
     where it overflows float64."""
-    x = float(x)
-    _require_finite("gamma_fn", x=x)
+    x = _finite_number("gamma_fn x", x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("gamma_fn pole at non-positive integer x=%g" % x)
     if x > 171.62:
@@ -115,8 +138,7 @@ def digamma(x: float) -> float:
     Recurrence pushes the argument to 12 or beyond, then the asymptotic
     expansion (Bernoulli terms through x^-10) is accurate to ~1e-15. x must
     be finite."""
-    x = float(x)
-    _require_finite("digamma", x=x)
+    x = _finite_number("digamma x", x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainError("digamma pole at non-positive integer x=%g" % x)
     if x < 0.5:
@@ -295,7 +317,7 @@ def hyp1f1(a: float, c: float, x):
     scalar loop sums a complex x in complex128 (complex64 widened,
     clongdouble refused). a and c must be finite, c not a non-positive integer.
     """
-    _require_finite("hyp1f1", a=a, c=c)
+    a, c = _finite_number("hyp1f1 a", a), _finite_number("hyp1f1 c", c)
     if c <= 0.0 and c == math.floor(c):
         raise DomainError("hyp1f1 undefined at non-positive integer c=%g" % c)
     return _sum_series(lambda n: (a + n) / ((c + n) * (n + 1.0)), x, label="hyp1f1",
@@ -322,7 +344,7 @@ def hyp0f2(b1: float, b2: float, x):
     The scalar loop sums it in complex128 (complex64 widened, clongdouble
     refused). b1 and b2 must be finite.
     """
-    _require_finite("hyp0f2", b1=b1, b2=b2)
+    b1, b2 = _finite_number("hyp0f2 b1", b1), _finite_number("hyp0f2 b2", b2)
     if b1 <= 0.0 or b2 <= 0.0:
         raise DomainError("hyp0f2 needs positive lower parameters, got (%g, %g)" % (b1, b2))
     # with b1, b2 > 0 the ratio shrinks from n = 0, the default steady index
@@ -366,7 +388,7 @@ def integral_zero_inf(f, rtol: float = 1e-10):
     _MAX_NODES, and refuses a level whose nodes times the batch width would
     pass _MAX_VALUES values. rtol must be finite and >= 0.
     """
-    _require_finite("integral_zero_inf", rtol=rtol)
+    rtol = _finite_number("integral_zero_inf rtol", rtol)
     if rtol < 0.0:
         raise DomainError("integral_zero_inf needs rtol >= 0, got %g" % rtol)
     n = 32
@@ -439,11 +461,8 @@ def bessel_k(nu: float, z):
 
     z may be a scalar or an ndarray (all entries positive); nu must be finite.
     """
-    _require_finite("bessel_k", nu=nu)
-    z_arr = _positive("bessel_k", "z", z)
-    scalar = z_arr.ndim == 0
-    zv = z_arr.ravel()
-    nu = abs(float(nu))
+    nu = abs(_finite_number("bessel_k nu", nu))
+    zv, shape = _positive("bessel_k", "z", z)
     pref = (2.0 ** (1.0 - nu) * math.sqrt(math.pi) / gamma_fn(nu + 0.5)) \
         * np.exp(-zv) / np.sqrt(zv)
     # power = m (1 + 2 nu) - 1, set exactly: rounded, it can miss 1 by an ulp
@@ -466,7 +485,7 @@ def bessel_k(nu: float, z):
 
         out[start:start + _CHUNK] = integral_zero_inf(integrand)
     out *= pref
-    return float(out[0]) if scalar else out.reshape(z_arr.shape)
+    return _shaped(out, shape)
 
 
 def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10):
@@ -484,12 +503,11 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
     (s/c + b)^q is largest at the smallest c, so an integral that overflows
     is refused by the first slice that runs. The order changes no value.
     """
-    p = float(p)
-    _require_finite("laplace_power_integral", p=p, b=b, q=q)
+    p, b, q = (_finite_number("laplace_power_integral " + name, value)
+               for name, value in (("p", p), ("b", b), ("q", q)))
     if p <= -1.0:
         raise DomainError("Laplace integral needs p > -1 (tricomi_u: a > 0), got p=%g" % p)
-    c_arr = _positive("laplace_power_integral", "c", c)
-    cv = c_arr.ravel()
+    cv, shape = _positive("laplace_power_integral", "c", c)
     m = 1.0 if p >= 2.0 else 2.0 / (1.0 + p)
     power = m * (p + 1.0) - 1.0
     out = np.empty_like(cv)
@@ -511,7 +529,7 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
             return val
 
         out[start:start + _CHUNK] = integral_zero_inf(integrand, rtol=rtol)
-    return out.reshape(c_arr.shape)
+    return _shaped(out, shape)
 
 
 def _log_case_u(a: float, x: np.ndarray, label: str) -> np.ndarray:
@@ -564,11 +582,9 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
     is the lin_new measure profile f3 at a = gap + 1. x may be an ndarray; a
     must be finite.
     """
-    a = float(a)
-    _require_finite("tricomi_u", a=a)
-    x_arr = _positive("tricomi_u", "x", x)
+    a = _finite_number("tricomi_u a", a)
+    xv, shape = _positive("tricomi_u", "x", x)
     gamma_a = gamma_fn(a)
-    xv = x_arr.ravel()
     out = np.empty_like(xv)
     small = xv < _LOG_CASE_SWITCH
     if small.any():
@@ -577,7 +593,7 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
         big = xv[~small]
         integral = laplace_power_integral(a - 1.0, 1.0, -a, big, rtol=rtol)
         out[~small] = big ** (-a) / gamma_a * integral
-    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+    return _shaped(out, shape)
 
 
 # ----------------------------------------------------------------------
@@ -593,8 +609,7 @@ def mellin_moment(f, s: float, rtol: float = 1e-8) -> float:
     infinity for the moment to exist; if it does not, the node doubling fails
     to settle and a QuadratureError comes back.
     """
-    s = float(s)
-    _require_finite("mellin_moment", s=s)
+    s = _finite_number("mellin_moment s", s)
     if s <= 0.0:
         raise DomainError("mellin_moment needs s > 0, got %g" % s)
 

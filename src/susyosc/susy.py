@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from .gridops import deriv2, simpson_weights
-from .specfun import _MAX_VALUES, _real_arg, gamma_fn, hyp1f1
+from .specfun import _MAX_VALUES, _finite_number, _is_whole, _real_arg, gamma_fn, hyp1f1
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -59,24 +59,6 @@ _WORK_DTYPE = np.longdouble
 DEFAULT_X_MAX = 10.5
 DEFAULT_N_POINTS = 2101
 DEFAULT_N_MAX = 32
-
-
-def _is_whole(value) -> bool:
-    """True for a Python or numpy integer; a bool is refused as a size."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _finite_number(name: str, value) -> float:
-    """value as a Python float; a bool (false == 0.0), a non-number, a NaN, an
-    infinity or an integer past the float range is refused by name."""
-    if not (_is_whole(value) or isinstance(value, (float, np.floating))):
-        raise InvalidSpecError("%s must be a number, got %r" % (name, value))
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except OverflowError:   # a Python int, whose digits would flood the message
-        value = "an integer of %d bits" % value.bit_length()
-    raise InvalidSpecError("%s must be finite, got %s" % (name, value))
 
 
 def _level(value, what: str) -> int:
@@ -103,7 +85,8 @@ class SystemSpec:
 
     def __post_init__(self):
         for name in ("eps_top", "nu", "x_max", "x_min"):
-            object.__setattr__(self, name, _finite_number(name, getattr(self, name)))
+            object.__setattr__(self, name, _finite_number(name, getattr(self, name),
+                                                          InvalidSpecError))
         if not _is_whole(self.k) or self.k < 1:
             raise InvalidSpecError("k must be an integer >= 1, got %r" % (self.k,))
         if not self.eps_top < 0.5:
@@ -159,8 +142,7 @@ def seed_solution(x, eps: float, nu: float):
     uses d/dw 1F1(a, c; w) = (a/c) 1F1(a+1, c+1; w) with w = x^2, so no
     numerical differentiation enters anywhere. eps and nu must be finite, x real.
     """
-    if not (math.isfinite(eps) and math.isfinite(nu)):
-        raise DomainError("seed_solution needs finite eps and nu, got (%s, %s)" % (eps, nu))
+    eps, nu = _finite_number("seed_solution eps", eps), _finite_number("seed_solution nu", nu)
     a1 = (1.0 - 2.0 * eps) / 4.0
     a3 = a1 + 0.5
     for a in (a1, a3):

@@ -6,12 +6,14 @@ emitted files can be asserted directly against tmp_path.
 
 import argparse
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from susyosc import cli, painleve
 from susyosc.cli import main, parse_z
+from susyosc.coherent import Family
 from susyosc.errors import QuadratureError, SeriesError, TruncationError, UsageError
 from susyosc.serialize import canonical_json, load_json, load_system
 from susyosc.susy import SusySystem, SystemSpec, build_system
@@ -358,6 +360,25 @@ def test_verify_scans_orthonormality_once(k1_doc, tmp_path, monkeypatch):
     fresh = build_system(SystemSpec(k=1, eps_top=-1.0, nu=0.5))
     assert states["orthonormality"] == fresh.orthonormality_deviation()
     assert states["eigen_residual"] == max(fresh.residual(st) for st in fresh.all_states)
+
+
+def test_verify_builds_each_coherent_state_once(k1_doc, tmp_path, monkeypatch):
+    # the coherent suite's annihilation checks read the states its family
+    # loop built; the check order is _VERIFY_CHECKS_K1's
+    calls = []
+    construct = cli.construct_cs
+
+    def counted(family, z, params):
+        calls.append((family, z))
+        return construct(family, z, params)
+
+    monkeypatch.setattr(cli, "construct_cs", counted)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--system", k1_doc, "--out", str(report)]) == 0
+    assert Counter(calls) == Counter((family, z) for family in Family.ALL
+                                     for z in (0.9 + 0.4j, -0.3 + 1.1j))
+    assert [(c["suite"], c["check"]) for c in load_json(str(report))["checks"]] \
+        == _VERIFY_CHECKS_K1
 
 
 def test_verify_refuses_a_document_without_iso_state_1(tmp_path, capsys):

@@ -391,8 +391,9 @@ def test_evolution_refuses_time_by_name():
     # e_bottom = eps0 = -5.8, so e_bottom * 1e308 overflows; an infinite or
     # NaN t must not surface as a NaN label
     cs = construct_cs(Family.LIN_NEW, 1.5 + 0.5j, CSParams(gap=6.3, k=4))
-    for t in (1e308, math.inf, math.nan):
-        with pytest.raises(DomainError, match=re.escape("time t=%r" % t)):
+    for t, message in ((1e308, "time t=1e+308"), (math.inf, "evolve t must be finite, got inf"),
+                       (math.nan, "evolve t must be finite, got nan")):
+        with pytest.raises(DomainError, match=re.escape(message)):
             evolve(cs, t)
 
 
@@ -651,11 +652,11 @@ _FROZEN_MEASURES = {
         2.603407022780733, 0.6907973948760917, 0.18779933563949025,
         0.037920225826141914, 0.010306642224121133, 0.0018649395932055783],
     ("mu3", 4, "profile"): [
-        521.8295598199727, 90.06232201874678, 11.71076579941589,
-        0.5261676923180371, 0.025238673088555735, 0.00023995103051582898],
+        521.8295598199727, 90.06232201874678, 11.710765799418452,
+        0.5261676923181525, 0.025238673088561276, 0.0002399510305158816],
     ("mu3", 4, "density"): [
-        1.2548901062380449, 0.531818734623568, 0.26019045543805963,
-        0.09488094799676164, 0.03052109714045577, 0.0038229439911422643],
+        1.2548901062380449, 0.531818734623568, 0.26019045543811653,
+        0.09488094799678251, 0.030521097140462493, 0.003822943991143107],
     ("mu1", 1, "profile"): [
         0.8560407412219829, 0.5031799369527816, 0.2642331023943315,
         0.09553037566293585, 0.03334295417233727, 0.005647778514518925],
@@ -669,11 +670,11 @@ _FROZEN_MEASURES = {
         0.32962996822274626, 0.16510288681999388, 0.06704854591881283,
         0.018519516153270646, 0.006038921442969734, 0.00131586118306281],
     ("mu3", 1, "profile"): [
-        1.4458919606444403, 0.5113993433032921, 0.1680042512740435,
-        0.03548209771911074, 0.008778378200375232, 0.001234900574481021],
+        1.4458919606444403, 0.5113993433032921, 0.16800425127408053,
+        0.03548209771911856, 0.00877837820037717, 0.0012349005744812925],
     ("mu3", 1, "density"): [
-        0.5193271522320989, 0.18368147264107648, 0.060342799982197604,
-        0.012744255632678062, 0.0031529673558633718, 0.0004435444805635227],
+        0.5193271522320989, 0.18368147264107648, 0.06034279998221095,
+        0.012744255632680878, 0.003152967355864069, 0.0004435444805636205],
 }
 
 
@@ -859,9 +860,9 @@ def test_measures_refuse_nan_by_name():
     for family in MeasureFamily.ALL:
         m = measure_fn(family, params)
         for x in (math.nan, [1.0, math.nan]):
-            with pytest.raises(DomainError, match="^measure profile needs x >= 0$"):
+            with pytest.raises(DomainError, match="^measure profile needs x >= 0, got nan$"):
                 m.profile(x)
-            with pytest.raises(DomainError, match="^measure density needs r > 0$"):
+            with pytest.raises(DomainError, match="^measure density needs r > 0, got nan$"):
                 m.density(x)
 
 

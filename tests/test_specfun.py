@@ -160,13 +160,13 @@ def test_series_refuse_non_finite_arguments():
 
 def test_non_finite_parameters_refused_by_name():
     calls = (
-        (gamma_fn, (-math.inf,), "gamma_fn needs a finite x, got -inf"),
-        (gamma_fn, (math.nan,), "gamma_fn needs a finite x, got nan"),
-        (digamma, (-math.inf,), "digamma needs a finite x, got -inf"),
-        (hyp1f1, (0.5, -math.inf, 1.0), "hyp1f1 needs a finite c, got -inf"),
-        (hyp1f1, (math.nan, 0.5, 1.0), "hyp1f1 needs a finite a, got nan"),
-        (hyp0f2, (math.inf, 1.5, 1.0), "hyp0f2 needs a finite b1, got inf"),
-        (hyp0f2, (2.5, math.nan, np.array([1.0])), "hyp0f2 needs a finite b2, got nan"),
+        (gamma_fn, (-math.inf,), "gamma_fn x must be finite, got -inf"),
+        (gamma_fn, (math.nan,), "gamma_fn x must be finite, got nan"),
+        (digamma, (-math.inf,), "digamma x must be finite, got -inf"),
+        (hyp1f1, (0.5, -math.inf, 1.0), "hyp1f1 c must be finite, got -inf"),
+        (hyp1f1, (math.nan, 0.5, 1.0), "hyp1f1 a must be finite, got nan"),
+        (hyp0f2, (math.inf, 1.5, 1.0), "hyp0f2 b1 must be finite, got inf"),
+        (hyp0f2, (2.5, math.nan, np.array([1.0])), "hyp0f2 b2 must be finite, got nan"),
     )
     for fn, args, message in calls:
         with pytest.raises(DomainError, match="^%s$" % message):
@@ -179,23 +179,23 @@ def _exp_minus(t):
 
 @pytest.mark.parametrize("fn, args, kwargs, message", [
     (integral_zero_inf, (_exp_minus,), {"rtol": math.nan},
-     "integral_zero_inf needs a finite rtol, got nan"),
+     "integral_zero_inf rtol must be finite, got nan"),
     (integral_zero_inf, (_exp_minus,), {"rtol": -1.0},
      "integral_zero_inf needs rtol >= 0, got -1"),
-    (mellin_moment, (_exp_minus, math.nan), {}, "mellin_moment needs a finite s, got nan"),
-    (mellin_moment, (_exp_minus, math.inf), {}, "mellin_moment needs a finite s, got inf"),
+    (mellin_moment, (_exp_minus, math.nan), {}, "mellin_moment s must be finite, got nan"),
+    (mellin_moment, (_exp_minus, math.inf), {}, "mellin_moment s must be finite, got inf"),
     (mellin_moment, (_exp_minus, 1.5), {"rtol": math.nan},
-     "integral_zero_inf needs a finite rtol, got nan"),
+     "integral_zero_inf rtol must be finite, got nan"),
     (laplace_power_integral, (math.nan, 1.0, 1.0, 1.0), {},
-     "laplace_power_integral needs a finite p, got nan"),
+     "laplace_power_integral p must be finite, got nan"),
     (laplace_power_integral, (0.5, 1.0, math.nan, 1.0), {},
-     "laplace_power_integral needs a finite q, got nan"),
+     "laplace_power_integral q must be finite, got nan"),
     (laplace_power_integral, (0.5, 1.0, 1.0, np.array([1.0, math.nan])), {},
      "laplace_power_integral needs c > 0, got nan"),
-    (tricomi_u, (math.nan, 1.0), {}, "tricomi_u needs a finite a, got nan"),
+    (tricomi_u, (math.nan, 1.0), {}, "tricomi_u a must be finite, got nan"),
     (tricomi_u, (2.0, math.nan), {}, "tricomi_u needs x > 0, got nan"),
     (bessel_k, (1.0, math.nan), {}, "bessel_k needs z > 0, got nan"),
-    (bessel_k, (math.inf, 1.0), {}, "bessel_k needs a finite nu, got inf"),
+    (bessel_k, (math.inf, 1.0), {}, "bessel_k nu must be finite, got inf"),
 ], ids=["rtol-nan", "rtol-negative", "mellin-s-nan", "mellin-s-inf", "mellin-rtol-nan",
         "laplace-p-nan", "laplace-q-nan", "laplace-c-nan", "tricomi-a-nan", "tricomi-x-nan",
         "bessel-z-nan", "bessel-nu-inf"])
@@ -560,7 +560,7 @@ def test_scalar_front_end_refuses_as_the_array_path():
             with pytest.raises(error, match="^%s$" % message):
                 fn(p, q, arg)
     # a parameter is refused before the argument, as on the array path
-    with pytest.raises(DomainError, match="^hyp0f2 needs a finite b1, got nan$"):
+    with pytest.raises(DomainError, match="^hyp0f2 b1 must be finite, got nan$"):
         hyp0f2(math.nan, 1.5, -3.5)
     with pytest.raises(DomainError, match="^hyp1f1 undefined at non-positive integer c=-2$"):
         hyp1f1(0.5, -2.0, math.nan)

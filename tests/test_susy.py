@@ -17,6 +17,7 @@ from susyosc import susy
 from susyosc.errors import ConstructionError, DomainError, InvalidSpecError, SingularPotentialError
 from susyosc.gridops import deriv1, deriv2, simpson_weights
 from susyosc.ladder import LadderCoeffs
+from susyosc.specfun import gamma_fn
 from susyosc.susy import (
     GridState,
     SeedFamily,
@@ -119,8 +120,10 @@ def test_build_system_refuses_non_integer_cap(k1_spec):
 
 
 def test_seed_solution_refuses_non_finite_parameters():
-    for eps, nu in ((math.inf, 0.0), (-math.inf, 0.0), (-1.0, math.nan)):
-        with pytest.raises(DomainError, match="needs finite eps and nu"):
+    for eps, nu, message in ((math.inf, 0.0, "eps must be finite, got inf"),
+                             (-math.inf, 0.0, "eps must be finite, got -inf"),
+                             (-1.0, math.nan, "nu must be finite, got nan")):
+        with pytest.raises(DomainError, match="^seed_solution %s$" % message):
             seed_solution(np.zeros(3), eps, nu)
 
 
@@ -437,6 +440,57 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
                                     float(abs(mp(dgot[i]) - dratio)) / np.max(np.abs(dgot)))
     bounds = {"iso": 1e-11, "diso": 1e-10, "new": 5e-15, "dlog_w": 5e-11, "lnw2": 3e-8}
     assert all(worst[key] < bounds[key] for key in bounds), worst
+
+
+@pytest.mark.parametrize("k, eps_top, nu, bound, bulk_bound", [
+    (1, -1.0, 0.5, 3e-12, 5e-14),
+    (3, -2.1, -0.4, 1.5e-8, 1.5e-10),
+    (4, -2.8, -0.9, 1e-5, 1.5e-8),
+    (5, -1.45, 0.5, 3e-4, 1e-8),
+], ids=["k1", "k3", "readme", "k5"])
+def test_potential_matches_hankel_tau_functions(k, eps_top, nu, bound, bulk_bound):
+    """The built potential against 40-digit Hankel tau functions at every
+    50th grid point.
+
+    With u_top = e^{-x^2/2} F, the chain's Wronskian is a constant times
+    e^{-k x^2/2} tau_k, tau_k = det[F^(i+j)], i, j < k, so V = x^2/2 - (ln W)'' = x^2/2 + k -
+    tau_{k+1} tau_{k-1} / tau_k^2 (tau_0 = 1, Jacobi's identity). F and F'
+    are mpmath's 1F1 in seed_solution's form; u'' = (x^2 - 2 eps) u gives
+    F^(m+2) = 2x F^(m+1) + (2m + 1 - 2 eps_top) F^(m). The reference shares
+    the package's float64 a1 and c_nu (from gamma_fn), with a3 = a1 + 1/2
+    exact, so it pins the Wronskian route, not the rounding of (eps_top,
+    nu). Each bound is about 4x the worst figure read with x86 long double,
+    over the grid
+    (7.2e-13, 3.7e-9, 2.5e-6, 7.1e-5: the far tails, where the long-double
+    seed block cancels most and grows with k) and over |x| <= 4 (1.1e-14,
+    3.9e-11, 3.5e-9, 2.2e-9), so a route that loses a digit fails.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    spec = SystemSpec(k=k, eps_top=eps_top, nu=nu)
+    system = build_system(spec, n_max=0)
+    x = system.x[::50]
+    a1 = (1.0 - 2.0 * eps_top) / 4.0
+    c_nu = 2.0 * nu * gamma_fn(a1 + 0.5) / gamma_fn(a1)
+    want = []
+    with mpmath.workdps(40):
+        a1, c_nu, eps = mpmath.mpf(a1), mpmath.mpf(c_nu), mpmath.mpf(eps_top)
+        a3 = a1 + mpmath.mpf(1) / 2
+        for xi in x.tolist():
+            xi = mpmath.mpf(xi)
+            w = xi * xi
+            m3 = mpmath.hyp1f1(a3, 1.5, w)
+            f = [mpmath.hyp1f1(a1, 0.5, w) + c_nu * xi * m3,
+                 4 * a1 * xi * mpmath.hyp1f1(a1 + 1, 1.5, w)
+                 + c_nu * (m3 + w * 4 * a3 / 3 * mpmath.hyp1f1(a3 + 1, 2.5, w))]
+            for m in range(2 * k - 1):
+                f.append(2 * xi * f[m + 1] + (2 * m + 1 - 2 * eps) * f[m])
+            tau = [mpmath.det(mpmath.matrix([[f[i + j] for j in range(n)] for i in range(n)]))
+                   if n else 1 for n in (k - 1, k, k + 1)]
+            want.append(float(w / 2 + k - tau[2] * tau[0] / tau[1] ** 2))
+    miss = np.abs(np.asarray(system.potential, dtype=float)[::50] - np.array(want))
+    assert x.size == 43
+    assert miss.max() < bound and miss[np.abs(x) <= 4.0].max() < bulk_bound, \
+        (miss.max(), miss[np.abs(x) <= 4.0].max())
 
 
 def _iso_by_full_elimination(seeds, levels):
