@@ -369,6 +369,16 @@ def _semi_infinite_rule(n_intervals: int):
     return u / (1.0 - u), w * (1.0 / (1.0 - u) ** 2)
 
 
+def _rtol(rtol) -> float:
+    """rtol as a float, refused unless finite and >= 0, in integral_zero_inf's
+    words wherever it is read: there, and at tricomi_u's entry, whose series
+    branch below x = 1/2 never reaches the loop."""
+    rtol = _finite_number("integral_zero_inf rtol", rtol)
+    if rtol < 0.0:
+        raise DomainError("integral_zero_inf needs rtol >= 0, got %g" % rtol)
+    return rtol
+
+
 def integral_zero_inf(f, rtol: float = 1e-10):
     """Integral of f over (0, inf) with node doubling until agreement.
 
@@ -388,9 +398,7 @@ def integral_zero_inf(f, rtol: float = 1e-10):
     _MAX_NODES, and refuses a level whose nodes times the batch width would
     pass _MAX_VALUES values. rtol must be finite and >= 0.
     """
-    rtol = _finite_number("integral_zero_inf rtol", rtol)
-    if rtol < 0.0:
-        raise DomainError("integral_zero_inf needs rtol >= 0, got %g" % rtol)
+    rtol = _rtol(rtol)
     n = 32
     nodes, weights = _semi_infinite_rule(n)
     vals = np.asarray(f(nodes), dtype=float)
@@ -507,6 +515,8 @@ def laplace_power_integral(p: float, b: float, q: float, c, rtol: float = 1e-10)
                for name, value in (("p", p), ("b", b), ("q", q)))
     if p <= -1.0:
         raise DomainError("Laplace integral needs p > -1 (tricomi_u: a > 0), got p=%g" % p)
+    if b <= 0.0:
+        raise DomainError("Laplace integral needs b > 0, got b=%g" % b)
     cv, shape = _positive("laplace_power_integral", "c", c)
     m = 1.0 if p >= 2.0 else 2.0 / (1.0 + p)
     power = m * (p + 1.0) - 1.0
@@ -580,9 +590,9 @@ def tricomi_u(a: float, x, rtol: float = 1e-10):
     m < 1, and the factor (1 + s/x)^{-a} keeps a power v^m weighted by 1/x,
     which no node count up to 2^20 settles at x = 1e-3. Gamma(a)^2 U(a, 1; x)
     is the lin_new measure profile f3 at a = gap + 1. x may be an ndarray; a
-    must be finite.
+    must be finite, and rtol is read by integral_zero_inf's rule on either branch.
     """
-    a = _finite_number("tricomi_u a", a)
+    a, rtol = _finite_number("tricomi_u a", a), _rtol(rtol)
     xv, shape = _positive("tricomi_u", "x", x)
     gamma_a = gamma_fn(a)
     out = np.empty_like(xv)

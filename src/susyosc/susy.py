@@ -12,7 +12,8 @@ oscillator eigenstate) solves u'' = q u with q = x^2 - 2 eps, so Leibniz's
 rule gives its derivative rows u^(m+2) = q u^(m) + 2 m x u^(m-1) +
 m (m - 1) u^(m-2) straight on the grid. A SeedFamily is a system's one
 table: the seed rows m = 0..k+1 and every Wronskian ratio over them, from
-three points-last eliminations with partial pivoting (_batched_det):
+three points-last eliminations with partial pivoting (_batched_det), each
+step of them per point:
 - the seed block A = [u_j^(m)], m < k, gives W, and y' = A^-1 e_{k-2},
   y = A^-1 e_{k-1}: the cofactors of A's last two rows over W, which are
   the new states' numerators and their derivatives over W;
@@ -21,9 +22,12 @@ three points-last eliminations with partial pivoting (_batched_det):
   for every n: the last row of L^-1, with the swaps undone, by the
   elimination the full (k+1)-column determinant runs on its seed columns;
   over W they hold W'/W = -cof[0, k-1] and W''/W = cof[0, k-2] - cof[1, k-1].
-W is checked once, before anything is divided by it, so a family whose W
-vanishes is refused as it is built. An iso level is psi_n's own Leibniz
-rows, from the same recursion, summed against those cofactors.
+The rows are built and eliminated one block of grid points at a time, so
+the (k + 2) x k x n_points row table is never held whole; the family
+recomputes it on demand. Each block's W is checked before anything is
+divided by it, against the sign at the grid's first point, so a family
+whose W vanishes is refused as it is built. An iso level is psi_n's own
+Leibniz rows, from the same recursion, summed against those cofactors.
 
 Each stored state, one row of the system's state table, is s * numerator/W,
 normalized, with s = (-1)^n on the iso ladder and s = +1 on the new one.
@@ -55,6 +59,10 @@ _SQRT2 = math.sqrt(2.0)
 
 # work dtype for seed chains and Wronskian entries; float64 everywhere else
 _WORK_DTYPE = np.longdouble
+
+# long-double row values per block of grid points in a seed family's build,
+# about 1 MB, so the (k + 2) x k x n_points derivative table is never held whole
+_BLOCK_VALUES = 1 << 16
 
 DEFAULT_X_MAX = 10.5
 DEFAULT_N_POINTS = 2101
@@ -173,9 +181,10 @@ def build_seed_chain(spec: SystemSpec) -> SeedFamily:
     be nodeless on the grid; a sign change means the spec escaped its
     constraints and the construction would be singular. A spec whose
     derivative table, (k + 2) x k x n_points values, would pass _MAX_VALUES
-    is refused before the grid is made. Raises SingularPotentialError if W
-    crosses or touches zero anywhere on the grid, since the partner then has
-    a singularity.
+    is refused before the grid is made, although the family builds it one
+    block of points at a time and never holds it whole. Raises
+    SingularPotentialError if W crosses or touches zero anywhere on the
+    grid, since the partner then has a singularity.
     """
     size = (spec.k + 2) * spec.k * spec.n_points
     if size > _MAX_VALUES:
@@ -242,6 +251,14 @@ def _leibniz_rows(values, derivs, energies, x, max_order: int):
             row += (m * (m - 1.0)) * rows[m - 2]
         rows.append(row)
         yield row
+
+
+def _row_table(values, derivs, energies, x):
+    """The (k + 2, k, n) stack of seed rows u_j^(m), m = 0..k+1, filled row by row."""
+    table = np.empty((len(energies) + 2,) + values.shape, dtype=values.dtype)
+    for m, row in enumerate(_leibniz_rows(values, derivs, energies, x, len(table) - 1)):
+        table[m] = row
+    return table
 
 
 def _batched_det(mat: np.ndarray):
@@ -315,36 +332,66 @@ class SeedFamily:
     """The k chained seeds on a grid, energies ascending: the table of their
     Leibniz rows and Wronskian ratios that the module docstring describes.
 
-    rows[m, j] is u_j^(m), m = 0..k+1, so rows[0] and rows[1] are the seeds'
-    values and derivatives; w is W; new_ratios the new states' numerators
-    and derivatives over W; cof[d, m] the iso cofactors over W. A W that
-    crosses or touches zero anywhere on the grid raises
-    SingularPotentialError as the family is built. _iso_ratio takes psi_n
-    and psi_n' from the caller's float64 ladder on x64.
+    values and derivs are the seeds' values and derivatives, (k, n_points);
+    w is W; new_ratios the new states' numerators and derivatives over W;
+    cof[d, m] the iso cofactors over W, all built one block of points at a
+    time. rows[m, j] = u_j^(m), m = 0..k+1, the whole table, is recomputed
+    on each read, for tests and introspection. A W that crosses or touches
+    zero anywhere on the grid raises SingularPotentialError as the family is
+    built. _iso_ratio takes psi_n and psi_n' from the caller's float64
+    ladder on x64.
     """
 
     def __init__(self, x, energies, values, derivs):
-        self.x, self.energies = x, energies
+        self.x, self.energies, self.values, self.derivs = x, energies, values, derivs
         self.k = k = len(energies)
-        self.rows = np.stack(list(_leibniz_rows(values, derivs, energies, x, k + 1)))
-        self.w, lu, perm = _batched_det(self.rows[:k])
-        # signs, not products: the product of two far-tail values can overflow
-        if np.any(np.signbit(self.w) != np.signbit(self.w[0])) or np.any(np.abs(self.w) < 1e-280):
+        n = x.size
+        self.w = np.empty(n, dtype=x.dtype)
+        # new state j: numerator/W in new_ratios[0, j], its derivative/W in new_ratios[1, j]
+        self.new_ratios = np.empty((2, k, n), dtype=x.dtype)
+        # cof[d, m]: the signed cofactor of psi^(m) in the d-th derivative of
+        # the numerator, over W; deleting psi^(k-1) leaves W', so cof[0, k-1] = -W'/W
+        self.cof = np.zeros((2, k + 2, n), dtype=x.dtype)
+        # blocks of points of near-equal size, each at most _BLOCK_VALUES row
+        # values: every elimination step is per point, so every bit is the
+        # whole grid's, but a short last block of one point would have numpy
+        # sum the cofactors' terms in another order
+        blocks = -(-n // max(1, _BLOCK_VALUES // ((k + 2) * k)))
+        for b in range(blocks):
+            self._build_block(slice(n * b // blocks, n * (b + 1) // blocks))
+        # the iso levels' inputs in float64, the iso route's one cast
+        self.x64, self._cof64 = np.asarray(x, dtype=float), self.cof.astype(float)
+
+    def _build_block(self, at: slice):
+        """W, new_ratios and cof on the grid points at, from their rows alone;
+        the block's rows and factors go as it returns, before the next block's."""
+        k = self.k
+        rows = _row_table(self.values[:, at], self.derivs[:, at], self.energies, self.x[at])
+        w, lu, perm = _batched_det(rows[:k])
+        self.w[at] = w
+        # signs, not products: the product of two far-tail values can overflow;
+        # each block is tested against the grid's first point before anything
+        # in it is divided by W
+        if np.any(np.signbit(w) != np.signbit(self.w[0])) or np.any(np.abs(w) < 1e-280):
             raise SingularPotentialError("seed Wronskian vanishes inside the grid")
         # [y', y] = A^-1 [e_{k-2}, e_{k-1}]; for k = 1 the e_{k-2} column is zero
         y = _lu_solve(lu, perm, np.eye(k, 2, 2 - k))
         del lu, perm   # A's factors, freed before the larger eliminations below
         sign = (-1.0) ** (k - 1 + np.arange(k))[:, None]
-        # new state j: numerator/W and its derivative/W
-        self.new_ratios = (sign * y[:, 1], -sign * y[:, 0])
-        # cof[d, m]: the signed cofactor of psi^(m) in the d-th derivative of
-        # the numerator, over W; deleting psi^(k-1) leaves W', so cof[0, k-1] = -W'/W
-        self.cof = np.zeros((2, k + 2, x.size), dtype=x.dtype)
-        for d in (0, 1):
-            rows = list(range(k)) + [k + d]
-            self.cof[d, rows] = _last_column_cofactors(self.rows[rows]) / self.w
-        # the iso levels' inputs in float64, the iso route's one cast
-        self.x64, self._cof64 = np.asarray(x, dtype=float), self.cof.astype(float)
+        self.new_ratios[0, :, at] = sign * y[:, 1]
+        self.new_ratios[1, :, at] = -sign * y[:, 0]
+        self.cof[0, :k + 1, at] = _last_column_cofactors(rows[:k + 1]) / w
+        # row k + 1 in the place of row k, which no elimination reads again:
+        # the derivative's row set 0..k-1, k+1 is a slice too, so each row set
+        # is gathered once, by _batched_det's reversed copy
+        rows[k] = rows[k + 1]
+        self.cof[1, list(range(k)) + [k + 1], at] = _last_column_cofactors(rows[:k + 1]) / w
+
+    @property
+    def rows(self):
+        """The whole row table, rows[m, j] = u_j^(m), recomputed from values
+        and derivs on each read."""
+        return _row_table(self.values, self.derivs, self.energies, self.x)
 
     def _iso_ratio(self, n: int, psi, dpsi):
         """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64, from psi_n, psi_n' on x64.

@@ -80,6 +80,8 @@ _SCALARS = [
      lambda c, v: laplace_power_integral(0.5, 1.0, 1.0, 1.0, rtol=v), _RTOL),
     ("tricomi_u a", lambda c, v: tricomi_u(v, 1.0), None),
     ("tricomi_u rtol", lambda c, v: tricomi_u(2.0, 1.0, rtol=v), _RTOL),
+    # below x = 1/2 the series branch answers, without integral_zero_inf
+    ("tricomi_u rtol at small x", lambda c, v: tricomi_u(2.0, 0.1, rtol=v), _RTOL),
     ("seed_solution eps", lambda c, v: seed_solution(np.zeros(3), v, 0.0), None),
     ("seed_solution nu", lambda c, v: seed_solution(np.zeros(3), -1.0, v), None),
     ("evolve t", lambda c, v: evolve(c["cs"], v), None),

@@ -192,13 +192,19 @@ def _exp_minus(t):
      "laplace_power_integral q must be finite, got nan"),
     (laplace_power_integral, (0.5, 1.0, 1.0, np.array([1.0, math.nan])), {},
      "laplace_power_integral needs c > 0, got nan"),
+    (laplace_power_integral, (0.5, -1.0, 1.5, 1.0), {}, "Laplace integral needs b > 0, got b=-1"),
+    (laplace_power_integral, (0.5, 0.0, 1.5, 1.0), {}, "Laplace integral needs b > 0, got b=0"),
     (tricomi_u, (math.nan, 1.0), {}, "tricomi_u a must be finite, got nan"),
+    # below x = 1/2 the series answers; the rtol is read at entry all the same
+    (tricomi_u, (2.0, 0.1), {"rtol": -5.0}, "integral_zero_inf needs rtol >= 0, got -5"),
+    (tricomi_u, (2.0, 0.1), {"rtol": math.nan}, "integral_zero_inf rtol must be finite, got nan"),
     (tricomi_u, (2.0, math.nan), {}, "tricomi_u needs x > 0, got nan"),
     (bessel_k, (1.0, math.nan), {}, "bessel_k needs z > 0, got nan"),
     (bessel_k, (math.inf, 1.0), {}, "bessel_k nu must be finite, got inf"),
 ], ids=["rtol-nan", "rtol-negative", "mellin-s-nan", "mellin-s-inf", "mellin-rtol-nan",
-        "laplace-p-nan", "laplace-q-nan", "laplace-c-nan", "tricomi-a-nan", "tricomi-x-nan",
-        "bessel-z-nan", "bessel-nu-inf"])
+        "laplace-p-nan", "laplace-q-nan", "laplace-c-nan", "laplace-b-negative", "laplace-b-zero",
+        "tricomi-a-nan", "tricomi-small-x-rtol-negative", "tricomi-small-x-rtol-nan",
+        "tricomi-x-nan", "bessel-z-nan", "bessel-nu-inf"])
 def test_quadrature_refuses_unusable_parameters_by_name(fn, args, kwargs, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -8,6 +8,7 @@ and the defining ODE, so agreement is meaningful rather than circular.
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,11 +362,16 @@ def test_new_state_ratios_match_minors(k):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _block_count(k, n_points):
+    return -(-n_points // (susy._BLOCK_VALUES // ((k + 2) * k)))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_row_table_runs_three_eliminations(k, monkeypatch):
-    """Building the chain eliminates the seed block, then the iso
-    numerator's and its derivative's row sets: W'/W and W''/W are read off
-    the cofactors, so no row set of W' or W'' is eliminated on its own."""
+    """Building the chain eliminates, on each block of points, the seed
+    block, then the iso numerator's and its derivative's row sets: W'/W and
+    W''/W are read off the cofactors, so no row set of W' or W'' is
+    eliminated on its own. The default grid is one block up to k 4, two at k 5."""
     calls = []
 
     def counted(mat):
@@ -374,7 +380,51 @@ def test_row_table_runs_three_eliminations(k, monkeypatch):
 
     monkeypatch.setattr(susy, "_batched_det", counted)
     build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
-    assert calls == [(k, k), (k + 1, k), (k + 1, k)]
+    blocks = _block_count(k, susy.DEFAULT_N_POINTS)
+    assert blocks == (2 if k == 5 else 1)
+    assert calls == [(k, k), (k + 1, k), (k + 1, k)] * blocks
+
+
+@pytest.mark.parametrize("k, n_points, blocks", [(5, 8401, 5), (8, 8401, 11), (8, 1639, 3)])
+def test_blocked_family_matches_whole_grid_eliminations(k, n_points, blocks):
+    """W, the new-state ratios and cof, built one block of points at a time,
+    equal bit for bit _batched_det, _lu_solve and _last_column_cofactors run
+    on the whole row table, recomputed by rows. Every elimination step is
+    per point; the blocks are of near-equal size, because on 1639 points at
+    k 8 (two blocks of at most 819 and one point) a one-point block would
+    sum the cofactors' terms in another order and move two of them."""
+    spec = SystemSpec(k=k, eps_top=-1.45, nu=0.5, x_min=-12.5, x_max=12.5, n_points=n_points)
+    assert _block_count(k, n_points) == blocks
+    seeds = build_seed_chain(spec)
+    rows = seeds.rows
+    w, lu, perm = _batched_det(rows[:k])
+    y = _lu_solve(lu, perm, np.eye(k, 2, 2 - k))
+    sign = (-1.0) ** (k - 1 + np.arange(k))[:, None]
+    cof = np.zeros_like(seeds.cof)
+    for d in (0, 1):
+        at = list(range(k)) + [k + d]
+        cof[d, at] = _last_column_cofactors(rows[at]) / w
+    for got, want in ((seeds.w, w), (seeds.new_ratios[0], sign * y[:, 1]),
+                      (seeds.new_ratios[1], -sign * y[:, 0]), (seeds.cof, cof)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_seed_family_never_holds_the_whole_row_table():
+    """build_seed_chain's traced peak at k 8 on 8401 points stays below what
+    the family keeps plus half the (k + 2) x k x n_points row table. The
+    blocks' transients are about a seventh of that table, 1.4 MB over the
+    8.7 MB kept (10.1 MB at peak); a build that holds the 10.75 MB table
+    whole beside the outputs it fills goes over it (the whole-grid build
+    peaked at 44.2 MB, with two copies of a (k + 1) x k stack as well)."""
+    spec = SystemSpec(k=8, eps_top=-1.45, nu=0.5, x_min=-12.5, x_max=12.5, n_points=8401)
+    tracemalloc.start()
+    try:
+        seeds = build_seed_chain(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = seeds.rows.nbytes
+    assert peak < kept + table / 2, (peak, kept, table)
 
 
 @pytest.mark.parametrize("k, eps_top, nu", [(3, -2.5, 0.3), (5, -1.45, 0.5)])
@@ -395,7 +445,7 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
     """
     mpmath = pytest.importorskip("mpmath")
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu))
-    x = seeds.x
+    x, table = seeds.x, seeds.rows
     lnw2 = x * x / 2.0 - potential(seeds)
 
     def mp(v):
@@ -404,7 +454,7 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
 
     def det(rows, i, extra=None):
         return mpmath.det(mpmath.matrix(
-            [[mp(seeds.rows[m, c, i]) for c in range(k)] + ([extra[m]] if extra else [])
+            [[mp(table[m, c, i]) for c in range(k)] + ([extra[m]] if extra else [])
              for m in rows]))
 
     dlog_w = -seeds.cof[0, k - 1]
@@ -423,7 +473,7 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
             want = d2w / w - (dw / w) ** 2
             worst["lnw2"] = max(worst["lnw2"], float(abs(mp(lnw2[i]) - want) / max(1, abs(want))))
             for j in range(k):
-                sub = [[mp(seeds.rows[m, c, i]) for c in range(k) if c != j] for m in range(k - 1)]
+                sub = [[mp(table[m, c, i]) for c in range(k) if c != j] for m in range(k - 1)]
                 want = (mpmath.det(mpmath.matrix(sub)) if k > 1 else 1) / w
                 got = seeds.new_ratios[0][j]
                 worst["new"] = max(worst["new"], float(abs(mp(got[i]) - want)) / np.max(np.abs(got)))
@@ -642,6 +692,18 @@ def test_vanishing_wronskian_is_refused_at_construction():
     error, with no divide-by-zero warning on the way (warnings are errors
     here), so no entry point ever holds a family with a vanishing W."""
     x = np.linspace(-2.0, 2.0, 401)
+    with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
+        SeedFamily(x=x, energies=np.array([0.0]),
+                   values=x[None, :].copy(), derivs=np.ones((1, x.size)))
+
+
+def test_wronskian_sign_change_in_a_later_block_is_refused():
+    """W = x on 30001 points at k 1 is two blocks of points, and W changes
+    sign in the second: that block is tested against the sign at the grid's
+    first point, and the family is refused with the whole-grid message, with
+    no warning on the way (warnings are errors here)."""
+    x = np.linspace(-3.0, 1.0, 30001)
+    assert _block_count(1, x.size) == 2 and x[x.size // 2] < 0.0
     with pytest.raises(SingularPotentialError, match="^seed Wronskian vanishes inside the grid$"):
         SeedFamily(x=x, energies=np.array([0.0]),
                    values=x[None, :].copy(), derivs=np.ones((1, x.size)))
