@@ -206,8 +206,9 @@ def _iso_levels_needed(step, w: float, log_c0sq: float):
 
 
 def _label(z):
-    """(z, |z|^2) for a real or complex label (_real_arg), both finite."""
-    _real_arg("coherent state", "label z", z, "iufc")
+    """(z, |z|^2) for a real or complex scalar label (_real_arg), both finite."""
+    if _real_arg("coherent state", "label z", z, "iufc").ndim:
+        raise DomainError("coherent state needs a scalar label z, got %r" % (z,))
     z = complex(z)
     try:
         w = abs(z) ** 2

@@ -22,12 +22,13 @@ step of them per point:
   for every n: the last row of L^-1, with the swaps undone, by the
   elimination the full (k+1)-column determinant runs on its seed columns;
   over W they hold W'/W = -cof[0, k-1] and W''/W = cof[0, k-2] - cof[1, k-1].
-The rows are built and eliminated one block of grid points at a time, so
-the (k + 2) x k x n_points row table is never held whole; the family
-recomputes it on demand. Each block's W is checked before anything is
-divided by it, against the sign at the grid's first point, so a family
-whose W vanishes is refused as it is built. An iso level is psi_n's own
-Leibniz rows, from the same recursion, summed against those cofactors.
+One routine, _row_table, builds every row table, each row in place from
+the table's own earlier rows. The seed rows are built and eliminated one
+block of grid points at a time, so the (k + 2) x k x n_points row table is
+never held whole. Each block's W is checked before anything is divided by
+it, against the sign at the grid's first point, so a family whose W
+vanishes is refused as it is built. An iso level is psi_n's own Leibniz
+rows, from the same routine, summed against those cofactors.
 
 Each stored state, one row of the system's state table, is s * numerator/W,
 normalized, with s = (-1)^n on the iso ladder and s = +1 on the new one.
@@ -232,32 +233,24 @@ def _oscillator_ladder(x):
 # The seed family: Leibniz rows and three eliminations
 # ----------------------------------------------------------------------
 
-def _leibniz_rows(values, derivs, energies, x, max_order: int):
-    """Rows u^(m), m = 0..max_order >= 1, of columns at energies, one at a time.
+def _row_table(values, derivs, energies, x, n_rows: int):
+    """The (n_rows,) + values.shape table of rows u^(m), m = 0..n_rows - 1
+    (n_rows >= 2), of columns at energies, each row filled in place from the
+    table's earlier rows.
 
     u^(m+2) = (x^2 - 2 eps) u^(m) + 2 m x u^(m-1) + m (m - 1) u^(m-2).
     values and derivs are (c, n) columns at energies (c,), or one column at
-    a scalar energy.
+    a scalar energy; the table copies them into its rows 0 and 1.
     """
     q = x * x - 2.0 * np.asarray(energies, dtype=float)[..., None]
-    rows = [values, derivs]
-    yield values
-    yield derivs
-    for m in range(max_order - 1):
-        row = q * rows[m]
+    table = np.empty((n_rows,) + values.shape, dtype=values.dtype)
+    table[0], table[1] = values, derivs
+    for m in range(n_rows - 2):
+        row = np.multiply(q, table[m], out=table[m + 2])
         if m > 0:
-            row += (2.0 * m) * x * rows[m - 1]
+            row += (2.0 * m) * x * table[m - 1]
         if m > 1:
-            row += (m * (m - 1.0)) * rows[m - 2]
-        rows.append(row)
-        yield row
-
-
-def _row_table(values, derivs, energies, x):
-    """The (k + 2, k, n) stack of seed rows u_j^(m), m = 0..k+1, filled row by row."""
-    table = np.empty((len(energies) + 2,) + values.shape, dtype=values.dtype)
-    for m, row in enumerate(_leibniz_rows(values, derivs, energies, x, len(table) - 1)):
-        table[m] = row
+            row += (m * (m - 1.0)) * table[m - 2]
     return table
 
 
@@ -335,11 +328,11 @@ class SeedFamily:
     values and derivs are the seeds' values and derivatives, (k, n_points);
     w is W; new_ratios the new states' numerators and derivatives over W;
     cof[d, m] the iso cofactors over W, all built one block of points at a
-    time. rows[m, j] = u_j^(m), m = 0..k+1, the whole table, is recomputed
-    on each read, for tests and introspection. A W that crosses or touches
-    zero anywhere on the grid raises SingularPotentialError as the family is
-    built. _iso_ratio takes psi_n and psi_n' from the caller's float64
-    ladder on x64.
+    time from the rows u_j^(m), m = 0..k+1, that _row_table, the one
+    Leibniz routine, fills per block; the family does not keep them. A W
+    that crosses or touches zero anywhere on the grid raises
+    SingularPotentialError as the family is built. _iso_ratio takes psi_n
+    and psi_n' from the caller's float64 ladder on x64.
     """
 
     def __init__(self, x, energies, values, derivs):
@@ -366,7 +359,7 @@ class SeedFamily:
         """W, new_ratios and cof on the grid points at, from their rows alone;
         the block's rows and factors go as it returns, before the next block's."""
         k = self.k
-        rows = _row_table(self.values[:, at], self.derivs[:, at], self.energies, self.x[at])
+        rows = _row_table(self.values[:, at], self.derivs[:, at], self.energies, self.x[at], k + 2)
         w, lu, perm = _batched_det(rows[:k])
         self.w[at] = w
         # signs, not products: the product of two far-tail values can overflow;
@@ -387,22 +380,16 @@ class SeedFamily:
         rows[k] = rows[k + 1]
         self.cof[1, list(range(k)) + [k + 1], at] = _last_column_cofactors(rows[:k + 1]) / w
 
-    @property
-    def rows(self):
-        """The whole row table, rows[m, j] = u_j^(m), recomputed from values
-        and derivs on each read."""
-        return _row_table(self.values, self.derivs, self.energies, self.x)
-
     def _iso_ratio(self, n: int, psi, dpsi):
         """W(u_0..u_{k-1}, psi_n)/W and its derivative, in float64, from psi_n, psi_n' on x64.
 
         The cofactor expansion along the psi column, sum_m cof[d, m] psi_n^(m),
-        as psi_n's rows come; (N/W)' = N'/W - (W'/W) N/W with W'/W = -cof[0, k-1].
+        over psi_n's row table; (N/W)' = N'/W - (W'/W) N/W with W'/W = -cof[0, k-1].
         """
         value, deriv = np.zeros_like(psi), np.zeros_like(psi)
         cof, k = self._cof64, self.k
         # psi^(k+1) is not in the numerator's row set, nor psi^(k) in its derivative's
-        for m, row in enumerate(_leibniz_rows(psi, dpsi, n + 0.5, self.x64, k + 1)):
+        for m, row in enumerate(_row_table(psi, dpsi, n + 0.5, self.x64, k + 2)):
             if m <= k:
                 value += cof[0, m] * row
             if m != k:

@@ -891,11 +891,19 @@ def test_measures_refuse_non_real_arguments_by_name(method, arg, name):
      "coherent state needs a real or complex label z, got '1+2j'"),
     (lambda: construct_cs("lin_iso", True, CSParams(gap=2.5, k=2)),
      "coherent state needs a real or complex label z, got True"),
+    (lambda: construct_cs("lin_iso", np.array([1.0, 2.0]), CSParams(gap=2.5, k=2)),
+     "coherent state needs a scalar label z, got array([1., 2.])"),
+    (lambda: kernel("lin_iso", np.array([1.0]), 1.0, CSParams(gap=2.5, k=2)),
+     "coherent state needs a scalar label z, got array([1.])"),
+    (lambda: divergence_witness([1, 2], CSParams(gap=2.5, k=2)),
+     "coherent state needs a scalar label z, got [1, 2]"),
 ], ids=["tricomi-bool", "tricomi-string", "tricomi-complex", "bessel-complex",
-        "laplace-string", "hyp1f1-bool", "hyp1f1-string", "label-string", "label-bool"])
+        "laplace-string", "hyp1f1-bool", "hyp1f1-string", "label-string", "label-bool",
+        "label-array", "kernel-label-one-element-array", "witness-label-list"])
 def test_array_arguments_refuse_other_kinds_by_name(call, message):
     # one coercion rule for every array front end: a bool, a string or a
-    # complex value where a real one belongs is refused, never cast
+    # complex value where a real one belongs is refused, never cast, and a
+    # label must be a scalar: an array of labels is refused, never cast
     with pytest.raises(DomainError, match="^%s$" % re.escape(message)):
         call()
 

@@ -25,9 +25,9 @@ from susyosc.susy import (
     SystemSpec,
     _batched_det,
     _last_column_cofactors,
-    _leibniz_rows,
     _lu_solve,
     _oscillator_ladder,
+    _row_table,
     build_seed_chain,
     build_system,
     potential,
@@ -183,7 +183,7 @@ def test_seed_chain_energies_descend_by_one(k4_spec):
     h = x[1] - x[0]
     assert seeds.k == 4
     for j in range(seeds.k):
-        v = np.asarray(seeds.rows[0, j], dtype=float)
+        v = np.asarray(seeds.values[j], dtype=float)
         eps = seeds.energies[j]
         resid = deriv2(v, h)[_SL] - (x[_SL] ** 2 - 2.0 * eps) * v[_SL]
         assert np.nanmax(np.abs(resid)) / np.max(np.abs((x ** 2 - 2 * eps) * v)) < 1e-5
@@ -192,6 +192,11 @@ def test_seed_chain_energies_descend_by_one(k4_spec):
 def _oscillator_pair(n, x):
     """(psi_n, psi_n') from the ladder the iso states are built on."""
     return next(itertools.islice(_oscillator_ladder(x), n, None))
+
+
+def _rows(seeds):
+    """The family's whole row table, u_j^(m) for m = 0..k+1, which it does not keep."""
+    return _row_table(seeds.values, seeds.derivs, seeds.energies, seeds.x, seeds.k + 2)
 
 
 def test_oscillator_eigenstates_orthonormal():
@@ -291,7 +296,7 @@ def test_batched_det_keeps_the_pivots_of_the_given_row_order(k):
     after the entry reversal and the sign comes from the reversal alone:
     the sign and the row order must be those of pivoting the rows in their
     given order."""
-    rows = build_seed_chain(SystemSpec(k=k, eps_top=-2.8, nu=-0.9)).rows[:k + 1]
+    rows = _rows(build_seed_chain(SystemSpec(k=k, eps_top=-2.8, nu=-0.9)))[:k + 1]
     last_first = np.flatnonzero(np.argmax(np.abs(rows[:, 0]), axis=0) == k)
     assert last_first.size > 0.9 * rows.shape[-1]
     stack = rows[..., last_first[::10]]
@@ -348,14 +353,15 @@ def test_new_state_ratios_match_minors(k):
     minors of the seed rows (the determinant route), and the table's W, bit
     for bit, from the elimination of the seed rows alone."""
     table = build_seed_chain(SystemSpec(k=k, eps_top=-1.7, nu=0.4))
-    assert np.array_equal(table.w, _batched_det(table.rows[:k])[0])
+    rows = _rows(table)
+    assert np.array_equal(table.w, _batched_det(rows[:k])[0])
     for j in range(k):
         cols = [c for c in range(k) if c != j]
         if k == 1:   # the empty minor is 1
             numer, dnumer = 1.0, 0.0
         else:
-            numer = _batched_det(table.rows[np.ix_(range(k - 1), cols)])[0]
-            dnumer = _batched_det(table.rows[np.ix_(list(range(k - 2)) + [k - 1], cols)])[0]
+            numer = _batched_det(rows[np.ix_(range(k - 1), cols)])[0]
+            dnumer = _batched_det(rows[np.ix_(list(range(k - 2)) + [k - 1], cols)])[0]
         for got, want in zip((table.new_ratios[0][j], table.new_ratios[1][j]),
                              (numer / table.w, dnumer / table.w)):
             # for k = 1 the derivative is 0 on both routes
@@ -389,14 +395,14 @@ def test_row_table_runs_three_eliminations(k, monkeypatch):
 def test_blocked_family_matches_whole_grid_eliminations(k, n_points, blocks):
     """W, the new-state ratios and cof, built one block of points at a time,
     equal bit for bit _batched_det, _lu_solve and _last_column_cofactors run
-    on the whole row table, recomputed by rows. Every elimination step is
+    on the whole row table, recomputed by _row_table. Every elimination step is
     per point; the blocks are of near-equal size, because on 1639 points at
     k 8 (two blocks of at most 819 and one point) a one-point block would
     sum the cofactors' terms in another order and move two of them."""
     spec = SystemSpec(k=k, eps_top=-1.45, nu=0.5, x_min=-12.5, x_max=12.5, n_points=n_points)
     assert _block_count(k, n_points) == blocks
     seeds = build_seed_chain(spec)
-    rows = seeds.rows
+    rows = _rows(seeds)
     w, lu, perm = _batched_det(rows[:k])
     y = _lu_solve(lu, perm, np.eye(k, 2, 2 - k))
     sign = (-1.0) ** (k - 1 + np.arange(k))[:, None]
@@ -423,8 +429,25 @@ def test_seed_family_never_holds_the_whole_row_table():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table = seeds.rows.nbytes
+    table = _rows(seeds).nbytes
     assert peak < kept + table / 2, (peak, kept, table)
+
+
+def test_row_table_is_held_once():
+    """_row_table's traced peak at k 8 on 8401 points stays below 1.5x the
+    table it returns: the table, q ((k, n_points), a tenth of it) and two
+    row temporaries (a tenth each) make about 1.3x. A routine that keeps
+    its rows in a list of its own and copies them into the table holds them
+    twice (2.01x); this one reads 1.21x."""
+    spec = SystemSpec(k=8, eps_top=-1.45, nu=0.5, x_min=-12.5, x_max=12.5, n_points=8401)
+    seeds = build_seed_chain(spec)
+    tracemalloc.start()
+    try:
+        table = _rows(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes, (peak, table.nbytes)
 
 
 @pytest.mark.parametrize("k, eps_top, nu", [(3, -2.5, 0.3), (5, -1.45, 0.5)])
@@ -445,7 +468,7 @@ def test_ratios_match_exact_arithmetic(k, eps_top, nu):
     """
     mpmath = pytest.importorskip("mpmath")
     seeds = build_seed_chain(SystemSpec(k=k, eps_top=eps_top, nu=nu))
-    x, table = seeds.x, seeds.rows
+    x, table = seeds.x, _rows(seeds)
     lnw2 = x * x / 2.0 - potential(seeds)
 
     def mp(v):
@@ -555,13 +578,13 @@ def _iso_by_full_elimination(seeds, levels):
     of their maximum, so it would pin the two routes' rounding difference,
     not the float64 cast."""
     k, x = seeds.k, seeds.x
-    rows = np.stack(list(_leibniz_rows(seeds.rows[0], seeds.rows[1], seeds.energies, x, k + 1)))
+    rows = _rows(seeds)
     w = _batched_det(rows[:k])[0]
     dlog_w = -seeds.cof[0, k - 1]
     psis = list(itertools.islice(_oscillator_ladder(x), max(levels) + 1))
     for n in levels:
         psi, dpsi = psis[n]
-        psi_rows = np.stack(list(_leibniz_rows(psi[None], dpsi[None], [n + 0.5], x, k + 1)))
+        psi_rows = _row_table(psi[None], dpsi[None], [n + 0.5], x, k + 2)
         full = np.concatenate([rows, psi_rows], axis=1)
         numer = _batched_det(full[:k + 1])[0]
         dnumer = _batched_det(full[list(range(k)) + [k + 1]])[0]
@@ -615,7 +638,7 @@ def test_float64_iso_ladder_matches_long_double_elimination(k, eps_top, nu, x_ma
 
 
 def test_psi_rows_match_hermite_closed_form():
-    """_leibniz_rows on psi_n, m <= 6, vs differentiating H_n(x) e^{-x^2/2}.
+    """_row_table on psi_n, m <= 6, vs differentiating H_n(x) e^{-x^2/2}.
 
     These are the rows each iso level sums against the cofactors, in
     float64; each derivative of the closed form maps its polynomial
@@ -627,8 +650,8 @@ def test_psi_rows_match_hermite_closed_form():
         psi, dpsi = _oscillator_pair(n, x)
         prefactor = Hermite.basis(n).convert(kind=Polynomial) \
             / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
-        rows = list(_leibniz_rows(psi, dpsi, n + 0.5, x, 6))
-        assert len(rows) == 7 and rows[0] is psi and rows[1] is dpsi
+        rows = _row_table(psi, dpsi, n + 0.5, x, 7)
+        assert len(rows) == 7 and np.array_equal(rows[0], psi) and np.array_equal(rows[1], dpsi)
         for got in rows:
             want = prefactor(x) * gauss
             assert got.dtype == np.float64
@@ -638,15 +661,15 @@ def test_psi_rows_match_hermite_closed_form():
 
 def test_wronskian_order_one_is_the_seed(k1_spec):
     seeds = build_seed_chain(k1_spec)
-    assert np.array_equal(seeds.w, seeds.rows[0, 0])
+    assert np.array_equal(seeds.w, seeds.values[0])
 
 
 def test_potential_order_one_closed_form(k1_spec):
     """V = (u'/u)^2 - x^2/2 + 2 eps for a single seed, straight from the ODE."""
     seeds = build_seed_chain(k1_spec)
     x = np.asarray(seeds.x, dtype=float)
-    u = np.asarray(seeds.rows[0, 0], dtype=float)
-    du = np.asarray(seeds.rows[1, 0], dtype=float)
+    u = np.asarray(seeds.values[0], dtype=float)
+    du = np.asarray(seeds.derivs[0], dtype=float)
     closed = (du / u) ** 2 - x * x / 2.0 + 2.0 * k1_spec.eps0
     assert np.max(np.abs(potential(seeds) - closed)) < 1e-10
 
